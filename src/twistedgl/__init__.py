@@ -7,7 +7,7 @@ from .localfield import (
 )
 from .qform import (
     QuadForm, FormInvariants, WittClass, quad_form, diag_form, alternating_form,
-    bilinear_form, diagonalize, invariants, is_isotropic, witt_decompose,
+    bilinear_form, diagonalize, diagonal, invariants, is_isotropic, witt_decompose,
     equivalent, witt_equivalent, direct_sum, scale, hyperbolic, norm_form,
     represents,
 )

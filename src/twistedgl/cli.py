@@ -70,6 +70,11 @@ def poly_doc(p) -> list[str]:
 
 
 def parse_rat(s) -> Fraction:
+    """An integer or a "num/den" string; JSON floats and booleans are refused,
+    since a float literal has already lost the exact value it was meant to be."""
+    if isinstance(s, (bool, float)):
+        raise UsageError(f"bad rational literal {s!r}: write an integer or a "
+                         f'"num/den" string')
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -385,8 +390,9 @@ def cmd_gs(args) -> int:
 
 
 def cmd_endo(args) -> int:
+    p = 2 if args.p is None else args.p  # enumerate and eta --kind sp
     if args.action == "enumerate":
-        data = enumerate_elliptic_data(args.n, args.p)
+        data = enumerate_elliptic_data(args.n, p)
         emit({"count": len(data),
               "data": [{"nO": d.n_O, "nS": d.n_S,
                         "chi": d.chi.representative,
@@ -394,11 +400,14 @@ def cmd_endo(args) -> int:
         return EXIT_OK
     if args.action == "eta":
         if args.kind == "sp":
-            prime = as_prime(args.p)
+            prime = as_prime(p)
             value = eta_sp_value(args.n)
         else:
             doc = read_input(args)
-            vp = parse_form(doc["binary"])
+            vp = parse_form(doc["binary"], args.p)
+            if args.p is not None and int(vp.p) != args.p:
+                raise UsageError(f"--p {args.p} disagrees with the binary "
+                                 f"form's prime {vp.p}")
             prime = vp.p
             value = eta_so_value(vp, parse_rat(doc["y"]), args.n)
         emit({"eta": rat_json(value),
@@ -569,7 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
                         'representative}; the value is a JSON integer when '
                         'integral, else a "num/den" string')
     s.add_argument("--n", type=int, default=1)
-    s.add_argument("--p", type=int, default=2)
+    s.add_argument("--p", type=int, default=None,
+                   help="the prime of Q_p for enumerate and eta --kind sp "
+                        "(default 2); for eta --kind so the binary form's "
+                        "prime, and a --p that differs from it is a usage "
+                        "error; delta and check take the prime from their forms")
     s.add_argument("--kind", choices=["sp", "so"], default="sp")
     _add_io(s)
     s.set_defaults(func=cmd_endo)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .classes import ClassParameter
 from .etale import char_poly, tau, very_regular
@@ -35,6 +36,11 @@ class AmbientSpace:
     @property
     def p(self):
         return self.q_V.p
+
+    @cached_property
+    def q_inverse(self) -> Mat:
+        """Q^-1, the inverse of the Gram of V, computed once per ambient."""
+        return inverse(self.q_V.gram)
 
 
 def make_ambient(q_V: QuadForm, epsilon: int) -> AmbientSpace:
@@ -82,7 +88,7 @@ class GSConfiguration:
 def xy_condition(config: GSConfiguration) -> bool:
     """Exact check of Y + eps Y^T + X Q^-1 X^T = 0."""
     amb = config.ambient
-    qinv = inverse(amb.q_V.gram)
+    qinv = amb.q_inverse
     total = mat_add(config.Y, mat_scale(amb.epsilon, transpose(config.Y)))
     total = mat_add(total, mat_mul(config.X, mat_mul(qinv, transpose(config.X))))
     return all(v == 0 for row in total for v in row)
@@ -99,7 +105,7 @@ def random_config(ambient: AmbientSpace, seed: int,
     """
     rng = random.Random(seed)
     n, eps = ambient.n, ambient.epsilon
-    qinv = inverse(ambient.q_V.gram)
+    qinv = ambient.q_inverse
     for _ in range(retry_budget):
         x = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         if det(x) == 0:
@@ -128,7 +134,7 @@ def u_of_xy(config: GSConfiguration) -> Mat:
         raise ValueError("closure condition violated")
     amb = config.ambient
     n = amb.n
-    qinv = inverse(amb.q_V.gram)
+    qinv = amb.q_inverse
     xprime = mat_neg(mat_mul(qinv, transpose(config.X)))  # H -> V
     z = zeros(n)
     nil = from_blocks([
@@ -148,7 +154,7 @@ def rigidify(config: GSConfiguration) -> tuple[Mat, Mat]:
         raise ValueError("closure condition violated")
     if det(config.X) == 0 or det(config.Y) == 0:
         raise ValueError("rigidification needs invertible X and Y")
-    qinv = inverse(config.ambient.q_V.gram)
+    qinv = config.ambient.q_inverse
     phi = mat_mul(qinv, transpose(config.X))
     return config.Y, phi
 
@@ -158,7 +164,7 @@ def gs_norm(config: GSConfiguration) -> Mat:
     if det(config.X) == 0 or det(config.Y) == 0:
         raise ValueError("norm needs invertible X and Y")
     amb = config.ambient
-    qinv = inverse(amb.q_V.gram)
+    qinv = amb.q_inverse
     gamma = mat_add(identity(amb.n), mat_mul(
         qinv, mat_mul(transpose(config.X), mat_mul(inverse(config.Y), config.X))))
     return gamma
@@ -174,7 +180,7 @@ def gs_section(ambient: AmbientSpace, x: Mat, gamma: Mat) -> Mat:
     gm1 = mat_sub(gamma, identity(n))
     if det(gm1) == 0:
         raise ValueError("gamma - 1 must be invertible")
-    qinv = inverse(ambient.q_V.gram)
+    qinv = ambient.q_inverse
     return mat_mul(x, mat_mul(inverse(gm1), mat_mul(qinv, transpose(x))))
 
 

@@ -3,10 +3,19 @@
 Matrices are immutable tuples of tuples of Fraction; polynomials are tuples of
 Fraction coefficients in ascending degree order (coeffs[i] is the coefficient
 of T^i).  Everything here is exact; no floats ever enter.
+
+Elimination is fraction-free: a rational matrix is scaled by the least common
+multiple D of its denominators, and one Bareiss routine (Bareiss, Math. Comp.
+22, 1968) runs on the integer rows, dividing each update exactly by the
+previous pivot.  Forward elimination gives the determinant; the Gauss-Jordan
+form of the same routine on [D*A | I] ends with the last pivot times I on the
+left, so A^-1 = D * right / pivot.  Every intermediate entry is a minor of the
+input, so the integers grow only as fast as determinants do.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -66,23 +75,18 @@ def mat_scale(c, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _clear_denominators(a: Mat) -> tuple[list[list[int]], int]:
+def clear_denominators(a: Mat) -> tuple[list[list[int]], int]:
     """Scale a rational matrix to integers: returns (D*a as ints, D)."""
     d = 1
     for row in a:
         for x in row:
             q = x.denominator
             if q != 1:
-                g = _gcd(d, q)
-                d = d // g * q
+                d = d * q // math.gcd(d, q)
+    if d == 1:
+        return [[x.numerator for x in row] for row in a], 1
     rows = [[x.numerator * (d // x.denominator) for x in row] for row in a]
     return rows, d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -90,8 +94,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     k2, m = dims(b)
     if k != k2:
         raise ValueError(f"cannot multiply {n}x{k} by {k2}x{m}")
-    ia, da = _clear_denominators(a)
-    ib, db = _clear_denominators(b)
+    ia, da = clear_denominators(a)
+    ib, db = clear_denominators(b)
     ibt = list(zip(*ib))
     d = da * db
     if d == 1:
@@ -105,58 +109,63 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def is_symmetric(a: Mat) -> bool:
-    return a == transpose(a)
+def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int]:
+    """Fraction-free elimination of the integer rows in place: (sign, pivot).
 
-
-def is_alternating(a: Mat) -> bool:
-    return transpose(a) == mat_neg(a)
+    Pivots down the diagonal of the leading n x n block, n = len(rows); rows
+    may be longer than n.  Step k swaps up the first row with a nonzero
+    entry in column k, then replaces each entry right of column k in the
+    rows below k (jordan=False) or in every row but k (jordan=True) by
+    (pivot*a_rj - a_rk*a_kj) // previous pivot, an exact division.  Entries
+    in columns up to k are not maintained.  The determinant of the block is
+    sign * pivot, with pivot the last one; a singular block returns pivot 0.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if piv is None:
+                return sign, 0
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        width = len(top)
+        for r in (range(n) if jordan else range(k + 1, n)):
+            if r != k:
+                row = rows[r]
+                f = row[k]
+                for c in range(k + 1, width):
+                    row[c] = (pivot * row[c] - f * top[c]) // prev
+        prev = pivot
+    return sign, prev
 
 
 def det(a: Mat) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination on cleared integers."""
+    """Determinant by forward Bareiss elimination on cleared integers."""
     n, m = dims(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    rows, d = _clear_denominators(a)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if rows[col][col] == 0:
-            piv = next((r for r in range(col + 1, n) if rows[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                rows[r][c] = (rows[r][c] * pivot - rows[r][col] * rows[col][c]) // prev
-            rows[r][col] = 0
-        prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1], d ** n)
+    rows, d = clear_denominators(a)
+    sign, pivot = _eliminate(rows, jordan=False)
+    return Fraction(sign * pivot, d ** n)
 
 
 def inverse(a: Mat) -> Mat:
-    """Matrix inverse via Gauss-Jordan; raises on singular input."""
+    """Matrix inverse by fraction-free Gauss-Jordan; raises on singular input."""
     n, m = dims(a)
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows, d = clear_denominators(a)
+    for i, row in enumerate(rows):
+        row.extend(int(i == j) for j in range(n))
+    _, pivot = _eliminate(rows, jordan=True)
+    if pivot == 0:
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(d * x, pivot) for x in row[n:]) for row in rows)
 
 
 def trace(a: Mat) -> Fraction:
@@ -196,7 +205,7 @@ def charpoly(a: Mat) -> Poly:
         raise ValueError("characteristic polynomial of a non-square matrix")
     if n == 0:
         return (Fraction(1),)
-    rows, d = _clear_denominators(a)
+    rows, d = clear_denominators(a)
     coeffs = [0] * n + [1]
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -231,17 +240,6 @@ def poly_deg(p: Poly) -> int:
 
 def poly_is_zero(p: Poly) -> bool:
     return all(c == 0 for c in p)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim(tuple(
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)))
-
-
-def poly_neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -302,17 +300,3 @@ def poly_eval(p: Poly, x) -> Fraction:
         acc = acc * x + c
     return acc
 
-
-def poly_str(p: Poly, var: str = "T") -> str:
-    parts = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*{var}" if c != 1 else var)
-        else:
-            parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
-    return " + ".join(parts) if parts else "0"

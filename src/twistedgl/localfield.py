@@ -21,18 +21,26 @@ from .linalg import Mat, Poly, fr, poly_trim, trace
 # primes
 
 
+# the first thirteen prime bases, and psi_13, the least strong pseudoprime to
+# all of them (Sorenson-Webster, Math. Comp. 86, 2017): Miller-Rabin with these
+# bases is a proof of primality below psi_13 and no proof at or above it.  The
+# bases up to 37 alone already fail at psi_12 = 318665857834031151167461.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
 def _miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < PSI_13."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _WITNESSES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # deterministic for n < 3.3e24 with this witness set
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -47,11 +55,15 @@ def _miller_rabin(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Prime:
-    """A verified prime number, the residue characteristic of the base field."""
+    """A verified prime number below PSI_13, the residue characteristic of the
+    base field."""
 
     p: int
 
     def __post_init__(self):
+        if isinstance(self.p, int) and self.p >= PSI_13:
+            raise ValueError(f"{self.p} is at or above {PSI_13}, beyond the "
+                             "range where the primality test is a proof")
         if not isinstance(self.p, int) or not _miller_rabin(self.p):
             raise ValueError(f"{self.p} is not prime")
 

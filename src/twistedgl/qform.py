@@ -5,14 +5,18 @@ classifying triple (dim, det, Hasse), the isotropy criterion, Witt
 decomposition and the comparison operations built on them.  Alternating and
 general bilinear Grams share the container through a symmetry tag; Witt
 theory is exposed for the symmetric tag only.
+
+Diagonalization is one symmetric Bareiss elimination on the cleared-integer
+Gram; the invariants of a form are computed once and kept on the form object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .linalg import (Mat, block_diag, det, fr, identity, mat, mat_mul,
+from .linalg import (Mat, block_diag, clear_denominators, det, fr, mat,
                      transpose)
 from .localfield import (Prime, SquareClass, as_prime, hilbert_qp,
                          square_class)
@@ -52,6 +56,11 @@ class QuadForm:
     @property
     def dim(self) -> int:
         return len(self.gram)
+
+    @cached_property
+    def invariants(self) -> "FormInvariants":
+        """The invariants of this form, computed on first use; see invariants()."""
+        return _invariants(self)
 
     def __str__(self) -> str:
         name = self.label or f"{self.symmetry} form"
@@ -94,6 +103,68 @@ def _same_prime(q1: QuadForm, q2: QuadForm):
 # diagonalization
 
 
+def _eliminate_symmetric(gram: Mat, transform: bool):
+    """Symmetric Bareiss elimination of a Gram matrix on cleared integers.
+
+    Works on B = D*G, D the common denominator.  Pivot rule: first nonzero
+    diagonal entry of the trailing block, moved up by a swap; if its diagonal
+    vanishes entirely, symmetrize on the first nonzero off-diagonal pair
+    (col_i += col_j, row_i += row_j) and move that index up.  Step k then
+    updates the trailing block by the exact division
+    (pivot*b_rc - b_rk*b_kc) // previous pivot, so the k-th pivot is the
+    leading principal (k+1)-minor of B after the moves and
+    a_k = pivot_k / (pivot_(k-1) * D).  With transform, the same column
+    operations run on an integer matrix E, whose column k ends as
+    pivot_(k-1) times column k of the congruence P with P^T G P = diag(a).
+    Returns (diag, P), P None without transform.
+    """
+    b, d = clear_denominators(gram)
+    n = len(b)
+    e = [[int(i == j) for j in range(n)] for i in range(n)] if transform else []
+
+    def swap(i, j):
+        b[i], b[j] = b[j], b[i]
+        for row in b:
+            row[i], row[j] = row[j], row[i]
+        for row in e:
+            row[i], row[j] = row[j], row[i]
+
+    def add(i, j):
+        for row in b:
+            row[i] += row[j]
+        b[i] = [x + y for x, y in zip(b[i], b[j])]
+        for row in e:
+            row[i] += row[j]
+
+    pivots = [1]
+    for k in range(n):
+        if b[k][k] == 0:
+            piv = next((j for j in range(k, n) if b[j][j] != 0), None)
+            if piv is not None:
+                swap(k, piv)
+            else:
+                pair = next(((i, j) for i in range(k, n)
+                             for j in range(i + 1, n) if b[i][j] != 0), None)
+                if pair is None:
+                    raise ValueError("degenerate Gram matrix")
+                i, j = pair
+                add(i, j)
+                if i != k:
+                    swap(k, i)
+        top, prev = b[k], pivots[-1]
+        pivot = top[k]
+        for row in b[k + 1:] + e:
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pivot * row[c] - f * top[c]) // prev
+        pivots.append(pivot)
+    diag = tuple(Fraction(pivots[k + 1], pivots[k] * d) for k in range(n))
+    if not transform:
+        return diag, None
+    return diag, tuple(tuple(Fraction(x, den) for x, den in zip(row, pivots))
+                       for row in e)
+
+
 def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
     """Diagonal entries a_i and an invertible P with P^T G P = diag(a_i).
 
@@ -102,46 +173,13 @@ def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
     pair before pivoting.
     """
     _require_symmetric(q, "diagonalization")
-    n = q.dim
-    g = [list(row) for row in q.gram]
-    pmat = [list(row) for row in identity(n)]
+    return _eliminate_symmetric(q.gram, transform=True)
 
-    def add_col(dst, src, c):
-        for r in range(n):
-            g[r][dst] += c * g[r][src]
-        for r in range(n):
-            g[dst][r] += c * g[src][r]
-        for r in range(n):
-            pmat[r][dst] += c * pmat[r][src]
 
-    def swap_col(i, j):
-        for r in range(n):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
-        g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            pmat[r][i], pmat[r][j] = pmat[r][j], pmat[r][i]
-
-    for k in range(n):
-        if g[k][k] == 0:
-            piv = next((j for j in range(k, n) if g[j][j] != 0), None)
-            if piv is not None:
-                if piv != k:
-                    swap_col(k, piv)
-            else:
-                pair = next(((i, j) for i in range(k, n)
-                             for j in range(i + 1, n) if g[i][j] != 0), None)
-                if pair is None:
-                    raise ValueError("degenerate Gram matrix")
-                i, j = pair
-                add_col(i, j, Fraction(1))
-                if i != k:
-                    swap_col(k, i)
-        pivot = g[k][k]
-        for r in range(k + 1, n):
-            if g[k][r] != 0:
-                add_col(r, k, -g[k][r] / pivot)
-    diag = tuple(g[i][i] for i in range(n))
-    return diag, tuple(tuple(row) for row in pmat)
+def diagonal(q: QuadForm) -> tuple[Fraction, ...]:
+    """The diagonal entries of diagonalize(q), without building P."""
+    _require_symmetric(q, "diagonalization")
+    return _eliminate_symmetric(q.gram, transform=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +236,26 @@ def _isotropic_triple(dim: int, detc: SquareClass, hasse: int, p: Prime) -> bool
 
 
 def invariants(q: QuadForm) -> FormInvariants:
-    """dim, det class, discriminant, Hasse invariant and Witt data."""
+    """dim, det class, discriminant, Hasse invariant and Witt data.
+
+    Computed once per form object and kept on it.
+    """
     _require_symmetric(q, "invariants")
+    return q.invariants
+
+
+def _invariants(q: QuadForm) -> FormInvariants:
     p = q.p
-    diag, _ = diagonalize(q)
-    n = len(diag)
-    if n == 0:
-        one = square_class(1, p)
-        return FormInvariants(0, one, one, 1, 0, 0)
-    detc = square_class(_prod(diag), p)
-    dpm = square_class((-1) ** (n * (n - 1) // 2) * _prod(diag), p)
-    hasse = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            hasse *= hilbert_qp(diag[i], diag[j], p)
+    classes = [square_class(a, p).representative for a in diagonal(q)]
+    n = len(classes)
+    # Hasse c = prod_j (a_1...a_(j-1), a_j) by bimultiplicativity, on the
+    # canonical representatives: n symbols instead of n(n-1)/2
+    prefix, hasse = 1, 1
+    for a in classes:
+        hasse *= hilbert_qp(prefix, a, p)
+        prefix = square_class(prefix * a, p).representative
+    detc = square_class(prefix, p)
+    dpm = square_class((-1) ** (n * (n - 1) // 2) * prefix, p)
     dim, dc, h = n, detc, hasse
     witt = 0
     while _isotropic_triple(dim, dc, h, p):
@@ -221,13 +265,6 @@ def invariants(q: QuadForm) -> FormInvariants:
         dim -= 2
         witt += 1
     return FormInvariants(n, detc, dpm, hasse, witt, dim)
-
-
-def _prod(xs) -> Fraction:
-    out = Fraction(1)
-    for x in xs:
-        out *= x
-    return out
 
 
 def is_isotropic(q: QuadForm) -> bool:

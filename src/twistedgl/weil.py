@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import fr
 from .localfield import Prime, as_prime, legendre, unit_part, valuation, _unit_mod
-from .qform import QuadForm, diagonalize, norm_form
+from .qform import QuadForm, diagonal, norm_form
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,8 @@ def weil_rank1(a, p, character: AdditiveCharacter | None = None) -> Mu8:
 def weil_index(q: QuadForm, character: AdditiveCharacter | None = None) -> Mu8:
     """Product of rank-1 indices over a diagonalization; a Witt-group character."""
     _check_character(q.p, character)
-    diag, _ = diagonalize(q)
     out = Mu8(0)
-    for a in diag:
+    for a in diagonal(q):
         out = out * weil_rank1(a, q.p)
     return out
 

@@ -326,3 +326,48 @@ def hilbert90_x(y, z):
     """x with tau(x)/x = -y, given y of norm one and a generic z."""
     w = -y
     return z + w.inverse() * tau(z)
+
+
+def reference_diagonalize(gram):
+    """Congruence diagonalization by Fraction column operations: the reference
+    for qform.diagonalize, which must return exactly this (diag, P).
+
+    Pivot rule: first nonzero diagonal entry of the trailing block; if its
+    diagonal vanishes entirely, symmetrize on the first nonzero off-diagonal
+    pair before pivoting.
+    """
+    n = len(gram)
+    g = [[Fraction(x) for x in row] for row in gram]
+    pmat = [list(row) for row in identity(n)]
+
+    def add_col(dst, src, c):
+        for r in range(n):
+            g[r][dst] += c * g[r][src]
+        for r in range(n):
+            g[dst][r] += c * g[src][r]
+        for r in range(n):
+            pmat[r][dst] += c * pmat[r][src]
+
+    def swap_col(i, j):
+        for r in range(n):
+            g[r][i], g[r][j] = g[r][j], g[r][i]
+        g[i], g[j] = g[j], g[i]
+        for r in range(n):
+            pmat[r][i], pmat[r][j] = pmat[r][j], pmat[r][i]
+
+    for k in range(n):
+        if g[k][k] == 0:
+            piv = next((j for j in range(k, n) if g[j][j] != 0), None)
+            if piv is not None:
+                swap_col(k, piv)
+            else:
+                i, j = next((i, j) for i in range(k, n)
+                            for j in range(i + 1, n) if g[i][j] != 0)
+                add_col(i, j, Fraction(1))
+                if i != k:
+                    swap_col(k, i)
+        pivot = g[k][k]
+        for r in range(k + 1, n):
+            if g[k][r] != 0:
+                add_col(r, k, -g[k][r] / pivot)
+    return tuple(g[i][i] for i in range(n)), tuple(tuple(row) for row in pmat)

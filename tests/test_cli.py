@@ -126,6 +126,31 @@ def test_endo_eta_value_and_class(capsys):
     assert code == 0 and doc == {"eta": 1, "eta_class": 1}
 
 
+def test_float_and_bool_literals_are_usage_errors(capsys):
+    for y in ("0.1", "true"):
+        payload = '{"binary":{"p":3,"diag":["1","-1"]},"y":%s}' % y
+        code, doc = run(capsys, "endo", "eta", "--kind", "so", "--n", "2",
+                        "--json", payload)
+        assert code == 2 and doc is None
+    code, doc = run(capsys, "qform", "invariants", "--json",
+                    '{"p": 5, "diag": [1.5, "2"]}')
+    assert code == 2 and doc is None
+
+
+def test_endo_eta_so_prime_must_match_the_form(capsys):
+    payload = json.dumps({"binary": {"p": 3, "diag": ["1", "-1"]}, "y": "1/3"})
+    code, doc = run(capsys, "endo", "eta", "--kind", "so", "--n", "2",
+                    "--p", "7", "--json", payload)
+    assert code == 2 and doc is None
+    code, doc = run(capsys, "endo", "eta", "--kind", "so", "--n", "2",
+                    "--p", "3", "--json", payload)
+    assert code == 0 and doc == {"eta": "-1/3", "eta_class": 6}
+    payload = json.dumps({"binary": {"diag": ["1", "-1"]}, "y": "1/3"})
+    code, doc = run(capsys, "endo", "eta", "--kind", "so", "--n", "2",
+                    "--p", "3", "--json", payload)
+    assert code == 0 and doc == {"eta": "-1/3", "eta_class": 6}
+
+
 def test_endo_check_through_cli(capsys):
     spec = {"qV": {"p": 3, "gram": None}}
     # build a quasisplit space by hand: Hy + <1, -3>

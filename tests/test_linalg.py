@@ -1,0 +1,104 @@
+"""Differential tests of the exact kernels against sympy.Matrix.
+
+Seeded random integer and rational matrices of size 1-12, with zero leading
+entries that force row swaps, and singular inputs.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+import sympy
+
+from twistedgl.linalg import charpoly, det, inverse, mat
+
+SIZES = range(1, 13)
+
+
+def to_sympy(a):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in a])
+
+
+def to_fraction(x):
+    x = sympy.Rational(x)
+    return F(int(x.p), int(x.q))
+
+
+def random_matrix(rng, n, rational):
+    def entry():
+        if rng.random() < 0.25:
+            return 0
+        num = rng.randint(-12, 12)
+        return F(num, rng.choice((1, 2, 3, 4, 6, 9))) if rational else num
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    # zero leading entries: the first pivot, and for larger sizes a whole
+    # leading column block above the diagonal, need row swaps
+    rows[0][0] = 0
+    if n > 2 and rng.random() < 0.5:
+        rows[1][1] = 0
+        rows[0][1] = 0
+    return mat(rows)
+
+
+def singular_matrix(rng, n, rational):
+    """A random matrix whose last row is a combination of the others."""
+    rows = [list(r) for r in random_matrix(rng, n, rational)]
+    if n == 1:
+        return mat([[0]])
+    coeffs = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n - 1)]
+    rows[-1] = [sum(c * rows[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
+    return mat(rows)
+
+
+def cases(seed, make):
+    rng = random.Random(seed)
+    return [(n, rational, make(rng, n, rational))
+            for n in SIZES for rational in (False, True) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n, rational, a", cases(20260, random_matrix))
+def test_det_and_inverse_match_sympy(n, rational, a):
+    s = to_sympy(a)
+    d = det(a)
+    assert d == to_fraction(s.det())
+    if d == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            inverse(a)
+        return
+    sinv = s.inv()
+    inv = inverse(a)
+    assert inv == tuple(tuple(to_fraction(sinv[i, j]) for j in range(n))
+                        for i in range(n))
+
+
+@pytest.mark.parametrize("n, rational, a", cases(20261, singular_matrix))
+def test_singular_inputs(n, rational, a):
+    assert to_sympy(a).det() == 0
+    assert det(a) == 0
+    with pytest.raises(ValueError, match="singular matrix"):
+        inverse(a)
+
+
+@pytest.mark.parametrize("n, rational, a", cases(20262, random_matrix))
+def test_charpoly_matches_sympy(n, rational, a):
+    coeffs = to_sympy(a).charpoly(sympy.Symbol("T")).all_coeffs()
+    assert charpoly(a) == tuple(to_fraction(c) for c in reversed(coeffs))
+
+
+def test_inverse_of_permutation_needs_every_swap():
+    # the anti-diagonal: every pivot column is zero on the diagonal
+    for n in SIZES:
+        a = mat([[int(i + j == n - 1) * (i + 1) for j in range(n)] for i in range(n)])
+        sinv = to_sympy(a).inv()
+        assert inverse(a) == tuple(tuple(to_fraction(sinv[i, j]) for j in range(n))
+                                   for i in range(n))
+        assert det(a) == to_fraction(to_sympy(a).det())
+
+
+def test_non_square_and_empty():
+    with pytest.raises(ValueError):
+        det(mat([[1, 2]]))
+    with pytest.raises(ValueError):
+        inverse(mat([[1, 2]]))
+    assert det(()) == 1 and inverse(()) == ()

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-from twistedgl.localfield import (QP, LocalFieldDescriptor, Prime, Solubility,
+from twistedgl.localfield import (PSI_13, QP, LocalFieldDescriptor, Prime,
+                                  Solubility,
                                   hilbert_qp, hilbert_tame, is_local_norm,
                                   is_square_in_field, least_nonresidue,
                                   legendre, solubility_budget,
@@ -20,6 +22,22 @@ def test_prime_validation():
         Prime(1)
     with pytest.raises(ValueError):
         Prime(91)  # 7 * 13
+
+
+def test_prime_rejects_strong_pseudoprimes():
+    # psi_12: a strong pseudoprime to every prime base up to 37
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="not prime"):
+        Prime(psi_12)
+    # psi_13 = 3317044064679887385961981 passes base 41 too; from it on the
+    # test proves nothing, so it and everything above are refused
+    assert PSI_13 == 3317044064679887385961981 and not sympy.isprime(PSI_13)
+    for n in (PSI_13, sympy.nextprime(PSI_13)):
+        with pytest.raises(ValueError, match="beyond the range"):
+            Prime(n)
+    below = sympy.prevprime(PSI_13)
+    assert Prime(below).p == below
 
 
 def test_valuation_examples():

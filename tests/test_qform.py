@@ -2,18 +2,21 @@
 
 import random
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import diag_isotropy_bruteforce, padic_congruence_witness
+from helpers import (diag_isotropy_bruteforce, padic_congruence_witness,
+                     reference_diagonalize)
 from twistedgl.linalg import det, identity, mat, mat_mul, transpose
 from twistedgl.localfield import hilbert_qp, square_class, square_class_table
-from twistedgl.qform import (QuadForm, alternating_form, diag_form,
+from twistedgl.qform import (QuadForm, alternating_form, diag_form, diagonal,
                              diagonalize, direct_sum, equivalent, hyperbolic,
                              invariants, is_isotropic, norm_form, quad_form,
                              represents, scale, witt_decompose,
                              witt_equivalent)
+from twistedgl.weil import weil_index
 
 
 def rand_form(rng, p, dim, span=6):
@@ -243,3 +246,93 @@ def test_cross_prime_is_type_error():
 
 def test_dimension_mismatch_is_false():
     assert not equivalent(diag_form([1], 3), diag_form([1, 1], 3))
+
+
+# ---------------------------------------------------------------------------
+# properties of the fraction-free kernel (hypothesis, derandomized)
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
+PRIMES = st.sampled_from((2, 3, 5, 7))
+SMALL_RATIONALS = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 9)))
+
+
+@st.composite
+def nondegenerate_grams(draw, max_dim=8):
+    """Symmetric rational Grams; a third have an all-zero diagonal, which
+    forces the symmetrize step, and many have some zero diagonal entries,
+    which force swaps."""
+    n = draw(st.integers(1, max_dim))
+    zero_diagonal = draw(st.integers(0, 2)) == 0
+    entries = st.one_of(st.just(F(0)), SMALL_RATIONALS)
+    g = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            g[i][j] = g[j][i] = draw(entries)
+    assume(det(mat(g)) != 0)
+    return tuple(tuple(row) for row in g)
+
+
+@PROPERTY
+@given(nondegenerate_grams(), PRIMES)
+@example(((0, 1, 0), (1, 1, 0), (0, 0, 2)), 3)      # swap at step 0
+@example(((0, 1), (1, 0)), 5)                       # symmetrize at step 0
+@example(((1, 1, 0), (1, 1, 2), (0, 2, 0)), 2)      # symmetrize at step 1
+@example(((0, 2, 1, 0), (2, 0, 0, 1), (1, 0, 0, 3), (0, 1, 3, 0)), 7)
+def test_diagonalize_is_the_reference_congruence(gram, p):
+    q = quad_form(gram, p)
+    d, pm = diagonalize(q)
+    assert (d, pm) == reference_diagonalize(q.gram)
+    target = tuple(tuple(d[i] if i == j else F(0) for j in range(q.dim))
+                   for i in range(q.dim))
+    assert mat_mul(transpose(pm), mat_mul(q.gram, pm)) == target
+    assert diagonal(q) == d
+
+
+@st.composite
+def diagonals(draw):
+    p = draw(PRIMES)
+    n = draw(st.integers(1, 12))
+    entries = []
+    for _ in range(n):
+        unit = draw(st.integers(1, 40)) * draw(st.sampled_from((1, -1)))
+        entries.append(F(unit, draw(st.integers(1, 7))) * F(p) ** draw(st.integers(-3, 3)))
+    return p, entries
+
+
+@PROPERTY
+@given(diagonals())
+def test_hasse_running_product_equals_pairwise(case):
+    p, entries = case
+    pairwise = 1
+    for a, b in combinations(entries, 2):
+        pairwise *= hilbert_qp(a, b, p)
+    assert invariants(diag_form(entries, p)).hasse == pairwise
+
+
+@st.composite
+def unimodular_congruences(draw):
+    """(Gram, p, U) with U = L R times a signed permutation, det U = +-1."""
+    gram = draw(nondegenerate_grams(max_dim=6))
+    n = len(gram)
+    coeff = st.integers(-3, 3)
+    low = [[draw(coeff) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    up = [[draw(coeff) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+    shuffle = [[signs[j] * int(perm[j] == i) for j in range(n)] for i in range(n)]
+    u = mat_mul(mat_mul(mat(low), mat(up)), mat(shuffle))
+    return gram, draw(PRIMES), u
+
+
+@PROPERTY
+@given(unimodular_congruences())
+def test_invariants_under_unimodular_congruence(case):
+    gram, p, u = case
+    assert det(u) in (1, -1)
+    q = quad_form(gram, p)
+    q2 = quad_form(mat_mul(transpose(u), mat_mul(q.gram, u)), p)
+    assert invariants(q2) == invariants(q)
+    assert weil_index(q2) == weil_index(q)
+    assert invariants(q) is invariants(q)  # kept on the form object
