@@ -1,9 +1,9 @@
 """Exact geometric invariants of twisted general linear spaces over p-adic fields."""
 
 from .localfield import (
-    Prime, LocalFieldDescriptor, SquareClass, FieldElement, QP, Solubility,
+    Prime, LocalFieldDescriptor, SquareClass, FieldElement, QP,
     valuation, square_class, square_class_table, hilbert_qp, hilbert_tame,
-    is_local_norm, solubility_oracle, solubility_budget,
+    is_local_norm,
 )
 from .qform import (
     QuadForm, FormInvariants, WittClass, quad_form, diag_form, alternating_form,
@@ -11,7 +11,7 @@ from .qform import (
     equivalent, witt_equivalent, direct_sum, scale, hyperbolic, norm_form,
     represents,
 )
-from .weil import Mu8, AdditiveCharacter, weil_rank1, weil_index, gauss_oracle, epsilon_half
+from .weil import Mu8, AdditiveCharacter, weil_rank1, weil_index, epsilon_half
 from .etale import (
     FactorTower, EtaleAlgebraWithInvolution, AlgebraElement, make_algebra,
     trace_form_bilinear, trace_form_quadratic, trace_form_fixed,
@@ -23,14 +23,14 @@ from .classes import (
 )
 from .gsnorm import (
     AmbientSpace, GSConfiguration, make_ambient, xy_condition, random_config,
-    u_of_xy, rigidify, gs_norm, gs_section, gs_param_check,
+    u_of_xy, rigidify, gs_norm, gs_section, gs_param_check, is_very_regular,
 )
 from .endoscopy import (
     EndoscopicDatum, ThetaSpace, enumerate_elliptic_data, quasisplit_space,
     regular_nilpotent_sp, eta_sp, eta_sp_value, regular_nilpotent_so, eta_so,
     eta_so_value,
-    transfer_factor, transfer_factor_whittaker, gs_constancy_check,
-    separation_check,
+    transfer_factor, transfer_factor_whittaker, ConstancyRecord,
+    constancy_record, gs_constancy_check, separation_check,
 )
 from .params import (
     FormalConstituent, FormalParameter, is_elliptic_param, classify,

@@ -18,8 +18,8 @@ from .etale import (AlgebraElement, EtaleAlgebraWithInvolution, QUADRATIC,
 from .linalg import (Mat, Poly, block_diag, charpoly, det, fr, identity,
                      inverse, mat, mat_mul, mat_neg, mat_sub, poly_eval,
                      poly_squarefree, transpose)
-from .localfield import SquareClass, as_prime, is_local_norm, square_class
-from .qform import QuadForm, SYMMETRIC, diag_form, direct_sum, equivalent, invariants
+from .localfield import SquareClass, is_local_norm, square_class
+from .qform import QuadForm, diag_form, direct_sum, equivalent, invariants
 
 KINDS = ("tGL-even", "tGL-odd", "SO-even", "SO-odd", "Sp", "U", "tGL-E")
 
@@ -329,10 +329,6 @@ def refine_conjugacy(param1: ClassParameter, param2: ClassParameter) -> bool | N
 
 # ---------------------------------------------------------------------------
 # Weyl discriminants
-
-
-def _gl_basis_dim(n: int) -> int:
-    return n * n
 
 
 def _ad_matrix_gl(g: Mat) -> Mat:

@@ -9,6 +9,9 @@ value of the regular-nilpotent construction ((-1)^(n-1) y for --kind so, 1
 for --kind sp), a JSON integer when integral and a "num/den" string
 otherwise; "eta_class" is the canonical representative of its square class,
 a JSON integer like every other class field.
+
+`hilbert --oracle` and `weil oracle` load the oracles module on demand, and
+nothing else imports it; `weil oracle` needs the `oracle` extra.
 """
 
 from __future__ import annotations
@@ -23,21 +26,21 @@ from fractions import Fraction
 from . import __version__
 from .classes import (ClassParameter, build_SO_even, build_SO_odd, build_Sp,
                       build_tGL_even, build_tGL_odd, class_invariant,
-                      corresponds, is_elliptic, twist_invariant)
-from .endoscopy import (enumerate_elliptic_data, eta_so_value, eta_sp_value,
-                        gs_constancy_check, quasisplit_space, transfer_factor,
-                        transfer_factor_whittaker)
+                      corresponds, is_elliptic)
+from .endoscopy import (constancy_record, enumerate_elliptic_data, eta_so_value,
+                        eta_sp_value, gs_constancy_check, quasisplit_space,
+                        transfer_factor, transfer_factor_whittaker)
 from .etale import make_algebra, quadratic_tower, split_tower, trace_form_quadratic
-from .gsnorm import (GSConfiguration, gs_norm, gs_section, make_ambient,
-                     random_config, rigidify, u_of_xy, xy_condition)
+from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_section,
+                     make_ambient, random_config, rigidify, u_of_xy,
+                     xy_condition)
 from .linalg import mat, mat_add, mat_mul, transpose
-from .localfield import (QP, LocalFieldDescriptor, Solubility, as_prime,
-                         hilbert_qp, solubility_budget, solubility_oracle,
+from .localfield import (QP, LocalFieldDescriptor, as_prime, hilbert_qp,
                          square_class, square_class_table)
 from .params import FormalConstituent, FormalParameter, classify, hypothesis_even_SO
 from .qform import (QuadForm, diag_form, equivalent, invariants, is_isotropic,
-                    quad_form, scale, witt_decompose)
-from .weil import OracleError, epsilon_half, gauss_oracle, weil_index
+                    quad_form, witt_decompose)
+from .weil import epsilon_half, weil_index
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
@@ -79,6 +82,14 @@ def parse_rat(s) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational literal {s!r}: {exc}") from exc
+
+
+def parse_int(x) -> int:
+    """An integer or a decimal string; JSON floats and booleans are refused,
+    as in parse_rat, instead of being truncated."""
+    if isinstance(x, (bool, float)):
+        raise UsageError(f"bad integer literal {x!r}")
+    return int(x)
 
 
 def parse_form(doc, p=None) -> QuadForm:
@@ -150,11 +161,6 @@ def parse_element(algebra, doc):
     return algebra.element(parts)
 
 
-def element_doc(x) -> list[list[str]]:
-    return [[rat_str(c) for c in a.coeffs] + [rat_str(c) for c in b.coeffs]
-            for a, b in x.parts]
-
-
 def parse_param(doc) -> ClassParameter:
     algebra = parse_algebra(doc["algebra"])
     p = algebra.p
@@ -165,10 +171,13 @@ def parse_param(doc) -> ClassParameter:
     return ClassParameter(doc["kind"], algebra, x, c, xd, a)
 
 
+def parse_ambient(doc) -> AmbientSpace:
+    """{"qV": form, "epsilon": 1 or -1}, epsilon 1 when absent."""
+    return make_ambient(parse_form(doc["qV"]), parse_int(doc.get("epsilon", 1)))
+
+
 def parse_config(doc) -> GSConfiguration:
-    amb_doc = doc["ambient"]
-    q_v = parse_form(amb_doc["qV"])
-    ambient = make_ambient(q_v, int(amb_doc.get("epsilon", 1)))
+    ambient = parse_ambient(doc["ambient"])
     x = mat([[parse_rat(v) for v in row] for row in doc["X"]])
     y = mat([[parse_rat(v) for v in row] for row in doc["Y"]])
     return GSConfiguration(ambient, x, y)
@@ -191,8 +200,8 @@ def parse_formal(doc) -> FormalParameter:
         sign = {"+1": 1, "-1": -1, 1: 1, -1: -1, "none": None, None: None}[sign]
         det = c.get("det")
         detc = square_class(parse_rat(det), p) if det is not None else None
-        cs.append(FormalConstituent(int(c["dim"]), sign is not None, sign,
-                                    detc, int(c.get("mult", 1))))
+        cs.append(FormalConstituent(parse_int(c["dim"]), sign is not None, sign,
+                                    detc, parse_int(c.get("mult", 1))))
     return FormalParameter(tuple(cs))
 
 
@@ -230,6 +239,7 @@ def cmd_hilbert(args) -> int:
     value = hilbert_qp(a, b, args.p)
     doc = {"a": rat_str(a), "b": rat_str(b), "p": args.p, "hilbert": value}
     if args.oracle:
+        from .oracles import Solubility, solubility_budget, solubility_oracle
         depth = args.depth or solubility_budget(a, b, QP(args.p))
         verdict = solubility_oracle(a, b, QP(args.p), depth)
         doc["oracle"] = verdict.value
@@ -285,8 +295,11 @@ def cmd_weil(args) -> int:
         return EXIT_OK
     if args.a is None or args.k is None or args.p is None:
         raise UsageError("oracle needs --a, --k and --p")
+    from .oracles import OracleError, gauss_oracle
     try:
         res = gauss_oracle(parse_rat(args.a), args.p, args.k)
+    except ModuleNotFoundError as exc:
+        raise UsageError(f"weil oracle needs the 'oracle' extra: {exc}") from exc
     except OracleError as exc:
         emit({"error": str(exc)}, args)
         return EXIT_INCONCLUSIVE
@@ -346,16 +359,12 @@ def cmd_class(args) -> int:
 
 def cmd_gs(args) -> int:
     if args.action == "random":
-        doc = read_input(args)
-        q_v = parse_form(doc["qV"])
-        ambient = make_ambient(q_v, int(doc.get("epsilon", 1)))
-        config = random_config(ambient, args.seed)
+        config = random_config(parse_ambient(read_input(args)), args.seed)
         emit(config_doc(config), args)
         return EXIT_OK
     doc = read_input(args)
     if args.action == "section":
-        q_v = parse_form(doc["ambient"]["qV"])
-        ambient = make_ambient(q_v, int(doc["ambient"].get("epsilon", 1)))
+        ambient = parse_ambient(doc["ambient"])
         x = mat([[parse_rat(v) for v in row] for row in doc["X"]])
         gamma = mat([[parse_rat(v) for v in row] for row in doc["gamma"]])
         y = gs_section(ambient, x, gamma)
@@ -475,15 +484,12 @@ def _run_entry(entry) -> dict:
                            square_class(entry["c"], p), p)
     ambient = make_ambient(q_v, 1)
     config = random_config(ambient, entry["seed"])
-    cdoc = config_doc(config)
-    from .qform import scale as qscale
-    lhs = transfer_factor_whittaker(ambient.q_V, rigidify(config)[0], n)
-    rhs = weil_index(qscale(2 * (-1) ** n, ambient.q_V))
+    result = constancy_record(config, n)
     record = dict(entry)
-    record["inputs_digest"] = digest(cdoc)
-    record["lhs"] = str(lhs)
-    record["rhs"] = str(rhs)
-    record["pass"] = lhs == rhs
+    record["inputs_digest"] = digest(config_doc(config))
+    record["lhs"] = str(result.lhs)
+    record["rhs"] = str(result.rhs)
+    record["pass"] = result.passed
     return record
 
 
@@ -618,9 +624,6 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"malformed input: {exc!r}", file=sys.stderr)
         return EXIT_USAGE
-    except OracleError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

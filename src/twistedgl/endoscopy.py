@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .etale import EtaleAlgebraWithInvolution, AlgebraElement, trace_form_quadratic
-from .gsnorm import GSConfiguration, gs_norm, rigidify, xy_condition
-from .linalg import (Mat, block_diag, charpoly, det, identity, mat, mat_add,
-                     mat_mul, mat_neg, mat_scale, mat_sub, poly_squarefree,
+from .gsnorm import GSConfiguration, gs_norm, is_very_regular, rigidify
+from .linalg import (Mat, det, mat, mat_add, mat_mul, mat_neg, mat_scale,
                      transpose, zeros)
-from .localfield import Prime, SquareClass, as_prime, square_class, square_class_table
-from .qform import (QuadForm, diag_form, direct_sum, hyperbolic, invariants,
-                    norm_form, quad_form, represents, scale, witt_decompose,
+from .localfield import SquareClass, as_prime, square_class, square_class_table
+from .qform import (QuadForm, direct_sum, hyperbolic, invariants, norm_form,
+                    quad_form, represents, scale, witt_decompose,
                     witt_equivalent)
 from .weil import Mu8, epsilon_half, weil_index
 
@@ -143,43 +142,16 @@ def regular_nilpotent_sp(n: int) -> Mat:
     return nil
 
 
-def _rank_one_value(s: Mat) -> Fraction:
-    """Extract eta from a symmetric matrix equivalent to (null) + <eta>."""
-    n = len(s)
-    if s != transpose(s):
-        raise RuntimeError("expected a symmetric matrix")
-    diag_entry = None
-    for i in range(n):
-        for j in range(n):
-            if s[i][j] != 0:
-                if s[i][i] == 0 or s[j][j] == 0:
-                    raise RuntimeError("rank exceeds one after null reduction")
-                diag_entry = s[i][i]
-    if diag_entry is None:
-        raise RuntimeError("null form: no eta to extract")
-    # rank-one check: all 2x2 minors vanish
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    if s[i][k] * s[j][l] - s[i][l] * s[j][k] != 0:
-                        raise RuntimeError("rank exceeds one after null reduction")
-    return diag_entry
-
-
-def _rank_one_class(s: Mat, p: Prime) -> SquareClass:
-    """The square class of the eta extracted by _rank_one_value."""
-    return square_class(_rank_one_value(s), p)
-
-
 def eta_sp_value(n: int) -> Fraction:
-    """The value theta(v | N^(2n-1) v') of the regular nilpotent; equals 1."""
-    theta = theta_space(n).theta_gram
-    nil = regular_nilpotent_sp(n)
-    power = identity(2 * n)
-    for _ in range(2 * n - 1):
-        power = mat_mul(power, nil)
-    return _rank_one_value(mat_mul(theta, power))
+    """The value theta(v | N^(2n-1) v') of the regular nilpotent; equals 1.
+
+    N^(2n-1) sends the last basis vector e_-1 to e_1 and kills the rest, and
+    theta pairs e_-1 with e_1 by (-1)^(1+1) = 1 (oracles.eta_sp_reference
+    carries out the construction).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    return Fraction(1)
 
 
 def eta_sp(n: int, p=2) -> SquareClass:
@@ -232,13 +204,15 @@ def regular_nilpotent_so(q_flat: QuadForm) -> Mat:
 
 
 def eta_so_value(v_prime: QuadForm, y, n: int) -> Fraction:
-    """The value q(v | N^(2n-2) v') of the even orthogonal space.
+    """The value q(v | N^(2n-2) v') of the even orthogonal space; equals (-1)^(n-1) y.
 
     v_prime is the binary part of (V, q) = (n-1) Hy + (V', q'); y must be
-    represented by it.  For n = 1 the value is y itself; for n > 1 it is
-    extracted from the explicit nilpotent construction (and equals
-    (-1)^(n-1) y exactly).
+    represented by it.  N^(2n-2) runs down the chain e_1 -> .. -> e_(n-1) ->
+    v -> -y e_-(n-1) -> .. -> (-1)^(n-1) y e_-1, and q pairs e_-1 with e_1 by
+    1 (oracles.eta_so_reference carries out the construction).
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if v_prime.dim != 2:
         raise ValueError("the anisotropic part must be binary")
     if isinstance(y, SquareClass):
@@ -246,15 +220,7 @@ def eta_so_value(v_prime: QuadForm, y, n: int) -> Fraction:
     y = Fraction(y)
     if not represents(v_prime, y):
         raise ValueError("y is not represented by the binary part")
-    if n == 1:
-        return y
-    m = n - 1
-    q_flat = split_odd_space(m, y, v_prime.p)
-    nil = regular_nilpotent_so(q_flat)
-    power = identity(q_flat.dim)
-    for _ in range(2 * n - 2):
-        power = mat_mul(power, nil)
-    return _rank_one_value(mat_mul(q_flat.gram, power))
+    return (-1) ** (n - 1) * y
 
 
 def eta_so(v_prime: QuadForm, y, n: int) -> SquareClass:
@@ -299,23 +265,38 @@ def is_quasisplit_even(q: QuadForm) -> bool:
     return kernel.aniso_dim <= 2
 
 
-def gs_constancy_check(config: GSConfiguration, n: int) -> bool:
-    """The flagship identity: Whittaker factor at (norm, delta) against the
+@dataclass(frozen=True)
+class ConstancyRecord:
+    """Both sides of the constancy identity at one configuration."""
+
+    lhs: Mu8
+    rhs: Mu8
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
+
+
+def constancy_record(config: GSConfiguration, n: int) -> ConstancyRecord:
+    """The flagship identity: the Whittaker factor at (norm, delta) against the
     Weil index of 2 (-1)^n q, computed through disjoint code paths."""
+    q_v = config.ambient.q_V
+    delta, _ = rigidify(config)
+    return ConstancyRecord(transfer_factor_whittaker(q_v, delta, n),
+                           weil_index(scale(2 * (-1) ** n, q_v)))
+
+
+def gs_constancy_check(config: GSConfiguration, n: int) -> bool:
+    """constancy_record(config, n).passed, once the configuration is checked to
+    lie on a quasisplit even orthogonal ambient with a very regular norm."""
     amb = config.ambient
     if amb.epsilon != 1 or amb.n != 2 * n:
         raise ValueError("constancy check lives on even orthogonal ambients")
     if not is_quasisplit_even(amb.q_V):
         raise ValueError("the orthogonal group must be quasisplit")
-    gamma = gs_norm(config)
-    cp = charpoly(gamma)
-    if not poly_squarefree(cp) or det(mat_sub(gamma, identity(amb.n))) == 0 \
-            or det(mat_add(gamma, identity(amb.n))) == 0:
+    if not is_very_regular(gs_norm(config)):
         raise ValueError("norm is not very regular for this configuration")
-    delta, _ = rigidify(config)
-    lhs = transfer_factor_whittaker(amb.q_V, delta, n)
-    rhs = weil_index(scale(2 * (-1) ** n, amb.q_V))
-    return lhs == rhs
+    return constancy_record(config, n).passed
 
 
 def separation_check(algebra: EtaleAlgebraWithInvolution, c1: AlgebraElement,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, block_diag, charpoly, det, fr, mat, poly_squarefree, trace
+from .linalg import Mat, block_diag, charpoly, det, fr, poly_squarefree
 from .localfield import (FieldElement, LocalFieldDescriptor, Prime,
                          is_square_in_field)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm
@@ -229,9 +229,6 @@ class AlgebraElement:
                 ninv = nrm.inverse()
                 parts.append((a * ninv, -(b * ninv)))
         return AlgebraElement(self.algebra, tuple(parts))
-
-    def is_fixed(self) -> bool:
-        return tau(self) == self
 
     # -- structure maps ----------------------------------------------------
 

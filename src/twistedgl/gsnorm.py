@@ -18,9 +18,9 @@ from functools import cached_property
 
 from .classes import ClassParameter
 from .etale import char_poly, tau, very_regular
-from .linalg import (Mat, block_diag, charpoly, det, from_blocks, identity,
-                     inverse, mat, mat_add, mat_mul, mat_neg, mat_scale,
-                     mat_sub, poly_mul, poly_squarefree, transpose, zeros)
+from .linalg import (Mat, charpoly, det, from_blocks, identity, inverse, mat,
+                     mat_add, mat_mul, mat_neg, mat_scale, mat_sub, poly_mul,
+                     poly_squarefree, transpose, zeros)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
 
 
@@ -116,16 +116,17 @@ def random_config(ambient: AmbientSpace, seed: int,
         if det(y) == 0:
             continue
         config = GSConfiguration(ambient, x, y)
-        if require_very_regular:
-            gamma = gs_norm(config)
-            cp = charpoly(gamma)
-            if not poly_squarefree(cp):
-                continue
-            if det(mat_sub(gamma, identity(n))) == 0 or \
-                    det(mat_add(gamma, identity(n))) == 0:
-                continue
+        if require_very_regular and not is_very_regular(gs_norm(config)):
+            continue
         return config
     raise RuntimeError(f"retry budget exhausted for seed {seed}")
+
+
+def is_very_regular(gamma: Mat) -> bool:
+    """A squarefree characteristic polynomial, and neither 1 nor -1 an eigenvalue."""
+    eye = identity(len(gamma))
+    return (poly_squarefree(charpoly(gamma)) and det(mat_sub(gamma, eye)) != 0
+            and det(mat_add(gamma, eye)) != 0)
 
 
 def u_of_xy(config: GSConfiguration) -> Mat:

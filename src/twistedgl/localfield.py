@@ -2,15 +2,14 @@
 
 Valuations, canonical square classes, Legendre and Hilbert symbols over Q_p
 for every prime, tame Hilbert symbols over certified extensions with odd
-residue characteristic, and a Hensel-certified solubility oracle that serves
-as the independent cross-check for every closed form.
+residue characteristic.  The Hensel-certified solubility oracle that
+cross-checks the Hilbert symbols lives in `oracles`.
 
 All arithmetic is exact rational; no floats.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -75,7 +74,13 @@ class Prime:
 
 
 def as_prime(p) -> Prime:
-    return p if isinstance(p, Prime) else Prime(int(p))
+    """p as a Prime.  A float or a bool is refused, not truncated: 3.7 names
+    no prime, and True is not the integer a document meant."""
+    if isinstance(p, Prime):
+        return p
+    if isinstance(p, (bool, float)):
+        raise ValueError(f"prime must be an integer, not {p!r}")
+    return Prime(int(p))
 
 
 # ---------------------------------------------------------------------------
@@ -660,222 +665,3 @@ def is_local_norm(fld: LocalFieldDescriptor, d, x) -> bool:
         xv = x.coeffs[0] if isinstance(x, FieldElement) else x
         return hilbert_qp(dv, xv, fld.p) == 1
     return hilbert_tame(fld, d, x) == 1
-
-
-# ---------------------------------------------------------------------------
-# the solubility oracle
-
-
-class Solubility(enum.Enum):
-    SOLUBLE = "soluble"
-    INSOLUBLE = "insoluble"
-    INCONCLUSIVE = "inconclusive"
-
-
-class _ZpRing:
-    """Exact integers as candidates for degree-one fields."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.e = 1
-        self.two = 2
-
-    def digits(self):
-        return [i for i in range(self.p)]
-
-    def from_digit(self, d, level):
-        return d * self.p ** level
-
-    def mul(self, x, y):
-        return x * y
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def is_zero(self, x):
-        return x == 0
-
-    def w(self, x):
-        if x == 0:
-            return None
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
-
-    def from_field(self, fld, x):
-        a = x.coeffs[0] if isinstance(x, FieldElement) else fr(x)
-        a = a * a.denominator ** 2
-        n = int(a)
-        if n == 0:
-            raise ValueError("zero coefficient")
-        while n % self.p ** 2 == 0:
-            n //= self.p ** 2
-        return n
-
-
-class _QuadRing:
-    """Integer pairs (alpha, beta) for s^2 = m (unram) or pi^2 = p*u (ram)."""
-
-    def __init__(self, p: int, kind: str, const: int):
-        self.p = p
-        self.kind = kind
-        self.const = const  # m for unram, u for ram
-        self.e = 2 if kind == "ram" else 1
-        self.two = (2, 0)
-
-    def digits(self):
-        if self.kind == "unram":
-            return [(a, b) for a in range(self.p) for b in range(self.p)]
-        return [(a, 0) for a in range(self.p)]
-
-    def _pi_pow(self, level):
-        if self.kind == "unram":
-            return (self.p ** level, 0)
-        half, rem = divmod(level, 2)
-        scale = (self.p * self.const) ** half
-        return (scale, 0) if rem == 0 else (0, scale)
-
-    def from_digit(self, d, level):
-        return self.mul(d, self._pi_pow(level))
-
-    def mul(self, x, y):
-        a, b = x
-        c, d = y
-        k = self.const if self.kind == "unram" else self.p * self.const
-        return (a * c + k * b * d, a * d + b * c)
-
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def neg(self, x):
-        return (-x[0], -x[1])
-
-    def is_zero(self, x):
-        return x == (0, 0)
-
-    def _vp(self, n):
-        if n == 0:
-            return None
-        v = 0
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        return v
-
-    def w(self, x):
-        va, vb = self._vp(x[0]), self._vp(x[1])
-        if self.kind == "unram":
-            cands = [v for v in (va, vb) if v is not None]
-        else:
-            cands = []
-            if va is not None:
-                cands.append(2 * va)
-            if vb is not None:
-                cands.append(2 * vb + 1)
-        return min(cands) if cands else None
-
-    def from_field(self, fld, x):
-        if not isinstance(x, FieldElement):
-            x = fld.embed(x)
-        _, const, convert = _quadratic_model(fld)
-        alpha, beta = convert(x.coeffs)
-        # the ring's constant was cleared to const * den^2 (generator s' = den*s),
-        # so coordinates rebase as beta -> beta / den
-        beta = beta / const.denominator
-        den = alpha.denominator * beta.denominator
-        alpha, beta = alpha * den * den, beta * den * den
-        cand = (int(alpha), int(beta))
-        if self.is_zero(cand):
-            raise ValueError("zero coefficient")
-        # strip p^2 factors (p^2 is a square scalar in either model)
-        while cand[0] % self.p ** 2 == 0 and cand[1] % self.p ** 2 == 0:
-            cand = (cand[0] // self.p ** 2, cand[1] // self.p ** 2)
-        return cand
-
-
-def _oracle_ring(fld: LocalFieldDescriptor):
-    p = int(fld.p)
-    if fld.degree == 1:
-        return _ZpRing(p)
-    if fld.degree == 2 and p != 2:
-        kind, const, _ = _quadratic_model(fld)
-        # clear the square denominator of the model constant (rebases s)
-        const = const * const.denominator ** 2
-        return _QuadRing(p, kind, int(const))
-    raise ValueError("solubility oracle supports Q_p and odd-p quadratic fields")
-
-
-def solubility_budget(a, b, fld: LocalFieldDescriptor) -> int:
-    """Exhaustion depth v(4ab) + 2e + 1 that certifies insolubility."""
-    ring = _oracle_ring(fld)
-    ra = ring.from_field(fld, a)
-    rb = ring.from_field(fld, b)
-    four = ring.mul(ring.two, ring.two)
-    return ring.w(ring.mul(four, ring.mul(ra, rb))) + 2 * ring.e + 1
-
-
-def solubility_oracle(a, b, fld: LocalFieldDescriptor, depth: int) -> Solubility:
-    """Hensel-certified search for a nontrivial zero of z^2 = a x^2 + b y^2.
-
-    Levels enumerate primitive candidate triples modulo increasing powers of
-    the uniformizer.  A candidate certifies solubility when the exact value's
-    valuation exceeds twice that of some partial derivative (or the value
-    vanishes identically); an empty level certifies insolubility, final once
-    the depth covers the budget v(4ab) + 2e + 1.  Below-budget exhaustion
-    returns INCONCLUSIVE, never a guess.
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    ring = _oracle_ring(fld)
-    ra = ring.from_field(fld, a)
-    rb = ring.from_field(fld, b)
-    budget = solubility_budget(a, b, fld)
-
-    def value(x, y, z):
-        zz = ring.mul(z, z)
-        ax = ring.mul(ra, ring.mul(x, x))
-        by = ring.mul(rb, ring.mul(y, y))
-        return ring.add(zz, ring.add(ring.neg(ax), ring.neg(by)))
-
-    def certified(x, y, z, fval):
-        if ring.is_zero(fval):
-            return True
-        wf = ring.w(fval)
-        for part in (ring.mul(ring.two, z),
-                     ring.mul(ring.two, ring.mul(ra, x)),
-                     ring.mul(ring.two, ring.mul(rb, y))):
-            wp = ring.w(part)
-            if wp is not None and wf > 2 * wp:
-                return True
-        return False
-
-    zero = 0 if isinstance(ring, _ZpRing) else (0, 0)
-    live = [(zero, zero, zero)]
-    digs = list(ring.digits())
-    for level in range(depth):
-        new_live = []
-        for (x, y, z) in live:
-            for dx in digs:
-                xx = ring.add(x, ring.from_digit(dx, level))
-                for dy in digs:
-                    yy = ring.add(y, ring.from_digit(dy, level))
-                    for dz in digs:
-                        zz = ring.add(z, ring.from_digit(dz, level))
-                        if level == 0 and ring.is_zero(xx) and ring.is_zero(yy) \
-                                and ring.is_zero(zz):
-                            continue
-                        fval = value(xx, yy, zz)
-                        if certified(xx, yy, zz, fval):
-                            return Solubility.SOLUBLE
-                        wf = ring.w(fval)
-                        if wf is not None and wf >= level + 1:
-                            new_live.append((xx, yy, zz))
-        live = new_live
-        if not live:
-            return Solubility.INSOLUBLE
-    return Solubility.INSOLUBLE if depth >= budget else Solubility.INCONCLUSIVE

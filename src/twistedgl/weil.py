@@ -1,20 +1,17 @@
-"""Weil indices as eighth roots of unity, and their Gauss-sum oracle.
+"""Weil indices as exact eighth roots of unity.
 
 The rank-1 values form a character table over square classes relative to the
 standard additive character of conductor Z_p (conductor exponent 0).  The
 closed form below was generated and pinned from the truncated-Gauss-sum
-oracle; the test suite re-derives it from the oracle at p in {2,3,5,7,11}
-and checks the Hasse-ratio linkage that guards the p = 2 normalization.
-Runtime evaluation is exact; complex numbers appear only inside the oracle.
+oracle in `oracles`; the test suite re-derives it from that oracle at p in
+{2,3,5,7,11} and checks the Hasse-ratio linkage that guards the p = 2
+normalization.  Evaluation here is exact and imports no oracle code.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .linalg import fr
 from .localfield import Prime, as_prime, legendre, unit_part, valuation, _unit_mod
@@ -123,80 +120,3 @@ def epsilon_half(dclass, p, character: AdditiveCharacter | None = None) -> Mu8:
     prime = as_prime(p)
     _check_character(prime, character)
     return weil_index(norm_form(dclass, prime))
-
-
-# ---------------------------------------------------------------------------
-# the numerical oracle
-
-
-class OracleError(RuntimeError):
-    """The Gauss sum failed to stabilize or to snap to an eighth root."""
-
-
-@dataclass(frozen=True)
-class GaussOracleResult:
-    value: complex
-    snapped: Mu8
-    snap_distance: float
-
-
-_CHUNK = 1 << 22
-
-
-def _gauss_phase(a: Fraction, p: int, k: int) -> complex:
-    """Normalized truncated Gauss sum over one exact period.
-
-    Sums psi(a x^2) for x = n/p^k over n mod p^M with M = 2k - v(a), the exact
-    period of the summand, and returns the sum normalized to modulus one.
-    """
-    v = valuation(a, p)
-    m_exp = 2 * k - v
-    if m_exp < 1:
-        raise ValueError("truncation level too small for this coefficient")
-    modulus = p ** m_exp
-    c = _unit_mod(unit_part(a, p), modulus)
-    total = 0.0 + 0.0j
-    for start in range(0, modulus, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, modulus), dtype=np.int64)
-        r = (n * n) % modulus
-        r = (r * c) % modulus
-        total += complex(np.exp(2j * np.pi * (r / modulus)).sum())
-    mag = abs(total)
-    if mag < 1e-9:
-        raise OracleError(f"Gauss sum vanished at p={p}, k={k}")
-    return total / mag
-
-
-def _snap_mu8(z: complex) -> tuple[Mu8, float]:
-    best, dist = 0, 10.0
-    for j in range(8):
-        d = abs(z - cmath.exp(2j * cmath.pi * j / 8))
-        if d < dist:
-            best, dist = j, d
-    return Mu8(best), dist
-
-
-def gauss_oracle(a, p, k: int, tol: float = 1e-6) -> GaussOracleResult:
-    """Numerical Weil index of <a>: stabilized truncated Gauss sum.
-
-    Evaluates the normalized sum at truncation levels k and k+1, snaps to the
-    nearest eighth root of unity and demands agreement of the snapped values
-    with snap distance below tol at both levels.  Raises OracleError instead
-    of guessing when stabilization fails.
-    """
-    prime = as_prime(p)
-    p = int(prime)
-    a = fr(a)
-    if a == 0:
-        raise ValueError("oracle needs a nonzero coefficient")
-    if k < valuation(a, p) + 3:
-        raise ValueError("truncation level below the stated precondition")
-    z1 = _gauss_phase(a, p, k)
-    z2 = _gauss_phase(a, p, k + 1)
-    s1, d1 = _snap_mu8(z1)
-    s2, d2 = _snap_mu8(z2)
-    if d1 > tol or d2 > tol:
-        raise OracleError(f"snap distance {max(d1, d2):.2e} above {tol:.0e}")
-    if s1 != s2:
-        raise OracleError(f"no stabilization: {s1} at level {k}, {s2} at level {k + 1}")
-    return GaussOracleResult(z1, s1, d1)

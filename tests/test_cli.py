@@ -1,6 +1,7 @@
 """Command-line surface: verbs, literals, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -135,6 +136,26 @@ def test_float_and_bool_literals_are_usage_errors(capsys):
     code, doc = run(capsys, "qform", "invariants", "--json",
                     '{"p": 5, "diag": [1.5, "2"]}')
     assert code == 2 and doc is None
+    for p in ("3.7", "3.0", "true"):
+        code, doc = run(capsys, "qform", "invariants", "--json",
+                        '{"p": %s, "diag": ["1", "2"]}' % p)
+        assert code == 2 and doc is None
+    qv = {"p": 3, "gram": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+                           ["0", "0", "1", "0"], ["0", "0", "0", "-3"]]}
+    for eps in (1.0, True):
+        code, doc = run(capsys, "gs", "random", "--json",
+                        json.dumps({"qV": qv, "epsilon": eps}))
+        assert code == 2 and doc is None
+    code, cfg = run(capsys, "gs", "random", "--seed", "3",
+                    "--json", json.dumps({"qV": qv, "epsilon": 1}))
+    assert code == 0
+    cfg["ambient"]["epsilon"] = 1.0
+    code, doc = run(capsys, "endo", "check", "--n", "2", "--json", json.dumps(cfg))
+    assert code == 2 and doc is None
+    payload = json.dumps({"p": 3, "constituents": [
+        {"dim": 4.0, "sign": "+1", "det": "3"}]})
+    code, doc = run(capsys, "param", "classify", "--json", payload)
+    assert code == 2 and doc is None
 
 
 def test_endo_eta_so_prime_must_match_the_form(capsys):
@@ -202,3 +223,31 @@ def test_output_file_round_trip(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["class"] == 2
+
+
+def test_endo_eta_closed_forms_at_large_n(capsys):
+    code, doc = run(capsys, "endo", "eta", "--kind", "sp", "--n", "5000")
+    assert code == 0 and doc == {"eta": 1, "eta_class": 1}
+    payload = json.dumps({"binary": {"p": 3, "diag": ["1", "1"]}, "y": "1"})
+    code, doc = run(capsys, "endo", "eta", "--kind", "so", "--n", "5000",
+                    "--json", payload)
+    assert code == 0 and doc == {"eta": -1, "eta_class": 2}
+    payload = json.dumps({"binary": {"p": 3, "diag": ["1", "-1"]}, "y": "1/3"})
+    code, doc = run(capsys, "endo", "eta", "--kind", "so", "--n", "5001",
+                    "--json", payload)
+    assert code == 0 and doc == {"eta": "1/3", "eta_class": 3}
+
+
+def test_weil_oracle_work_is_bounded(capsys):
+    # k = 12 overflowed numpy's int64 (period 7^26); at k = 8 the first level
+    # alone, period 7^16, is about 8M numpy chunks
+    for k in ("12", "8"):
+        code, doc = run(capsys, "weil", "oracle", "--p", "7", "--a", "1", "--k", k)
+        assert code == 2 and doc is None
+
+
+def test_weil_oracle_without_numpy_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code, doc = run(capsys, "weil", "oracle", "--p", "3", "--a", "1/9", "--k", "1")
+    assert code == 2 and doc is None
+

@@ -1,12 +1,14 @@
 """Endoscopic data, eta invariants, transfer factors, the constancy identity."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 
 from helpers import random_algebra, random_fixed_invertible
-from twistedgl.endoscopy import (EndoscopicDatum, enumerate_elliptic_data,
+from twistedgl.endoscopy import (EndoscopicDatum, constancy_record,
+                                 enumerate_elliptic_data,
                                  eta_so, eta_so_value, eta_sp, eta_sp_value,
                                  gs_constancy_check,
                                  is_quasisplit_even, quasisplit_space,
@@ -14,9 +16,12 @@ from twistedgl.endoscopy import (EndoscopicDatum, enumerate_elliptic_data,
                                  separation_check, split_odd_space,
                                  theta_space, transfer_factor,
                                  transfer_factor_whittaker)
-from twistedgl.gsnorm import GSConfiguration, gs_section, make_ambient, random_config, rigidify, gs_norm
+from twistedgl.gsnorm import (GSConfiguration, gs_norm, gs_section,
+                              is_very_regular, make_ambient, random_config,
+                              rigidify)
 from twistedgl.linalg import det, identity, mat, mat_mul, mat_neg, transpose
 from twistedgl.localfield import QP, hilbert_qp, square_class, square_class_table
+from twistedgl.oracles import _rank_one_value, eta_so_reference, eta_sp_reference
 from twistedgl.qform import (diag_form, direct_sum, hyperbolic, invariants,
                              norm_form, represents, scale, witt_decompose,
                              witt_equivalent)
@@ -108,21 +113,30 @@ def test_regular_nilpotent_sp_top_power():
 
 
 def test_eta_sp_is_one():
-    for n in (1, 2, 3, 4, 5):
-        assert eta_sp_value(n) == 1
+    for n in range(1, 7):
+        assert eta_sp_value(n) == eta_sp_reference(n) == 1
         for p in (2, 3, 5):
             assert eta_sp(n, p).is_trivial()
 
 
+def test_eta_closed_forms_keep_their_errors():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            eta_sp_value(n)
+        with pytest.raises(ValueError):
+            eta_so_value(hyperbolic(1, 3), 1, n)
+    with pytest.raises(ValueError):
+        eta_so_value(diag_form([1, 1, 1], 3), 1, 2)  # not binary
+
+
 def test_eta_sp_scaling_invariance():
-    from twistedgl.endoscopy import _rank_one_class
     nil = regular_nilpotent_sp(2)
     theta = theta_space(2).theta_gram
     power = identity(4)
     for _ in range(3):
         power = mat_mul(power, nil)
     scaled = tuple(tuple(4 * v for v in row) for row in mat_mul(theta, power))
-    assert _rank_one_class(scaled, QP(3).p).is_trivial()
+    assert square_class(_rank_one_value(scaled), QP(3).p).is_trivial()
 
 
 def test_regular_nilpotent_so_powers():
@@ -148,13 +162,13 @@ def test_eta_so_example_and_closed_form():
     for p in (2, 3, 5):
         reps = [c.representative for c in square_class_table(p)]
         # the value is exact, so also try values that are not canonical
-        for n in (1, 2, 3, 4):
+        for n in range(1, 7):
             for y in reps + [F(r, p * p) for r in reps]:
                 vprime = diag_form([y, 1], p)
                 got = eta_so(vprime, y, n)
                 assert got == square_class((-1) ** (n - 1) * y, p)
                 value = eta_so_value(vprime, y, n)
-                assert value == (-1) ** (n - 1) * F(y)
+                assert value == (-1) ** (n - 1) * F(y) == eta_so_reference(y, n, p)
 
 
 def test_eta_so_requires_represented_value():
@@ -238,6 +252,30 @@ def test_gs_constancy_moderate_sweep():
                     continue
                 amb, cfg = pipeline_fixture(p, n, kcls, square_class(1, p), 9)
                 assert gs_constancy_check(cfg, n), (p, n, kcls)
+
+
+def test_constancy_record_sides():
+    for p, n, k, seed in ((3, 2, 3, 6), (2, 1, 5, 1), (5, 3, 2, 2)):
+        amb, cfg = pipeline_fixture(p, n, square_class(k, p), square_class(1, p), seed)
+        rec = constancy_record(cfg, n)
+        delta, _ = rigidify(cfg)
+        assert rec.lhs == transfer_factor_whittaker(amb.q_V, delta, n)
+        assert rec.rhs == weil_index(scale(2 * (-1) ** n, amb.q_V))
+        assert rec.passed and gs_constancy_check(cfg, n)
+    with pytest.raises(FrozenInstanceError):
+        rec.lhs = rec.rhs
+
+
+def test_gs_constancy_check_rejects_a_norm_that_is_not_very_regular():
+    amb = make_ambient(quasisplit_space(4, square_class(3, 3), square_class(1, 3), 3), 1)
+    for seed in range(40):
+        cfg = random_config(amb, seed, require_very_regular=False)
+        if not is_very_regular(gs_norm(cfg)):
+            break
+    else:
+        pytest.fail("every sampled norm was very regular")
+    with pytest.raises(ValueError, match="very regular"):
+        gs_constancy_check(cfg, 2)
 
 
 def test_gs_constancy_independent_of_x():

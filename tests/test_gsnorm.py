@@ -13,8 +13,8 @@ from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                twist_invariant)
 from twistedgl.etale import is_generator, make_algebra, quadratic_tower, tau, very_regular
 from twistedgl.gsnorm import (GSConfiguration, gs_norm, gs_param_check,
-                              gs_section, make_ambient, random_config,
-                              rigidify, u_of_xy, xy_condition)
+                              gs_section, is_very_regular, make_ambient,
+                              random_config, rigidify, u_of_xy, xy_condition)
 from twistedgl.linalg import (block_diag, charpoly, det, identity, mat,
                               mat_add, mat_mul, mat_neg, mat_scale, mat_sub,
                               transpose)
@@ -93,6 +93,21 @@ def test_u_isometry_and_nilpotency():
                 nil = mat_sub(u, identity(len(u)))
                 assert mat_mul(nil, mat_mul(nil, nil)) == \
                     tuple(tuple(F(0) for _ in row) for row in nil)
+
+
+def test_is_very_regular():
+    def diag(*entries):
+        return mat([[F(e) if i == j else F(0) for j in range(len(entries))]
+                    for i, e in enumerate(entries)])
+    assert is_very_regular(diag(2, 3, F(1, 2)))
+    assert not is_very_regular(diag(2, 2, 3))   # repeated eigenvalue
+    assert not is_very_regular(diag(2, 1, 3))   # eigenvalue 1
+    assert not is_very_regular(diag(2, -1, 3))  # eigenvalue -1
+    assert not is_very_regular(identity(4))
+    # the sampler keeps only very regular norms
+    amb = make_ambient(diag_form([1, 2, -1, 3], 5), 1)
+    for seed in range(4):
+        assert is_very_regular(gs_norm(random_config(amb, seed)))
 
 
 def test_u_isometry_fails_without_closure():

@@ -7,12 +7,18 @@ import pytest
 import sympy
 
 from twistedgl.localfield import (PSI_13, QP, LocalFieldDescriptor, Prime,
-                                  Solubility,
-                                  hilbert_qp, hilbert_tame, is_local_norm,
+                                  as_prime, hilbert_qp, hilbert_tame, is_local_norm,
                                   is_square_in_field, least_nonresidue,
-                                  legendre, solubility_budget,
-                                  solubility_oracle, square_class,
-                                  square_class_table, tame_data, valuation)
+                                  legendre, square_class, square_class_table,
+                                  tame_data, valuation)
+from twistedgl.oracles import Solubility, solubility_budget, solubility_oracle
+
+
+def test_as_prime_refuses_floats_and_booleans():
+    assert as_prime(5) == as_prime("5") == as_prime(Prime(5)) == Prime(5)
+    for bad in (3.7, 3.0, True, False):
+        with pytest.raises(ValueError):
+            as_prime(bad)
 
 
 def test_prime_validation():

@@ -10,8 +10,9 @@ import pytest
 from twistedgl.localfield import square_class, square_class_table, valuation
 from twistedgl.qform import (diag_form, direct_sum, hyperbolic, invariants,
                              norm_form, scale, witt_decompose)
-from twistedgl.weil import (AdditiveCharacter, Mu8, OracleError, epsilon_half,
-                            gauss_oracle, weil_index, weil_rank1)
+from twistedgl.oracles import MAX_PERIOD, OracleError, gauss_oracle
+from twistedgl.weil import (AdditiveCharacter, Mu8, epsilon_half, weil_index,
+                            weil_rank1)
 
 
 def small_rep(cls, p):
@@ -59,6 +60,14 @@ def test_rank1_table_matches_oracle_exhaustively():
 def test_oracle_rejects_low_truncation():
     with pytest.raises(ValueError):
         gauss_oracle(3, 3, 3)  # needs k >= v + 3 = 4
+
+
+def test_oracle_bounds_its_period():
+    # the exhaustive table check above sums periods up to 11^7
+    assert MAX_PERIOD >= 11 ** 7
+    for a, p, k in ((1, 7, 8), (1, 7, 12), (1, 2, 10 ** 9), (F(1, 9), 3, 12)):
+        with pytest.raises(ValueError, match="period"):
+            gauss_oracle(a, p, k)
 
 
 def test_oracle_product_rule_binary():
