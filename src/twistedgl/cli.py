@@ -496,6 +496,8 @@ def _run_entry(entry) -> dict:
 def cmd_corpus(args) -> int:
     primes = [int(x) for x in args.p.split(",")]
     ns = [int(x) for x in args.n.split(",")]
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, not {args.count}")
     entries = _corpus_entries(args.seed, primes, ns, args.count)
     if args.action == "generate":
         emit({"tool_version": __version__, "generator_version": 1,

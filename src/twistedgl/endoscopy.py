@@ -242,9 +242,10 @@ def transfer_factor(gamma_space: QuadForm, delta: Mat, n: int) -> int:
     p = gamma_space.p
     half = Fraction(1, 2)
     sym = mat_scale(half, mat_add(delta, transpose(delta)))
-    if det(sym) == 0:
-        raise ValueError("singular symmetrization: delta is not very regular")
-    q_delta = quad_form(sym, p)
+    try:
+        q_delta = quad_form(sym, p)
+    except ValueError:  # sym is symmetric, so its determinant is 0
+        raise ValueError("singular symmetrization: delta is not very regular") from None
     kclass = invariants(gamma_space).dpm
     target = scale((-1) ** n, norm_form(kclass, p))
     return 1 if witt_equivalent(q_delta, target) else -1

@@ -18,10 +18,14 @@ from functools import cached_property
 
 from .classes import ClassParameter
 from .etale import char_poly, tau, very_regular
-from .linalg import (Mat, charpoly, det, from_blocks, identity, inverse, mat,
-                     mat_add, mat_mul, mat_neg, mat_scale, mat_sub, poly_mul,
-                     poly_squarefree, transpose, zeros)
+from .linalg import (Mat, charpoly, charpoly_mod, det, from_blocks, identity,
+                     inverse, mat, mat_add, mat_mul, mat_neg, mat_scale, mat_sub,
+                     poly_mul, poly_squarefree, poly_squarefree_mod, transpose,
+                     zeros)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
+
+# the prime of the very-regularity certificate, the Mersenne prime 2^61 - 1
+ELL = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -58,13 +62,12 @@ def make_ambient(q_V: QuadForm, epsilon: int) -> AmbientSpace:
         raise ValueError("isotropic binary V is excluded in the even orthogonal case")
     eye = identity(n)
     z = zeros(n)
+    # det = +-eps^n det Q, and QuadForm refuses det Q = 0: never degenerate
     g1 = from_blocks([
         [z, z, eye],
         [z, q_V.gram, z],
         [mat_scale(epsilon, eye), z, z],
     ])
-    if det(g1) == 0:
-        raise RuntimeError("ambient block form is degenerate")
     return AmbientSpace(q_V, n, epsilon, g1)
 
 
@@ -83,6 +86,11 @@ class GSConfiguration:
         object.__setattr__(self, "Y", y)
         if len(x) != n or len(x[0]) != n or len(y) != n or len(y[0]) != n:
             raise ValueError("X and Y must be n x n")
+
+    @cached_property
+    def invertible(self) -> bool:
+        """det X != 0 and det Y != 0, computed once per configuration."""
+        return det(self.X) != 0 and det(self.Y) != 0
 
 
 def xy_condition(config: GSConfiguration) -> bool:
@@ -116,6 +124,9 @@ def random_config(ambient: AmbientSpace, seed: int,
         if det(y) == 0:
             continue
         config = GSConfiguration(ambient, x, y)
+        # both determinants were just taken (X's before S is drawn, which
+        # keeps the seeded stream): record them rather than take them again
+        object.__setattr__(config, "invertible", True)
         if require_very_regular and not is_very_regular(gs_norm(config)):
             continue
         return config
@@ -123,7 +134,18 @@ def random_config(ambient: AmbientSpace, seed: int,
 
 
 def is_very_regular(gamma: Mat) -> bool:
-    """A squarefree characteristic polynomial, and neither 1 nor -1 an eigenvalue."""
+    """A squarefree characteristic polynomial, and neither 1 nor -1 an eigenvalue.
+
+    First the certificate modulo ELL: when every entry is ELL-integral and
+    f = charpoly(gamma) mod ELL is squarefree over F_ELL with f(1) and f(-1)
+    nonzero, gamma is very regular (see linalg).  That decides only True;
+    every other case, and every False, is decided by the rational test.
+    """
+    f = charpoly_mod(gamma, ELL)
+    if f is not None and poly_squarefree_mod(f, ELL):
+        at_one, at_minus_one = sum(f) % ELL, (sum(f[::2]) - sum(f[1::2])) % ELL
+        if at_one and at_minus_one:
+            return True
     eye = identity(len(gamma))
     return (poly_squarefree(charpoly(gamma)) and det(mat_sub(gamma, eye)) != 0
             and det(mat_add(gamma, eye)) != 0)
@@ -153,7 +175,7 @@ def rigidify(config: GSConfiguration) -> tuple[Mat, Mat]:
     """
     if not xy_condition(config):
         raise ValueError("closure condition violated")
-    if det(config.X) == 0 or det(config.Y) == 0:
+    if not config.invertible:
         raise ValueError("rigidification needs invertible X and Y")
     qinv = config.ambient.q_inverse
     phi = mat_mul(qinv, transpose(config.X))
@@ -162,7 +184,7 @@ def rigidify(config: GSConfiguration) -> tuple[Mat, Mat]:
 
 def gs_norm(config: GSConfiguration) -> Mat:
     """The norm 1 + Q^-1 X^T Y^-1 X, an exact isometry of (V, q)."""
-    if det(config.X) == 0 or det(config.Y) == 0:
+    if not config.invertible:
         raise ValueError("norm needs invertible X and Y")
     amb = config.ambient
     qinv = amb.q_inverse

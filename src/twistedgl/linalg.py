@@ -11,6 +11,20 @@ previous pivot.  Forward elimination gives the determinant; the Gauss-Jordan
 form of the same routine on [D*A | I] ends with the last pivot times I on the
 left, so A^-1 = D * right / pivot.  Every intermediate entry is a minor of the
 input, so the integers grow only as fast as determinants do.
+
+A property that survives reduction modulo a prime can be certified there.
+charpoly_mod reduces an l-integral matrix modulo a prime l, brings it to
+Hessenberg form over F_l by similarity and reads off the monic characteristic
+polynomial (Cohen, A Course in Computational Algebraic Number Theory,
+Alg. 2.2.9); poly_squarefree_mod is the gcd(f, f') degree test over F_l (von
+zur Gathen and Gerhard, Modern Computer Algebra, ch. 6 and 14).  A monic f
+with l-integral coefficients reduces to a polynomial of the same degree, and
+a repeated factor of f over Q, monic and l-integral by Gauss's lemma, stays a
+repeated factor of f mod l.  So a squarefree f mod l proves f squarefree over
+Q, and f(c) != 0 mod l proves f(c) != 0.  The converse fails: a squarefree f
+may acquire a repeated root mod l, and l may divide a denominator of A.
+Those answers decide nothing, and the caller falls back to the rational test.
+Everything is integer arithmetic on residues; no floats enter.
 """
 
 from __future__ import annotations
@@ -221,6 +235,105 @@ def charpoly(a: Mat) -> Poly:
         mk = am
     # char of D*A evaluated at D*T, normalized monic: divide coeff i by D^(n-i)
     return tuple(Fraction(coeffs[i], d ** (n - i)) for i in range(n + 1))
+
+
+def charpoly_mod(a: Mat, ell: int) -> list[int] | None:
+    """det(T - A) mod the prime ell as ascending residues, or None when ell
+    divides a denominator of A.
+
+    Each entry num/den becomes num * den^-1 mod ell.  Hessenberg reduction by
+    similarity over F_ell, then the recurrence p_m = (T - h_mm) p_(m-1)
+    - sum_i h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1) (Cohen, Alg. 2.2.9).
+    """
+    n, m = dims(a)
+    if n != m:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    inverses: dict[int, int] = {}
+    h = []
+    for row in a:
+        out = []
+        for x in row:
+            den = x.denominator
+            if den not in inverses:
+                if den % ell == 0:
+                    return None
+                inverses[den] = pow(den, -1, ell)
+            out.append(x.numerator * inverses[den] % ell)
+        h.append(out)
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
+        top = h[k]
+        inv = pow(top[k - 1], -1, ell)
+        for i in range(k + 1, n):
+            row = h[i]
+            u = row[k - 1] * inv % ell
+            if u:
+                # row_i -= u row_k, then column_k += u column_i: a similarity
+                for j in range(k - 1, n):
+                    row[j] = (row[j] - u * top[j]) % ell
+                for r in h:
+                    r[k] = (r[k] + u * r[i]) % ell
+    polys = [[1]]
+    for k in range(n):
+        # (T - h_kk) p_k, then the terms of the column above the diagonal
+        prev = polys[k]
+        cur = [0] + prev
+        hkk = h[k][k]
+        for i, c in enumerate(prev):
+            cur[i] = (cur[i] - hkk * c) % ell
+        t = 1
+        for i in range(k, 0, -1):
+            t = t * h[i][i - 1] % ell
+            c = h[i - 1][k] * t % ell
+            if c:
+                for j, x in enumerate(polys[i - 1]):
+                    cur[j] = (cur[j] - c * x) % ell
+        polys.append(cur)
+    return polys[n]
+
+
+def poly_squarefree_mod(f: Sequence[int], ell: int) -> bool:
+    """gcd(f, f') = 1 over F_ell, for f given by ascending residues."""
+    return len(gfp_gcd(f, [i * c for i, c in enumerate(f)][1:], ell)) == 1
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_p: lists of ascending residues, the zero polynomial []
+
+
+def gfp_trim(x: Sequence[int], p: int) -> list[int]:
+    x = [c % p for c in x]
+    while x and x[-1] == 0:
+        x.pop()
+    return x
+
+
+def gfp_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    r = gfp_trim(a, p)
+    b = gfp_trim(b, p)
+    inv = pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        lead = r[-1] * inv % p
+        shift = len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] = (r[shift + i] - lead * c) % p
+        r = gfp_trim(r, p)
+        if not r:
+            break
+    return r
+
+
+def gfp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    a, b = gfp_trim(a, p), gfp_trim(b, p)
+    while b:
+        a, b = b, gfp_mod(a, b, p)
+    return a
 
 
 # ---------------------------------------------------------------------------

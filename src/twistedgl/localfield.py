@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Mat, Poly, fr, poly_trim, trace
+from .linalg import Mat, Poly, fr, gfp_gcd, gfp_trim, poly_trim, trace
 
 # ---------------------------------------------------------------------------
 # primes
@@ -227,13 +227,6 @@ def hilbert_qp(a, b, p) -> int:
 # finite field F_p[x]/(f) helpers for residue characters
 
 
-def _gfp_trim(x: list[int], p: int) -> list[int]:
-    x = [c % p for c in x]
-    while x and x[-1] == 0:
-        x.pop()
-    return x
-
-
 def _gfp_polmul(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1 if a and b else 1)
     for i, x in enumerate(a):
@@ -263,28 +256,6 @@ def _gfp_polpow(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     return result
 
 
-def _gfp_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    r = _gfp_trim(a, p)
-    b = _gfp_trim(b, p)
-    inv = pow(b[-1], -1, p)
-    while len(r) >= len(b):
-        lead = r[-1] * inv % p
-        shift = len(r) - len(b)
-        for i, c in enumerate(b):
-            r[shift + i] = (r[shift + i] - lead * c) % p
-        r = _gfp_trim(r, p)
-        if not r:
-            break
-    return r
-
-
-def _gfp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _gfp_trim(a, p), _gfp_trim(b, p)
-    while b:
-        a, b = b, _gfp_mod(a, b, p)
-    return a
-
-
 def _irreducible_mod_p(poly: Poly, p: int) -> bool:
     """Rabin irreducibility test for a monic integral polynomial mod p."""
     d = len(poly) - 1
@@ -293,7 +264,7 @@ def _irreducible_mod_p(poly: Poly, p: int) -> bool:
     xq = x[:]
     for _ in range(d):
         xq = _gfp_polpow(xq, p, f, p)
-    if _gfp_trim([xq[i] - x[i] for i in range(d)], p):
+    if gfp_trim([xq[i] - x[i] for i in range(d)], p):
         return False
     dd, prime_divs = d, set()
     ell = 2
@@ -310,7 +281,7 @@ def _irreducible_mod_p(poly: Poly, p: int) -> bool:
         for _ in range(d // ell):
             xq = _gfp_polpow(xq, p, f, p)
         diff = [xq[i] - x[i] for i in range(d)]
-        if len(_gfp_gcd(diff, f, p)) > 1:
+        if len(gfp_gcd(diff, f, p)) > 1:
             return False
     return True
 

@@ -13,7 +13,9 @@ from fractions import Fraction
 from twistedgl.etale import (EtaleAlgebraWithInvolution, make_algebra,
                              quadratic_tower, split_tower, tau, is_generator,
                              very_regular)
-from twistedgl.linalg import identity, inverse, mat, mat_mul, mat_vec, transpose
+from twistedgl.linalg import (charpoly, det, identity, inverse, mat, mat_add,
+                              mat_mul, mat_sub, mat_vec, poly_squarefree,
+                              transpose)
 from twistedgl.localfield import QP, least_nonresidue, square_class_table, valuation
 from twistedgl.qform import QuadForm, diagonalize
 
@@ -371,3 +373,12 @@ def reference_diagonalize(gram):
             if g[k][r] != 0:
                 add_col(r, k, -g[k][r] / pivot)
     return tuple(g[i][i] for i in range(n)), tuple(tuple(row) for row in pmat)
+
+
+def reference_is_very_regular(gamma):
+    """Very regularity decided over Q: a squarefree characteristic polynomial
+    and det(gamma -+ 1) != 0.  The reference for gsnorm.is_very_regular,
+    which must return exactly this on every input."""
+    eye = identity(len(gamma))
+    return (poly_squarefree(charpoly(gamma)) and det(mat_sub(gamma, eye)) != 0
+            and det(mat_add(gamma, eye)) != 0)

@@ -208,6 +208,14 @@ def test_corpus_generate_and_run_determinism(capsys, tmp_path):
     assert code == 0 and len(plan["entries"]) == 6
 
 
+def test_corpus_rejects_an_empty_or_negative_plan(capsys):
+    for action in ("generate", "run"):
+        for count in ("0", "-1"):
+            code, doc = run(capsys, "corpus", action, "--p", "2", "--n", "1",
+                            "--count", count)
+            assert code == 2 and doc is None
+
+
 def test_usage_errors(capsys):
     code = main(["qform", "invariants", "--json", "{not json"])
     assert code == 2

@@ -226,6 +226,13 @@ def test_transfer_factor_split_trivial_case():
     assert transfer_factor(amb.q_V, delta, n) == 1
 
 
+def test_transfer_factor_refuses_a_singular_symmetrization():
+    q_v = quasisplit_space(2, square_class(3, 3), square_class(1, 3), 3)
+    for delta in ([[0, 1], [-1, 0]], [[1, 3], [-1, 1]]):  # det(sym) = 0
+        with pytest.raises(ValueError, match="singular symmetrization"):
+            transfer_factor(q_v, mat(delta), 1)
+
+
 def test_transfer_factor_whittaker_values():
     p, n = 3, 1
     for kcls in square_class_table(p):

@@ -7,17 +7,17 @@ import pytest
 
 from helpers import (hilbert90_x, random_algebra, random_antifixed_invertible,
                      random_fixed_invertible, random_generator,
-                     random_norm_one_generator)
+                     random_norm_one_generator, reference_is_very_regular)
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                build_Sp, corresponds, is_elliptic,
                                twist_invariant)
 from twistedgl.etale import is_generator, make_algebra, quadratic_tower, tau, very_regular
-from twistedgl.gsnorm import (GSConfiguration, gs_norm, gs_param_check,
+from twistedgl.gsnorm import (ELL, GSConfiguration, gs_norm, gs_param_check,
                               gs_section, is_very_regular, make_ambient,
                               random_config, rigidify, u_of_xy, xy_condition)
-from twistedgl.linalg import (block_diag, charpoly, det, identity, mat,
-                              mat_add, mat_mul, mat_neg, mat_scale, mat_sub,
-                              transpose)
+from twistedgl.linalg import (block_diag, charpoly, charpoly_mod, det, identity,
+                              inverse, mat, mat_add, mat_mul, mat_neg, mat_scale,
+                              mat_sub, poly_squarefree_mod, transpose)
 from twistedgl.localfield import QP, square_class
 from twistedgl.qform import (alternating_form, diag_form, direct_sum,
                              hyperbolic, quad_form)
@@ -63,6 +63,19 @@ def test_make_ambient_shapes():
         make_ambient(q, -1)  # symmetric Gram with epsilon -1
 
 
+def test_ambient_gram_determinant_is_that_of_q():
+    # the block Gram [[0,0,I],[0,Q,0],[eps I,0,0]] has determinant
+    # (-eps)^n det Q, so a nondegenerate Q never gives a degenerate ambient
+    forms = [(diag_form([1, -2], 3), 1), (diag_form([1, 2, -1, 3], 5), 1),
+             (diag_form([F(1, 2), 3, 7], 7), 1),
+             (alternating_form([[0, 1], [-1, 0]], 3), -1),
+             (alternating_form([[0, 2, 1, 0], [-2, 0, 0, F(1, 3)], [-1, 0, 0, 5],
+                                [0, F(-1, 3), -5, 0]], 5), -1)]
+    for q, eps in forms:
+        amb = make_ambient(q, eps)
+        assert det(amb.gram_q1) == (-eps) ** q.dim * det(q.gram) != 0
+
+
 def test_xy_condition_symmetric_solution_and_perturbation():
     for p in (2, 3, 5):
         q = diag_form([1, -2, 2, 1], p) if p != 2 else diag_form([1, 1, 1, 1], 2)
@@ -95,10 +108,12 @@ def test_u_isometry_and_nilpotency():
                     tuple(tuple(F(0) for _ in row) for row in nil)
 
 
+def diag(*entries):
+    return mat([[F(e) if i == j else F(0) for j in range(len(entries))]
+                for i, e in enumerate(entries)])
+
+
 def test_is_very_regular():
-    def diag(*entries):
-        return mat([[F(e) if i == j else F(0) for j in range(len(entries))]
-                    for i, e in enumerate(entries)])
     assert is_very_regular(diag(2, 3, F(1, 2)))
     assert not is_very_regular(diag(2, 2, 3))   # repeated eigenvalue
     assert not is_very_regular(diag(2, 1, 3))   # eigenvalue 1
@@ -108,6 +123,65 @@ def test_is_very_regular():
     amb = make_ambient(diag_form([1, 2, -1, 3], 5), 1)
     for seed in range(4):
         assert is_very_regular(gs_norm(random_config(amb, seed)))
+
+
+def certificate_decides(gamma):
+    """Whether the certificate mod ELL alone proves gamma very regular."""
+    f = charpoly_mod(gamma, ELL)
+    return (f is not None and poly_squarefree_mod(f, ELL)
+            and sum(f) % ELL != 0 and (sum(f[::2]) - sum(f[1::2])) % ELL != 0)
+
+
+def conjugated_spectrum(rng, n):
+    """P J P^-1 for a random invertible P and a Jordan matrix J whose
+    eigenvalues are drawn from a small set with +-1 and 0, so repeats,
+    nontrivial Jordan blocks and eigenvalues +-1 are common."""
+    values = (F(-1), F(1), F(0), F(2), F(-3), F(1, 2), F(5, 3))
+    j = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        j[i][i] = rng.choice(values)
+        if i and j[i - 1][i - 1] == j[i][i] and rng.random() < 0.5:
+            j[i - 1][i] = F(1)
+    p = rand_invertible(n, rng, span=3)
+    return mat_mul(p, mat_mul(mat(j), inverse(p)))
+
+
+def sparse_matrix(rng, n):
+    """A random rational matrix with many zero entries."""
+    return mat([[0 if rng.random() < 0.5 else F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                 for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_is_very_regular_is_the_rational_test(seed):
+    rng = random.Random(9100 + seed)
+    decided = undecided = 0
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        gamma = conjugated_spectrum(rng, n) if rng.random() < 0.6 else sparse_matrix(rng, n)
+        expected = reference_is_very_regular(gamma)
+        assert is_very_regular(gamma) == expected
+        if certificate_decides(gamma):
+            assert expected  # the certificate never proves a false claim
+            decided += 1
+        else:
+            undecided += 1
+    assert decided and undecided  # both branches are exercised
+
+
+def test_is_very_regular_falls_back_where_the_certificate_cannot_decide():
+    cases = [
+        diag(2, 2 + ELL),      # squarefree over Q, (T - 2)^2 mod ELL
+        diag(2, 1 + ELL, 3),   # f(1) = 0 mod ELL
+        diag(2, ELL - 1, 3),   # f(-1) = 0 mod ELL
+        diag(2, F(1, ELL)),    # ELL divides a denominator
+        mat([[0, F(1, ELL)], [1, 0]]),
+    ]
+    for gamma in cases:
+        assert not certificate_decides(gamma)
+        assert reference_is_very_regular(gamma)
+        assert is_very_regular(gamma)
+    assert charpoly_mod(diag(2, F(1, ELL)), ELL) is None
 
 
 def test_u_isometry_fails_without_closure():
@@ -121,6 +195,18 @@ def test_u_isometry_fails_without_closure():
         u_of_xy(bad)
     # and the raw matrix genuinely fails the isometry identity
     from twistedgl.gsnorm import inverse as _inv  # noqa: F401  (import guard)
+
+
+def test_norm_and_rigidify_need_invertible_x_and_y():
+    amb = make_ambient(diag_form([1, 1], 3), 1)
+    # X = 0 with a skew invertible Y meets the closure condition
+    cfg = GSConfiguration(amb, mat([[0, 0], [0, 0]]), mat([[0, 1], [-1, 0]]))
+    assert xy_condition(cfg) and not cfg.invertible
+    with pytest.raises(ValueError, match="norm needs invertible X and Y"):
+        gs_norm(cfg)
+    with pytest.raises(ValueError, match="rigidification needs invertible X and Y"):
+        rigidify(cfg)
+    assert random_config(amb, 0, require_very_regular=False).invertible
 
 
 def test_rigidify_isometry_identity():

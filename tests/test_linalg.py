@@ -1,7 +1,9 @@
 """Differential tests of the exact kernels against sympy.Matrix.
 
 Seeded random integer and rational matrices of size 1-12, with zero leading
-entries that force row swaps, and singular inputs.
+entries that force row swaps, and singular inputs.  The kernels over F_l are
+checked against the rational characteristic polynomial reduced mod l and
+against sympy's squarefree test over GF(l).
 """
 
 import random
@@ -10,7 +12,9 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from twistedgl.linalg import charpoly, det, inverse, mat
+from twistedgl.linalg import (charpoly, charpoly_mod, det, inverse, mat,
+                              poly_squarefree_mod)
+from twistedgl.gsnorm import ELL
 
 SIZES = range(1, 13)
 
@@ -84,6 +88,44 @@ def test_singular_inputs(n, rational, a):
 def test_charpoly_matches_sympy(n, rational, a):
     coeffs = to_sympy(a).charpoly(sympy.Symbol("T")).all_coeffs()
     assert charpoly(a) == tuple(to_fraction(c) for c in reversed(coeffs))
+
+
+def reduce_mod(poly, ell):
+    return [c.numerator * pow(c.denominator, -1, ell) % ell for c in poly]
+
+
+# small primes make zero pivots, and so the Hessenberg row swaps, common
+@pytest.mark.parametrize("ell", (ELL, 7, 13))
+@pytest.mark.parametrize("n, rational, a", cases(20263, random_matrix))
+def test_charpoly_mod_is_charpoly_reduced(n, rational, a, ell):
+    assert charpoly_mod(a, ell) == reduce_mod(charpoly(a), ell)
+
+
+def test_charpoly_mod_needs_ell_integral_entries():
+    assert charpoly_mod(mat([[1, F(1, 7)], [0, 2]]), 7) is None
+    assert charpoly_mod(mat([[F(3, ELL)]]), ELL) is None
+    assert charpoly_mod(mat([[F(ELL, 2)]]), ELL) == [0, 1]
+    assert charpoly_mod((), ELL) == [1]
+    with pytest.raises(ValueError):
+        charpoly_mod(mat([[1, 2]]), ELL)
+
+
+@pytest.mark.parametrize("ell", (ELL, 7, 13))
+def test_poly_squarefree_mod_matches_sympy(ell):
+    rng = random.Random(20264)
+    t = sympy.Symbol("T")
+    for _ in range(150):
+        # monic products of a few small factors, often with a repeated one
+        factors = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [1]
+                   for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            factors.append(rng.choice(factors))
+        f = sympy.Integer(1)
+        for g in factors:
+            f *= sum(c * t ** i for i, c in enumerate(g))
+        coeffs = [int(c) for c in reversed(sympy.Poly(f, t).all_coeffs())]
+        expected = sympy.Poly(f, t, modulus=ell).is_sqf
+        assert poly_squarefree_mod(coeffs, ell) == expected
 
 
 def test_inverse_of_permutation_needs_every_swap():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from twistedgl.localfield import (PSI_13, QP, LocalFieldDescriptor, Prime,
                                   as_prime, hilbert_qp, hilbert_tame, is_local_norm,
@@ -103,6 +104,30 @@ def test_hilbert_symmetry_and_bimultiplicativity():
             a, b, a2 = (F(rng.randint(1, 60)) * rng.choice((1, -1)) for _ in range(3))
             assert hilbert_qp(a, b, p) == hilbert_qp(b, a, p)
             assert hilbert_qp(a * a2, b, p) == hilbert_qp(a, b, p) * hilbert_qp(a2, b, p)
+
+
+NONZERO_RATIONALS = st.builds(
+    F, st.integers(1, 10 ** 6).flatmap(lambda a: st.sampled_from((a, -a))),
+    st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(NONZERO_RATIONALS, NONZERO_RATIONALS)
+@example(F(-1), F(-1))
+@example(F(2), F(3))
+@example(F(5), F(2))
+@example(F(-7, 12), F(18, -25))
+def test_hilbert_reciprocity(a, b):
+    # prod over v in {inf} and p | 2ab of (a, b)_v is 1 (Serre, ch. III)
+    bad = {2}
+    for x in (a.numerator, a.denominator, b.numerator, b.denominator):
+        bad |= set(sympy.factorint(abs(x)))
+    product = -1 if a < 0 and b < 0 else 1
+    for p in bad:
+        product *= hilbert_qp(a, b, p)
+    assert product == 1
+    good = next(p for p in sympy.primerange(3, 10 ** 4) if p not in bad)
+    assert hilbert_qp(a, b, good) == 1
 
 
 def test_hilbert_norm_relations():
