@@ -11,7 +11,7 @@ from .qform import (
     equivalent, witt_equivalent, direct_sum, scale, hyperbolic, norm_form,
     represents,
 )
-from .weil import Mu8, AdditiveCharacter, weil_rank1, weil_index, epsilon_half
+from .weil import Mu8, weil_rank1, weil_index, epsilon_half
 from .etale import (
     FactorTower, EtaleAlgebraWithInvolution, AlgebraElement, make_algebra,
     trace_form_bilinear, trace_form_quadratic, trace_form_fixed,

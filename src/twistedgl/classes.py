@@ -18,7 +18,7 @@ from .etale import (AlgebraElement, EtaleAlgebraWithInvolution, QUADRATIC,
 from .linalg import (Mat, Poly, block_diag, charpoly, det, fr, identity,
                      inverse, mat, mat_mul, mat_neg, mat_sub, poly_eval,
                      poly_squarefree, transpose)
-from .localfield import SquareClass, is_local_norm, square_class
+from .localfield import SquareClass, is_local_norm
 from .qform import QuadForm, diag_form, direct_sum, equivalent, invariants
 
 KINDS = ("tGL-even", "tGL-odd", "SO-even", "SO-odd", "Sp", "U", "tGL-E")
@@ -150,7 +150,7 @@ def so_odd_matching_a(q_target: QuadForm, q_c: QuadForm) -> SquareClass:
     p = q_target.p
     det_t = invariants(q_target).det
     det_c = invariants(q_c).det
-    a = square_class(Fraction(det_t.representative) / det_c.representative, p)
+    a = det_t * det_c  # det_t / det_c: every class is its own inverse
     cand = direct_sum(q_c, diag_form([a.representative], p))
     if not equivalent(cand, q_target):
         raise ValueError("incompatible: no a makes q_c + <a> match the target")

@@ -284,7 +284,9 @@ def cmd_qform(args) -> int:
 
 def cmd_weil(args) -> int:
     if args.action == "index":
-        q = parse_form(read_input(args))
+        q = parse_form(read_input(args), args.p)
+        if args.p is not None and int(q.p) != args.p:
+            raise UsageError(f"--p {args.p} disagrees with the form's prime {q.p}")
         emit({"weil_index": str(weil_index(q))}, args)
         return EXIT_OK
     if args.action == "epsilon":
@@ -458,19 +460,19 @@ def _corpus_entries(seed: int, primes, ns, count: int):
     through every discriminant class (split included) and both twist cosets."""
     entries = []
     for p in primes:
-        classes = [c.representative for c in square_class_table(p)]
+        table = square_class_table(p)
         for n in ns:
             # the split K at 2n = 2 would make V the isotropic binary space,
             # which names no endoscopic group and is excluded
-            kreps = [k for k in classes if n > 1 or k != 1]
+            kclasses = [k for k in table if n > 1 or not k.is_trivial()]
             for i in range(count):
-                k = kreps[i % len(kreps)]
+                kclass = kclasses[i % len(kclasses)]
+                k = kclass.representative
                 c_choices = [1]
-                if square_class(k, p).representative != 1:
-                    nonnorm = next(x.representative for x in square_class_table(p)
-                                   if hilbert_qp(k, x.representative, p) == -1)
-                    c_choices = [1, nonnorm]
-                c = c_choices[(i // len(kreps)) % len(c_choices)]
+                if not kclass.is_trivial():
+                    nonnorm = next(x for x in table if kclass.hilbert(x) == -1)
+                    c_choices = [1, nonnorm.representative]
+                c = c_choices[(i // len(kclasses)) % len(c_choices)]
                 entries.append({
                     "seed": ((seed * 1000003 + p) * 1000003 + n) * 1000003 + i,
                     "p": p, "n": n, "K": k, "c": c, "index": i,
@@ -479,7 +481,7 @@ def _corpus_entries(seed: int, primes, ns, count: int):
 
 
 def _run_entry(entry) -> dict:
-    p, n = entry["p"], entry["n"]
+    p, n = as_prime(entry["p"]), entry["n"]
     q_v = quasisplit_space(2 * n, square_class(entry["K"], p),
                            square_class(entry["c"], p), p)
     ambient = make_ambient(q_v, 1)
@@ -557,7 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("weil", help="Weil index queries")
     s.add_argument("action", choices=["index", "epsilon", "oracle"])
-    s.add_argument("--p", type=int)
+    s.add_argument("--p", type=int,
+                   help="the prime of Q_p for epsilon and oracle; for index "
+                        "the form's prime (used when the form names none), "
+                        "and a --p that differs from it is a usage error")
     s.add_argument("--d", help="discriminant class for epsilon")
     s.add_argument("--a", help="coefficient for the oracle")
     s.add_argument("--k", type=int, help="oracle truncation level")

@@ -236,9 +236,14 @@ def transfer_factor(gamma_space: QuadForm, delta: Mat, n: int) -> int:
     """Waldspurger's Witt comparison: the plain transfer factor in {+1, -1}.
 
     q_delta = 1/2 (delta + delta^T) must be non-degenerate (delta very
-    regular); K is the discriminant algebra of the orthogonal space.
+    regular); K is the discriminant algebra of the orthogonal space.  delta
+    must be square of the space's dimension.
     """
     delta = mat(delta)
+    dim = gamma_space.dim
+    if len(delta) != dim or any(len(row) != dim for row in delta):
+        raise ValueError(f"delta must be a {dim} x {dim} matrix, the "
+                         "dimension of the space")
     p = gamma_space.p
     half = Fraction(1, 2)
     sym = mat_scale(half, mat_add(delta, transpose(delta)))

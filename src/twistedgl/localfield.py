@@ -1,9 +1,31 @@
 """Exact p-adic scaffolding.
 
-Valuations, canonical square classes, Legendre and Hilbert symbols over Q_p
-for every prime, tame Hilbert symbols over certified extensions with odd
-residue characteristic.  The Hensel-certified solubility oracle that
-cross-checks the Hilbert symbols lives in `oracles`.
+Valuations, square classes, Legendre and Hilbert symbols over Q_p for every
+prime, tame Hilbert symbols over certified extensions with odd residue
+characteristic.  The Hensel-certified solubility oracle that cross-checks the
+Hilbert symbols lives in `oracles`.
+
+Square classes are F_2 vectors.  Write a = p^v u with u a p-adic unit; then
+Q_p^x / Q_p^x2 is F_2^2 for odd p and F_2^3 for p = 2, with coordinates
+v mod 2 and the class of u among the units:
+- odd p: one bit [u], set when u is a non-residue mod p (a unit is a square
+  exactly when its residue is);
+- p = 2: eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2, both read off
+  u mod 8 (a unit of Z_2 is a square exactly when it is 1 mod 8).
+`square_class` finds them with one split of p off the numerator and the
+denominator and one Euler-criterion power (or one reduction mod 8) on the
+integer num * den, which lies in the class of num/den (they differ by the
+square den^2).  Multiplying classes adds the vectors: XOR on the bits.
+
+The Hilbert symbol is bimultiplicative, symmetric and depends only on square
+classes (Serre, A Course in Arithmetic, ch. III, Thm. 2), so it is (-1)^B for
+a symmetric bilinear form B on these coordinates.  Serre's Thm. 1 names B:
+(a, b)_p = (-1)^(v(a) v(b) eps(p)) [u]^v(b) [w]^v(a) for odd p, with
+eps(p) = (p - 1)/2, and (-1)^(eps(u) eps(w) + v(a) omega(w) + v(b) omega(u))
+for p = 2.  In the bases (v, [u]) and (v, eps, omega) the Gram matrices are
+[[eps(p), 1], [1, 0]] and [[0, 0, 1], [0, 1, 0], [1, 0, 0]]; both are
+invertible, so the form is non-degenerate.  `SquareClass.hilbert` evaluates
+B on the bits, and `hilbert_qp` on rationals is that form on their classes.
 
 All arithmetic is exact rational; no floats.
 """
@@ -12,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .linalg import Mat, Poly, fr, gfp_gcd, gfp_trim, poly_trim, trace
@@ -84,7 +107,7 @@ def as_prime(p) -> Prime:
 
 
 # ---------------------------------------------------------------------------
-# valuations, Legendre symbols, square classes over Q_p
+# valuations and Legendre symbols (used by the extension code and the oracles)
 
 
 def valuation(a, p) -> int:
@@ -93,14 +116,7 @@ def valuation(a, p) -> int:
     a = fr(a)
     if a == 0:
         raise ValueError("valuation of zero")
-    v = 0
-    num, den = a.numerator, a.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    v, _ = _split(a.numerator, a.denominator, p)
     return v
 
 
@@ -115,8 +131,7 @@ def legendre(a, p) -> int:
     p = int(as_prime(p))
     if p == 2:
         raise ValueError("Legendre symbol needs an odd prime")
-    a = fr(a)
-    r = a.numerator * pow(a.denominator, -1, p) % p
+    r = _unit_mod(a, p)
     if r == 0:
         raise ValueError("Legendre symbol of a non-unit")
     return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
@@ -127,100 +142,124 @@ def _unit_mod(a, modulus: int) -> int:
     return a.numerator * pow(a.denominator, -1, modulus) % modulus
 
 
+def _split(num: int, den: int, p: int) -> tuple[int, int]:
+    """(v, u) with num/den = p^v * (a unit of the square class of u), u an
+    integer prime to p: u = num' * den' once p is stripped from both, which
+    differs from num'/den' by the square den'^2."""
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num * den
+
+
 def least_nonresidue(p) -> int:
     """Least positive quadratic non-residue modulo an odd prime."""
     p = int(as_prime(p))
+    if p == 2:
+        raise ValueError("Legendre symbol needs an odd prime")
     u = 2
-    while legendre(u, p) == 1:
+    while pow(u, (p - 1) // 2, p) == 1:
         u += 1
     return u
 
 
+# ---------------------------------------------------------------------------
+# square classes as F_2 vectors
+
+
 @dataclass(frozen=True)
 class SquareClass:
-    """A canonical representative of F^x / F^x2 over Q_p.
+    """An element of Q_p^x / Q_p^x2 by its F_2 coordinates.
 
-    Odd p: one of {1, u, p, u*p} with u the least positive non-residue.
-    p = 2: one of {1, -1, 2, -2, 5, -5, 10, -10}.
+    bits holds v(a) mod 2 in bit 0 and the class of the unit part u above it:
+    for odd p one bit, set when u is a non-residue mod p; for p = 2 two bits,
+    eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2 in bits 1 and 2.
+    The canonical representative is one of {1, n, p, n*p} for odd p, n the
+    least positive non-residue, and one of {1, -1, 2, -2, 5, -5, 10, -10}
+    for p = 2.
     """
 
-    representative: int
     p: Prime
+    bits: int
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.p != other.p:
             raise ValueError("square classes over different primes")
-        return square_class(self.representative * other.representative, self.p)
+        return SquareClass(self.p, self.bits ^ other.bits)
+
+    def hilbert(self, other: "SquareClass") -> int:
+        """The Hilbert symbol (self, other)_p, the bilinear form on the bits."""
+        if self.p != other.p:
+            raise ValueError("square classes over different primes")
+        a, b = self.bits, other.bits
+        if self.p.p == 2:
+            # eps(u) eps(w) + v(a) omega(w) + v(b) omega(u)
+            e = (a >> 1 & b >> 1) ^ (a & b >> 2) ^ (b & a >> 2)
+        else:
+            # v(a) v(b) (p - 1)/2 + v(a) [w] + v(b) [u]
+            e = (a & b & self.p.p >> 1) ^ (a & b >> 1) ^ (b & a >> 1)
+        return -1 if e & 1 else 1
 
     def is_trivial(self) -> bool:
-        return self.representative == 1
+        return self.bits == 0
+
+    @cached_property
+    def representative(self) -> int:
+        p, unit = self.p.p, self.bits >> 1
+        if p == 2:
+            rep = (1, -1, 5, -5)[unit]   # u = 1, 7, 5, 3 mod 8
+        else:
+            rep = least_nonresidue(self.p) if unit else 1
+        return rep * p if self.bits & 1 else rep
 
     def __str__(self) -> str:
         return str(self.representative)
 
 
 def square_class(a, p) -> SquareClass:
-    """Reduce a nonzero rational to its canonical square-class representative."""
+    """The square class of a nonzero rational: one split of p off its
+    numerator and denominator, then one residue test on the unit."""
     prime = as_prime(p)
-    p = int(prime)
+    p = prime.p
     a = fr(a)
     if a == 0:
         raise ValueError("square class of zero")
-    v = valuation(a, p)
-    u = a / Fraction(p) ** v
+    v, u = _split(a.numerator, a.denominator, p)
     if p == 2:
-        rep = {1: 1, 5: 5, 3: -5, 7: -1}[_unit_mod(u, 8)]
+        r = u % 8
+        bits = (r >> 1 & 1) << 1 | ((r * r - 1) >> 3 & 1) << 2
     else:
-        rep = 1 if legendre(u, p) == 1 else least_nonresidue(p)
-    if v % 2:
-        rep *= p
-    return SquareClass(rep, prime)
+        bits = (pow(u % p, (p - 1) // 2, p) != 1) << 1
+    return SquareClass(prime, bits | v & 1)
 
 
 def is_square_qp(a, p) -> bool:
-    return square_class(a, p).representative == 1
+    return square_class(a, p).is_trivial()
 
 
 def square_class_table(p) -> tuple[SquareClass, ...]:
-    """All square classes of Q_p^x, canonical representatives."""
+    """All square classes of Q_p^x, in the order of their representatives
+    1, n, p, n*p (odd p) or 1, -1, 2, -2, 5, -5, 10, -10 (p = 2)."""
     prime = as_prime(p)
-    p = int(prime)
-    if p == 2:
-        reps = (1, -1, 2, -2, 5, -5, 10, -10)
-    else:
-        u = least_nonresidue(p)
-        reps = (1, u, p, u * p)
-    return tuple(SquareClass(r, prime) for r in reps)
+    order = (0, 2, 1, 3, 4, 6, 5, 7) if prime.p == 2 else (0, 2, 1, 3)
+    return tuple(SquareClass(prime, b) for b in order)
 
 
 # ---------------------------------------------------------------------------
-# Hilbert symbol over Q_p (closed forms)
+# Hilbert symbol over Q_p
 
 
 def hilbert_qp(a, b, p) -> int:
     """Quadratic Hilbert symbol (a, b)_p over Q_p, values in {+1, -1}."""
     prime = as_prime(p)
-    p = int(prime)
     a, b = fr(a), fr(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol of zero")
-    alpha, beta = valuation(a, p), valuation(b, p)
-    u, w = unit_part(a, p), unit_part(b, p)
-    if p != 2:
-        s = 1
-        if alpha * beta * ((p - 1) // 2) % 2:
-            s = -s
-        if beta % 2 and legendre(u, p) == -1:
-            s = -s
-        if alpha % 2 and legendre(w, p) == -1:
-            s = -s
-        return s
-    eps_u = (_unit_mod(u, 4) - 1) // 2          # (u-1)/2 mod 2
-    eps_w = (_unit_mod(w, 4) - 1) // 2
-    om_u = (_unit_mod(u, 8) ** 2 - 1) // 8 % 2  # (u^2-1)/8 mod 2
-    om_w = (_unit_mod(w, 8) ** 2 - 1) // 8 % 2
-    expo = eps_u * eps_w + alpha * om_w + beta * om_u
-    return -1 if expo % 2 else 1
+    return square_class(a, prime).hilbert(square_class(b, prime))
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +633,14 @@ def hilbert_tame(fld: LocalFieldDescriptor, a, b) -> int:
 
     (a,b) = (-1)^(v(a) v(b) (q-1)/2) * chi(ua)^v(b) * chi(ub)^v(a), chi the
     quadratic residue character of the residue field and ua, ub unit parts.
+    Over Q_p itself, for every p, it is hilbert_qp.
     """
-    p = int(fld.p)
-    if p == 2:
-        if fld.degree > 1:
-            raise ValueError("wild case p = 2 beyond Q_2 is unsupported")
+    if fld.degree == 1:
         av = a.coeffs[0] if isinstance(a, FieldElement) else a
         bv = b.coeffs[0] if isinstance(b, FieldElement) else b
-        return hilbert_qp(av, bv, 2)
+        return hilbert_qp(av, bv, fld.p)
+    if fld.p.p == 2:
+        raise ValueError("wild case p = 2 beyond Q_2 is unsupported")
     wa, chia = tame_data(fld, a)
     wb, chib = tame_data(fld, b)
     q = fld.residue_q

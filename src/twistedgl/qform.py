@@ -18,8 +18,7 @@ from functools import cached_property
 
 from .linalg import (Mat, block_diag, clear_denominators, det, fr, mat,
                      transpose)
-from .localfield import (Prime, SquareClass, as_prime, hilbert_qp,
-                         square_class)
+from .localfield import Prime, SquareClass, as_prime, square_class
 
 SYMMETRIC = "symmetric"
 ALTERNATING = "alternating"
@@ -65,6 +64,17 @@ class QuadForm:
     def __str__(self) -> str:
         name = self.label or f"{self.symmetry} form"
         return f"{name} of dim {self.dim} over Q_{self.p}"
+
+
+def _known_form(gram: Mat, p: Prime, label: str | None, symmetry: str) -> QuadForm:
+    """A QuadForm built without QuadForm's checks, for a Gram of Fractions
+    already known square, of the given symmetry and non-degenerate: a
+    scaling, a direct sum or hyperbolic planes of checked forms."""
+    q = object.__new__(QuadForm)
+    for name, value in (("gram", gram), ("p", p), ("label", label),
+                        ("symmetry", symmetry)):
+        object.__setattr__(q, name, value)
+    return q
 
 
 def quad_form(gram, p, label: str | None = None) -> QuadForm:
@@ -211,28 +221,39 @@ class WittClass:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_prime(self.p))
-        d, dc, h, p = self.aniso_dim, self.det, self.hasse, self.p
+        d, dc, h = self.aniso_dim, self.det, self.hasse
+        m1 = square_class(-1, self.p)
         ok = {
             0: lambda: dc.is_trivial() and h == 1,
             1: lambda: h == 1,
-            2: lambda: dc != square_class(-1, p),
-            3: lambda: h != hilbert_qp(-1, -dc.representative, p),
-            4: lambda: dc.is_trivial() and h != hilbert_qp(-1, -1, p),
+            2: lambda: dc != m1,
+            3: lambda: h != m1.hilbert(m1 * dc),
+            4: lambda: dc.is_trivial() and h != m1.hilbert(m1),
         }.get(d)
         if ok is None or not ok():
             raise ValueError("triple is not realized by an anisotropic form")
 
 
-def _isotropic_triple(dim: int, detc: SquareClass, hasse: int, p: Prime) -> bool:
+def _isotropic_triple(dim: int, detc: SquareClass, hasse: int) -> bool:
+    """The isotropy criterion on (dim, det class, Hasse) (Serre, ch. IV)."""
     if dim <= 1:
         return False
+    m1 = square_class(-1, detc.p)
     if dim == 2:
-        return detc == square_class(-1, p)
+        return detc == m1
     if dim == 3:
-        return hasse == hilbert_qp(-1, -detc.representative, p)
+        return hasse == m1.hilbert(m1 * detc)
     if dim == 4:
-        return (not detc.is_trivial()) or hasse == hilbert_qp(-1, -1, p)
+        return (not detc.is_trivial()) or hasse == m1.hilbert(m1)
     return True
+
+
+def _split_plane(detc: SquareClass, hasse: int) -> tuple[SquareClass, int]:
+    """(det, Hasse) of q' where q = q' + H: det q' = -det q, and the Hasse
+    invariant picks up (-1, det q')."""
+    m1 = square_class(-1, detc.p)
+    detc = m1 * detc
+    return detc, hasse * m1.hilbert(detc)
 
 
 def invariants(q: QuadForm) -> FormInvariants:
@@ -246,44 +267,38 @@ def invariants(q: QuadForm) -> FormInvariants:
 
 def _invariants(q: QuadForm) -> FormInvariants:
     p = q.p
-    classes = [square_class(a, p).representative for a in diagonal(q)]
+    classes = [square_class(a, p) for a in diagonal(q)]
     n = len(classes)
-    # Hasse c = prod_j (a_1...a_(j-1), a_j) by bimultiplicativity, on the
-    # canonical representatives: n symbols instead of n(n-1)/2
-    prefix, hasse = 1, 1
-    for a in classes:
-        hasse *= hilbert_qp(prefix, a, p)
-        prefix = square_class(prefix * a, p).representative
-    detc = square_class(prefix, p)
-    dpm = square_class((-1) ** (n * (n - 1) // 2) * prefix, p)
-    dim, dc, h = n, detc, hasse
+    # Hasse c = prod_j (a_1...a_(j-1), a_j) by bimultiplicativity: n symbols
+    # instead of n(n-1)/2, each a bilinear form on bits
+    prefix, hasse = SquareClass(p, 0), 1
+    for c in classes:
+        hasse *= prefix.hilbert(c)
+        prefix = prefix * c
+    dpm = square_class(-1, p) * prefix if n * (n - 1) // 2 % 2 else prefix
+    dim, dc, h = n, prefix, hasse
     witt = 0
-    while _isotropic_triple(dim, dc, h, p):
-        dc_new = square_class(-dc.representative, p)
-        h = h * hilbert_qp(-1, dc_new.representative, p)
-        dc = dc_new
+    while _isotropic_triple(dim, dc, h):
+        dc, h = _split_plane(dc, h)
         dim -= 2
         witt += 1
-    return FormInvariants(n, detc, dpm, hasse, witt, dim)
+    return FormInvariants(n, prefix, dpm, hasse, witt, dim)
 
 
 def is_isotropic(q: QuadForm) -> bool:
     inv = invariants(q)
-    return _isotropic_triple(inv.dim, inv.det, inv.hasse, q.p)
+    return _isotropic_triple(inv.dim, inv.det, inv.hasse)
 
 
 def witt_decompose(q: QuadForm) -> tuple[int, WittClass]:
     """Witt index and the invariants of the anisotropic kernel."""
     inv = invariants(q)
-    p = q.p
     dc, h = inv.det, inv.hasse
     for _ in range(inv.witt_index):
-        dc_new = square_class(-dc.representative, p)
-        h = h * hilbert_qp(-1, dc_new.representative, p)
-        dc = dc_new
+        dc, h = _split_plane(dc, h)
     if inv.aniso_dim == 0:
-        dc, h = square_class(1, p), 1
-    return inv.witt_index, WittClass(inv.aniso_dim, dc, h, p)
+        dc, h = SquareClass(q.p, 0), 1
+    return inv.witt_index, WittClass(inv.aniso_dim, dc, h, q.p)
 
 
 def equivalent(q1: QuadForm, q2: QuadForm) -> bool:
@@ -312,15 +327,17 @@ def direct_sum(q1: QuadForm, q2: QuadForm) -> QuadForm:
     _same_prime(q1, q2)
     if q1.symmetry != q2.symmetry:
         raise ValueError("direct sum of forms with different symmetry tags")
-    return QuadForm(block_diag(q1.gram, q2.gram), q1.p, None, q1.symmetry)
+    # det(q1 + q2) = det q1 * det q2, both nonzero
+    return _known_form(block_diag(q1.gram, q2.gram), q1.p, None, q1.symmetry)
 
 
 def scale(c, q: QuadForm) -> QuadForm:
     c = fr(c)
     if c == 0:
         raise ValueError("scaling by zero")
+    # det(cQ) = c^n det Q is nonzero, and cQ keeps the symmetry of Q
     g = tuple(tuple(c * x for x in row) for row in q.gram)
-    return QuadForm(g, q.p, None, q.symmetry)
+    return _known_form(g, q.p, None, q.symmetry)
 
 
 def hyperbolic(k: int, p) -> QuadForm:
@@ -329,7 +346,7 @@ def hyperbolic(k: int, p) -> QuadForm:
         raise ValueError("negative number of planes")
     plane = mat([[0, 1], [1, 0]])
     g = block_diag(*([plane] * k)) if k else ()
-    return QuadForm(g, as_prime(p), f"{k}Hy", SYMMETRIC)
+    return _known_form(g, as_prime(p), f"{k}Hy", SYMMETRIC)  # det (-1)^k
 
 
 def norm_form(dclass, p) -> QuadForm:
@@ -339,8 +356,14 @@ def norm_form(dclass, p) -> QuadForm:
     K = Q_p(sqrt(d)) gives <1, -d>.
     """
     p = as_prime(p)
-    d = dclass.representative if isinstance(dclass, SquareClass) else fr(dclass)
-    if square_class(d, p).is_trivial():
+    if isinstance(dclass, SquareClass):
+        if dclass.p != p:
+            raise ValueError("square class over a different prime")
+        cls, d = dclass, dclass.representative
+    else:
+        d = fr(dclass)
+        cls = square_class(d, p)
+    if cls.is_trivial():
         return hyperbolic(1, p)
     return diag_form([1, -d], p, "norm form")
 

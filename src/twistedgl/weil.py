@@ -1,11 +1,22 @@
 """Weil indices as exact eighth roots of unity.
 
-The rank-1 values form a character table over square classes relative to the
-standard additive character of conductor Z_p (conductor exponent 0).  The
-closed form below was generated and pinned from the truncated-Gauss-sum
-oracle in `oracles`; the test suite re-derives it from that oracle at p in
+gamma(<a>), relative to the standard additive character of conductor Z_p
+(conductor exponent 0, the only one implemented), depends only on the square
+class of a, so it is a function of the class's F_2 coordinates (v mod 2 and
+the unit bits, see `localfield`):
+- odd p: 1 when v is even; for odd v, [u] selects the sign, times i when
+  p = 3 mod 4: zeta8^(2 eps(p) + 4 [u]);
+- p = 2: zeta8^(1 + 6 eps(u)) when v is even, zeta8^(u mod 8) when v is odd,
+  u mod 8 being 1 + 2 eps(u) + 4 (eps(u) + omega(u)).
+It is not a character of the classes: gamma(<a>) gamma(<b>) =
+gamma(<1>) gamma(<ab>) (a, b)_p, so the Hilbert form is its polarization.
+These values were generated and pinned from the truncated-Gauss-sum oracle
+in `oracles`; the test suite re-derives them from that oracle at p in
 {2,3,5,7,11} and checks the Hasse-ratio linkage that guards the p = 2
-normalization.  Evaluation here is exact and imports no oracle code.
+normalization.  gamma is a character of the Witt group, so `weil_index`
+multiplies rank-1 values over a diagonalization, and `epsilon_half` of the
+algebra of discriminant d is gamma(<1>) gamma(<-d>), the norm form <1, -d>.
+Evaluation here is exact and imports no oracle code.
 """
 
 from __future__ import annotations
@@ -14,8 +25,8 @@ import cmath
 from dataclasses import dataclass
 
 from .linalg import fr
-from .localfield import Prime, as_prime, legendre, unit_part, valuation, _unit_mod
-from .qform import QuadForm, diagonal, norm_form
+from .localfield import SquareClass, as_prime, square_class
+from .qform import QuadForm, diagonal
 
 
 @dataclass(frozen=True)
@@ -58,65 +69,42 @@ class Mu8:
         return f"zeta8^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class AdditiveCharacter:
-    """psi(x) = e^(2 pi i lambda(x)), lambda the principal-part map Q_p -> Q_p/Z_p.
-
-    Only the standard conductor (exponent 0) is supported in this version; the
-    field exists so other conductors can be added without changing call sites.
-    """
-
-    p: Prime
-    conductor_exponent: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_prime(self.p))
-        if self.conductor_exponent != 0:
-            raise ValueError("only the standard conductor is supported")
-
-
-def _check_character(p: Prime, character: AdditiveCharacter | None):
-    if character is not None and (character.p != p or character.conductor_exponent != 0):
-        raise ValueError("character does not match the standard choice for this prime")
-
-
-def weil_rank1(a, p, character: AdditiveCharacter | None = None) -> Mu8:
-    """Weil index of the rank-1 form <a> over Q_p, standard character."""
-    prime = as_prime(p)
-    _check_character(prime, character)
-    p = int(prime)
-    a = fr(a)
-    if a == 0:
-        raise ValueError("rank-1 form needs a nonzero coefficient")
-    v = valuation(a, p)
-    u = unit_part(a, p)
+def _rank1(c: SquareClass) -> Mu8:
+    """gamma(<a>) from the bits of the class of a: v(a) mod 2 in bit 0, the
+    unit bit(s) above it (see localfield.SquareClass)."""
+    p, bits = c.p.p, c.bits
     if p != 2:
-        if v % 2 == 0:
-            return Mu8(0)
-        if p % 4 == 1:
-            return Mu8(0 if legendre(u, p) == 1 else 4)
-        return Mu8(2 if legendre(u, p) == 1 else 6)
-    if v % 2 == 0:
-        return Mu8(1 if _unit_mod(u, 4) == 1 else 7)
-    return Mu8(_unit_mod(u, 8))
+        # v even: 1; v odd: (u/p) for p = 1 mod 4, i (u/p) for p = 3 mod 4
+        return Mu8((bits & 1) * ((p & 2) + 4 * (bits >> 1)))
+    eps, omega = bits >> 1 & 1, bits >> 2
+    if bits & 1:
+        return Mu8(1 + 2 * eps + 4 * (eps ^ omega))    # u mod 8
+    return Mu8(1 + 6 * eps)                            # zeta8^(+-1) by u mod 4
 
 
-def weil_index(q: QuadForm, character: AdditiveCharacter | None = None) -> Mu8:
+def weil_rank1(a, p) -> Mu8:
+    """Weil index of the rank-1 form <a> over Q_p, standard character."""
+    if fr(a) == 0:
+        raise ValueError("rank-1 form needs a nonzero coefficient")
+    return _rank1(square_class(a, p))
+
+
+def weil_index(q: QuadForm) -> Mu8:
     """Product of rank-1 indices over a diagonalization; a Witt-group character."""
-    _check_character(q.p, character)
     out = Mu8(0)
     for a in diagonal(q):
-        out = out * weil_rank1(a, q.p)
+        out = out * _rank1(square_class(a, q.p))
     return out
 
 
-def epsilon_half(dclass, p, character: AdditiveCharacter | None = None) -> Mu8:
+def epsilon_half(dclass, p) -> Mu8:
     """epsilon(1/2, chi, psi) = Weil index of the norm form of the algebra.
 
     dclass names the quadratic etale algebra by its discriminant square
-    class; the trivial class is the split algebra, whose norm form is the
-    hyperbolic plane, so the value is 1.
+    class.  The norm form is <1, -d> (the hyperbolic plane <1, -1> for the
+    split algebra, whose value is 1), so the value is gamma(<1>) gamma(<-d>).
     """
     prime = as_prime(p)
-    _check_character(prime, character)
-    return weil_index(norm_form(dclass, prime))
+    d = dclass if isinstance(dclass, SquareClass) else square_class(dclass, prime)
+    one = SquareClass(prime, 0)
+    return _rank1(one) * _rank1(square_class(-1, prime) * d)

@@ -382,3 +382,50 @@ def reference_is_very_regular(gamma):
     eye = identity(len(gamma))
     return (poly_squarefree(charpoly(gamma)) and det(mat_sub(gamma, eye)) != 0
             and det(mat_add(gamma, eye)) != 0)
+
+
+def _valuation_and_unit(a: Fraction, p: int):
+    """(v, u) with a = p^v u, u a p-unit rational: by Fraction division."""
+    v = 0
+    while a.numerator % p == 0:
+        a /= p
+        v += 1
+    while a.denominator % p == 0:
+        a *= p
+        v -= 1
+    return v, a
+
+
+def _unit_residue(u: Fraction, modulus: int) -> int:
+    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+
+
+def reference_hilbert_qp(a, b, p: int) -> int:
+    """(a, b)_p by the closed forms on valuations and unit parts (Serre,
+    ch. III, Thm. 1), the Fraction algorithm the bit form replaced."""
+    (alpha, u), (beta, w) = (_valuation_and_unit(Fraction(x), p) for x in (a, b))
+    if p != 2:
+        def leg(x):
+            return pow(_unit_residue(x, p), (p - 1) // 2, p) == p - 1
+        expo = alpha * beta * ((p - 1) // 2) + beta * leg(u) + alpha * leg(w)
+    else:
+        eps_u, eps_w = ((_unit_residue(x, 4) - 1) // 2 for x in (u, w))
+        om_u, om_w = ((_unit_residue(x, 8) ** 2 - 1) // 8 % 2 for x in (u, w))
+        expo = eps_u * eps_w + alpha * om_w + beta * om_u
+    return -1 if expo % 2 else 1
+
+
+def reference_weil_rank1(a, p: int) -> int:
+    """The exponent k of gamma(<a>) = zeta8^k by the closed form pinned from
+    the Gauss-sum oracle, on valuations and unit parts."""
+    v, u = _valuation_and_unit(Fraction(a), p)
+    if p != 2:
+        if v % 2 == 0:
+            return 0
+        residue = pow(_unit_residue(u, p), (p - 1) // 2, p) == 1
+        if p % 4 == 1:
+            return 0 if residue else 4
+        return 2 if residue else 6
+    if v % 2 == 0:
+        return 1 if _unit_residue(u, 4) == 1 else 7
+    return _unit_residue(u, 8)

@@ -172,6 +172,30 @@ def test_endo_eta_so_prime_must_match_the_form(capsys):
     assert code == 0 and doc == {"eta": "-1/3", "eta_class": 6}
 
 
+def test_weil_index_prime_must_match_the_form(capsys):
+    payload = json.dumps({"p": 3, "diag": ["1", "2"]})
+    code, doc = run(capsys, "weil", "index", "--p", "5", "--json", payload)
+    assert code == 2 and doc is None
+    code, doc = run(capsys, "weil", "index", "--p", "3", "--json", payload)
+    assert code == 0 and doc == {"weil_index": "zeta8^0"}
+    code, doc = run(capsys, "weil", "index", "--p", "3", "--json",
+                    json.dumps({"diag": ["1", "2"]}))
+    assert code == 0 and doc == {"weil_index": "zeta8^0"}
+
+
+def test_endo_delta_must_match_the_space(capsys):
+    space = {"p": 3, "diag": ["1", "1"]}
+    for delta in ([["1", "2", "3"], ["4", "5", "6"]],
+                  [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "10"]],
+                  [["1"]], [["1", "2"], ["3"]]):
+        code, doc = run(capsys, "endo", "delta", "--n", "1", "--json",
+                        json.dumps({"space": space, "delta": delta}))
+        assert code == 2 and doc is None, delta
+    code, doc = run(capsys, "endo", "delta", "--n", "1", "--json",
+                    json.dumps({"space": space, "delta": [["1", "2"], ["0", "3"]]}))
+    assert code == 0 and doc["delta"] in (1, -1)
+
+
 def test_endo_check_through_cli(capsys):
     spec = {"qV": {"p": 3, "gram": None}}
     # build a quasisplit space by hand: Hy + <1, -3>

@@ -11,8 +11,7 @@ from twistedgl.localfield import square_class, square_class_table, valuation
 from twistedgl.qform import (diag_form, direct_sum, hyperbolic, invariants,
                              norm_form, scale, witt_decompose)
 from twistedgl.oracles import MAX_PERIOD, OracleError, gauss_oracle
-from twistedgl.weil import (AdditiveCharacter, Mu8, epsilon_half, weil_index,
-                            weil_rank1)
+from twistedgl.weil import Mu8, epsilon_half, weil_index, weil_rank1
 
 
 def small_rep(cls, p):
@@ -30,12 +29,6 @@ def test_mu8_arithmetic():
     assert str(Mu8(9)) == "zeta8^1"
     with pytest.raises(ValueError):
         Mu8(1).as_sign()
-
-
-def test_character_descriptor():
-    AdditiveCharacter(3, 0)
-    with pytest.raises(ValueError):
-        AdditiveCharacter(3, 1)
 
 
 def test_rank1_square_class_invariance():
