@@ -51,9 +51,9 @@ class ClassParameter:
         else:
             if x * tau(x) != self.algebra.one:
                 raise ValueError("y must satisfy y tau(y) = 1")
-            if not is_generator(x):
+            cp = char_poly(x)  # is_generator's test and the eigenvalue tests
+            if not poly_squarefree(cp):
                 raise ValueError("y must generate the algebra")
-            cp = char_poly(x)
             if self.kind in ("SO-even", "U") and poly_eval(cp, 1) == 0:
                 raise ValueError("very regular element cannot have eigenvalue 1")
             if self.kind in ("SO-even", "SO-odd", "U") and poly_eval(cp, -1) == 0:

@@ -196,6 +196,8 @@ def parse_formal(doc) -> FormalParameter:
     p = as_prime(doc["p"])
     cs = []
     for c in doc["constituents"]:
+        if not isinstance(c, dict):
+            raise UsageError("constituent literal must be an object")
         sign = c.get("sign")
         sign = {"+1": 1, "-1": -1, 1: 1, -1: -1, "none": None, None: None}[sign]
         det = c.get("det")

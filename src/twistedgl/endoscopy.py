@@ -6,7 +6,12 @@ even orthogonal spaces: +1 exactly when the symmetrized twisted point
 the discriminant algebra, and -1 otherwise.  Its Whittaker normalization
 divides by the epsilon factor, an exact eighth root of unity.  The flagship
 cross-check compares this against the Weil index of 2 (-1)^n q computed from
-the rank-1 tables; the two sides share no code path.
+the rank-1 tables.  The two sides share qform.diagonal, localfield.square_class
+and weil._rank1 (the lhs through invariants and epsilon_half, the rhs through
+weil_index), and each shared piece has an independent test: diagonal against
+a reference congruence P^T Q P = diag (test_qform), the rank-1 table against
+the Gauss-sum oracle (test_weil), and square classes through the Hilbert
+symbol against Hilbert reciprocity (test_localfield).
 """
 
 from __future__ import annotations
@@ -236,11 +241,13 @@ def transfer_factor(gamma_space: QuadForm, delta: Mat, n: int) -> int:
     """Waldspurger's Witt comparison: the plain transfer factor in {+1, -1}.
 
     q_delta = 1/2 (delta + delta^T) must be non-degenerate (delta very
-    regular); K is the discriminant algebra of the orthogonal space.  delta
-    must be square of the space's dimension.
+    regular); K is the discriminant algebra of the orthogonal space.  The
+    space must have dimension 2n, and delta must be square of that size.
     """
     delta = mat(delta)
     dim = gamma_space.dim
+    if dim != 2 * n:
+        raise ValueError(f"the space has dimension {dim}, not 2n = {2 * n}")
     if len(delta) != dim or any(len(row) != dim for row in delta):
         raise ValueError(f"delta must be a {dim} x {dim} matrix, the "
                          "dimension of the space")
@@ -285,7 +292,8 @@ class ConstancyRecord:
 
 def constancy_record(config: GSConfiguration, n: int) -> ConstancyRecord:
     """The flagship identity: the Whittaker factor at (norm, delta) against the
-    Weil index of 2 (-1)^n q, computed through disjoint code paths."""
+    Weil index of 2 (-1)^n q.  The sides share diagonal, square_class and the
+    rank-1 table, each tested on its own (see the module docstring)."""
     q_v = config.ambient.q_V
     delta, _ = rigidify(config)
     return ConstancyRecord(transfer_factor_whittaker(q_v, delta, n),

@@ -20,12 +20,14 @@ from .classes import ClassParameter
 from .etale import char_poly, tau, very_regular
 from .linalg import (Mat, charpoly, charpoly_mod, det, from_blocks, identity,
                      inverse, mat, mat_add, mat_mul, mat_neg, mat_scale, mat_sub,
-                     poly_mul, poly_squarefree, poly_squarefree_mod, transpose,
-                     zeros)
+                     poly_eval, poly_mul, poly_squarefree, poly_squarefree_mod,
+                     transpose, zeros)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
 
 # the prime of the very-regularity certificate, the Mersenne prime 2^61 - 1
 ELL = (1 << 61) - 1
+# samples random_config draws before it gives up on a seed
+RETRY_BUDGET = 10000
 
 
 @dataclass(frozen=True)
@@ -33,22 +35,36 @@ class AmbientSpace:
     """V1 = H-dual + V + H with the standard totally-isotropic flag blocks."""
 
     q_V: QuadForm
-    n: int
     epsilon: int
-    gram_q1: Mat
 
     @property
     def p(self):
         return self.q_V.p
+
+    @property
+    def n(self) -> int:
+        return self.q_V.dim
 
     @cached_property
     def q_inverse(self) -> Mat:
         """Q^-1, the inverse of the Gram of V, computed once per ambient."""
         return inverse(self.q_V.gram)
 
+    @cached_property
+    def gram_q1(self) -> Mat:
+        """The block Gram [[0, 0, I], [0, Q, 0], [eps I, 0, 0]] of V1."""
+        n = self.n
+        eye, z = identity(n), zeros(n)
+        # det = +-eps^n det Q, and QuadForm refuses det Q = 0: never degenerate
+        return from_blocks([
+            [z, z, eye],
+            [z, self.q_V.gram, z],
+            [mat_scale(self.epsilon, eye), z, z],
+        ])
+
 
 def make_ambient(q_V: QuadForm, epsilon: int) -> AmbientSpace:
-    """Assemble the block Gram; rejects the excluded small orthogonal case."""
+    """Check the signature of V1; rejects the excluded small orthogonal case."""
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     if epsilon == 1 and q_V.symmetry != SYMMETRIC:
@@ -60,15 +76,7 @@ def make_ambient(q_V: QuadForm, epsilon: int) -> AmbientSpace:
         raise ValueError("V must be nonzero")
     if epsilon == 1 and n == 2 and q_V.dim % 2 == 0 and is_isotropic(q_V):
         raise ValueError("isotropic binary V is excluded in the even orthogonal case")
-    eye = identity(n)
-    z = zeros(n)
-    # det = +-eps^n det Q, and QuadForm refuses det Q = 0: never degenerate
-    g1 = from_blocks([
-        [z, z, eye],
-        [z, q_V.gram, z],
-        [mat_scale(epsilon, eye), z, z],
-    ])
-    return AmbientSpace(q_V, n, epsilon, g1)
+    return AmbientSpace(q_V, epsilon)
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,7 @@ def xy_condition(config: GSConfiguration) -> bool:
 
 
 def random_config(ambient: AmbientSpace, seed: int,
-                  require_very_regular: bool = True,
-                  retry_budget: int = 10000) -> GSConfiguration:
+                  require_very_regular: bool = True) -> GSConfiguration:
     """Seeded random member of U': invertible X, Y with the closure condition.
 
     Y is the symmetric particular solution -1/2 X Q^-1 X^T plus a random
@@ -114,7 +121,7 @@ def random_config(ambient: AmbientSpace, seed: int,
     rng = random.Random(seed)
     n, eps = ambient.n, ambient.epsilon
     qinv = ambient.q_inverse
-    for _ in range(retry_budget):
+    for _ in range(RETRY_BUDGET):
         x = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         if det(x) == 0:
             continue
@@ -139,16 +146,16 @@ def is_very_regular(gamma: Mat) -> bool:
     First the certificate modulo ELL: when every entry is ELL-integral and
     f = charpoly(gamma) mod ELL is squarefree over F_ELL with f(1) and f(-1)
     nonzero, gamma is very regular (see linalg).  That decides only True;
-    every other case, and every False, is decided by the rational test.
+    every other case, and every False, is decided over Q on f = charpoly(gamma),
+    whose values f(1), f(-1) are +-det(gamma -+ 1).
     """
     f = charpoly_mod(gamma, ELL)
     if f is not None and poly_squarefree_mod(f, ELL):
         at_one, at_minus_one = sum(f) % ELL, (sum(f[::2]) - sum(f[1::2])) % ELL
         if at_one and at_minus_one:
             return True
-    eye = identity(len(gamma))
-    return (poly_squarefree(charpoly(gamma)) and det(mat_sub(gamma, eye)) != 0
-            and det(mat_add(gamma, eye)) != 0)
+    f = charpoly(gamma)
+    return poly_squarefree(f) and poly_eval(f, 1) != 0 and poly_eval(f, -1) != 0
 
 
 def u_of_xy(config: GSConfiguration) -> Mat:
@@ -220,8 +227,7 @@ def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:
         raise ValueError("parameter kind does not match the ambient signature")
     if not very_regular(x_param.x):
         raise ValueError("parameter is not very regular")
-    gamma = gs_norm(config)
-    cp_gamma = charpoly(gamma)
+    cp_gamma = charpoly(gs_norm(config))
     if not poly_squarefree(cp_gamma):
         raise ValueError("norm is not very regular for this configuration")
     from .classes import twist_invariant
@@ -234,5 +240,8 @@ def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:
     if delta_fp != expected_fp:
         return False
     if odd:
-        return charpoly(mat_neg(gamma)) == poly_mul(char_poly(ratio), t_minus_1)
+        # charpoly(-gamma)(T) = (-1)^n charpoly(gamma)(-T): coefficient i
+        # picks up the sign (-1)^(n - i)
+        n = amb.n
+        return tuple((-1) ** (n - i) * c for i, c in enumerate(cp_gamma)) == expected_fp
     return cp_gamma == char_poly(ratio * (-amb.epsilon))

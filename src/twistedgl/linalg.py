@@ -10,7 +10,9 @@ multiple D of its denominators, and one Bareiss routine (Bareiss, Math. Comp.
 previous pivot.  Forward elimination gives the determinant; the Gauss-Jordan
 form of the same routine on [D*A | I] ends with the last pivot times I on the
 left, so A^-1 = D * right / pivot.  Every intermediate entry is a minor of the
-input, so the integers grow only as fast as determinants do.
+input, so the integers grow only as fast as determinants do.  The same
+routine decides squarefreeness of a rational polynomial: poly_squarefree is
+the resultant Res(f, f'), the determinant of their Sylvester matrix.
 
 A property that survives reduction modulo a prime can be certified there.
 charpoly_mod reduces an l-integral matrix modulo a prime l, brings it to
@@ -24,6 +26,8 @@ repeated factor of f mod l.  So a squarefree f mod l proves f squarefree over
 Q, and f(c) != 0 mod l proves f(c) != 0.  The converse fails: a squarefree f
 may acquire a repeated root mod l, and l may divide a denominator of A.
 Those answers decide nothing, and the caller falls back to the rational test.
+The F_p polynomial helpers (remainder, gcd, power modulo f) also serve the
+Rabin irreducibility test and the residue character in localfield.
 Everything is integer arithmetic on residues; no floats enter.
 """
 
@@ -336,6 +340,24 @@ def gfp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return a
 
 
+def gfp_powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    """a^e modulo f over F_p, by repeated squaring."""
+    def mulmod(x, y):
+        out = [0] * (len(x) + len(y))
+        for i, c in enumerate(x):
+            for j, d in enumerate(y):
+                out[i + j] += c * d
+        return gfp_mod(out, f, p)
+
+    result, base = gfp_mod([1], f, p), gfp_mod(a, f, p)
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # polynomials (ascending coefficient tuples)
 
@@ -344,15 +366,6 @@ def poly_trim(p: Sequence[Fraction]) -> Poly:
     while len(q) > 1 and q[-1] == 0:
         q.pop()
     return tuple(q)
-
-
-def poly_deg(p: Poly) -> int:
-    p = poly_trim(p)
-    return len(p) - 1
-
-
-def poly_is_zero(p: Poly) -> bool:
-    return all(c == 0 for c in p)
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -364,46 +377,23 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return poly_trim(tuple(out))
 
 
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    q = poly_trim(q)
-    if poly_is_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(poly_trim(p))
-    dq = len(q) - 1
-    lead = q[-1]
-    quot = [Fraction(0)] * max(1, len(rem) - dq)
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        shift = len(rem) - 1 - dq
-        f = rem[-1] / lead
-        quot[shift] = f
-        for i, c in enumerate(q):
-            rem[shift + i] -= f * c
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-    return poly_trim(tuple(quot)), poly_trim(tuple(rem))
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals."""
-    a, b = poly_trim(p), poly_trim(q)
-    while not poly_is_zero(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if poly_is_zero(a):
-        return a
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-def poly_deriv(p: Poly) -> Poly:
-    if len(p) <= 1:
-        return (Fraction(0),)
-    return poly_trim(tuple(Fraction(i) * p[i] for i in range(1, len(p))))
-
-
 def poly_squarefree(p: Poly) -> bool:
-    g = poly_gcd(p, poly_deriv(p))
-    return poly_deg(g) == 0
+    """No repeated root over Q: Res(f, f') != 0, the Sylvester determinant.
+
+    Res(f, f') = +-lc(f) disc(f), which vanishes exactly when f has a
+    repeated root in characteristic 0 (Cohen, Sect. 3.3).  f is scaled to
+    integer coefficients by its common denominator, which scales f' alike,
+    and the (2m - 1)-square Sylvester matrix of the degree-m pair goes to
+    the Bareiss kernel.  Constants and linear polynomials are squarefree.
+    """
+    (f,), _ = clear_denominators((poly_trim(p),))
+    m = len(f) - 1
+    if m <= 1:
+        return True
+    df = [i * c for i, c in enumerate(f)][1:]
+    rows = [[0] * i + f + [0] * (m - 2 - i) for i in range(m - 1)]
+    rows += [[0] * i + df + [0] * (m - 1 - i) for i in range(m)]
+    return _eliminate(rows, jordan=False)[1] != 0
 
 
 def poly_eval(p: Poly, x) -> Fraction:

@@ -37,7 +37,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import Mat, Poly, fr, gfp_gcd, gfp_trim, poly_trim, trace
+from .linalg import (Mat, Poly, fr, gfp_gcd, gfp_powmod, gfp_trim, poly_trim,
+                     trace)
 
 # ---------------------------------------------------------------------------
 # primes
@@ -266,71 +267,29 @@ def hilbert_qp(a, b, p) -> int:
 # finite field F_p[x]/(f) helpers for residue characters
 
 
-def _gfp_polmul(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1 if a and b else 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    d = len(f) - 1
-    while len(out) > d:
-        lead = out.pop()
-        if lead:
-            for i in range(d):
-                out[-d + i] = (out[-d + i] - lead * f[i]) % p
-    while len(out) < d:
-        out.append(0)
-    return out
-
-
-def _gfp_polpow(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    d = len(f) - 1
-    result = [1] + [0] * (d - 1)
-    base = ([c % p for c in a] + [0] * d)[:d]
-    while e:
-        if e & 1:
-            result = _gfp_polmul(result, base, f, p)
-        base = _gfp_polmul(base, base, f, p)
-        e >>= 1
-    return result
-
-
 def _irreducible_mod_p(poly: Poly, p: int) -> bool:
-    """Rabin irreducibility test for a monic integral polynomial mod p."""
+    """Rabin irreducibility test for a monic p-integral polynomial mod p:
+    x^(p^d) = x mod f, and gcd(x^(p^(d/l)) - x, f) = 1 for each prime l | d."""
     d = len(poly) - 1
-    f = [int(c) % p for c in poly]
-    x = ([0, 1] + [0] * d)[:d]
-    xq = x[:]
-    for _ in range(d):
-        xq = _gfp_polpow(xq, p, f, p)
-    if gfp_trim([xq[i] - x[i] for i in range(d)], p):
+    f = [_unit_mod(c, p) for c in poly]
+
+    def frobenius_minus_x(k: int) -> list[int]:
+        xq = gfp_powmod([0, 1], p ** k, f, p) + [0, 0]
+        xq[1] -= 1
+        return gfp_trim(xq, p)
+
+    if frobenius_minus_x(d):
         return False
-    dd, prime_divs = d, set()
-    ell = 2
-    while ell * ell <= dd:
-        if dd % ell == 0:
-            prime_divs.add(ell)
-            while dd % ell == 0:
-                dd //= ell
-        ell += 1
-    if dd > 1:
-        prime_divs.add(dd)
-    for ell in prime_divs:
-        xq = x[:]
-        for _ in range(d // ell):
-            xq = _gfp_polpow(xq, p, f, p)
-        diff = [xq[i] - x[i] for i in range(d)]
-        if len(gfp_gcd(diff, f, p)) > 1:
-            return False
-    return True
+    prime_divs = [ell for ell in range(2, d + 1)
+                  if d % ell == 0 and all(ell % k for k in range(2, ell))]
+    return all(len(gfp_gcd(frobenius_minus_x(d // ell), f, p)) == 1
+               for ell in prime_divs)
 
 
 def _residue_char_fq(r: Sequence[int], redpoly: list[int], p: int) -> int:
     """Quadratic character of a nonzero residue in F_q, q = p^deg(redpoly)."""
     q = p ** (len(redpoly) - 1)
-    out = _gfp_polpow(list(r), (q - 1) // 2, redpoly, p)
-    one = [1] + [0] * (len(redpoly) - 2)
-    return 1 if out == one else -1
+    return 1 if gfp_powmod(r, (q - 1) // 2, redpoly, p) == [1] else -1
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +579,7 @@ def tame_data(fld: LocalFieldDescriptor, x) -> tuple[int, int]:
 
     # unramified-irreducible-mod-p
     w = min(valuation(c, p) for c in x.coeffs if c != 0)
-    red = [int(c) % p for c in fld.defining_poly]
+    red = [_unit_mod(c, p) for c in fld.defining_poly]
     res = []
     for c in x.coeffs:
         c = c / Fraction(p) ** w

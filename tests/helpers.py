@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import sympy
+
 from twistedgl.etale import (EtaleAlgebraWithInvolution, make_algebra,
                              quadratic_tower, split_tower, tau, is_generator,
                              very_regular)
-from twistedgl.linalg import (charpoly, det, identity, inverse, mat, mat_add,
-                              mat_mul, mat_sub, mat_vec, poly_squarefree,
+from twistedgl.linalg import (det, identity, inverse, mat, mat_mul, mat_vec,
                               transpose)
 from twistedgl.localfield import QP, least_nonresidue, square_class_table, valuation
 from twistedgl.qform import QuadForm, diagonalize
@@ -376,12 +377,14 @@ def reference_diagonalize(gram):
 
 
 def reference_is_very_regular(gamma):
-    """Very regularity decided over Q: a squarefree characteristic polynomial
-    and det(gamma -+ 1) != 0.  The reference for gsnorm.is_very_regular,
-    which must return exactly this on every input."""
-    eye = identity(len(gamma))
-    return (poly_squarefree(charpoly(gamma)) and det(mat_sub(gamma, eye)) != 0
-            and det(mat_add(gamma, eye)) != 0)
+    """Very regularity decided over Q by sympy: a squarefree characteristic
+    polynomial and det(gamma -+ 1) != 0.  The reference for
+    gsnorm.is_very_regular, which must return exactly this on every input."""
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in gamma])
+    eye = sympy.eye(len(gamma))
+    return (sympy.Poly(m.charpoly(sympy.Symbol("T")), domain="QQ").is_sqf
+            and (m - eye).det() != 0 and (m + eye).det() != 0)
 
 
 def _valuation_and_unit(a: Fraction, p: int):

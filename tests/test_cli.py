@@ -1,9 +1,13 @@
 """Command-line surface: verbs, literals, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistedgl.cli import main
 
@@ -283,3 +287,102 @@ def test_weil_oracle_without_numpy_is_a_usage_error(capsys, monkeypatch):
     code, doc = run(capsys, "weil", "oracle", "--p", "3", "--a", "1/9", "--k", "1")
     assert code == 2 and doc is None
 
+
+
+def test_endo_delta_n_must_match_the_space(capsys):
+    # transfer_factor reads n only through (-1)^n; a space of dimension other
+    # than 2n names no endoscopic comparison
+    payload = json.dumps({"space": {"p": 3, "diag": ["1", "1"]},
+                          "delta": [["1", "2"], ["0", "3"]]})
+    for n in ("2", "7", "0", "-1"):
+        code, doc = run(capsys, "endo", "delta", "--n", n, "--json", payload)
+        assert code == 2 and doc is None, n
+    code, doc = run(capsys, "endo", "delta", "--n", "1", "--json", payload)
+    assert code == 0 and doc["delta"] in (1, -1)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: well-formed documents with one subtree replaced by arbitrary JSON,
+# through every verb and action
+
+VERB_ACTIONS = (
+    ("qform", "invariants"), ("qform", "equiv"), ("qform", "witt"),
+    ("qform", "isotropic"), ("weil", "index"), ("weil", "epsilon"),
+    ("weil", "oracle"), ("etale", "build"), ("etale", "traceform"),
+    ("class", "build"), ("class", "invariant"), ("class", "corresponds"),
+    ("class", "elliptic"), ("gs", "random"), ("gs", "norm"), ("gs", "section"),
+    ("gs", "verify"), ("endo", "enumerate"), ("endo", "eta"), ("endo", "delta"),
+    ("endo", "check"), ("param", "classify"), ("param", "hypothesis"),
+    ("corpus", "generate"), ("corpus", "run"))
+FORM = {"p": 3, "diag": ["1", "1"]}
+PARAM = {"kind": "tGL-even", "algebra": [{"base": {"p": 5}, "step": "split"}],
+         "x": [["3", "7"]]}
+# Y = -1/2 X Q^-1 X^T + S with S skew: the closure condition holds, and the
+# norm is the very regular rotation gamma below
+CONFIG = {"ambient": {"qV": FORM, "epsilon": 1}, "X": [["1", "0"], ["0", "1"]],
+          "Y": [["-1/2", "1"], ["-1", "-1/2"]]}
+SEED_DOCS = {
+    "qform": FORM, "weil": FORM, "class": PARAM, "gs": CONFIG, "endo": CONFIG,
+    "param": {"p": 3, "constituents": [{"dim": 4, "sign": "+1", "det": "3"}]},
+    "corpus": {},
+    ("qform", "equiv"): {"q1": FORM, "q2": {"p": 3, "diag": ["2", "2"]}},
+    ("etale", "build"): PARAM["algebra"],
+    ("etale", "traceform"): {"algebra": PARAM["algebra"], "c": [["1", "1"]]},
+    ("class", "corresponds"): {"delta": PARAM, "gamma": PARAM},
+    ("gs", "random"): CONFIG["ambient"],
+    ("gs", "section"): {"ambient": CONFIG["ambient"], "X": CONFIG["X"],
+                        "gamma": [["3/5", "-4/5"], ["4/5", "3/5"]]},
+    ("endo", "eta"): {"binary": FORM, "y": "1"},
+    ("endo", "delta"): {"space": FORM, "delta": [["1", "2"], ["0", "3"]]},
+}
+# the keys the verbs read, for the replacement documents
+DOC_KEYS = ("p", "diag", "gram", "label", "q1", "q2", "qV", "epsilon",
+            "ambient", "X", "Y", "gamma", "space", "delta", "binary", "y",
+            "algebra", "base", "step", "d", "poly", "certificate", "x", "c",
+            "xD", "a", "kind", "constituents", "dim", "sign", "det", "mult")
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-9, 9) | st.just(0.5)
+                | st.sampled_from(("1", "-1/2", "3", "0", "1/0", "x", "split",
+                                   "tGL-even", "tGL-odd", "SO-even", "Sp", "U",
+                                   "+1", "none", "eisenstein")))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | st.just(FORM),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(DOC_KEYS), inner, max_size=4)),
+    max_leaves=10)
+SMALL_ARGS = st.sampled_from(("-1", "0", "1", "2", "3", "4", "7"))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with the subtree at a random path replaced by an arbitrary document."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(list(doc) if isinstance(doc, dict)
+                                   else range(len(doc))))
+        out = copy.copy(doc)
+        out[key] = draw(mutated(doc[key]))
+        return out
+    return draw(JSON_DOCS)
+
+
+def _fuzz_argv(verb, action, doc, n, p):
+    argv = [verb, action, "--json", json.dumps(doc)]
+    if verb == "endo":
+        argv += ["--n", n, "--p", p, "--kind", "so" if int(n) % 2 else "sp"]
+    if verb == "weil":
+        argv += ["--p", p, "--d", n, "--a", n, "--k", "1"]
+    if verb == "corpus":  # bounded: one record of one small cell
+        argv += ["--p", p, "--n", n, "--count", "1"]
+    return argv
+
+
+@pytest.mark.parametrize("verb, action", VERB_ACTIONS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), n=SMALL_ARGS, p=SMALL_ARGS)
+def test_cli_fuzz_exits_with_a_documented_code(verb, action, data, n, p):
+    seed = SEED_DOCS.get((verb, action), SEED_DOCS.get(verb))
+    argv = _fuzz_argv(verb, action, data.draw(mutated(seed)), n, p)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

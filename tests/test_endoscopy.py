@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import random_algebra, random_fixed_invertible
+from twistedgl.cli import _corpus_entries
 from twistedgl.endoscopy import (EndoscopicDatum, constancy_record,
                                  enumerate_elliptic_data,
                                  eta_so, eta_so_value, eta_sp, eta_sp_value,
@@ -19,12 +20,13 @@ from twistedgl.endoscopy import (EndoscopicDatum, constancy_record,
 from twistedgl.gsnorm import (GSConfiguration, gs_norm, gs_section,
                               is_very_regular, make_ambient, random_config,
                               rigidify)
-from twistedgl.linalg import det, identity, mat, mat_mul, mat_neg, transpose
+from twistedgl.linalg import (det, identity, mat, mat_add, mat_mul, mat_neg,
+                              mat_scale, transpose)
 from twistedgl.localfield import QP, hilbert_qp, square_class, square_class_table
 from twistedgl.oracles import _rank_one_value, eta_so_reference, eta_sp_reference
-from twistedgl.qform import (diag_form, direct_sum, hyperbolic, invariants,
-                             norm_form, represents, scale, witt_decompose,
-                             witt_equivalent)
+from twistedgl.qform import (diag_form, direct_sum, equivalent, hyperbolic,
+                             invariants, norm_form, quad_form, represents, scale,
+                             witt_decompose, witt_equivalent)
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 RNG = random.Random(11)
@@ -271,6 +273,28 @@ def test_constancy_record_sides():
         assert rec.passed and gs_constancy_check(cfg, n)
     with pytest.raises(FrozenInstanceError):
         rec.lhs = rec.rhs
+
+
+def one_record_per_cell(primes, ns):
+    """The first corpus entry of every (p, n, K, c) cell of the plan."""
+    cells = {}
+    for e in _corpus_entries(5, primes, ns, 16):
+        cells.setdefault((e["p"], e["n"], e["K"], e["c"]), e)
+    return cells
+
+
+def test_constancy_and_the_lhs_lemma_on_every_cell():
+    # p = 17 stands for p = 1 mod 8, which the default corpus plan lacks
+    cells = one_record_per_cell((2, 3, 5, 7, 17), (1, 2, 3))
+    assert len(cells) == 124
+    for (p, n, k, c), entry in cells.items():
+        q_v = quasisplit_space(2 * n, square_class(k, p), square_class(c, p), p)
+        cfg = random_config(make_ambient(q_v, 1), entry["seed"])
+        assert constancy_record(cfg, n).passed, (p, n, k, c)
+        # the lhs lemma: q_delta = 1/2 (delta + delta^T) is -2 q_V, up to squares
+        delta, _ = rigidify(cfg)
+        sym = mat_scale(F(1, 2), mat_add(delta, transpose(delta)))
+        assert equivalent(quad_form(sym, p), scale(-2, q_v)), (p, n, k, c)
 
 
 def test_gs_constancy_check_rejects_a_norm_that_is_not_very_regular():

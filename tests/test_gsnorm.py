@@ -1,6 +1,7 @@
 """The block formalism: closure condition, unipotents, norms, sections."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import (hilbert90_x, random_algebra, random_antifixed_invertible,
                      random_fixed_invertible, random_generator,
                      random_norm_one_generator, reference_is_very_regular)
+from twistedgl import gsnorm
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                build_Sp, corresponds, is_elliptic,
                                twist_invariant)
@@ -61,6 +63,22 @@ def test_make_ambient_shapes():
         make_ambient(hyperbolic(1, 3), 1)  # excluded isotropic binary V
     with pytest.raises(ValueError):
         make_ambient(q, -1)  # symmetric Gram with epsilon -1
+
+
+def test_ambient_stores_only_q_and_epsilon():
+    q = diag_form([1, -2, 3], 5)
+    amb = make_ambient(q, 1)
+    assert [f.name for f in fields(amb)] == ["q_V", "epsilon"]
+    assert amb.n == 3 and "gram_q1" not in vars(amb)
+    assert amb.gram_q1 is amb.gram_q1  # built on the first read, then kept
+    assert amb == make_ambient(q, 1)
+
+
+def test_random_config_gives_up_after_the_retry_budget(monkeypatch):
+    amb = make_ambient(diag_form([1, 1], 3), 1)
+    monkeypatch.setattr(gsnorm, "RETRY_BUDGET", 0)
+    with pytest.raises(RuntimeError, match="retry budget exhausted for seed 4"):
+        random_config(amb, 4)
 
 
 def test_ambient_gram_determinant_is_that_of_q():

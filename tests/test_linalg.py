@@ -3,9 +3,13 @@
 Seeded random integer and rational matrices of size 1-12, with zero leading
 entries that force row swaps, and singular inputs.  The kernels over F_l are
 checked against the rational characteristic polynomial reduced mod l and
-against sympy's squarefree test over GF(l).
+against sympy's squarefree test over GF(l).  The squarefree test over Q is
+checked against sympy on products of rational linear and irreducible
+quadratic factors with multiplicities, and on characteristic polynomials of
+matrices with repeated eigenvalues.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,7 +17,7 @@ import pytest
 import sympy
 
 from twistedgl.linalg import (charpoly, charpoly_mod, det, inverse, mat,
-                              poly_squarefree_mod)
+                              mat_mul, poly_squarefree, poly_squarefree_mod)
 from twistedgl.gsnorm import ELL
 
 SIZES = range(1, 13)
@@ -126,6 +130,94 @@ def test_poly_squarefree_mod_matches_sympy(ell):
         coeffs = [int(c) for c in reversed(sympy.Poly(f, t).all_coeffs())]
         expected = sympy.Poly(f, t, modulus=ell).is_sqf
         assert poly_squarefree_mod(coeffs, ell) == expected
+
+
+T = sympy.Symbol("T")
+
+
+def random_rational(rng, span=6):
+    return F(rng.randint(-span, span), rng.choice((1, 1, 2, 3, 5)))
+
+
+def is_rational_square(x):
+    return x >= 0 and all(math.isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
+
+
+def sym(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def random_factored_poly(rng):
+    """A rational polynomial of degree <= 12 built from rational linear and
+    irreducible quadratic factors, each raised to a multiplicity 1-3, times a
+    nonzero rational constant; a factor may also be drawn twice."""
+    f = sympy.Poly(sym(F(rng.choice((1, -2, 3)), rng.choice((1, 4, 7)))), T,
+                   domain="QQ")
+    degree, budget = 0, rng.randint(0, 12)
+    while degree < budget:
+        if rng.random() < 0.5:
+            coeffs = [1, -random_rational(rng)]
+        else:
+            while True:  # T^2 + bT + c with b^2 - 4c not a rational square
+                b, c = random_rational(rng, 4), random_rational(rng, 9)
+                if not is_rational_square(b * b - 4 * c):
+                    break
+            coeffs = [1, b, c]
+        deg = len(coeffs) - 1
+        mult = rng.choice((1, 1, 2, 3))
+        if degree + deg * mult > 12:
+            mult = 1
+            if degree + deg > 12:
+                break
+        f *= sympy.Poly([sym(F(x)) for x in coeffs], T, domain="QQ") ** mult
+        degree += deg * mult
+    return f
+
+
+def ascending(poly):
+    return tuple(to_fraction(c) for c in reversed(poly.all_coeffs()))
+
+
+def test_poly_squarefree_matches_sympy():
+    rng = random.Random(20265)
+    polys = [random_factored_poly(rng) for _ in range(400)]
+    assert {p.degree() for p in polys} == set(range(13))
+    repeated = 0
+    for f in polys:
+        expected = f.is_sqf
+        assert poly_squarefree(ascending(f)) == expected, f
+        repeated += not expected
+    assert 3 * repeated >= len(polys)
+
+
+def test_poly_squarefree_of_charpolys_with_repeated_eigenvalues():
+    rng = random.Random(20266)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        eigen = [rng.randint(-3, 3) for _ in range(n)]
+        if rng.random() < 0.7:
+            eigen[rng.randrange(n)] = eigen[0]  # a repeated eigenvalue, often
+        # Jordan blocks sometimes: a superdiagonal 1 under equal eigenvalues
+        d = [[eigen[i] if i == j else int(j == i + 1 and eigen[i] == eigen[j]
+                                          and rng.random() < 0.5)
+              for j in range(n)] for i in range(n)]
+        while True:
+            g = random_matrix(rng, n, rational=True)
+            if det(g) != 0:
+                break
+        a = mat_mul(inverse(g), mat_mul(mat(d), g))
+        cp = to_sympy(a).charpoly(T)
+        expected = sympy.Poly(cp.as_expr(), T, domain="QQ").is_sqf
+        assert poly_squarefree(charpoly(a)) == expected
+        assert expected == (len(set(eigen)) == n)
+
+
+def test_poly_squarefree_small_degrees():
+    assert poly_squarefree((F(0),)) and poly_squarefree((F(5),))
+    assert poly_squarefree((F(1, 2), F(3)))
+    assert poly_squarefree((F(1), F(0), F(1), F(0), F(0)))  # 1 + T^2, zeros on top
+    assert not poly_squarefree((F(0), F(0), F(1), F(0), F(1)))  # T^2 (1 + T^2)
+    assert not poly_squarefree((F(1), F(2), F(1), F(0)))  # (1 + T)^2
 
 
 def test_inverse_of_permutation_needs_every_swap():

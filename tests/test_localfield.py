@@ -1,5 +1,6 @@
 """Valuations, square classes, Hilbert symbols and the solubility oracle."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from twistedgl.localfield import (PSI_13, QP, LocalFieldDescriptor, Prime,
+                                  _residue_char_fq,
                                   as_prime, hilbert_qp, hilbert_tame, is_local_norm,
                                   is_square_in_field, least_nonresidue,
                                   legendre, square_class, square_class_table,
@@ -199,6 +201,75 @@ def test_certificates_reject_bad_polynomials():
         # x^2 + 2 == (x+1)(x+2) mod 3
         LocalFieldDescriptor(Prime(3), (F(2), F(0), F(1)),
                              "unramified-irreducible-mod-p")
+
+
+def certifies_unramified(poly, p):
+    try:
+        LocalFieldDescriptor(Prime(p), poly, "unramified-irreducible-mod-p")
+    except ValueError as exc:
+        assert "reducible modulo p" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_unramified_certificate_is_irreducibility_mod_p(p):
+    rng = random.Random(4100 + p)
+    t = sympy.Symbol("T")
+    outcomes = set()
+    for _ in range(60):
+        residues = [rng.randrange(p) for _ in range(rng.randint(2, 6))] + [1]
+        # a p-integral lift of each residue r: (r d + p k) / d with p not | d
+        dens = [d for d in (1, 2, 4, 7) if d % p]
+        poly = []
+        for r in residues[:-1]:
+            d = rng.choice(dens)
+            poly.append(F(r * d + p * rng.randint(-2, 2), d))
+        poly.append(F(1))
+        expected = sympy.Poly(residues[::-1], t, modulus=p).is_irreducible
+        assert certifies_unramified(tuple(poly), p) == expected, (poly, p)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_unramified_certificate_reduces_fractions_mod_p():
+    # T^2 + 3/2 is T^2 mod 3, and T^2 + T + 1/2 is T^2 + T + 2, irreducible
+    assert not certifies_unramified((F(3, 2), F(0), F(1)), 3)
+    fld = LocalFieldDescriptor(Prime(3), (F(1, 2), F(1), F(1)),
+                               "unramified-irreducible-mod-p")
+    assert fld.residue_q == 9
+
+
+def squares_in_fq(p, redpoly):
+    """The squares of F_q = F_p[T]/(redpoly), by squaring every element."""
+    k = len(redpoly) - 1
+
+    def square(a):
+        out = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(a):
+                out[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # T^k = -(lower terms)
+            c = out[top]
+            for i, r in enumerate(redpoly):
+                out[top - k + i] -= c * r
+        return tuple(x % p for x in out[:k])
+
+    return {square(a) for a in itertools.product(range(p), repeat=k)}
+
+
+@pytest.mark.parametrize("p, redpoly", [
+    (3, [1, 0, 1]), (5, [3, 0, 1]), (3, [2, 2, 0, 1]), (7, [1, 0, 1]),
+    (5, [1, 1, 0, 1])])
+def test_residue_character_is_the_table_of_squares(p, redpoly):
+    k = len(redpoly) - 1
+    assert sympy.Poly(redpoly[::-1], sympy.Symbol("T"), modulus=p).is_irreducible
+    squares = squares_in_fq(p, redpoly)
+    assert len(squares) == (p ** k - 1) // 2 + 1  # with zero
+    for r in itertools.product(range(p), repeat=k):
+        if any(r):
+            expected = 1 if r in squares else -1
+            assert _residue_char_fq(list(r), redpoly, p) == expected, r
 
 
 def test_ramification_data():
