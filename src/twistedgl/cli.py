@@ -500,6 +500,9 @@ def _run_entry(entry) -> dict:
 def cmd_corpus(args) -> int:
     primes = [int(x) for x in args.p.split(",")]
     ns = [int(x) for x in args.n.split(",")]
+    for flag, values in (("--p", primes), ("--n", ns)):
+        if len(set(values)) != len(values):
+            raise UsageError(f"{flag} lists a value twice: {values}")
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, not {args.count}")
     entries = _corpus_entries(args.seed, primes, ns, args.count)
@@ -610,8 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("corpus", help="seeded corpus generation and batch checks")
     s.add_argument("action", choices=["generate", "run"])
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--p", default="2,3,5,7")
-    s.add_argument("--n", default="1,2,3")
+    s.add_argument("--p", default="2,3,5,7",
+                   help="comma-separated primes, each at most once")
+    s.add_argument("--n", default="1,2,3",
+                   help="comma-separated ranks n, each at most once")
     s.add_argument("--count", type=int, default=1000)
     _add_io(s)
     s.set_defaults(func=cmd_corpus)

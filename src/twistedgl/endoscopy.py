@@ -12,6 +12,25 @@ weil_index), and each shared piece has an independent test: diagonal against
 a reference congruence P^T Q P = diag (test_qform), the rank-1 table against
 the Gauss-sum oracle (test_weil), and square classes through the Hilbert
 symbol against Hilbert reciprocity (test_localfield).
+
+Two lemmas explain why the identity can be checked cell by cell.  Write
+q = q_V = (n-1) H + c N_K for the quasisplit space of the record (H the
+hyperbolic plane, N_K the norm form of the discriminant algebra K).
+
+* The twisted point.  With eps = 1 and S skew, the closure condition that
+  rigidify checks, Y + Y^T + X Q^-1 X^T = 0, gives
+  q_delta = 1/2 (Y + Y^T) = -1/2 X Q^-1 X^T.  X is invertible, so this form
+  is congruent to -1/2 Q^-1 through X, and Q^-1 = (Q^-1)^T Q Q^-1 is
+  congruent to Q through Q^-1.  As -1/2 = -2 (1/2)^2, q_delta is isometric
+  to -2 q (tested on every (p, n, K, c) cell in test_endoscopy).
+* The cell.  q is Witt-equivalent to c N_K.  The lhs compares the Witt class
+  of q_delta = -2 q, that is of -2c N_K, with (-1)^n N_K and divides by
+  epsilon(1/2, chi_K, psi); the rhs is the Weil index of 2 (-1)^n q, and the
+  Weil index is a character of the Witt group with gamma(H) = 1 (Weil, Acta
+  Math. 111, 1964), so it equals the Weil index of 2 (-1)^n c N_K.  Both
+  sides therefore depend only on (p, n mod 2, K, c), and every record of a
+  cell carries the same (lhs, rhs).  (n = 1 excludes the split K, whose V
+  would be the isotropic binary space.)
 """
 
 from __future__ import annotations
@@ -20,9 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .etale import EtaleAlgebraWithInvolution, AlgebraElement, trace_form_quadratic
-from .gsnorm import GSConfiguration, gs_norm, is_very_regular, rigidify
-from .linalg import (Mat, det, mat, mat_add, mat_mul, mat_neg, mat_scale,
-                     transpose, zeros)
+from .gsnorm import GSConfiguration, gs_norm, is_very_regular, twisted_point
+from .linalg import (Mat, clear_denominators, det, mat, mat_add, mat_mul,
+                     mat_neg, to_mat, transpose, zeros)
 from .localfield import SquareClass, as_prime, square_class, square_class_table
 from .qform import (QuadForm, direct_sum, hyperbolic, invariants, norm_form,
                     quad_form, represents, scale, witt_decompose,
@@ -252,8 +271,9 @@ def transfer_factor(gamma_space: QuadForm, delta: Mat, n: int) -> int:
         raise ValueError(f"delta must be a {dim} x {dim} matrix, the "
                          "dimension of the space")
     p = gamma_space.p
-    half = Fraction(1, 2)
-    sym = mat_scale(half, mat_add(delta, transpose(delta)))
+    rows, den = clear_denominators(delta)
+    sym = to_mat([[x + y for x, y in zip(row, col)]
+                  for row, col in zip(rows, zip(*rows))], 2 * den)
     try:
         q_delta = quad_form(sym, p)
     except ValueError:  # sym is symmetric, so its determinant is 0
@@ -295,7 +315,7 @@ def constancy_record(config: GSConfiguration, n: int) -> ConstancyRecord:
     Weil index of 2 (-1)^n q.  The sides share diagonal, square_class and the
     rank-1 table, each tested on its own (see the module docstring)."""
     q_v = config.ambient.q_V
-    delta, _ = rigidify(config)
+    delta = twisted_point(config)
     return ConstancyRecord(transfer_factor_whittaker(q_v, delta, n),
                            weil_index(scale(2 * (-1) ** n, q_v)))
 

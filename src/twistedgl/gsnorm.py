@@ -7,6 +7,23 @@ pairs rigidify to a twisted-space point delta (Gram Y) together with an
 isometry phi, and the norm map 1 + Q^-1 X^T Y^-1 X lands in the isometry
 group of (V, q).  Dual bases are fixed once so every checked transpose is a
 literal matrix transpose.
+
+The sampler, the norm, the closure check and rigidify run on integer rows
+over one common denominator (see linalg).  The ambient keeps
+Q^-1 = A / a, the configuration keeps X = X_n / d_X and Y = Y_n / d_Y, and
+each identity is checked or built after multiplying through by its
+denominator:
+
+* a sample draws integer X and R, sets S = R - eps R^T and
+  Y = -1/2 X Q^-1 X^T + S = (-X A X^T + 2a S) / 2a, and tests det X and
+  det Y_n;
+* with Y_n^-1 = R / pi, the norm is
+  1 + Q^-1 X^T Y^-1 X = (c I + d_Y A X_n^T R X_n) / c, c = a d_X^2 pi;
+* the closure condition Y + eps Y^T + X Q^-1 X^T = 0 is
+  a d_X^2 (Y_n + eps Y_n^T) + d_Y X_n A X_n^T = 0.
+
+Fractions are built only for the X, Y, Q^-1, norm and phi that are returned,
+and in the rational fallback of is_very_regular.
 """
 
 from __future__ import annotations
@@ -18,10 +35,11 @@ from functools import cached_property
 
 from .classes import ClassParameter
 from .etale import char_poly, tau, very_regular
-from .linalg import (Mat, charpoly, charpoly_mod, det, from_blocks, identity,
-                     inverse, mat, mat_add, mat_mul, mat_neg, mat_scale, mat_sub,
-                     poly_eval, poly_mul, poly_squarefree, poly_squarefree_mod,
-                     transpose, zeros)
+from .linalg import (Mat, charpoly, clear_denominators, det, from_blocks,
+                     identity, int_charpoly_mod, int_det, int_inverse, int_mul,
+                     inverse, mat, mat_mul, mat_sub, poly_eval, poly_mul,
+                     poly_squarefree, poly_squarefree_mod, to_mat, transpose,
+                     zeros)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
 
 # the prime of the very-regularity certificate, the Mersenne prime 2^61 - 1
@@ -46,20 +64,30 @@ class AmbientSpace:
         return self.q_V.dim
 
     @cached_property
+    def q_inverse_scaled(self) -> tuple[list[list[int]], int]:
+        """Q^-1 as (A, a), integer rows A and a > 0 with Q^-1 = A / a,
+        computed once per ambient."""
+        rows, d = clear_denominators(self.q_V.gram)
+        r, pi = int_inverse(rows)
+        return [[d * x for x in row] for row in r], pi
+
+    @cached_property
     def q_inverse(self) -> Mat:
-        """Q^-1, the inverse of the Gram of V, computed once per ambient."""
-        return inverse(self.q_V.gram)
+        """Q^-1, the inverse of the Gram of V, built once per ambient."""
+        return to_mat(*self.q_inverse_scaled)
 
     @cached_property
     def gram_q1(self) -> Mat:
         """The block Gram [[0, 0, I], [0, Q, 0], [eps I, 0, 0]] of V1."""
         n = self.n
-        eye, z = identity(n), zeros(n)
+        z = zeros(n)
+        eps_eye = to_mat([[self.epsilon * (i == j) for j in range(n)]
+                          for i in range(n)])
         # det = +-eps^n det Q, and QuadForm refuses det Q = 0: never degenerate
         return from_blocks([
-            [z, z, eye],
+            [z, z, identity(n)],
             [z, self.q_V.gram, z],
-            [mat_scale(self.epsilon, eye), z, z],
+            [eps_eye, z, z],
         ])
 
 
@@ -96,18 +124,36 @@ class GSConfiguration:
             raise ValueError("X and Y must be n x n")
 
     @cached_property
+    def x_scaled(self) -> tuple[list[list[int]], int]:
+        """X as (integer rows, denominator)."""
+        return clear_denominators(self.X)
+
+    @cached_property
+    def y_scaled(self) -> tuple[list[list[int]], int]:
+        """Y as (integer rows, denominator)."""
+        return clear_denominators(self.Y)
+
+    @cached_property
     def invertible(self) -> bool:
         """det X != 0 and det Y != 0, computed once per configuration."""
-        return det(self.X) != 0 and det(self.Y) != 0
+        return int_det(self.x_scaled[0]) != 0 and int_det(self.y_scaled[0]) != 0
+
+
+def _xax(a_rows: list[list[int]], x: list[list[int]]) -> list[list[int]]:
+    """X A X^T on integer rows."""
+    return int_mul(x, int_mul(a_rows, transpose(x)))
 
 
 def xy_condition(config: GSConfiguration) -> bool:
     """Exact check of Y + eps Y^T + X Q^-1 X^T = 0."""
     amb = config.ambient
-    qinv = amb.q_inverse
-    total = mat_add(config.Y, mat_scale(amb.epsilon, transpose(config.Y)))
-    total = mat_add(total, mat_mul(config.X, mat_mul(qinv, transpose(config.X))))
-    return all(v == 0 for row in total for v in row)
+    a_rows, a = amb.q_inverse_scaled
+    x, dx = config.x_scaled
+    y, dy = config.y_scaled
+    eps, c = amb.epsilon, a * dx * dx
+    xax = _xax(a_rows, x)
+    return all(c * (y[i][j] + eps * y[j][i]) + dy * v == 0
+               for i, row in enumerate(xax) for j, v in enumerate(row))
 
 
 def random_config(ambient: AmbientSpace, seed: int,
@@ -120,21 +166,25 @@ def random_config(ambient: AmbientSpace, seed: int,
     """
     rng = random.Random(seed)
     n, eps = ambient.n, ambient.epsilon
-    qinv = ambient.q_inverse
+    a_rows, a = ambient.q_inverse_scaled
     for _ in range(RETRY_BUDGET):
-        x = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        if det(x) == 0:
+        x = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if int_det(x) == 0:
             continue
-        r = mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        s = mat_sub(r, mat_scale(eps, transpose(r)))  # S + eps S^T = 0
-        y = mat_add(mat_scale(Fraction(-1, 2), mat_mul(x, mat_mul(qinv, transpose(x)))), s)
-        if det(y) == 0:
+        r = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        # S = R - eps R^T, so S + eps S^T = 0; Y over the denominator 2a
+        xax = _xax(a_rows, x)
+        y = [[2 * a * (r[i][j] - eps * r[j][i]) - v for j, v in enumerate(row)]
+             for i, row in enumerate(xax)]
+        if int_det(y) == 0:
             continue
-        config = GSConfiguration(ambient, x, y)
+        config = GSConfiguration(ambient, to_mat(x), to_mat(y, 2 * a))
         # both determinants were just taken (X's before S is drawn, which
-        # keeps the seeded stream): record them rather than take them again
-        object.__setattr__(config, "invertible", True)
-        if require_very_regular and not is_very_regular(gs_norm(config)):
+        # keeps the seeded stream), and X and Y are already integer rows
+        for name, value in (("x_scaled", (x, 1)), ("y_scaled", (y, 2 * a)),
+                            ("invertible", True)):
+            object.__setattr__(config, name, value)
+        if require_very_regular and not _very_regular(*_norm_scaled(config)):
             continue
         return config
     raise RuntimeError(f"retry budget exhausted for seed {seed}")
@@ -149,30 +199,50 @@ def is_very_regular(gamma: Mat) -> bool:
     every other case, and every False, is decided over Q on f = charpoly(gamma),
     whose values f(1), f(-1) are +-det(gamma -+ 1).
     """
-    f = charpoly_mod(gamma, ELL)
+    return _very_regular(*clear_denominators(gamma))
+
+
+def _very_regular(rows: list[list[int]], den: int) -> bool:
+    """is_very_regular of rows / den."""
+    f = int_charpoly_mod(rows, den, ELL)
     if f is not None and poly_squarefree_mod(f, ELL):
         at_one, at_minus_one = sum(f) % ELL, (sum(f[::2]) - sum(f[1::2])) % ELL
         if at_one and at_minus_one:
             return True
-    f = charpoly(gamma)
+    f = charpoly(to_mat(rows, den))
     return poly_squarefree(f) and poly_eval(f, 1) != 0 and poly_eval(f, -1) != 0
+
+
+def _phi_scaled(config: GSConfiguration) -> tuple[list[list[int]], int]:
+    """phi = Q^-1 X^T = A X_n^T / (a d_X)."""
+    a_rows, a = config.ambient.q_inverse_scaled
+    x, dx = config.x_scaled
+    return int_mul(a_rows, transpose(x)), a * dx
 
 
 def u_of_xy(config: GSConfiguration) -> Mat:
     """The unipotent isometry 1 + n(X, Y) in block form on (H-dual, V, H)."""
     if not xy_condition(config):
         raise ValueError("closure condition violated")
-    amb = config.ambient
-    n = amb.n
-    qinv = amb.q_inverse
-    xprime = mat_neg(mat_mul(qinv, transpose(config.X)))  # H -> V
-    z = zeros(n)
-    nil = from_blocks([
-        [z, config.X, config.Y],
-        [z, z, xprime],
-        [z, z, z],
+    n = config.ambient.n
+    phi, den = _phi_scaled(config)
+    xprime = to_mat([[-v for v in row] for row in phi], den)  # H -> V
+    z, eye = zeros(n), identity(n)
+    return from_blocks([
+        [eye, config.X, config.Y],
+        [z, eye, xprime],
+        [z, z, eye],
     ])
-    return mat_add(identity(3 * n), nil)
+
+
+def twisted_point(config: GSConfiguration) -> Mat:
+    """delta = Y, once the closure condition and invertibility are checked:
+    the twisted-space point of rigidify without its isometry phi."""
+    if not xy_condition(config):
+        raise ValueError("closure condition violated")
+    if not config.invertible:
+        raise ValueError("rigidification needs invertible X and Y")
+    return config.Y
 
 
 def rigidify(config: GSConfiguration) -> tuple[Mat, Mat]:
@@ -180,24 +250,28 @@ def rigidify(config: GSConfiguration) -> tuple[Mat, Mat]:
 
     phi = Q^-1 X^T carries (H, delta + eps delta^T) onto (V, -eps q).
     """
-    if not xy_condition(config):
-        raise ValueError("closure condition violated")
-    if not config.invertible:
-        raise ValueError("rigidification needs invertible X and Y")
-    qinv = config.ambient.q_inverse
-    phi = mat_mul(qinv, transpose(config.X))
-    return config.Y, phi
+    delta = twisted_point(config)
+    return delta, to_mat(*_phi_scaled(config))
+
+
+def _norm_scaled(config: GSConfiguration) -> tuple[list[list[int]], int]:
+    """The norm as (rows, c): (c I + d_Y A X_n^T R X_n) / c with
+    Y_n^-1 = R / pi and c = a d_X^2 pi."""
+    a_rows, a = config.ambient.q_inverse_scaled
+    x, dx = config.x_scaled
+    y, dy = config.y_scaled
+    r, pi = int_inverse(y)
+    c = a * dx * dx * pi
+    m = int_mul(a_rows, int_mul(transpose(x), int_mul(r, x)))
+    return [[dy * v + c * (i == j) for j, v in enumerate(row)]
+            for i, row in enumerate(m)], c
 
 
 def gs_norm(config: GSConfiguration) -> Mat:
     """The norm 1 + Q^-1 X^T Y^-1 X, an exact isometry of (V, q)."""
     if not config.invertible:
         raise ValueError("norm needs invertible X and Y")
-    amb = config.ambient
-    qinv = amb.q_inverse
-    gamma = mat_add(identity(amb.n), mat_mul(
-        qinv, mat_mul(transpose(config.X), mat_mul(inverse(config.Y), config.X))))
-    return gamma
+    return to_mat(*_norm_scaled(config))
 
 
 def gs_section(ambient: AmbientSpace, x: Mat, gamma: Mat) -> Mat:

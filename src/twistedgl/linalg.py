@@ -1,40 +1,52 @@
 """Exact rational matrices and polynomials.
 
-Matrices are immutable tuples of tuples of Fraction; polynomials are tuples of
-Fraction coefficients in ascending degree order (coeffs[i] is the coefficient
-of T^i).  Everything here is exact; no floats ever enter.
+The public matrix type Mat is an immutable tuple of tuples of Fraction;
+polynomials are tuples of Fraction coefficients in ascending degree order
+(coeffs[i] is the coefficient of T^i).  Everything here is exact; no floats
+ever enter.
 
-Elimination is fraction-free: a rational matrix is scaled by the least common
-multiple D of its denominators, and one Bareiss routine (Bareiss, Math. Comp.
-22, 1968) runs on the integer rows, dividing each update exactly by the
-previous pivot.  Forward elimination gives the determinant; the Gauss-Jordan
-form of the same routine on [D*A | I] ends with the last pivot times I on the
-left, so A^-1 = D * right / pivot.  Every intermediate entry is a minor of the
-input, so the integers grow only as fast as determinants do.  The same
-routine decides squarefreeness of a rational polynomial: poly_squarefree is
-the resultant Res(f, f'), the determinant of their Sylvester matrix.
+Inside, a rational matrix is held as integer rows plus one positive common
+denominator: (rows, den) stands for rows / den.  clear_denominators takes a
+Mat there (den is the least common multiple of the entry denominators) and
+to_mat brings it back.  The kernels int_mul, int_det, int_inverse and
+int_charpoly_mod work on integer rows alone and never modify their
+arguments; mat_mul, det, inverse and charpoly_mod are their Mat wrappers.
+Code that chains several products (the Goldberg-Shahidi sampler and norm in
+gsnorm, the symmetrization of a twisted point in endoscopy) stays on integer
+rows throughout and builds Fractions only for the Mat it returns.
+
+Elimination is fraction-free: one Bareiss routine (Bareiss, Math. Comp. 22,
+1968) runs on the integer rows, dividing each update exactly by the previous
+pivot.  Forward elimination gives the determinant; the Gauss-Jordan form of
+the same routine on [B | I] ends with the last pivot pi times I on the left,
+so B^-1 = right / pi.  Every intermediate entry is a minor of the input, so
+the integers grow only as fast as determinants do.  The same routine decides
+squarefreeness of a rational polynomial: poly_squarefree is the resultant
+Res(f, f'), the determinant of their Sylvester matrix.
 
 A property that survives reduction modulo a prime can be certified there.
-charpoly_mod reduces an l-integral matrix modulo a prime l, brings it to
-Hessenberg form over F_l by similarity and reads off the monic characteristic
-polynomial (Cohen, A Course in Computational Algebraic Number Theory,
-Alg. 2.2.9); poly_squarefree_mod is the gcd(f, f') degree test over F_l (von
-zur Gathen and Gerhard, Modern Computer Algebra, ch. 6 and 14).  A monic f
-with l-integral coefficients reduces to a polynomial of the same degree, and
-a repeated factor of f over Q, monic and l-integral by Gauss's lemma, stays a
-repeated factor of f mod l.  So a squarefree f mod l proves f squarefree over
-Q, and f(c) != 0 mod l proves f(c) != 0.  The converse fails: a squarefree f
-may acquire a repeated root mod l, and l may divide a denominator of A.
-Those answers decide nothing, and the caller falls back to the rational test.
-The F_p polynomial helpers (remainder, gcd, power modulo f) also serve the
-Rabin irreducibility test and the residue character in localfield.
-Everything is integer arithmetic on residues; no floats enter.
+int_charpoly_mod reduces rows / den modulo a prime l (each entry becomes
+num * den^-1 mod l), brings it to Hessenberg form over F_l by similarity and
+reads off the monic characteristic polynomial (Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.2.9); poly_squarefree_mod is
+the gcd(f, f') degree test over F_l (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 6 and 14).  A monic f with l-integral coefficients
+reduces to a polynomial of the same degree, and a repeated factor of f over
+Q, monic and l-integral by Gauss's lemma, stays a repeated factor of f mod l.
+So a squarefree f mod l proves f squarefree over Q, and f(c) != 0 mod l
+proves f(c) != 0.  The converse fails: a squarefree f may acquire a repeated
+root mod l, and l may divide the denominator.  Those answers decide nothing,
+and the caller falls back to the rational test, the one place outside the
+Mat boundary where Fractions are built.  The F_p polynomial helpers
+(remainder, gcd, power modulo f) also serve the Rabin irreducibility test and
+the residue character in localfield.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -94,7 +106,7 @@ def mat_scale(c, a: Mat) -> Mat:
 
 
 def clear_denominators(a: Mat) -> tuple[list[list[int]], int]:
-    """Scale a rational matrix to integers: returns (D*a as ints, D)."""
+    """A rational matrix as (integer rows, den): D*a as ints, and D."""
     d = 1
     for row in a:
         for x in row:
@@ -107,6 +119,19 @@ def clear_denominators(a: Mat) -> tuple[list[list[int]], int]:
     return rows, d
 
 
+def to_mat(rows: Sequence[Sequence[int]], den: int = 1) -> Mat:
+    """The Mat rows / den, for integer rows and den > 0."""
+    if den == 1:
+        return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two integer matrices of compatible shapes."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     n, k = dims(a)
     k2, m = dims(b)
@@ -114,13 +139,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise ValueError(f"cannot multiply {n}x{k} by {k2}x{m}")
     ia, da = clear_denominators(a)
     ib, db = clear_denominators(b)
-    ibt = list(zip(*ib))
-    d = da * db
-    if d == 1:
-        return tuple(tuple(Fraction(sum(x * y for x, y in zip(ra, cb))) for cb in ibt)
-                     for ra in ia)
-    return tuple(tuple(Fraction(sum(x * y for x, y in zip(ra, cb)), d) for cb in ibt)
-                 for ra in ia)
+    return to_mat(int_mul(ia, ib), da * db)
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -160,16 +179,34 @@ def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int]:
     return sign, prev
 
 
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by forward Bareiss elimination."""
+    if not rows:
+        return 1
+    sign, pivot = _eliminate([list(row) for row in rows], jordan=False)
+    return sign * pivot
+
+
+def int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(R, pi) with pi > 0 and B^-1 = R / pi, by fraction-free Gauss-Jordan;
+    raises on a singular B.  pi is |det B|."""
+    n = len(rows)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _, pivot = _eliminate(work, jordan=True)
+    if pivot == 0:
+        raise ValueError("singular matrix")
+    if pivot < 0:
+        return [[-x for x in row[n:]] for row in work], -pivot
+    return [row[n:] for row in work], pivot
+
+
 def det(a: Mat) -> Fraction:
     """Determinant by forward Bareiss elimination on cleared integers."""
     n, m = dims(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
     rows, d = clear_denominators(a)
-    sign, pivot = _eliminate(rows, jordan=False)
-    return Fraction(sign * pivot, d ** n)
+    return Fraction(int_det(rows), d ** n)
 
 
 def inverse(a: Mat) -> Mat:
@@ -178,12 +215,8 @@ def inverse(a: Mat) -> Mat:
     if n != m:
         raise ValueError("inverse of a non-square matrix")
     rows, d = clear_denominators(a)
-    for i, row in enumerate(rows):
-        row.extend(int(i == j) for j in range(n))
-    _, pivot = _eliminate(rows, jordan=True)
-    if pivot == 0:
-        raise ValueError("singular matrix")
-    return tuple(tuple(Fraction(d * x, pivot) for x in row[n:]) for row in rows)
+    r, pi = int_inverse(rows)
+    return to_mat([[d * x for x in row] for row in r], pi)
 
 
 def trace(a: Mat) -> Fraction:
@@ -243,27 +276,26 @@ def charpoly(a: Mat) -> Poly:
 
 def charpoly_mod(a: Mat, ell: int) -> list[int] | None:
     """det(T - A) mod the prime ell as ascending residues, or None when ell
-    divides a denominator of A.
+    divides a denominator of A; see int_charpoly_mod."""
+    return int_charpoly_mod(*clear_denominators(a), ell)
 
-    Each entry num/den becomes num * den^-1 mod ell.  Hessenberg reduction by
+
+def int_charpoly_mod(rows: Sequence[Sequence[int]], den: int,
+                     ell: int) -> list[int] | None:
+    """det(T - rows/den) mod the prime ell as ascending residues, or None
+    when ell divides den.
+
+    Each entry num becomes num * den^-1 mod ell.  Hessenberg reduction by
     similarity over F_ell, then the recurrence p_m = (T - h_mm) p_(m-1)
     - sum_i h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1) (Cohen, Alg. 2.2.9).
     """
-    n, m = dims(a)
-    if n != m:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    inverses: dict[int, int] = {}
-    h = []
-    for row in a:
-        out = []
-        for x in row:
-            den = x.denominator
-            if den not in inverses:
-                if den % ell == 0:
-                    return None
-                inverses[den] = pow(den, -1, ell)
-            out.append(x.numerator * inverses[den] % ell)
-        h.append(out)
+    if den % ell == 0:
+        return None
+    inv = pow(den, -1, ell)
+    h = [[x * inv % ell for x in row] for row in rows]
     for k in range(1, n - 1):
         piv = next((i for i in range(k, n) if h[i][k - 1]), None)
         if piv is None:

@@ -15,10 +15,11 @@ import sympy
 from twistedgl.etale import (EtaleAlgebraWithInvolution, make_algebra,
                              quadratic_tower, split_tower, tau, is_generator,
                              very_regular)
-from twistedgl.linalg import (det, identity, inverse, mat, mat_mul, mat_vec,
-                              transpose)
+from twistedgl.linalg import (det, identity, inverse, mat, mat_add, mat_mul,
+                              mat_scale, mat_sub, mat_vec, transpose)
 from twistedgl.localfield import QP, least_nonresidue, square_class_table, valuation
-from twistedgl.qform import QuadForm, diagonalize
+from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,
+                             quad_form, scale, witt_equivalent)
 
 
 def _vp(n: int, p: int):
@@ -432,3 +433,61 @@ def reference_weil_rank1(a, p: int) -> int:
     if v % 2 == 0:
         return 1 if _unit_residue(u, 4) == 1 else 7
     return _unit_residue(u, 8)
+
+
+# ---------------------------------------------------------------------------
+# the Goldberg-Shahidi pipeline by Fraction matrix arithmetic
+
+
+def reference_gs_norm(ambient, x, y):
+    """1 + Q^-1 X^T Y^-1 X by Fraction products: the reference for gs_norm."""
+    qinv = inverse(ambient.q_V.gram)
+    return mat_add(identity(ambient.n),
+                   mat_mul(qinv, mat_mul(transpose(x), mat_mul(inverse(y), x))))
+
+
+def reference_xy_condition(ambient, x, y):
+    """Y + eps Y^T + X Q^-1 X^T = 0 by Fraction sums: the reference for
+    xy_condition."""
+    qinv = inverse(ambient.q_V.gram)
+    total = mat_add(mat_add(y, mat_scale(ambient.epsilon, transpose(y))),
+                    mat_mul(x, mat_mul(qinv, transpose(x))))
+    return all(v == 0 for row in total for v in row)
+
+
+def reference_phi(ambient, x):
+    """phi = Q^-1 X^T, the isometry of rigidify."""
+    return mat_mul(inverse(ambient.q_V.gram), transpose(x))
+
+
+def reference_random_config(ambient, rng, require_very_regular=True, budget=10000):
+    """(X, Y) by the Fraction algorithm of random_config: integer X and R
+    drawn from rng in the same order, Y = -1/2 X Q^-1 X^T + (R - eps R^T),
+    samples with det X = 0 or det Y = 0 rejected before the next draw, and by
+    default samples whose norm is not very regular (decided by sympy).  The
+    reference for gsnorm.random_config, which must return exactly this and
+    leave the stream of Random(seed) where this leaves rng."""
+    n, eps = ambient.n, ambient.epsilon
+    qinv = inverse(ambient.q_V.gram)
+    for _ in range(budget):
+        x = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        if det(x) == 0:
+            continue
+        r = mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        s = mat_sub(r, mat_scale(eps, transpose(r)))
+        y = mat_add(mat_scale(Fraction(-1, 2), mat_mul(x, mat_mul(qinv, transpose(x)))), s)
+        if det(y) == 0:
+            continue
+        if require_very_regular and not reference_is_very_regular(
+                reference_gs_norm(ambient, x, y)):
+            continue
+        return x, y
+    raise RuntimeError("retry budget exhausted")
+
+
+def reference_transfer_factor(space, delta, n):
+    """The Witt comparison with q_delta = 1/2 (delta + delta^T) built by
+    Fraction sums: the reference for endoscopy.transfer_factor."""
+    sym = mat_scale(Fraction(1, 2), mat_add(delta, transpose(delta)))
+    target = scale((-1) ** n, norm_form(invariants(space).dpm, space.p))
+    return 1 if witt_equivalent(quad_form(sym, space.p), target) else -1

@@ -244,6 +244,18 @@ def test_corpus_rejects_an_empty_or_negative_plan(capsys):
             assert code == 2 and doc is None
 
 
+def test_corpus_rejects_a_repeated_prime_or_rank(capsys):
+    # a repeated value would emit every record of its cells twice, seeds included
+    for action in ("generate", "run"):
+        for flag, values in (("--p", "3,3"), ("--p", "2,3,2"), ("--n", "1,1")):
+            args = {"--p": "3", "--n": "1", flag: values}
+            code, doc = run(capsys, "corpus", action, "--count", "1",
+                            *(x for kv in args.items() for x in kv))
+            assert code == 2 and doc is None
+    assert main(["corpus", "--help"]) == 0
+    assert " ".join(capsys.readouterr().out.split()).count("at most once") == 2
+
+
 def test_usage_errors(capsys):
     code = main(["qform", "invariants", "--json", "{not json"])
     assert code == 2

@@ -2,14 +2,19 @@
 
 import random
 from dataclasses import fields
+from types import SimpleNamespace
 from fractions import Fraction as F
 
 import pytest
 
 from helpers import (hilbert90_x, random_algebra, random_antifixed_invertible,
                      random_fixed_invertible, random_generator,
-                     random_norm_one_generator, reference_is_very_regular)
+                     random_norm_one_generator, reference_gs_norm,
+                     reference_is_very_regular, reference_phi,
+                     reference_random_config, reference_transfer_factor,
+                     reference_xy_condition)
 from twistedgl import gsnorm
+from twistedgl.endoscopy import transfer_factor
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                build_Sp, corresponds, is_elliptic,
                                twist_invariant)
@@ -388,3 +393,100 @@ def test_random_config_deterministic():
     assert c1.X == c2.X and c1.Y == c2.Y
     c3 = random_config(amb, 43)
     assert (c3.X, c3.Y) != (c1.X, c1.Y)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row pipeline against the Fraction reference
+
+
+def random_ambient(rng, n, eps):
+    """make_ambient on a random nondegenerate rational Gram of size n:
+    symmetric for eps = 1, alternating for eps = -1 (n even)."""
+    p = rng.choice((2, 3, 5, 7))
+    while True:
+        g = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i if eps == 1 else i + 1, n):
+                v = F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4)))
+                g[i][j], g[j][i] = v, eps * v
+        if det(mat(g)) == 0:
+            continue
+        q = quad_form(g, p) if eps == 1 else alternating_form(g, p)
+        try:
+            return make_ambient(q, eps)
+        except ValueError:
+            continue  # the isotropic binary space is excluded
+
+
+def rational_config(rng, amb):
+    """A configuration with rational X and S, off the sampler's integer path:
+    Y = -1/2 X Q^-1 X^T + S, S + eps S^T = 0, and sometimes one entry of Y
+    moved so that the closure condition fails."""
+    n, eps = amb.n, amb.epsilon
+    x = mat([[F(rng.randint(-6, 6), rng.choice((1, 2, 5))) for _ in range(n)]
+             for _ in range(n)])
+    r = mat([[F(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(n)]
+             for _ in range(n)])
+    s = mat_sub(r, mat_scale(eps, transpose(r)))
+    y = [list(row) for row in mat_add(
+        mat_scale(F(-1, 2), mat_mul(x, mat_mul(amb.q_inverse, transpose(x)))), s)]
+    if rng.random() < 0.3:
+        y[rng.randrange(n)][rng.randrange(n)] += F(1, 7)
+    return GSConfiguration(amb, x, mat(y))
+
+
+class RecordingRandom(random.Random):
+    """random.Random that keeps every instance made, to read its state."""
+
+    made = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        RecordingRandom.made.append(self)
+
+
+def check_against_reference(amb, cfg):
+    """gs_norm, xy_condition, rigidify and transfer_factor of cfg equal the
+    Fraction reference (or both refuse)."""
+    x, y = cfg.X, cfg.Y
+    closed = reference_xy_condition(amb, x, y)
+    assert xy_condition(cfg) == closed
+    invertible = det(x) != 0 and det(y) != 0
+    assert cfg.invertible == invertible
+    if invertible:
+        assert gs_norm(cfg) == reference_gs_norm(amb, x, y)
+    if closed and invertible:
+        assert rigidify(cfg) == (y, reference_phi(amb, x))
+    else:
+        with pytest.raises(ValueError):
+            rigidify(cfg)
+    if amb.epsilon == 1 and amb.n % 2 == 0:
+        try:
+            expected = reference_transfer_factor(amb.q_V, y, amb.n // 2)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular symmetrization"):
+                transfer_factor(amb.q_V, y, amb.n // 2)
+        else:
+            assert transfer_factor(amb.q_V, y, amb.n // 2) == expected
+
+
+@pytest.mark.parametrize("n, eps", [(n, 1) for n in range(1, 7)]
+                         + [(n, -1) for n in (2, 4, 6)])
+def test_pipeline_equals_the_fraction_reference(n, eps, monkeypatch):
+    rng = random.Random(4100 + 10 * n + eps)
+    monkeypatch.setattr(gsnorm, "random", SimpleNamespace(Random=RecordingRandom))
+    for _ in range(2):
+        amb = random_ambient(rng, n, eps)
+        for seed in range(2):
+            # an isometry of an odd orthogonal space has eigenvalue 1 or -1
+            for very_regular in (False,) if eps == 1 and n % 2 else (True, False):
+                RecordingRandom.made.clear()
+                cfg = random_config(amb, seed, very_regular)
+                ref_rng = random.Random(seed)
+                assert (cfg.X, cfg.Y) == reference_random_config(amb, ref_rng, very_regular)
+                # the same draws, so the seeded stream ends where it did
+                (used,) = RecordingRandom.made
+                assert used.getstate() == ref_rng.getstate()
+                check_against_reference(amb, cfg)
+        for _ in range(3):
+            check_against_reference(amb, rational_config(rng, amb))

@@ -1,9 +1,11 @@
 """Differential tests of the exact kernels against sympy.Matrix.
 
 Seeded random integer and rational matrices of size 1-12, with zero leading
-entries that force row swaps, and singular inputs.  The kernels over F_l are
-checked against the rational characteristic polynomial reduced mod l and
-against sympy's squarefree test over GF(l).  The squarefree test over Q is
+entries that force row swaps, and singular inputs, both as Mats and as the
+integer rows over a common denominator that the int_ kernels take (where
+int_charpoly_mod must answer None when l divides the denominator).  The
+kernels over F_l are checked against the rational characteristic polynomial
+reduced mod l and against sympy's squarefree test over GF(l).  The squarefree test over Q is
 checked against sympy on products of rational linear and irreducible
 quadratic factors with multiplicities, and on characteristic polynomials of
 matrices with repeated eigenvalues.
@@ -16,7 +18,8 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from twistedgl.linalg import (charpoly, charpoly_mod, det, inverse, mat,
+from twistedgl.linalg import (charpoly, charpoly_mod, det, int_charpoly_mod,
+                              int_det, int_inverse, int_mul, inverse, mat,
                               mat_mul, poly_squarefree, poly_squarefree_mod)
 from twistedgl.gsnorm import ELL
 
@@ -103,6 +106,78 @@ def reduce_mod(poly, ell):
 @pytest.mark.parametrize("n, rational, a", cases(20263, random_matrix))
 def test_charpoly_mod_is_charpoly_reduced(n, rational, a, ell):
     assert charpoly_mod(a, ell) == reduce_mod(charpoly(a), ell)
+
+
+def random_int_rows(rng, n, m=None):
+    """Integer rows with zero leading entries; a quarter of the entries 0."""
+    m = n if m is None else m
+    rows = [[0 if rng.random() < 0.25 else rng.randint(-12, 12) for _ in range(m)]
+            for _ in range(n)]
+    rows[0][0] = 0
+    if n > 2 and m > 2 and rng.random() < 0.5:
+        rows[1][1] = rows[0][1] = 0
+    return rows
+
+
+def int_cases(seed):
+    """(n, rows, den): square integer rows of size 1-12, a third of them
+    singular (the last row a combination of the others), and a denominator
+    that some of the primes 7, 13 and ELL divide."""
+    rng = random.Random(seed)
+    out = []
+    for n in SIZES:
+        for k in range(3):
+            rows = random_int_rows(rng, n)
+            if k == 2:
+                coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+                rows[-1] = [sum(c * rows[i][j] for i, c in enumerate(coeffs))
+                            for j in range(n)]
+            out.append((n, rows, rng.choice((1, 2, 6, 35, 26, 3 * ELL))))
+    return out
+
+
+def scaled_to_sympy(rows, den):
+    return sympy.Matrix(rows) / den
+
+
+def test_int_mul_matches_sympy():
+    rng = random.Random(20267)
+    for n in SIZES:
+        k, m = rng.randint(1, 12), rng.randint(1, 12)
+        a, b = random_int_rows(rng, n, k), random_int_rows(rng, k, m)
+        expected = sympy.Matrix(a) * sympy.Matrix(b)
+        assert int_mul(a, b) == expected.tolist()
+        fa, fb = mat(a), mat([[F(x, 3) for x in row] for row in b])
+        assert mat_mul(fa, fb) == tuple(tuple(F(int(x), 3) for x in row)
+                                        for row in expected.tolist())
+
+
+@pytest.mark.parametrize("n, rows, den", int_cases(20268))
+def test_int_det_and_inverse_match_sympy(n, rows, den):
+    s = sympy.Matrix(rows)
+    before = [list(row) for row in rows]
+    d = int_det(rows)
+    assert d == s.det()
+    if d == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            int_inverse(rows)
+    else:
+        r, pi = int_inverse(rows)
+        assert pi == abs(d) and pi > 0
+        assert sympy.Matrix(r) / pi == s.inv()
+    assert rows == before  # the kernels leave their argument alone
+
+
+@pytest.mark.parametrize("ell", (ELL, 7, 13))
+@pytest.mark.parametrize("n, rows, den", int_cases(20269))
+def test_int_charpoly_mod_matches_sympy(n, rows, den, ell):
+    f = int_charpoly_mod(rows, den, ell)
+    if den % ell == 0:
+        assert f is None
+        return
+    coeffs = scaled_to_sympy(rows, den).charpoly(sympy.Symbol("T")).all_coeffs()
+    assert f == [int(c.p) * pow(int(c.q), -1, ell) % ell for c in reversed(coeffs)]
+    assert f == charpoly_mod(mat([[F(x, den) for x in row] for row in rows]), ell)
 
 
 def test_charpoly_mod_needs_ell_integral_entries():
