@@ -34,7 +34,7 @@ from .etale import make_algebra, quadratic_tower, split_tower, trace_form_quadra
 from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_section,
                      make_ambient, random_config, rigidify, u_of_xy,
                      xy_condition)
-from .linalg import mat, mat_add, mat_mul, transpose
+from .linalg import fr, mat, mat_add, mat_mul, transpose
 from .localfield import (QP, LocalFieldDescriptor, as_prime, hilbert_qp,
                          square_class, square_class_table)
 from .params import FormalConstituent, FormalParameter, classify, hypothesis_even_SO
@@ -54,14 +54,13 @@ class UsageError(Exception):
 
 
 def rat_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(fr(x))
 
 
 def rat_json(x):
     """An integral rational as a JSON integer, any other as a "num/den" string."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else rat_str(x)
+    x = fr(x)
+    return x.numerator if x.denominator == 1 else str(x)
 
 
 def mat_doc(m) -> list[list[str]]:

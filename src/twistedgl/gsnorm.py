@@ -164,8 +164,11 @@ def random_config(ambient: AmbientSpace, seed: int,
     check-skew matrix; rejection sampling enforces invertibility and, by
     default, very-regularity of the norm.  Deterministic per seed.
     """
-    rng = random.Random(seed)
     n, eps = ambient.n, ambient.epsilon
+    if require_very_regular and eps == 1 and n % 2:
+        raise ValueError("no very regular norm on an odd orthogonal ambient: an "
+                         "isometry of an odd-dimensional space has eigenvalue +-1")
+    rng = random.Random(seed)
     a_rows, a = ambient.q_inverse_scaled
     for _ in range(RETRY_BUDGET):
         x = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]

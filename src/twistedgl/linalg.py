@@ -15,14 +15,14 @@ Code that chains several products (the Goldberg-Shahidi sampler and norm in
 gsnorm, the symmetrization of a twisted point in endoscopy) stays on integer
 rows throughout and builds Fractions only for the Mat it returns.
 
-Elimination is fraction-free: one Bareiss routine (Bareiss, Math. Comp. 22,
-1968) runs on the integer rows, dividing each update exactly by the previous
-pivot.  Forward elimination gives the determinant; the Gauss-Jordan form of
-the same routine on [B | I] ends with the last pivot pi times I on the left,
-so B^-1 = right / pi.  Every intermediate entry is a minor of the input, so
-the integers grow only as fast as determinants do.  The same routine decides
-squarefreeness of a rational polynomial: poly_squarefree is the resultant
-Res(f, f'), the determinant of their Sylvester matrix.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each update
+is divided exactly by the previous pivot, so every entry is a minor of the
+input and the integers grow only as fast as determinants do.  Two routines
+do it.  _eliminate here, by rows, gives the determinant, and in Gauss-Jordan
+form on [B | I] ends with pi I on the left, so B^-1 = right / pi; the
+determinant of the Sylvester matrix of f and f' decides poly_squarefree.
+qform._eliminate_symmetric, by congruence, diagonalizes a symmetric Gram and
+is the non-degeneracy check of a symmetric form.
 
 A property that survives reduction modulo a prime can be certified there.
 int_charpoly_mod reduces rows / den modulo a prime l (each entry becomes
@@ -140,10 +140,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     ia, da = clear_denominators(a)
     ib, db = clear_denominators(b)
     return to_mat(int_mul(ia, ib), da * db)
-
-
-def mat_vec(a: Mat, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int]:

@@ -6,8 +6,11 @@ decomposition and the comparison operations built on them.  Alternating and
 general bilinear Grams share the container through a symmetry tag; Witt
 theory is exposed for the symmetric tag only.
 
-Diagonalization is one symmetric Bareiss elimination on the cleared-integer
-Gram; the invariants of a form are computed once and kept on the form object.
+A symmetric form is eliminated once: the constructor's non-degeneracy check
+is the symmetric Bareiss elimination of its cleared-integer Gram, whose
+diagonal the form keeps, as it keeps its invariants and their anisotropic
+kernel.  Alternating and general Grams are checked by their determinant;
+forms known non-degenerate by construction are eliminated when first read.
 """
 
 from __future__ import annotations
@@ -49,12 +52,19 @@ class QuadForm:
                 raise ValueError("Gram matrix is not alternating")
         elif self.symmetry != GENERAL:
             raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
-        if n and det(g) == 0:
+        if self.symmetry == SYMMETRIC:
+            self._diagonal  # the elimination raises on a degenerate Gram
+        elif n and det(g) == 0:
             raise ValueError("degenerate Gram matrix")
 
     @property
     def dim(self) -> int:
         return len(self.gram)
+
+    @cached_property
+    def _diagonal(self) -> tuple[Fraction, ...]:
+        """The diagonal of the one symmetric elimination of this form."""
+        return _eliminate_symmetric(self.gram, transform=False)[0]
 
     @cached_property
     def invariants(self) -> "FormInvariants":
@@ -69,7 +79,8 @@ class QuadForm:
 def _known_form(gram: Mat, p: Prime, label: str | None, symmetry: str) -> QuadForm:
     """A QuadForm built without QuadForm's checks, for a Gram of Fractions
     already known square, of the given symmetry and non-degenerate: a
-    scaling, a direct sum or hyperbolic planes of checked forms."""
+    diagonal with nonzero entries, or a scaling, a direct sum or hyperbolic
+    planes of checked forms.  A symmetric one is eliminated when first read."""
     q = object.__new__(QuadForm)
     for name, value in (("gram", gram), ("p", p), ("label", label),
                         ("symmetry", symmetry)):
@@ -78,7 +89,7 @@ def _known_form(gram: Mat, p: Prime, label: str | None, symmetry: str) -> QuadFo
 
 
 def quad_form(gram, p, label: str | None = None) -> QuadForm:
-    return QuadForm(mat(gram), as_prime(p), label, SYMMETRIC)
+    return QuadForm(gram, p, label, SYMMETRIC)
 
 
 def diag_form(entries, p, label: str | None = None) -> QuadForm:
@@ -88,15 +99,15 @@ def diag_form(entries, p, label: str | None = None) -> QuadForm:
     n = len(entries)
     g = tuple(tuple(entries[i] if i == j else Fraction(0) for j in range(n))
               for i in range(n))
-    return QuadForm(g, as_prime(p), label, SYMMETRIC)
+    return _known_form(g, as_prime(p), label, SYMMETRIC)  # det = prod(entries)
 
 
 def alternating_form(gram, p, label: str | None = None) -> QuadForm:
-    return QuadForm(mat(gram), as_prime(p), label, ALTERNATING)
+    return QuadForm(gram, p, label, ALTERNATING)
 
 
 def bilinear_form(gram, p, label: str | None = None) -> QuadForm:
-    return QuadForm(mat(gram), as_prime(p), label, GENERAL)
+    return QuadForm(gram, p, label, GENERAL)
 
 
 def _require_symmetric(q: QuadForm, op: str):
@@ -187,27 +198,13 @@ def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
 
 
 def diagonal(q: QuadForm) -> tuple[Fraction, ...]:
-    """The diagonal entries of diagonalize(q), without building P."""
+    """The diagonal entries of diagonalize(q), without building P; kept on q."""
     _require_symmetric(q, "diagonalization")
-    return _eliminate_symmetric(q.gram, transform=False)[0]
+    return q._diagonal
 
 
 # ---------------------------------------------------------------------------
 # invariants and the isotropy criterion
-
-
-@dataclass(frozen=True)
-class FormInvariants:
-    dim: int
-    det: SquareClass
-    dpm: SquareClass
-    hasse: int
-    witt_index: int
-    aniso_dim: int
-
-    def __post_init__(self):
-        if self.aniso_dim > 4 or self.dim != self.aniso_dim + 2 * self.witt_index:
-            raise ValueError("inconsistent Witt data")
 
 
 @dataclass(frozen=True)
@@ -222,16 +219,27 @@ class WittClass:
     def __post_init__(self):
         object.__setattr__(self, "p", as_prime(self.p))
         d, dc, h = self.aniso_dim, self.det, self.hasse
-        m1 = square_class(-1, self.p)
-        ok = {
-            0: lambda: dc.is_trivial() and h == 1,
-            1: lambda: h == 1,
-            2: lambda: dc != m1,
-            3: lambda: h != m1.hilbert(m1 * dc),
-            4: lambda: dc.is_trivial() and h != m1.hilbert(m1),
-        }.get(d)
-        if ok is None or not ok():
+        if not (0 <= d <= 4 and not _isotropic_triple(d, dc, h)
+                and (d > 1 or h == 1) and (d > 0 or dc.is_trivial())):
             raise ValueError("triple is not realized by an anisotropic form")
+
+
+@dataclass(frozen=True)
+class FormInvariants:
+    dim: int
+    det: SquareClass
+    dpm: SquareClass
+    hasse: int
+    witt_index: int
+    kernel: WittClass
+
+    def __post_init__(self):
+        if self.dim != self.aniso_dim + 2 * self.witt_index:
+            raise ValueError("inconsistent Witt data")
+
+    @property
+    def aniso_dim(self) -> int:
+        return self.kernel.aniso_dim
 
 
 def _isotropic_triple(dim: int, detc: SquareClass, hasse: int) -> bool:
@@ -246,14 +254,6 @@ def _isotropic_triple(dim: int, detc: SquareClass, hasse: int) -> bool:
     if dim == 4:
         return (not detc.is_trivial()) or hasse == m1.hilbert(m1)
     return True
-
-
-def _split_plane(detc: SquareClass, hasse: int) -> tuple[SquareClass, int]:
-    """(det, Hasse) of q' where q = q' + H: det q' = -det q, and the Hasse
-    invariant picks up (-1, det q')."""
-    m1 = square_class(-1, detc.p)
-    detc = m1 * detc
-    return detc, hasse * m1.hilbert(detc)
 
 
 def invariants(q: QuadForm) -> FormInvariants:
@@ -275,30 +275,27 @@ def _invariants(q: QuadForm) -> FormInvariants:
     for c in classes:
         hasse *= prefix.hilbert(c)
         prefix = prefix * c
-    dpm = square_class(-1, p) * prefix if n * (n - 1) // 2 % 2 else prefix
+    m1 = square_class(-1, p)
+    dpm = m1 * prefix if n * (n - 1) // 2 % 2 else prefix
+    # Witt reduction: split q = q' + H while the criterion finds q isotropic;
+    # det q' = -det q, and the Hasse invariant picks up (-1, det q')
     dim, dc, h = n, prefix, hasse
-    witt = 0
     while _isotropic_triple(dim, dc, h):
-        dc, h = _split_plane(dc, h)
+        dc = m1 * dc
+        h *= m1.hilbert(dc)
         dim -= 2
-        witt += 1
-    return FormInvariants(n, prefix, dpm, hasse, witt, dim)
+    return FormInvariants(n, prefix, dpm, hasse, (n - dim) // 2,
+                          WittClass(dim, dc, h, p))
 
 
 def is_isotropic(q: QuadForm) -> bool:
-    inv = invariants(q)
-    return _isotropic_triple(inv.dim, inv.det, inv.hasse)
+    return invariants(q).witt_index > 0
 
 
 def witt_decompose(q: QuadForm) -> tuple[int, WittClass]:
     """Witt index and the invariants of the anisotropic kernel."""
     inv = invariants(q)
-    dc, h = inv.det, inv.hasse
-    for _ in range(inv.witt_index):
-        dc, h = _split_plane(dc, h)
-    if inv.aniso_dim == 0:
-        dc, h = SquareClass(q.p, 0), 1
-    return inv.witt_index, WittClass(inv.aniso_dim, dc, h, q.p)
+    return inv.witt_index, inv.kernel
 
 
 def equivalent(q1: QuadForm, q2: QuadForm) -> bool:
@@ -314,9 +311,7 @@ def equivalent(q1: QuadForm, q2: QuadForm) -> bool:
 
 def witt_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
     _same_prime(q1, q2)
-    _, k1 = witt_decompose(q1)
-    _, k2 = witt_decompose(q2)
-    return k1 == k2
+    return witt_decompose(q1)[1] == witt_decompose(q2)[1]
 
 
 # ---------------------------------------------------------------------------

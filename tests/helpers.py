@@ -8,16 +8,19 @@ witnessed by explicitly constructed congruence matrices.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import sympy
 
+from twistedgl import linalg, qform
 from twistedgl.etale import (EtaleAlgebraWithInvolution, make_algebra,
                              quadratic_tower, split_tower, tau, is_generator,
                              very_regular)
 from twistedgl.linalg import (det, identity, inverse, mat, mat_add, mat_mul,
-                              mat_scale, mat_sub, mat_vec, transpose)
-from twistedgl.localfield import QP, least_nonresidue, square_class_table, valuation
+                              mat_scale, mat_sub, transpose)
+from twistedgl.localfield import (QP, least_nonresidue, square_class,
+                                  square_class_table, valuation)
 from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,
                              quad_form, scale, witt_equivalent)
 
@@ -491,3 +494,40 @@ def reference_transfer_factor(space, delta, n):
     sym = mat_scale(Fraction(1, 2), mat_add(delta, transpose(delta)))
     target = scale((-1) ** n, norm_form(invariants(space).dpm, space.p))
     return 1 if witt_equivalent(quad_form(sym, space.p), target) else -1
+
+
+def reference_witt_class_exists(aniso_dim, detc, hasse, p) -> bool:
+    """Whether (dim, det class, Hasse) is the triple of an anisotropic form
+    over Q_p, case by case (Serre, A Course in Arithmetic, ch. IV): the
+    reference for the existence check of qform.WittClass."""
+    m1 = square_class(-1, p)
+    ok = {
+        0: lambda: detc.is_trivial() and hasse == 1,
+        1: lambda: hasse == 1,
+        2: lambda: detc != m1,
+        3: lambda: hasse != m1.hilbert(m1 * detc),
+        4: lambda: detc.is_trivial() and hasse != m1.hilbert(m1),
+    }.get(aniso_dim)
+    return ok is not None and ok()
+
+
+def count_eliminations(monkeypatch):
+    """Record the Grams qform._eliminate_symmetric is called on and the
+    matrices linalg.det is called on, under every name a twistedgl module
+    binds det to.  Returns the two lists, which fill as the calls happen."""
+    grams, dets = [], []
+    eliminate, det_ = qform._eliminate_symmetric, linalg.det
+
+    def counted_eliminate(gram, transform):
+        grams.append(gram)
+        return eliminate(gram, transform)
+
+    def counted_det(a):
+        dets.append(a)
+        return det_(a)
+
+    monkeypatch.setattr(qform, "_eliminate_symmetric", counted_eliminate)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twistedgl") and getattr(module, "det", None) is det_:
+            monkeypatch.setattr(module, "det", counted_det)
+    return grams, dets

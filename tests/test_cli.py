@@ -5,11 +5,14 @@ import copy
 import io
 import json
 import sys
+import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistedgl.cli import main
+from helpers import count_eliminations
+from twistedgl.cli import main, rat_json, rat_str
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -85,6 +88,33 @@ def test_class_verbs(capsys):
     assert code == 0 and len(doc["char_poly"]) == 3
     code, doc = run(capsys, "class", "elliptic", "--json", json.dumps(param))
     assert code == 0 and doc["elliptic"] is False
+
+
+def test_rational_output_literals():
+    assert [rat_str(x) for x in (F(-6, 4), F(7), 3, "5/10")] == ["-3/2", "7", "3", "1/2"]
+    assert [rat_json(x) for x in (F(-6, 4), F(7), -2)] == ["-3/2", 7, -2]
+    for fmt in (rat_str, rat_json):
+        with pytest.raises(TypeError):
+            fmt(0.5)  # a float has already lost the exact value
+
+
+def test_gs_random_refuses_an_odd_orthogonal_ambient_at_once(capsys):
+    # an isometry of an odd-dimensional quadratic space has eigenvalue +-1,
+    # so no very regular norm exists: exit 2 before any sampling
+    for diag in (["1"], ["1", "-2", "3"], ["1", "2", "-3", "5", "7"]):
+        spec = {"qV": {"p": 3, "diag": diag}, "epsilon": 1}
+        start = time.perf_counter()
+        code = main(["gs", "random", "--seed", "1", "--json", json.dumps(spec)])
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "odd orthogonal" in err
+
+
+def test_corpus_run_takes_no_rational_determinant(capsys, monkeypatch):
+    _, dets = count_eliminations(monkeypatch)
+    code, doc = run(capsys, "corpus", "run", "--p", "2,3", "--n", "1,2,3",
+                    "--count", "2", "--seed", "1")
+    assert code == 0 and doc["failures"] == 0 and dets == []
 
 
 def test_gs_round_trip_through_cli(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_algebra, random_fixed_invertible
+from helpers import count_eliminations, random_algebra, random_fixed_invertible
 from twistedgl.cli import _corpus_entries
 from twistedgl.endoscopy import (EndoscopicDatum, constancy_record,
                                  enumerate_elliptic_data,
@@ -215,6 +215,18 @@ def test_transfer_factor_pipeline_and_invariance():
                 break
         moved = mat_mul(transpose(g), mat_mul(delta, g))
         assert transfer_factor(amb.q_V, moved, n) == value
+
+
+def test_transfer_factor_eliminates_q_delta_once(monkeypatch):
+    for p, n, k in ((3, 2, 3), (5, 1, 2), (2, 3, 5)):
+        amb, cfg = pipeline_fixture(p, n, square_class(k, p), square_class(1, p), 7)
+        delta, _ = rigidify(cfg)
+        invariants(amb.q_V)
+        grams, dets = count_eliminations(monkeypatch)
+        value = transfer_factor(amb.q_V, delta, n)
+        sym = mat_scale(F(1, 2), mat_add(delta, transpose(delta)))
+        assert value in (1, -1) and grams.count(sym) == 1 and dets == []
+        monkeypatch.undo()
 
 
 def test_transfer_factor_split_trivial_case():

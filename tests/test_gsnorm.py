@@ -86,6 +86,17 @@ def test_random_config_gives_up_after_the_retry_budget(monkeypatch):
         random_config(amb, 4)
 
 
+def test_random_config_refuses_a_very_regular_norm_on_odd_orthogonal():
+    # an isometry of an odd-dimensional quadratic space has eigenvalue +-1
+    for diag in ([3], [1, -2, 3], [1, 2, 5, -7, 3]):
+        amb = make_ambient(diag_form(diag, 5), 1)
+        with pytest.raises(ValueError, match="odd orthogonal"):
+            random_config(amb, 1)
+        for seed in range(3):
+            config = random_config(amb, seed, require_very_regular=False)
+            assert not is_very_regular(gs_norm(config))
+
+
 def test_ambient_gram_determinant_is_that_of_q():
     # the block Gram [[0,0,I],[0,Q,0],[eps I,0,0]] has determinant
     # (-eps)^n det Q, so a nondegenerate Q never gives a degenerate ambient

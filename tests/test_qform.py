@@ -5,13 +5,16 @@ from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import (diag_isotropy_bruteforce, padic_congruence_witness,
-                     reference_diagonalize)
+from helpers import (count_eliminations, diag_isotropy_bruteforce,
+                     padic_congruence_witness, reference_diagonalize,
+                     reference_witt_class_exists)
 from twistedgl.linalg import det, identity, mat, mat_mul, transpose
 from twistedgl.localfield import hilbert_qp, square_class, square_class_table
-from twistedgl.qform import (QuadForm, alternating_form, diag_form, diagonal,
+from twistedgl.qform import (QuadForm, WittClass, alternating_form, diag_form,
+                             diagonal,
                              diagonalize, direct_sum, equivalent, hyperbolic,
                              invariants, is_isotropic, norm_form, quad_form,
                              represents, scale, witt_decompose,
@@ -336,3 +339,109 @@ def test_invariants_under_unimodular_congruence(case):
     assert invariants(q2) == invariants(q)
     assert weil_index(q2) == weil_index(q)
     assert invariants(q) is invariants(q)  # kept on the form object
+
+
+@st.composite
+def symmetric_grams(draw, max_dim=6):
+    """Symmetric rational Grams, rank-deficient ones included: a nondegenerate
+    or degenerate Gram as in nondegenerate_grams, or one with an index
+    repeated (row and column j copied, times c, into a new last index), which
+    is congruent to G + <0>, or a product M^T diag(a) M with M of k < n rows."""
+    n = draw(st.integers(1, max_dim))
+    shape = draw(st.sampled_from(("entries", "entries", "repeated", "low rank")))
+    if shape == "low rank":
+        k = draw(st.integers(0, n - 1))
+        m = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)]
+        a = [draw(SMALL_RATIONALS) for _ in range(k)]
+        return tuple(tuple(sum((a[r] * m[r][i] * m[r][j] for r in range(k)), F(0))
+                           for j in range(n)) for i in range(n))
+    zero_diagonal = draw(st.integers(0, 2)) == 0
+    entries = st.one_of(st.just(F(0)), SMALL_RATIONALS)
+    g = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                g[i][j] = g[j][i] = draw(entries)
+    if shape == "repeated":
+        j, c = draw(st.integers(0, n - 1)), draw(SMALL_RATIONALS)
+        for row in g:
+            row.append(c * row[j])
+        g.append([c * x for x in g[j]])  # ends in c * (c g_jj)
+    return tuple(tuple(row) for row in g)
+
+
+@PROPERTY
+@given(symmetric_grams(), PRIMES)
+@example(((0, 1, 1), (1, 0, 0), (1, 0, 0)), 3)      # symmetrize, then all zero
+@example(((1, 1, 0), (1, 1, 0), (0, 0, 0)), 2)
+def test_quad_form_raises_exactly_on_a_zero_determinant(gram, p):
+    singular = sympy.Matrix([[sympy.Rational(F(x).numerator, F(x).denominator)
+                              for x in row] for row in gram]).det() == 0
+    try:
+        quad_form(gram, p)
+    except ValueError as exc:
+        assert singular and str(exc) == "degenerate Gram matrix"
+    else:
+        assert not singular
+
+
+def test_a_symmetric_form_is_eliminated_once(monkeypatch):
+    grams, dets = count_eliminations(monkeypatch)
+    rng = random.Random(9)
+    for p in (2, 3, 5, 7):
+        for dim in (1, 2, 4, 7):
+            gram = rand_form(rng, p, dim).gram
+            del grams[:]
+            q = quad_form(gram, p)
+            assert grams == [q.gram]  # the constructor's check
+            invariants(q)
+            diagonal(q)
+            weil_index(q)
+            witt_decompose(q)
+            is_isotropic(q)
+            equivalent(q, q)
+            witt_equivalent(q, q)
+            assert grams == [q.gram]
+    assert dets == []
+
+
+def test_forms_known_non_degenerate_are_eliminated_when_read(monkeypatch):
+    grams, dets = count_eliminations(monkeypatch)
+    q = diag_form([1, 3, -2], 3)
+    forms = [q, scale(F(2, 3), q), direct_sum(q, q), hyperbolic(2, 3)]
+    assert grams == [] and dets == []
+    for f in forms:
+        invariants(f)
+        witt_decompose(f)
+    assert grams == [f.gram for f in forms]
+    assert diagonal(q) == (1, 3, -2)
+
+
+def test_witt_class_existence_is_the_reference_table():
+    for p in (2, 3, 5, 7):
+        realized = 0
+        for detc in square_class_table(p):
+            for d in range(-1, 7):
+                for hasse in (1, -1):
+                    expected = reference_witt_class_exists(d, detc, hasse, p)
+                    try:
+                        WittClass(d, detc, hasse, p)
+                    except ValueError:
+                        assert not expected, (p, d, detc, hasse)
+                    else:
+                        assert expected, (p, d, detc, hasse)
+                        realized += 1
+        # one anisotropic kernel per Witt class: |W(Q_p)| = 16, or 32 at p = 2
+        assert realized == (32 if p == 2 else 16)
+
+
+def test_invariants_keep_the_anisotropic_kernel():
+    rng = random.Random(4)
+    for p in (2, 3, 5):
+        for dim in range(1, 9):
+            q = rand_form(rng, p, dim)
+            inv = invariants(q)
+            witt, kernel = witt_decompose(q)
+            assert kernel is inv.kernel and witt == inv.witt_index
+            assert is_isotropic(q) == (witt > 0)
+            assert kernel.aniso_dim == inv.aniso_dim == dim - 2 * witt
