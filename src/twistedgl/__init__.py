@@ -7,9 +7,8 @@ from .localfield import (
 )
 from .qform import (
     QuadForm, FormInvariants, WittClass, quad_form, diag_form, alternating_form,
-    bilinear_form, diagonalize, diagonal, invariants, is_isotropic, witt_decompose,
-    equivalent, witt_equivalent, direct_sum, scale, hyperbolic, norm_form,
-    represents,
+    diagonalize, diagonal, invariants, is_isotropic, witt_decompose, equivalent,
+    witt_equivalent, direct_sum, scale, hyperbolic, norm_form, represents,
 )
 from .weil import Mu8, weil_rank1, weil_index, epsilon_half
 from .etale import (

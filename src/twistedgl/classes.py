@@ -320,7 +320,7 @@ def refine_conjugacy(param1: ClassParameter, param2: ClassParameter) -> bool | N
     for f, (a, b) in zip(param1.algebra.factors, ratio.parts):
         if f.step_kind != QUADRATIC:
             continue  # split factors: every unit is a norm
-        if int(f.base.p) == 2 and f.base.degree > 1:
+        if f.base.p == 2 and f.base.degree > 1:
             return None
         if not is_local_norm(f.base, f.d, a):
             return False

@@ -29,7 +29,7 @@ from .classes import (ClassParameter, build_SO_even, build_SO_odd, build_Sp,
                       corresponds, is_elliptic)
 from .endoscopy import (constancy_record, enumerate_elliptic_data, eta_so_value,
                         eta_sp_value, gs_constancy_check, quasisplit_space,
-                        transfer_factor, transfer_factor_whittaker)
+                        transfer_factor_whittaker)
 from .etale import make_algebra, quadratic_tower, split_tower, trace_form_quadratic
 from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_section,
                      make_ambient, random_config, rigidify, u_of_xy,
@@ -38,8 +38,8 @@ from .linalg import fr, mat, mat_add, mat_mul, transpose
 from .localfield import (QP, LocalFieldDescriptor, as_prime, hilbert_qp,
                          square_class, square_class_table)
 from .params import FormalConstituent, FormalParameter, classify, hypothesis_even_SO
-from .qform import (QuadForm, diag_form, equivalent, invariants, is_isotropic,
-                    quad_form, witt_decompose)
+from .qform import (QuadForm, alternating_form, diag_form, equivalent,
+                    invariants, is_isotropic, quad_form, witt_decompose)
 from .weil import epsilon_half, weil_index
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
@@ -91,21 +91,24 @@ def parse_int(x) -> int:
     return int(x)
 
 
-def parse_form(doc, p=None) -> QuadForm:
+def parse_form(doc, p=None, alternating=False) -> QuadForm:
+    """A symmetric form from 'diag' or 'gram', or with alternating set an
+    alternating form from 'gram'."""
     if not isinstance(doc, dict):
         raise UsageError("form literal must be an object")
     prime = as_prime(doc.get("p", p))
     label = doc.get("label")
-    if "diag" in doc:
+    if "diag" in doc and not alternating:
         return diag_form([parse_rat(x) for x in doc["diag"]], prime, label)
     if "gram" in doc:
         g = [[parse_rat(x) for x in row] for row in doc["gram"]]
-        return quad_form(g, prime, label)
-    raise UsageError("form literal needs 'diag' or 'gram'")
+        return (alternating_form if alternating else quad_form)(g, prime, label)
+    raise UsageError("alternating form literal needs 'gram'" if alternating
+                     else "form literal needs 'diag' or 'gram'")
 
 
 def form_doc(q: QuadForm) -> dict:
-    doc = {"p": int(q.p), "gram": mat_doc(q.gram)}
+    doc = {"p": q.p, "gram": mat_doc(q.gram)}
     if q.label:
         doc["label"] = q.label
     return doc
@@ -171,8 +174,10 @@ def parse_param(doc) -> ClassParameter:
 
 
 def parse_ambient(doc) -> AmbientSpace:
-    """{"qV": form, "epsilon": 1 or -1}, epsilon 1 when absent."""
-    return make_ambient(parse_form(doc["qV"]), parse_int(doc.get("epsilon", 1)))
+    """{"qV": form, "epsilon": 1 or -1}, epsilon 1 when absent; qV is read as
+    an alternating form when epsilon is -1."""
+    q_doc, epsilon = doc["qV"], parse_int(doc.get("epsilon", 1))
+    return make_ambient(parse_form(q_doc, alternating=epsilon == -1), epsilon)
 
 
 def parse_config(doc) -> GSConfiguration:
@@ -286,7 +291,7 @@ def cmd_qform(args) -> int:
 def cmd_weil(args) -> int:
     if args.action == "index":
         q = parse_form(read_input(args), args.p)
-        if args.p is not None and int(q.p) != args.p:
+        if args.p is not None and q.p != args.p:
             raise UsageError(f"--p {args.p} disagrees with the form's prime {q.p}")
         emit({"weil_index": str(weil_index(q))}, args)
         return EXIT_OK
@@ -417,7 +422,7 @@ def cmd_endo(args) -> int:
         else:
             doc = read_input(args)
             vp = parse_form(doc["binary"], args.p)
-            if args.p is not None and int(vp.p) != args.p:
+            if args.p is not None and vp.p != args.p:
                 raise UsageError(f"--p {args.p} disagrees with the binary "
                                  f"form's prime {vp.p}")
             prime = vp.p
@@ -429,8 +434,8 @@ def cmd_endo(args) -> int:
     if args.action == "delta":
         space = parse_form(doc["space"])
         delta = mat([[parse_rat(v) for v in row] for row in doc["delta"]])
-        plain = transfer_factor(space, delta, args.n)
         lam = transfer_factor_whittaker(space, delta, args.n)
+        plain = (lam * epsilon_half(invariants(space).dpm, space.p)).as_sign()
         emit({"delta": plain, "delta_lambda": str(lam)}, args)
         return EXIT_OK
     # check
@@ -502,6 +507,8 @@ def cmd_corpus(args) -> int:
     for flag, values in (("--p", primes), ("--n", ns)):
         if len(set(values)) != len(values):
             raise UsageError(f"{flag} lists a value twice: {values}")
+    if min(ns) < 1:
+        raise UsageError(f"--n values must be at least 1: {ns}")
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, not {args.count}")
     entries = _corpus_entries(args.seed, primes, ns, args.count)

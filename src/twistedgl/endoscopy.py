@@ -261,8 +261,11 @@ def transfer_factor(gamma_space: QuadForm, delta: Mat, n: int) -> int:
 
     q_delta = 1/2 (delta + delta^T) must be non-degenerate (delta very
     regular); K is the discriminant algebra of the orthogonal space.  The
-    space must have dimension 2n, and delta must be square of that size.
+    space must have dimension 2n, n >= 1, and delta must be square of that
+    size.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     delta = mat(delta)
     dim = gamma_space.dim
     if dim != 2 * n:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .classes import ClassParameter
+from .classes import ClassParameter, twist_invariant
 from .etale import char_poly, tau, very_regular
 from .linalg import (Mat, charpoly, clear_denominators, det, from_blocks,
                      identity, int_charpoly_mod, int_det, int_inverse, int_mul,
@@ -102,7 +102,7 @@ def make_ambient(q_V: QuadForm, epsilon: int) -> AmbientSpace:
     n = q_V.dim
     if n == 0:
         raise ValueError("V must be nonzero")
-    if epsilon == 1 and n == 2 and q_V.dim % 2 == 0 and is_isotropic(q_V):
+    if epsilon == 1 and n == 2 and is_isotropic(q_V):
         raise ValueError("isotropic binary V is excluded in the even orthogonal case")
     return AmbientSpace(q_V, epsilon)
 
@@ -307,7 +307,6 @@ def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:
     cp_gamma = charpoly(gs_norm(config))
     if not poly_squarefree(cp_gamma):
         raise ValueError("norm is not very regular for this configuration")
-    from .classes import twist_invariant
     t_minus_1 = (Fraction(-1), Fraction(1))
     ratio = tau(x_param.x) * x_param.x.inverse()
     delta_fp = twist_invariant(config.Y)

@@ -27,6 +27,14 @@ for p = 2.  In the bases (v, [u]) and (v, eps, omega) the Gram matrices are
 invertible, so the form is non-degenerate.  `SquareClass.hilbert` evaluates
 B on the bits, and `hilbert_qp` on rationals is that form on their classes.
 
+A prime is an int: `Prime` subclasses int, and constructing one is the
+Miller-Rabin proof.  A field certified by a non-square discriminant is read
+through its normal model Q_p[s]/(s^2 - m), v(m) in {0, 1}, which is Eisenstein
+or unramified, so tame data has one algorithm per ramification type.  A
+quadratic field is unramified exactly when its discriminant has Hilbert
+symbol 1 with every unit: v(disc) even for odd p, disc in the class of 5 for
+p = 2.
+
 All arithmetic is exact rational; no floats.
 """
 
@@ -34,11 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .linalg import (Mat, Poly, fr, gfp_gcd, gfp_powmod, gfp_trim, poly_trim,
-                     trace)
+from .linalg import (Mat, Poly, det, fr, gfp_gcd, gfp_powmod, gfp_trim,
+                     inverse as mat_inverse, poly_trim, trace)
 
 # ---------------------------------------------------------------------------
 # primes
@@ -76,25 +84,20 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+class Prime(int):
     """A verified prime number below PSI_13, the residue characteristic of the
-    base field."""
+    base field.  It is the int itself; constructing it is the proof."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.p, int) and self.p >= PSI_13:
-            raise ValueError(f"{self.p} is at or above {PSI_13}, beyond the "
+    def __new__(cls, n):
+        proper = isinstance(n, int) and not isinstance(n, bool)
+        if proper and n >= PSI_13:
+            raise ValueError(f"{n} is at or above {PSI_13}, beyond the "
                              "range where the primality test is a proof")
-        if not isinstance(self.p, int) or not _miller_rabin(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __str__(self) -> str:
-        return str(self.p)
+        if not proper or not _miller_rabin(n):
+            raise ValueError(f"{n} is not prime")
+        return super().__new__(cls, n)
 
 
 def as_prime(p) -> Prime:
@@ -113,7 +116,7 @@ def as_prime(p) -> Prime:
 
 def valuation(a, p) -> int:
     """Normalized p-adic valuation of a nonzero rational."""
-    p = int(as_prime(p))
+    p = as_prime(p)
     a = fr(a)
     if a == 0:
         raise ValueError("valuation of zero")
@@ -123,13 +126,13 @@ def valuation(a, p) -> int:
 
 def unit_part(a, p) -> Fraction:
     """a / p^v(a): the p-unit factor of a nonzero rational."""
-    p = int(as_prime(p))
+    p = as_prime(p)
     return fr(a) / Fraction(p) ** valuation(a, p)
 
 
 def legendre(a, p) -> int:
     """Legendre symbol of a p-unit rational modulo the odd prime p."""
-    p = int(as_prime(p))
+    p = as_prime(p)
     if p == 2:
         raise ValueError("Legendre symbol needs an odd prime")
     r = _unit_mod(a, p)
@@ -159,7 +162,7 @@ def _split(num: int, den: int, p: int) -> tuple[int, int]:
 
 def least_nonresidue(p) -> int:
     """Least positive quadratic non-residue modulo an odd prime."""
-    p = int(as_prime(p))
+    p = as_prime(p)
     if p == 2:
         raise ValueError("Legendre symbol needs an odd prime")
     u = 2
@@ -197,12 +200,12 @@ class SquareClass:
         if self.p != other.p:
             raise ValueError("square classes over different primes")
         a, b = self.bits, other.bits
-        if self.p.p == 2:
+        if self.p == 2:
             # eps(u) eps(w) + v(a) omega(w) + v(b) omega(u)
             e = (a >> 1 & b >> 1) ^ (a & b >> 2) ^ (b & a >> 2)
         else:
             # v(a) v(b) (p - 1)/2 + v(a) [w] + v(b) [u]
-            e = (a & b & self.p.p >> 1) ^ (a & b >> 1) ^ (b & a >> 1)
+            e = (a & b & self.p >> 1) ^ (a & b >> 1) ^ (b & a >> 1)
         return -1 if e & 1 else 1
 
     def is_trivial(self) -> bool:
@@ -210,7 +213,7 @@ class SquareClass:
 
     @cached_property
     def representative(self) -> int:
-        p, unit = self.p.p, self.bits >> 1
+        p, unit = self.p, self.bits >> 1
         if p == 2:
             rep = (1, -1, 5, -5)[unit]   # u = 1, 7, 5, 3 mod 8
         else:
@@ -224,8 +227,7 @@ class SquareClass:
 def square_class(a, p) -> SquareClass:
     """The square class of a nonzero rational: one split of p off its
     numerator and denominator, then one residue test on the unit."""
-    prime = as_prime(p)
-    p = prime.p
+    p = as_prime(p)
     a = fr(a)
     if a == 0:
         raise ValueError("square class of zero")
@@ -235,7 +237,7 @@ def square_class(a, p) -> SquareClass:
         bits = (r >> 1 & 1) << 1 | ((r * r - 1) >> 3 & 1) << 2
     else:
         bits = (pow(u % p, (p - 1) // 2, p) != 1) << 1
-    return SquareClass(prime, bits | v & 1)
+    return SquareClass(p, bits | v & 1)
 
 
 def is_square_qp(a, p) -> bool:
@@ -245,9 +247,9 @@ def is_square_qp(a, p) -> bool:
 def square_class_table(p) -> tuple[SquareClass, ...]:
     """All square classes of Q_p^x, in the order of their representatives
     1, n, p, n*p (odd p) or 1, -1, 2, -2, 5, -5, 10, -10 (p = 2)."""
-    prime = as_prime(p)
-    order = (0, 2, 1, 3, 4, 6, 5, 7) if prime.p == 2 else (0, 2, 1, 3)
-    return tuple(SquareClass(prime, b) for b in order)
+    p = as_prime(p)
+    order = (0, 2, 1, 3, 4, 6, 5, 7) if p == 2 else (0, 2, 1, 3)
+    return tuple(SquareClass(p, b) for b in order)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +258,11 @@ def square_class_table(p) -> tuple[SquareClass, ...]:
 
 def hilbert_qp(a, b, p) -> int:
     """Quadratic Hilbert symbol (a, b)_p over Q_p, values in {+1, -1}."""
-    prime = as_prime(p)
+    p = as_prime(p)
     a, b = fr(a), fr(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol of zero")
-    return square_class(a, prime).hilbert(square_class(b, prime))
+    return square_class(a, p).hilbert(square_class(b, p))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +322,7 @@ class LocalFieldDescriptor:
             raise ValueError(f"unknown certificate {self.certificate!r}")
         if poly[-1] != 1:
             raise ValueError("defining polynomial must be monic")
-        p = int(self.p)
-        deg = len(poly) - 1
+        p, deg = self.p, len(poly) - 1
         if self.certificate == "degree-one":
             if deg != 1:
                 raise ValueError("degree-one certificate needs a degree-1 polynomial")
@@ -354,11 +355,16 @@ class LocalFieldDescriptor:
 
     @property
     def ramification_e(self) -> int:
+        """A quadratic field is unramified exactly when its discriminant
+        pairs trivially with every unit class: the norms from the unramified
+        quadratic extension are the units times the even powers of p."""
         if self.certificate == "eisenstein":
             return self.degree
         if self.certificate == "quadratic-nonsquare-disc":
-            disc = self.defining_poly[1] ** 2 - 4 * self.defining_poly[0]
-            return 2 if valuation(disc, self.p) % 2 else 1
+            poly = self.defining_poly
+            disc = square_class(poly[1] ** 2 - 4 * poly[0], self.p)
+            units = (u for u in square_class_table(self.p) if not u.bits & 1)
+            return 1 if all(disc.hilbert(u) == 1 for u in units) else 2
         return 1
 
     @property
@@ -367,7 +373,7 @@ class LocalFieldDescriptor:
 
     @property
     def residue_q(self) -> int:
-        return int(self.p) ** self.residue_f
+        return self.p ** self.residue_f
 
     def element(self, coeffs) -> "FieldElement":
         return FieldElement(self, tuple(fr(c) for c in coeffs))
@@ -466,14 +472,12 @@ class FieldElement:
         return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
     def norm(self) -> Fraction:
-        from .linalg import det
         return det(self.mult_matrix())
 
     def trace(self) -> Fraction:
         return trace(self.mult_matrix())
 
     def inverse(self) -> "FieldElement":
-        from .linalg import inverse as mat_inverse
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         inv = mat_inverse(self.mult_matrix())
@@ -496,36 +500,38 @@ class FieldElement:
 # residue data and the tame Hilbert symbol
 
 
+@lru_cache(maxsize=128)  # certify a field's model once, not per symbol
 def _quadratic_model(fld: LocalFieldDescriptor):
-    """Normalize a certified quadratic field to s^2 = m (m a unit) or pi^2 = p*u.
+    """The normal model of a certified quadratic field over Q_p, p odd.
 
-    Returns (kind, const, convert): kind in {'unram', 'ram'}, const the unit m
-    resp. u, convert mapping power-basis coords to model coords (alpha, beta)
-    with element alpha + beta*s resp. alpha + beta*pi.
+    For t^2 + b t + c = 0, s = (t + b/2)/p^k satisfies s^2 = m with
+    m = (b^2/4 - c)/p^(2k), k = floor(v(b^2/4 - c)/2), so v(m) is 0 or 1.
+    Returns (model, convert): the certified field Q_p[s]/(s^2 - m), Eisenstein
+    when v(m) = 1 and unramified when m is a unit (a non-residue, since the
+    discriminant is no square), and the map from power-basis coordinates of
+    fld to those of the model.
     """
-    p = int(fld.p)
-    b = fld.defining_poly[1]
-    c0 = fld.defining_poly[0]
-    disc4 = (b * b - 4 * c0) / 4  # (t + b/2)^2 = disc4
-    v = valuation(disc4, p)
-    k = v // 2  # floor for even, (v-1)/2 for odd since v//2 floors
-    m = disc4 / Fraction(p) ** (2 * k)
-    pk = Fraction(p) ** k
+    p = fld.p
+    c0, b = fld.defining_poly[:2]
+    disc4 = b * b / 4 - c0  # (t + b/2)^2 = disc4
+    pk = Fraction(p) ** (valuation(disc4, p) // 2)
+    m = disc4 / (pk * pk)
+    cert = "eisenstein" if valuation(m, p) else "unramified-irreducible-mod-p"
+    model = LocalFieldDescriptor(p, (-m, Fraction(0), Fraction(1)), cert)
 
     def convert(coeffs: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-        alpha, beta = coeffs
+        alpha, beta = coeffs  # alpha + beta t = alpha - b beta/2 + beta p^k s
         return (alpha - b * beta / 2, beta * pk)
 
-    if v % 2 == 0:
-        return "unram", m, convert
-    return "ram", m / p, convert
+    return model, convert
 
 
 def tame_data(fld: LocalFieldDescriptor, x) -> tuple[int, int]:
-    """(valuation, quadratic residue character of the unit part), odd p only."""
-    p = int(fld.p)
+    """(valuation, quadratic residue character of the unit part), odd p only.
+    A field certified by its discriminant is read through its normal model."""
+    p = fld.p
     if p == 2 and fld.degree > 1:
-        raise ValueError("tame data unavailable for p = 2 beyond Q_2")
+        raise ValueError("wild case: no tame data for p = 2 beyond Q_2")
     if not isinstance(x, FieldElement):
         x = fld.embed(x)
     if x.is_zero():
@@ -536,33 +542,8 @@ def tame_data(fld: LocalFieldDescriptor, x) -> tuple[int, int]:
 
     cert = fld.certificate
     if cert == "quadratic-nonsquare-disc":
-        kind, const, convert = _quadratic_model(fld)
-        alpha, beta = convert(x.coeffs)
-        if kind == "unram":
-            vals = [valuation(c, p) for c in (alpha, beta) if c != 0]
-            w = min(vals)
-            red = [(-_unit_mod(const, p)) % p, 0, 1]  # s^2 - m mod p
-            res = []
-            for c in (alpha, beta):
-                c = c / Fraction(p) ** w
-                res.append(0 if c == 0 or valuation(c, p) > 0 else _unit_mod(c, p))
-            return w, _residue_char_fq(res, red, p)
-        terms = []
-        if alpha != 0:
-            terms.append(2 * valuation(alpha, p))
-        if beta != 0:
-            terms.append(2 * valuation(beta, p) + 1)
-        w = min(terms)
-        # unit part is x / pi^w with pi^2 = p*u: dividing by pi^2 divides the
-        # leading coordinate by p*u, so chi picks up chi(u)^floor(w/2)
-        if w % 2 == 0:
-            lead = alpha / Fraction(p) ** (w // 2)
-        else:
-            lead = beta / Fraction(p) ** ((w - 1) // 2)
-        chi = legendre(lead, p)
-        if (w // 2) % 2 and legendre(const, p) == -1:
-            chi = -chi
-        return w, chi
+        model, convert = _quadratic_model(fld)
+        return tame_data(model, model.element(convert(x.coeffs)))
 
     if cert == "eisenstein":
         d = fld.degree
@@ -580,10 +561,7 @@ def tame_data(fld: LocalFieldDescriptor, x) -> tuple[int, int]:
     # unramified-irreducible-mod-p
     w = min(valuation(c, p) for c in x.coeffs if c != 0)
     red = [_unit_mod(c, p) for c in fld.defining_poly]
-    res = []
-    for c in x.coeffs:
-        c = c / Fraction(p) ** w
-        res.append(0 if c == 0 or valuation(c, p) > 0 else _unit_mod(c, p))
+    res = [_unit_mod(c / Fraction(p) ** w, p) for c in x.coeffs]  # all p-integral
     return w, _residue_char_fq(res, red, p)
 
 
@@ -598,29 +576,17 @@ def hilbert_tame(fld: LocalFieldDescriptor, a, b) -> int:
         av = a.coeffs[0] if isinstance(a, FieldElement) else a
         bv = b.coeffs[0] if isinstance(b, FieldElement) else b
         return hilbert_qp(av, bv, fld.p)
-    if fld.p.p == 2:
-        raise ValueError("wild case p = 2 beyond Q_2 is unsupported")
     wa, chia = tame_data(fld, a)
     wb, chib = tame_data(fld, b)
-    q = fld.residue_q
-    s = 1
-    if (wa * wb * ((q - 1) // 2)) % 2:
-        s = -s
-    if wb % 2 and chia == -1:
-        s = -s
-    if wa % 2 and chib == -1:
-        s = -s
-    return s
+    e = wa * wb * ((fld.residue_q - 1) // 2) + wb * (chia == -1) + wa * (chib == -1)
+    return -1 if e % 2 else 1
 
 
 def is_square_in_field(fld: LocalFieldDescriptor, d) -> bool:
     """Exact squareness test: odd p any certified field, p = 2 only Q_2."""
-    p = int(fld.p)
     if fld.degree == 1:
         dv = d.coeffs[0] if isinstance(d, FieldElement) else d
-        return is_square_qp(dv, p)
-    if p == 2:
-        raise ValueError("cannot certify squares for p = 2 beyond Q_2")
+        return is_square_qp(dv, fld.p)
     w, chi = tame_data(fld, d)
     return w % 2 == 0 and chi == 1
 

@@ -91,8 +91,7 @@ def gauss_oracle(a, p, k: int, tol: float = 1e-6) -> GaussOracleResult:
     of guessing when stabilization fails, and ValueError when the period
     p^(2(k+1) - v(a)) of the second level exceeds MAX_PERIOD.
     """
-    prime = as_prime(p)
-    p = int(prime)
+    p = as_prime(p)
     a = fr(a)
     if a == 0:
         raise ValueError("oracle needs a nonzero coefficient")
@@ -172,25 +171,25 @@ class _ZpRing:
 
 
 class _QuadRing:
-    """Integer pairs (alpha, beta) for s^2 = m (unram) or pi^2 = p*u (ram)."""
+    """Integer pairs (alpha, beta) for alpha + beta s with s^2 = m: a unit m
+    when e = 1, and m of valuation 1, s a uniformizer, when e = 2."""
 
-    def __init__(self, p: int, kind: str, const: int):
+    def __init__(self, p: int, e: int, m: int):
         self.p = p
-        self.kind = kind
-        self.const = const  # m for unram, u for ram
-        self.e = 2 if kind == "ram" else 1
+        self.e = e
+        self.m = m
         self.two = (2, 0)
 
     def digits(self):
-        if self.kind == "unram":
+        if self.e == 1:
             return [(a, b) for a in range(self.p) for b in range(self.p)]
         return [(a, 0) for a in range(self.p)]
 
     def _pi_pow(self, level):
-        if self.kind == "unram":
+        if self.e == 1:
             return (self.p ** level, 0)
         half, rem = divmod(level, 2)
-        scale = (self.p * self.const) ** half
+        scale = self.m ** half
         return (scale, 0) if rem == 0 else (0, scale)
 
     def from_digit(self, d, level):
@@ -199,8 +198,7 @@ class _QuadRing:
     def mul(self, x, y):
         a, b = x
         c, d = y
-        k = self.const if self.kind == "unram" else self.p * self.const
-        return (a * c + k * b * d, a * d + b * c)
+        return (a * c + self.m * b * d, a * d + b * c)
 
     def add(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
@@ -222,7 +220,7 @@ class _QuadRing:
 
     def w(self, x):
         va, vb = self._vp(x[0]), self._vp(x[1])
-        if self.kind == "unram":
+        if self.e == 1:
             cands = [v for v in (va, vb) if v is not None]
         else:
             cands = []
@@ -235,11 +233,11 @@ class _QuadRing:
     def from_field(self, fld, x):
         if not isinstance(x, FieldElement):
             x = fld.embed(x)
-        _, const, convert = _quadratic_model(fld)
+        model, convert = _quadratic_model(fld)
         alpha, beta = convert(x.coeffs)
-        # the ring's constant was cleared to const * den^2 (generator s' = den*s),
+        # the ring's constant was cleared to m * den^2 (generator s' = den*s),
         # so coordinates rebase as beta -> beta / den
-        beta = beta / const.denominator
+        beta = beta / model.defining_poly[0].denominator
         den = alpha.denominator * beta.denominator
         alpha, beta = alpha * den * den, beta * den * den
         cand = (int(alpha), int(beta))
@@ -252,14 +250,14 @@ class _QuadRing:
 
 
 def _oracle_ring(fld: LocalFieldDescriptor):
-    p = int(fld.p)
+    p = fld.p
     if fld.degree == 1:
         return _ZpRing(p)
     if fld.degree == 2 and p != 2:
-        kind, const, _ = _quadratic_model(fld)
-        # clear the square denominator of the model constant (rebases s)
-        const = const * const.denominator ** 2
-        return _QuadRing(p, kind, int(const))
+        model, _ = _quadratic_model(fld)
+        m = -model.defining_poly[0]
+        # clear the square denominator of m (rebases s)
+        return _QuadRing(p, model.ramification_e, int(m * m.denominator ** 2))
     raise ValueError("solubility oracle supports Q_p and odd-p quadratic fields")
 
 

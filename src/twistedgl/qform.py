@@ -2,15 +2,15 @@
 
 Gram matrices with exact rational entries, congruence diagonalization, the
 classifying triple (dim, det, Hasse), the isotropy criterion, Witt
-decomposition and the comparison operations built on them.  Alternating and
-general bilinear Grams share the container through a symmetry tag; Witt
-theory is exposed for the symmetric tag only.
+decomposition and the comparison operations built on them.  Alternating
+Grams share the container through a symmetry tag; Witt theory is exposed for
+the symmetric tag only.
 
 A symmetric form is eliminated once: the constructor's non-degeneracy check
 is the symmetric Bareiss elimination of its cleared-integer Gram, whose
 diagonal the form keeps, as it keeps its invariants and their anisotropic
-kernel.  Alternating and general Grams are checked by their determinant;
-forms known non-degenerate by construction are eliminated when first read.
+kernel.  An alternating Gram is checked by its determinant; forms known
+non-degenerate by construction are eliminated when first read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .localfield import Prime, SquareClass, as_prime, square_class
 
 SYMMETRIC = "symmetric"
 ALTERNATING = "alternating"
-GENERAL = "general"
 
 
 @dataclass(frozen=True)
@@ -47,15 +46,14 @@ class QuadForm:
         if self.symmetry == SYMMETRIC:
             if g != transpose(g):
                 raise ValueError("Gram matrix is not symmetric")
+            self._diagonal  # the elimination raises on a degenerate Gram
         elif self.symmetry == ALTERNATING:
             if transpose(g) != tuple(tuple(-x for x in row) for row in g):
                 raise ValueError("Gram matrix is not alternating")
-        elif self.symmetry != GENERAL:
+            if n and det(g) == 0:
+                raise ValueError("degenerate Gram matrix")
+        else:
             raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
-        if self.symmetry == SYMMETRIC:
-            self._diagonal  # the elimination raises on a degenerate Gram
-        elif n and det(g) == 0:
-            raise ValueError("degenerate Gram matrix")
 
     @property
     def dim(self) -> int:
@@ -104,10 +102,6 @@ def diag_form(entries, p, label: str | None = None) -> QuadForm:
 
 def alternating_form(gram, p, label: str | None = None) -> QuadForm:
     return QuadForm(gram, p, label, ALTERNATING)
-
-
-def bilinear_form(gram, p, label: str | None = None) -> QuadForm:
-    return QuadForm(gram, p, label, GENERAL)
 
 
 def _require_symmetric(q: QuadForm, op: str):

@@ -72,7 +72,7 @@ class Mu8:
 def _rank1(c: SquareClass) -> Mu8:
     """gamma(<a>) from the bits of the class of a: v(a) mod 2 in bit 0, the
     unit bit(s) above it (see localfield.SquareClass)."""
-    p, bits = c.p.p, c.bits
+    p, bits = c.p, c.bits
     if p != 2:
         # v even: 1; v odd: (u/p) for p = 1 mod 4, i (u/p) for p = 3 mod 4
         return Mu8((bits & 1) * ((p & 2) + 4 * (bits >> 1)))

@@ -19,7 +19,8 @@ from twistedgl.etale import (EtaleAlgebraWithInvolution, make_algebra,
                              very_regular)
 from twistedgl.linalg import (det, identity, inverse, mat, mat_add, mat_mul,
                               mat_scale, mat_sub, transpose)
-from twistedgl.localfield import (QP, least_nonresidue, square_class,
+from twistedgl.localfield import (QP, _residue_char_fq, _unit_mod,
+                                  least_nonresidue, legendre, square_class,
                                   square_class_table, valuation)
 from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,
                              quad_form, scale, witt_equivalent)
@@ -420,6 +421,50 @@ def reference_hilbert_qp(a, b, p: int) -> int:
         om_u, om_w = ((_unit_residue(x, 8) ** 2 - 1) // 8 % 2 for x in (u, w))
         expo = eps_u * eps_w + alpha * om_w + beta * om_u
     return -1 if expo % 2 else 1
+
+
+def reference_quadratic_tame_data(fld, x) -> tuple[int, int]:
+    """(valuation, residue character of the unit part) of a nonzero x in a
+    quadratic field certified by its discriminant, p odd, by closed forms on
+    the coordinates of x in s = (t + b/2)/p^k with s^2 = m, v(m) in {0, 1}.
+
+    m a unit: the field is unramified and x = p^w (a + b s) with a, b
+    p-integral, not both in pZ_p; the character is that of a + b s in
+    F_p[s]/(s^2 - m).  v(m) = 1: s = pi is a uniformizer with pi^2 = p u, and
+    x = pi^w times a unit whose leading coordinate is alpha / p^(w/2) (w even)
+    or beta / p^((w-1)/2) (w odd); dividing by pi^2 divides it by p u, so the
+    character picks up (u/p)^floor(w/2).
+    """
+    p = int(fld.p)
+    c0, b = fld.defining_poly[:2]
+    disc4 = (b * b - 4 * c0) / 4  # (t + b/2)^2 = disc4
+    v = valuation(disc4, p)
+    m = disc4 / Fraction(p) ** (2 * (v // 2))
+    alpha, beta = x.coeffs
+    alpha, beta = alpha - b * beta / 2, beta * Fraction(p) ** (v // 2)
+    if v % 2 == 0:
+        w = min(valuation(c, p) for c in (alpha, beta) if c != 0)
+        red = [(-_unit_mod(m, p)) % p, 0, 1]  # s^2 - m mod p
+        res = []
+        for c in (alpha, beta):
+            c = c / Fraction(p) ** w
+            res.append(0 if c == 0 or valuation(c, p) > 0 else _unit_mod(c, p))
+        return w, _residue_char_fq(res, red, p)
+    u = m / p
+    terms = []
+    if alpha != 0:
+        terms.append(2 * valuation(alpha, p))
+    if beta != 0:
+        terms.append(2 * valuation(beta, p) + 1)
+    w = min(terms)
+    if w % 2 == 0:
+        lead = alpha / Fraction(p) ** (w // 2)
+    else:
+        lead = beta / Fraction(p) ** ((w - 1) // 2)
+    chi = legendre(lead, p)
+    if (w // 2) % 2 and legendre(u, p) == -1:
+        chi = -chi
+    return w, chi
 
 
 def reference_weil_rank1(a, p: int) -> int:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import count_eliminations
 from twistedgl.cli import main, rat_json, rat_str
+from twistedgl.linalg import mat, mat_add, mat_scale, transpose
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -131,6 +132,39 @@ def test_gs_round_trip_through_cli(capsys):
     row[0] = str(int(json.loads('"1"')) + 100)
     code, doc = run(capsys, "gs", "verify", "--json", json.dumps(cfg_bad))
     assert code == 1 and doc["all_pass"] is False
+
+
+def test_gs_verbs_on_an_alternating_ambient(capsys):
+    # epsilon = -1 reads qV as an alternating form; each verb is fed the
+    # output of the one before
+    spec = {"qV": {"p": 3, "gram": [["0", "1"], ["-1", "0"]]}, "epsilon": -1}
+    code, cfg = run(capsys, "gs", "random", "--seed", "2", "--json", json.dumps(spec))
+    assert code == 0 and cfg["ambient"] == spec
+    code, norm = run(capsys, "gs", "norm", "--json", json.dumps(cfg))
+    assert code == 0 and len(norm["gamma"]) == 2
+    section_in = {"ambient": cfg["ambient"], "X": cfg["X"], "gamma": norm["gamma"]}
+    code, section = run(capsys, "gs", "section", "--json", json.dumps(section_in))
+    assert code == 0
+    verify_in = {"ambient": cfg["ambient"], "X": cfg["X"], "Y": section["Y"]}
+    code, doc = run(capsys, "gs", "verify", "--json", json.dumps(verify_in))
+    assert code == 0 and doc["all_pass"] is True
+    # an alternating Gram is not a form for epsilon = +1, nor a diagonal one
+    # for epsilon = -1
+    for bad in ({**spec, "epsilon": 1},
+                {"qV": {"p": 3, "diag": ["1", "1"]}, "epsilon": -1}):
+        assert main(["gs", "random", "--json", json.dumps(bad)]) == 2
+    capsys.readouterr()
+
+
+def test_endo_delta_eliminates_q_delta_once(capsys, monkeypatch):
+    space = {"p": 3, "diag": ["1", "1"]}
+    delta = [["1", "2"], ["0", "3"]]
+    grams, _ = count_eliminations(monkeypatch)
+    code, doc = run(capsys, "endo", "delta", "--n", "1", "--json",
+                    json.dumps({"space": space, "delta": delta}))
+    assert code == 0 and doc == {"delta": -1, "delta_lambda": "zeta8^4"}
+    d = mat(delta)
+    assert grams.count(mat_scale(F(1, 2), mat_add(d, transpose(d)))) == 1
 
 
 def test_endo_verbs(capsys):
@@ -274,6 +308,15 @@ def test_corpus_rejects_an_empty_or_negative_plan(capsys):
             assert code == 2 and doc is None
 
 
+def test_corpus_rejects_a_rank_below_one(capsys):
+    # generate refuses what run would refuse, before any plan is emitted
+    for action in ("generate", "run"):
+        for ns in ("0", "-1", "1,0", "2,-3"):
+            code, doc = run(capsys, "corpus", action, "--p", "3", "--n", ns,
+                            "--count", "1")
+            assert code == 2 and doc is None, (action, ns)
+
+
 def test_corpus_rejects_a_repeated_prime_or_rank(capsys):
     # a repeated value would emit every record of its cells twice, seeds included
     for action in ("generate", "run"):
@@ -341,6 +384,13 @@ def test_endo_delta_n_must_match_the_space(capsys):
         assert code == 2 and doc is None, n
     code, doc = run(capsys, "endo", "delta", "--n", "1", "--json", payload)
     assert code == 0 and doc["delta"] in (1, -1)
+
+
+def test_endo_delta_refuses_rank_zero(capsys):
+    # the zero space is 2n-dimensional for n = 0, which is still no rank
+    code, doc = run(capsys, "endo", "delta", "--n", "0", "--json",
+                    json.dumps({"space": {"p": 3, "diag": []}, "delta": []}))
+    assert code == 2 and doc is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Valuations, square classes, Hilbert symbols and the solubility oracle."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -8,12 +9,14 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import reference_quadratic_tame_data
 from twistedgl.localfield import (PSI_13, QP, LocalFieldDescriptor, Prime,
                                   _residue_char_fq,
                                   as_prime, hilbert_qp, hilbert_tame, is_local_norm,
                                   is_square_in_field, least_nonresidue,
                                   legendre, square_class, square_class_table,
                                   tame_data, valuation)
+from twistedgl.localfield import _quadratic_model
 from twistedgl.oracles import Solubility, solubility_budget, solubility_oracle
 
 
@@ -46,7 +49,17 @@ def test_prime_rejects_strong_pseudoprimes():
         with pytest.raises(ValueError, match="beyond the range"):
             Prime(n)
     below = sympy.prevprime(PSI_13)
-    assert Prime(below).p == below
+    assert Prime(below) == below
+
+
+def test_prime_is_the_int_it_names():
+    p = Prime(7)
+    assert isinstance(p, int) and p == 7 and hash(p) == hash(7)
+    assert str(p) == repr(p) == f"{p}" == json.dumps(p) == "7"
+    assert type(p + 1) is int and p ** 2 == 49
+    for bad in (True, False, 7.0, "7", F(7)):
+        with pytest.raises(ValueError, match="not prime"):
+            Prime(bad)
 
 
 def test_valuation_examples():
@@ -367,3 +380,116 @@ def test_is_local_norm_on_extension():
     # d = uniformizer class 3: norms from the ramified quadratic over L
     t3 = unr.embed(3)
     assert is_local_norm(unr, t3, unr.embed(-1)) == (hilbert_tame(unr, t3, unr.embed(-1)) == 1)
+
+
+# ---------------------------------------------------------------------------
+# quadratic fields certified by their discriminant
+
+
+def quadratic_field(p, b, c):
+    return LocalFieldDescriptor(Prime(p), (F(c), F(b), F(1)),
+                                "quadratic-nonsquare-disc")
+
+
+def random_quadratic_fields(p, rng, count):
+    """Fields t^2 + b t + c, c = (b^2 - disc)/4, whose non-square discriminant
+    has valuation cycling through -3..3."""
+    fields = []
+    for i in range(count):
+        v = i % 7 - 3
+        unit = F(rng.choice([k for k in range(-40, 41) if k % p]),
+                 rng.choice([k for k in (1, 2, 3, 7) if k % p]))
+        if v % 2 == 0 and legendre(unit, p) == 1:
+            unit *= least_nonresidue(p)
+        b = F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))
+        fields.append(quadratic_field(p, b, (b * b - unit * F(p) ** v) / 4))
+    return fields
+
+
+def random_element(fld, p, rng):
+    while True:
+        coeffs = [F(rng.randint(-20, 20), rng.randint(1, 5)) * F(p) ** rng.randint(-3, 3)
+                  for _ in range(2)]
+        if any(coeffs):
+            return fld.element(coeffs)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_quadratic_tame_data_matches_the_closed_forms(p):
+    rng = random.Random(9100 + p)
+    seen = set()
+    for fld in random_quadratic_fields(p, rng, 14):
+        disc_v = valuation(fld.defining_poly[1] ** 2 - 4 * fld.defining_poly[0], p)
+        for _ in range(9):
+            x = random_element(fld, p, rng)
+            w, chi = tame_data(fld, x)
+            assert (w, chi) == reference_quadratic_tame_data(fld, x), (str(fld), str(x))
+            seen.add((disc_v % 2, disc_v < 0, w < 0, chi))
+    # both ramification types, discriminants and elements of negative
+    # valuation, both characters
+    assert {(r, dn) for r, dn, _, _ in seen} >= {(0, True), (0, False), (1, True), (1, False)}
+    assert {wn for _, _, wn, _ in seen} == {True, False}
+    assert {chi for _, _, _, chi in seen} == {1, -1}
+
+
+def test_quadratic_tame_symbol_against_oracle():
+    fields = [quadratic_field(3, 1, F(-2, 9)),        # disc 17/9: unramified
+              quadratic_field(3, 3, F(-9, 2)),        # disc 27: ramified
+              quadratic_field(3, F(1, 2), F(1, 2)),   # disc -7/4: unramified
+              quadratic_field(5, 2, -14)]             # disc 60: ramified
+    rng = random.Random(51)
+    seen = set()
+    for fld in fields:
+        p, u = fld.p, least_nonresidue(fld.p)
+        c0, b = fld.defining_poly[:2]
+        # s = (t + b/2)/p^k, s^2 of valuation 0 or 1: a uniformizer when ramified
+        s = (fld.gen + b / 2) * F(p) ** -(valuation(b * b / 4 - c0, p) // 2)
+        pairs = [(s, fld.embed(u)), (fld.embed(p), fld.embed(u)),
+                 (s, fld.embed(-1)), (s, s), (s + 1, fld.embed(p))]
+        pairs += [(random_element(fld, p, rng), random_element(fld, p, rng))
+                  for _ in range(6)]
+        for a, b in pairs:
+            depth = solubility_budget(a, b, fld)
+            if depth > 7:
+                continue
+            verdict = solubility_oracle(a, b, fld, depth)
+            assert verdict != Solubility.INCONCLUSIVE
+            assert (verdict == Solubility.SOLUBLE) == (hilbert_tame(fld, a, b) == 1), \
+                (str(fld), str(a), str(b))
+            seen.add((fld.ramification_e, verdict))
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("poly, e", [
+    ((-3, 0, 1), 2), ((1, 0, 1), 2), ((-7, 0, 1), 2),   # Q_2(sqrt 3, -1, 7)
+    ((-5, 0, 1), 1), ((1, 1, 1), 1),                    # Q_2(sqrt 5), Q_2(sqrt -3)
+    ((-2, 0, 1), 2)])                                   # Q_2(sqrt 2)
+def test_quadratic_ramification_at_two(poly, e):
+    fld = LocalFieldDescriptor(Prime(2), tuple(F(c) for c in poly),
+                               "quadratic-nonsquare-disc")
+    assert (fld.ramification_e, fld.residue_f, fld.residue_q) == (e, 2 // e, 4 // e)
+    assert fld.embed(2).valuation() == e
+    if e == 2 and poly[0] != -2:
+        assert (fld.gen + 1).valuation() == 1   # 1 + t is a uniformizer
+    # the class-of-5 rule: Q_2(sqrt d) is unramified exactly when d is 5 mod squares
+    disc = F(poly[1]) ** 2 - 4 * F(poly[0])
+    assert (e == 1) == (square_class(disc, 2) == square_class(5, 2))
+
+
+def test_quadratic_ramification_over_every_class_at_two():
+    five = square_class(5, 2)
+    for d in square_class_table(2):
+        if not d.is_trivial():
+            fld = quadratic_field(2, 0, -d.representative)
+            assert fld.ramification_e == (1 if d == five else 2), d
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_quadratic_ramification_is_the_model_certificate(p):
+    rng = random.Random(9200 + p)
+    for fld in random_quadratic_fields(p, rng, 40):
+        model, _ = _quadratic_model(fld)
+        disc_v = valuation(fld.defining_poly[1] ** 2 - 4 * fld.defining_poly[0], p)
+        e = 2 if model.certificate == "eisenstein" else 1
+        assert fld.ramification_e == model.ramification_e == e == (2 if disc_v % 2 else 1)
+        assert fld.embed(p).valuation() == e

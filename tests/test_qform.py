@@ -44,6 +44,13 @@ def test_container_validation():
     alternating_form([[0, 1], [-1, 0]], 3)
 
 
+def test_symmetric_and_alternating_are_the_only_tags():
+    with pytest.raises(ValueError, match="degenerate"):
+        alternating_form([[0, 0], [0, 0]], 3)
+    with pytest.raises(ValueError, match="unknown symmetry tag"):
+        QuadForm([[1, 2], [3, 4]], 3, None, "general")
+
+
 def test_diagonalize_identity_and_diagonal():
     q = diag_form([1, 1, 1], 5)
     d, p = diagonalize(q)
