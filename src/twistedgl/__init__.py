@@ -28,8 +28,8 @@ from .endoscopy import (
     EndoscopicDatum, ThetaSpace, enumerate_elliptic_data, quasisplit_space,
     regular_nilpotent_sp, eta_sp, eta_sp_value, regular_nilpotent_so, eta_so,
     eta_so_value,
-    transfer_factor, transfer_factor_whittaker, ConstancyRecord,
-    constancy_record, gs_constancy_check, separation_check,
+    transfer_factor, transfer_factor_whittaker, ConstancyCell, constancy_cell,
+    ConstancyRecord, constancy_record, gs_constancy_check, separation_check,
 )
 from .params import (
     FormalConstituent, FormalParameter, is_elliptic_param, classify,

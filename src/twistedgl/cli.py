@@ -12,6 +12,13 @@ a JSON integer like every other class field.
 
 `hilbert --oracle` and `weil oracle` load the oracles module on demand, and
 nothing else imports it; `weil oracle` needs the `oracle` extra.
+
+`corpus run --in|--json` runs the entries of a plan that `corpus generate`
+emitted, whole or cut down, and gives the manifest of `corpus run` with the
+plan's flags.  The manifest's "cells" list gives, per (p, n, K, c) cell, its
+records, failures, rhs and the distinct lhs values seen.  An action that
+reads no document (hilbert, sqclass, weil epsilon and oracle, endo enumerate,
+endo eta --kind sp, corpus generate) refuses one with exit 2.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from . import __version__
 from .classes import (ClassParameter, build_SO_even, build_SO_odd, build_Sp,
                       build_tGL_even, build_tGL_odd, class_invariant,
                       corresponds, is_elliptic)
-from .endoscopy import (constancy_record, enumerate_elliptic_data, eta_so_value,
-                        eta_sp_value, gs_constancy_check, quasisplit_space,
+from .endoscopy import (constancy_cell, constancy_record, enumerate_elliptic_data,
+                        eta_so_value, eta_sp_value, gs_constancy_check,
                         transfer_factor_whittaker)
 from .etale import make_algebra, quadratic_tower, split_tower, trace_form_quadratic
 from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_section,
@@ -223,6 +230,12 @@ def read_input(args) -> dict:
     return json.loads(data)
 
 
+def refuse_document(args, action: str) -> None:
+    """An action that reads no document refuses one instead of ignoring it."""
+    if args.infile is not None or args.json is not None:
+        raise UsageError(f"{action} reads no input document")
+
+
 def emit(doc, args) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if getattr(args, "out", None):
@@ -295,6 +308,7 @@ def cmd_weil(args) -> int:
             raise UsageError(f"--p {args.p} disagrees with the form's prime {q.p}")
         emit({"weil_index": str(weil_index(q))}, args)
         return EXIT_OK
+    refuse_document(args, f"weil {args.action}")
     if args.action == "epsilon":
         if args.d is None or args.p is None:
             raise UsageError("epsilon needs --d and --p")
@@ -409,6 +423,7 @@ def cmd_gs(args) -> int:
 def cmd_endo(args) -> int:
     p = 2 if args.p is None else args.p  # enumerate and eta --kind sp
     if args.action == "enumerate":
+        refuse_document(args, "endo enumerate")
         data = enumerate_elliptic_data(args.n, p)
         emit({"count": len(data),
               "data": [{"nO": d.n_O, "nS": d.n_S,
@@ -417,6 +432,7 @@ def cmd_endo(args) -> int:
         return EXIT_OK
     if args.action == "eta":
         if args.kind == "sp":
+            refuse_document(args, "endo eta --kind sp")
             prime = as_prime(p)
             value = eta_sp_value(args.n)
         else:
@@ -486,13 +502,15 @@ def _corpus_entries(seed: int, primes, ns, count: int):
     return entries
 
 
-def _run_entry(entry) -> dict:
-    p, n = as_prime(entry["p"]), entry["n"]
-    q_v = quasisplit_space(2 * n, square_class(entry["K"], p),
-                           square_class(entry["c"], p), p)
-    ambient = make_ambient(q_v, 1)
-    config = random_config(ambient, entry["seed"])
-    result = constancy_record(config, n)
+def _run_entry(entry, cells: dict) -> dict:
+    """The record of one entry.  cells maps the raw (p, n, K, c) of the run's
+    entries to their ConstancyCell, which the first entry of a cell builds."""
+    key = (entry["p"], entry["n"], entry["K"], entry["c"])
+    cell = cells.get(key)
+    if cell is None:
+        cell = cells[key] = constancy_cell(*key)
+    config = random_config(cell.ambient, entry["seed"])
+    result = constancy_record(cell, config)
     record = dict(entry)
     record["inputs_digest"] = digest(config_doc(config))
     record["lhs"] = str(result.lhs)
@@ -501,30 +519,105 @@ def _run_entry(entry) -> dict:
     return record
 
 
-def cmd_corpus(args) -> int:
-    primes = [int(x) for x in args.p.split(",")]
-    ns = [int(x) for x in args.n.split(",")]
-    for flag, values in (("--p", primes), ("--n", ns)):
+def _cell_summary(records) -> list[dict]:
+    """Per (p, n, K, c) cell: its records, failures, rhs and the distinct lhs
+    values seen, which are one unless a lemma of endoscopy is broken."""
+    cells = {}
+    for r in records:
+        key = (r["p"], r["n"], r["K"], r["c"])
+        cell = cells.setdefault(key, dict(zip(("p", "n", "K", "c"), key), records=0,
+                                          failures=0, rhs=r["rhs"], lhs=[]))
+        cell["records"] += 1
+        cell["failures"] += not r["pass"]
+        if r["lhs"] not in cell["lhs"]:
+            cell["lhs"].append(r["lhs"])
+    for cell in cells.values():
+        cell["lhs"].sort()
+    return [cells[key] for key in sorted(cells)]
+
+
+# the corpus flags and their defaults; a plan document replaces all four
+CORPUS_FLAGS = {"seed": 0, "p": "2,3,5,7", "n": "1,2,3", "count": 1000}
+# the fields of a plan entry, each a JSON integer
+ENTRY_KEYS = ("seed", "p", "n", "K", "c", "index")
+
+
+def _check_plan(primes, ns, count: int, names=("--p", "--n", "--count")) -> None:
+    """Distinct primes, distinct ranks n >= 1 and a count >= 1, each named
+    in a refusal by its flag or plan field."""
+    for name, values in zip(names, (primes, ns)):
         if len(set(values)) != len(values):
-            raise UsageError(f"{flag} lists a value twice: {values}")
+            raise UsageError(f"{name} lists a value twice: {values}")
+    for p in primes:
+        as_prime(p)
     if min(ns) < 1:
-        raise UsageError(f"--n values must be at least 1: {ns}")
-    if args.count < 1:
-        raise UsageError(f"--count must be at least 1, not {args.count}")
-    entries = _corpus_entries(args.seed, primes, ns, args.count)
+        raise UsageError(f"{names[1]} values must be at least 1: {ns}")
+    if count < 1:
+        raise UsageError(f"{names[2]} must be at least 1, not {count}")
+
+
+def _read_plan(doc) -> tuple[dict, list]:
+    """The header (seed, primes, ns, count) and the entries of a plan that
+    corpus generate emitted, possibly cut down to some of its entries."""
+    if not isinstance(doc, dict):
+        raise UsageError("a corpus plan must be an object")
+    version = doc.get("generator_version")
+    if type(version) is not int or version != 1:
+        raise UsageError(f"plan generator_version must be 1, not {version!r}")
+    header = {k: doc.get(k) for k in ("seed", "primes", "ns", "count")}
+    if not (all(type(header[k]) is int for k in ("seed", "count"))
+            and all(isinstance(header[k], list) and header[k]
+                    and all(type(v) is int for v in header[k])
+                    for k in ("primes", "ns"))):
+        raise UsageError("a plan needs an integer seed and count and nonempty "
+                         "integer lists primes and ns")
+    _check_plan(header["primes"], header["ns"], header["count"],
+                ("primes", "ns", "count"))
+    entries = doc.get("entries")
+    if not isinstance(entries, list) or not entries:
+        raise UsageError("a plan needs a nonempty list of entries")
+    seen = set()
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and set(e) == set(ENTRY_KEYS)
+                and all(type(v) is int for v in e.values())):
+            raise UsageError(f"plan entry {i} must have exactly the integer "
+                             f"fields {', '.join(ENTRY_KEYS)}")
+        if e["p"] not in header["primes"] or e["n"] not in header["ns"]:
+            raise UsageError(f"plan entry {i} lies outside the plan's primes and ns")
+        key = (e["p"], e["n"], e["index"])
+        if key in seen:
+            raise UsageError(f"plan entry {i} repeats (p, n, index) = {key}")
+        seen.add(key)
+    return header, entries
+
+
+def cmd_corpus(args) -> int:
     if args.action == "generate":
-        emit({"tool_version": __version__, "generator_version": 1,
-              "seed": args.seed, "primes": primes, "ns": ns,
-              "count": args.count, "entries": entries}, args)
+        refuse_document(args, "corpus generate")
+    given = {k: getattr(args, k) for k in CORPUS_FLAGS if getattr(args, k) is not None}
+    if args.infile is not None or args.json is not None:
+        if given:
+            raise UsageError("a plan document replaces --" + ", --".join(given))
+        header, entries = _read_plan(read_input(args))
+    else:
+        flags = {**CORPUS_FLAGS, **given}
+        header = {"seed": flags["seed"], "primes": [int(x) for x in flags["p"].split(",")],
+                  "ns": [int(x) for x in flags["n"].split(",")], "count": flags["count"]}
+        _check_plan(header["primes"], header["ns"], header["count"])
+        entries = _corpus_entries(header["seed"], header["primes"], header["ns"],
+                                  header["count"])
+    if args.action == "generate":
+        emit({"tool_version": __version__, "generator_version": 1, **header,
+              "entries": entries}, args)
         return EXIT_OK
     started = time.time()
-    records = [_run_entry(e) for e in entries]
+    cells = {}
+    records = [_run_entry(e, cells) for e in entries]
     records.sort(key=lambda r: (r["p"], r["n"], r["index"]))
     failures = sum(1 for r in records if not r["pass"])
     manifest = {
-        "tool_version": __version__, "generator_version": 1,
-        "seed": args.seed, "primes": primes, "ns": ns, "count": args.count,
-        "records": records, "failures": failures,
+        "tool_version": __version__, "generator_version": 1, **header,
+        "records": records, "failures": failures, "cells": _cell_summary(records),
         "elapsed_seconds": round(time.time() - started, 3),
     }
     emit(manifest, args)
@@ -535,9 +628,10 @@ def cmd_corpus(args) -> int:
 # argument parsing
 
 
-def _add_io(sub):
-    sub.add_argument("--in", dest="infile", help="input document path")
-    sub.add_argument("--json", help="inline input document")
+def _add_io(sub, document=True):
+    if document:
+        sub.add_argument("--in", dest="infile", help="input document path")
+        sub.add_argument("--json", help="inline input document")
     sub.add_argument("--out", help="output document path")
 
 
@@ -554,13 +648,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--oracle", action="store_true",
                    help="cross-check with the solubility oracle")
     s.add_argument("--depth", type=int, default=None)
-    _add_io(s)
+    _add_io(s, document=False)
     s.set_defaults(func=cmd_hilbert)
 
     s = sp.add_parser("sqclass", help="canonical square class")
     s.add_argument("a")
     s.add_argument("--p", type=int, required=True)
-    _add_io(s)
+    _add_io(s, document=False)
     s.set_defaults(func=cmd_sqclass)
 
     s = sp.add_parser("qform", help="quadratic form queries")
@@ -616,14 +710,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s)
     s.set_defaults(func=cmd_param)
 
-    s = sp.add_parser("corpus", help="seeded corpus generation and batch checks")
+    s = sp.add_parser("corpus", help="seeded corpus generation and batch checks",
+                      description="run with --in or --json runs the entries of "
+                                  "a plan that generate emitted, in place of the "
+                                  "four flags")
     s.add_argument("action", choices=["generate", "run"])
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--p", default="2,3,5,7",
-                   help="comma-separated primes, each at most once")
-    s.add_argument("--n", default="1,2,3",
-                   help="comma-separated ranks n, each at most once")
-    s.add_argument("--count", type=int, default=1000)
+    s.add_argument("--seed", type=int, help="default 0")
+    s.add_argument("--p", help="comma-separated primes, each at most once "
+                               "(default 2,3,5,7)")
+    s.add_argument("--n", help="comma-separated ranks n, each at most once "
+                               "(default 1,2,3)")
+    s.add_argument("--count", type=int, help="records per (p, n) (default 1000)")
     _add_io(s)
     s.set_defaults(func=cmd_corpus)
 

@@ -31,21 +31,28 @@ hyperbolic plane, N_K the norm form of the discriminant algebra K).
   sides therefore depend only on (p, n mod 2, K, c), and every record of a
   cell carries the same (lhs, rhs).  (n = 1 excludes the split K, whose V
   would be the isotropic binary space.)
+
+ConstancyCell holds what is constant on one space q: the target, the epsilon
+factor, the ambient with Q^-1 and the rhs.  constancy_record takes a cell and
+computes per record only the twisted point and the Witt class of q_delta;
+transfer_factor and transfer_factor_whittaker are the same comparison on a
+cell of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .etale import EtaleAlgebraWithInvolution, AlgebraElement, trace_form_quadratic
-from .gsnorm import GSConfiguration, gs_norm, is_very_regular, twisted_point
+from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, is_very_regular,
+                     make_ambient, twisted_point)
 from .linalg import (Mat, clear_denominators, det, mat, mat_add, mat_mul,
                      mat_neg, to_mat, transpose, zeros)
 from .localfield import SquareClass, as_prime, square_class, square_class_table
-from .qform import (QuadForm, direct_sum, hyperbolic, invariants, norm_form,
-                    quad_form, represents, scale, witt_decompose,
-                    witt_equivalent)
+from .qform import (QuadForm, WittClass, direct_sum, hyperbolic, invariants,
+                    norm_form, quad_form, represents, scale, witt_decompose)
 from .weil import Mu8, epsilon_half, weil_index
 
 
@@ -256,6 +263,76 @@ def eta_so(v_prime: QuadForm, y, n: int) -> SquareClass:
 # transfer factors
 
 
+@dataclass(frozen=True)
+class ConstancyCell:
+    """The part of the constancy identity that is constant on one space.
+
+    space is the quasisplit space q = q_V, of dimension 2n with n >= 1.  The
+    cell keeps, each computed on first use: the Witt class of the target
+    (-1)^n N_K, K the discriminant algebra of q; epsilon(1/2, chi_K, psi)^-1;
+    the ambient V1 of q with its Q^-1; and the rhs, the Weil index of
+    2 (-1)^n q.  What is left per twisted point is the elimination of q_delta
+    and its Witt comparison with the target (plain_factor).
+    """
+
+    space: QuadForm
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
+        dim = self.space.dim
+        if dim != 2 * self.n:
+            raise ValueError(f"the space has dimension {dim}, not 2n = {2 * self.n}")
+
+    @cached_property
+    def target(self) -> WittClass:
+        """The Witt class of (-1)^n N_K."""
+        kclass = invariants(self.space).dpm
+        return witt_decompose(scale((-1) ** self.n, norm_form(kclass, self.space.p)))[1]
+
+    @cached_property
+    def epsilon_inverse(self) -> Mu8:
+        return epsilon_half(invariants(self.space).dpm, self.space.p).inverse()
+
+    @cached_property
+    def ambient(self) -> AmbientSpace:
+        return make_ambient(self.space, 1)
+
+    @cached_property
+    def rhs(self) -> Mu8:
+        return weil_index(scale(2 * (-1) ** self.n, self.space))
+
+    def plain_factor(self, delta: Mat) -> int:
+        """Waldspurger's Witt comparison at delta: +1 exactly when
+        q_delta = 1/2 (delta + delta^T) is Witt-equivalent to the target."""
+        delta = mat(delta)
+        dim = self.space.dim
+        if len(delta) != dim or any(len(row) != dim for row in delta):
+            raise ValueError(f"delta must be a {dim} x {dim} matrix, the "
+                             "dimension of the space")
+        rows, den = clear_denominators(delta)
+        sym = to_mat([[x + y for x, y in zip(row, col)]
+                      for row, col in zip(rows, zip(*rows))], 2 * den)
+        try:
+            q_delta = quad_form(sym, self.space.p)
+        except ValueError:  # sym is symmetric, so its determinant is 0
+            raise ValueError("singular symmetrization: delta is not very regular") from None
+        return 1 if witt_decompose(q_delta)[1] == self.target else -1
+
+    def lhs(self, delta: Mat) -> Mu8:
+        """The Whittaker-normalized factor at delta."""
+        return self.epsilon_inverse * Mu8.from_sign(self.plain_factor(delta))
+
+
+def constancy_cell(p, n: int, k, c) -> ConstancyCell:
+    """The cell of the corpus entry (p, n, K, c): its quasisplit space
+    (n - 1) H + c N_K."""
+    prime = as_prime(p)
+    return ConstancyCell(quasisplit_space(2 * n, square_class(k, prime),
+                                          square_class(c, prime), prime), n)
+
+
 def transfer_factor(gamma_space: QuadForm, delta: Mat, n: int) -> int:
     """Waldspurger's Witt comparison: the plain transfer factor in {+1, -1}.
 
@@ -264,33 +341,12 @@ def transfer_factor(gamma_space: QuadForm, delta: Mat, n: int) -> int:
     space must have dimension 2n, n >= 1, and delta must be square of that
     size.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    delta = mat(delta)
-    dim = gamma_space.dim
-    if dim != 2 * n:
-        raise ValueError(f"the space has dimension {dim}, not 2n = {2 * n}")
-    if len(delta) != dim or any(len(row) != dim for row in delta):
-        raise ValueError(f"delta must be a {dim} x {dim} matrix, the "
-                         "dimension of the space")
-    p = gamma_space.p
-    rows, den = clear_denominators(delta)
-    sym = to_mat([[x + y for x, y in zip(row, col)]
-                  for row, col in zip(rows, zip(*rows))], 2 * den)
-    try:
-        q_delta = quad_form(sym, p)
-    except ValueError:  # sym is symmetric, so its determinant is 0
-        raise ValueError("singular symmetrization: delta is not very regular") from None
-    kclass = invariants(gamma_space).dpm
-    target = scale((-1) ** n, norm_form(kclass, p))
-    return 1 if witt_equivalent(q_delta, target) else -1
+    return ConstancyCell(gamma_space, n).plain_factor(delta)
 
 
 def transfer_factor_whittaker(gamma_space: QuadForm, delta: Mat, n: int) -> Mu8:
     """The Whittaker-normalized factor: epsilon(1/2, chi, psi)^-1 times the above."""
-    kclass = invariants(gamma_space).dpm
-    plain = transfer_factor(gamma_space, delta, n)
-    return epsilon_half(kclass, gamma_space.p).inverse() * Mu8.from_sign(plain)
+    return ConstancyCell(gamma_space, n).lhs(delta)
 
 
 def is_quasisplit_even(q: QuadForm) -> bool:
@@ -313,19 +369,20 @@ class ConstancyRecord:
         return self.lhs == self.rhs
 
 
-def constancy_record(config: GSConfiguration, n: int) -> ConstancyRecord:
-    """The flagship identity: the Whittaker factor at (norm, delta) against the
-    Weil index of 2 (-1)^n q.  The sides share diagonal, square_class and the
-    rank-1 table, each tested on its own (see the module docstring)."""
-    q_v = config.ambient.q_V
-    delta = twisted_point(config)
-    return ConstancyRecord(transfer_factor_whittaker(q_v, delta, n),
-                           weil_index(scale(2 * (-1) ** n, q_v)))
+def constancy_record(cell: ConstancyCell, config: GSConfiguration) -> ConstancyRecord:
+    """The flagship identity at a configuration on the cell's space: the
+    Whittaker factor at its twisted point against the Weil index of 2 (-1)^n q.
+    The sides share diagonal, square_class and the rank-1 table, each tested on
+    its own (see the module docstring)."""
+    if config.ambient.q_V != cell.space:
+        raise ValueError("the configuration lies on another space than the cell")
+    return ConstancyRecord(cell.lhs(twisted_point(config)), cell.rhs)
 
 
 def gs_constancy_check(config: GSConfiguration, n: int) -> bool:
-    """constancy_record(config, n).passed, once the configuration is checked to
-    lie on a quasisplit even orthogonal ambient with a very regular norm."""
+    """constancy_record on the cell of the configuration's own space, once the
+    configuration is checked to lie on a quasisplit even orthogonal ambient
+    with a very regular norm."""
     amb = config.ambient
     if amb.epsilon != 1 or amb.n != 2 * n:
         raise ValueError("constancy check lives on even orthogonal ambients")
@@ -333,7 +390,7 @@ def gs_constancy_check(config: GSConfiguration, n: int) -> bool:
         raise ValueError("the orthogonal group must be quasisplit")
     if not is_very_regular(gs_norm(config)):
         raise ValueError("norm is not very regular for this configuration")
-    return constancy_record(config, n).passed
+    return constancy_record(ConstancyCell(amb.q_V, n), config).passed
 
 
 def separation_check(algebra: EtaleAlgebraWithInvolution, c1: AlgebraElement,

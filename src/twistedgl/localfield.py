@@ -396,9 +396,17 @@ class LocalFieldDescriptor:
         return self.element([fr(a)] + [0] * (self.degree - 1))
 
     def __str__(self) -> str:
+        """Q_p, or Q_p[t]/(f) with f written from its monic top term and
+        rational coefficients as "num/den", e.g. Q_3[t]/(t^2 + t - 2/9)."""
         if self.degree == 1:
             return f"Q_{self.p}"
-        return f"Q_{self.p}[t]/({poly_trim(self.defining_poly)})"
+        terms = []
+        for i, c in reversed(list(enumerate(self.defining_poly))):
+            if c:
+                power = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+                coeff = str(abs(c)) if abs(c) != 1 or not power else ""
+                terms.append(("- " if c < 0 else "+ ") + " ".join(filter(None, (coeff, power))))
+        return f"Q_{self.p}[t]/({' '.join(terms)[2:]})"
 
 
 def QP(p) -> LocalFieldDescriptor:

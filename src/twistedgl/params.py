@@ -8,7 +8,6 @@ evaluates the structural zero of the multiplicity pairing.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .endoscopy import EndoscopicDatum
@@ -77,9 +76,10 @@ def is_elliptic_param(phi: FormalParameter) -> bool:
 def classify(phi: FormalParameter) -> EndoscopicDatum:
     """The unique elliptic datum an elliptic parameter of even dimension comes from.
 
-    n_S is the dimension sum over sign -1 constituents (the cardinality
-    reading is flagged with a warning when it differs); chi is the product
-    of the determinant classes over sign +1 constituents.
+    n_S is the dimension sum over sign -1 constituents, not their number:
+    each of them has even dimension at least 2, so the two readings differ
+    whenever there is one.  chi is the product of the determinant classes
+    over sign +1 constituents.
     """
     if not is_elliptic_param(phi):
         raise ValueError("classification needs an elliptic parameter")
@@ -89,9 +89,6 @@ def classify(phi: FormalParameter) -> EndoscopicDatum:
     plus = [c for c in phi.constituents if c.sign == 1]
     n_s = sum(c.dim for c in minus)
     n_o = phi.total_dim - n_s
-    if len(minus) != n_s:
-        warnings.warn("cardinality and dimension-sum readings differ; "
-                      "using the dimension sum", stacklevel=2)
     p = phi.constituents[0].det_char.p
     chi = square_class(1, p)
     for c in plus:

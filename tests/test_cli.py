@@ -11,9 +11,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_eliminations
-from twistedgl.cli import main, rat_json, rat_str
+from helpers import count_eliminations, reference_transfer_factor
+from twistedgl import endoscopy
+from twistedgl.cli import config_doc, digest, main, rat_json, rat_str
+from twistedgl.endoscopy import quasisplit_space, transfer_factor_whittaker
+from twistedgl.gsnorm import make_ambient, random_config, rigidify
 from twistedgl.linalg import mat, mat_add, mat_scale, transpose
+from twistedgl.localfield import square_class
+from twistedgl.qform import scale
+from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -329,6 +335,142 @@ def test_corpus_rejects_a_repeated_prime_or_rank(capsys):
     assert " ".join(capsys.readouterr().out.split()).count("at most once") == 2
 
 
+def _cell_key(r):
+    return r["p"], r["n"], r["K"], r["c"]
+
+
+def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
+    calls = {"quasisplit_space": 0, "weil_index": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(endoscopy, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(endoscopy, name, counted)
+    code, doc = run(capsys, "corpus", "run", "--p", "2,3", "--n", "1,2",
+                    "--count", "8", "--seed", "4")
+    cells = {_cell_key(r) for r in doc["records"]}
+    assert code == 0 and len(doc["records"]) == 32 and len(cells) < 32
+    assert calls == {"quasisplit_space": len(cells), "weil_index": len(cells)}
+
+
+def test_corpus_records_equal_a_computation_from_scratch(capsys):
+    # every record against a fresh space, ambient, sample and both sides, and
+    # the plain factor against the Fraction reference of the Witt comparison
+    code, doc = run(capsys, "corpus", "run", "--p", "2,3,5,7", "--n", "1,2,3",
+                    "--count", "8")
+    assert code == 0 and len(doc["records"]) == 96
+    for r in doc["records"]:
+        p, n = r["p"], r["n"]
+        q_v = quasisplit_space(2 * n, square_class(r["K"], p), square_class(r["c"], p), p)
+        config = random_config(make_ambient(q_v, 1), r["seed"])
+        assert digest(config_doc(config)) == r["inputs_digest"]
+        delta = rigidify(config)[0]
+        lhs = transfer_factor_whittaker(q_v, delta, n)
+        plain = Mu8.from_sign(reference_transfer_factor(q_v, delta, n))
+        assert lhs == epsilon_half(square_class(r["K"], p), p).inverse() * plain
+        assert (r["lhs"], r["rhs"]) == (str(lhs), str(weil_index(scale(2 * (-1) ** n, q_v))))
+
+
+def test_corpus_cell_summary_recounts_the_records(capsys):
+    code, doc = run(capsys, "corpus", "run", "--p", "2,5", "--n", "1,2,3",
+                    "--count", "10", "--seed", "3")
+    assert code == 0
+    expected = {}
+    for r in doc["records"]:
+        cell = expected.setdefault(_cell_key(r), {"records": 0, "failures": 0,
+                                                  "rhs": set(), "lhs": set()})
+        cell["records"] += 1
+        cell["failures"] += 0 if r["pass"] else 1
+        cell["rhs"].add(r["rhs"])
+        cell["lhs"].add(r["lhs"])
+    assert [_cell_key(c) for c in doc["cells"]] == sorted(expected)
+    for c in doc["cells"]:
+        e = expected[_cell_key(c)]
+        assert (c["records"], c["failures"], {c["rhs"]}, c["lhs"]) == \
+            (e["records"], e["failures"], e["rhs"], sorted(e["lhs"]))
+    assert sum(c["records"] for c in doc["cells"]) == len(doc["records"])
+
+
+def _plan(capsys, *flags):
+    code, plan = run(capsys, "corpus", "generate", *flags)
+    assert code == 0
+    return plan
+
+
+def test_corpus_run_runs_the_plan_it_is_given(capsys, tmp_path):
+    flags = ("--seed", "1", "--p", "3", "--n", "1,2", "--count", "4")
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(_plan(capsys, *flags)))
+    code1, from_flags = run(capsys, "corpus", "run", *flags)
+    code2, from_plan = run(capsys, "corpus", "run", "--in", str(path))
+    assert code1 == code2 == 0 and len(from_plan["records"]) == 8
+    from_flags.pop("elapsed_seconds")
+    from_plan.pop("elapsed_seconds")
+    assert from_plan == from_flags
+
+
+def test_corpus_run_of_a_one_entry_plan(capsys):
+    flags = ("--seed", "2", "--p", "5", "--n", "2", "--count", "6")
+    plan = _plan(capsys, *flags)
+    _, full = run(capsys, "corpus", "run", *flags)
+    plan["entries"] = plan["entries"][4:5]
+    code, doc = run(capsys, "corpus", "run", "--json", json.dumps(plan))
+    assert code == 0 and doc["records"] == full["records"][4:5]
+    assert [c["records"] for c in doc["cells"]] == [1] and doc["failures"] == 0
+
+
+def test_corpus_run_refuses_a_malformed_plan(capsys):
+    good = _plan(capsys, "--seed", "1", "--p", "3", "--n", "1,2", "--count", "2")
+    entry = good["entries"][0]
+
+    def with_(**changes):
+        plan = copy.deepcopy(good)
+        plan.update(changes)
+        return plan
+
+    def entries(*edits):
+        return with_(entries=[dict(entry, **e) for e in edits])
+    extra = dict(entry, x=1)
+    missing = {k: v for k, v in entry.items() if k != "seed"}
+    bad = ["not a plan", [], {}, with_(generator_version=2),
+           with_(generator_version=True), with_(generator_version="1"),
+           {k: v for k, v in good.items() if k != "generator_version"},
+           with_(entries=[]), with_(entries={}), with_(entries=[[1]]),
+           with_(entries=[extra]), with_(entries=[missing]),
+           entries({"seed": 1.5}), entries({"K": "3"}), entries({"c": True}),
+           entries({"n": 0}), entries({"n": 3}), entries({"p": 5}),
+           entries({"p": 9}), entries({}, {}), entries({"K": 0}),
+           entries({"n": 1, "K": 1}),
+           with_(seed="1"), with_(count=0), with_(primes=[]), with_(primes=[3, 3]),
+           with_(primes=[4], entries=[dict(entry, p=4)]), with_(ns=[1, 2, 0]),
+           with_(ns=[1.0, 2])]
+    for plan in bad:
+        code, doc = run(capsys, "corpus", "run", "--json", json.dumps(plan))
+        assert code == 2 and doc is None, plan
+    assert run(capsys, "corpus", "run", "--json", json.dumps(good))[0] == 0
+    for flag in (("--seed", "1"), ("--p", "3"), ("--n", "1"), ("--count", "2")):
+        code, doc = run(capsys, "corpus", "run", "--json", json.dumps(good), *flag)
+        assert code == 2 and doc is None, flag
+
+
+DOCUMENT_FREE = (("hilbert", "2", "3", "--p", "5"), ("sqclass", "50", "--p", "5"),
+                 ("weil", "epsilon", "--d", "3", "--p", "5"),
+                 ("weil", "oracle", "--p", "3", "--a", "1/9", "--k", "1"),
+                 ("endo", "enumerate", "--n", "1"), ("endo", "eta", "--kind", "sp"),
+                 ("corpus", "generate", "--p", "3", "--n", "1", "--count", "2"))
+
+
+@pytest.mark.parametrize("argv", DOCUMENT_FREE)
+def test_actions_that_read_no_document_refuse_one(capsys, argv):
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    for doc in (("--json", "not json at all"), ("--json", '{"x": 1}'),
+                ("--in", "/nonexistent.json")):
+        code = main(list(argv) + list(doc))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err, doc
+
+
 def test_usage_errors(capsys):
     code = main(["qform", "invariants", "--json", "{not json"])
     assert code == 2
@@ -405,7 +547,8 @@ VERB_ACTIONS = (
     ("class", "elliptic"), ("gs", "random"), ("gs", "norm"), ("gs", "section"),
     ("gs", "verify"), ("endo", "enumerate"), ("endo", "eta"), ("endo", "delta"),
     ("endo", "check"), ("param", "classify"), ("param", "hypothesis"),
-    ("corpus", "generate"), ("corpus", "run"))
+    ("corpus", "generate"), ("corpus", "run"), ("hilbert", None),
+    ("sqclass", None))
 FORM = {"p": 3, "diag": ["1", "1"]}
 PARAM = {"kind": "tGL-even", "algebra": [{"base": {"p": 5}, "step": "split"}],
          "x": [["3", "7"]]}
@@ -416,7 +559,10 @@ CONFIG = {"ambient": {"qV": FORM, "epsilon": 1}, "X": [["1", "0"], ["0", "1"]],
 SEED_DOCS = {
     "qform": FORM, "weil": FORM, "class": PARAM, "gs": CONFIG, "endo": CONFIG,
     "param": {"p": 3, "constituents": [{"dim": 4, "sign": "+1", "det": "3"}]},
-    "corpus": {},
+    # a one-entry plan of corpus generate --p 3 --n 1 --count 1
+    "corpus": {"generator_version": 1, "seed": 0, "primes": [3], "ns": [1],
+               "count": 1, "entries": [{"seed": 3000019000030, "p": 3, "n": 1,
+                                        "K": 2, "c": 1, "index": 0}]},
     ("qform", "equiv"): {"q1": FORM, "q2": {"p": 3, "diag": ["2", "2"]}},
     ("etale", "build"): PARAM["algebra"],
     ("etale", "traceform"): {"algebra": PARAM["algebra"], "c": [["1", "1"]]},
@@ -457,14 +603,21 @@ def mutated(draw, doc):
 
 
 def _fuzz_argv(verb, action, doc, n, p):
+    """The argv, and whether its action reads no document and so refuses one."""
+    if action is None:  # hilbert a b, sqclass a
+        operands = [n, p] if verb == "hilbert" else [n]
+        return [verb, *operands, "--p", p, "--json", json.dumps(doc)], True
     argv = [verb, action, "--json", json.dumps(doc)]
+    kind = "so" if int(n) % 2 else "sp"
     if verb == "endo":
-        argv += ["--n", n, "--p", p, "--kind", "so" if int(n) % 2 else "sp"]
+        argv += ["--n", n, "--p", p, "--kind", kind]
     if verb == "weil":
         argv += ["--p", p, "--d", n, "--a", n, "--k", "1"]
-    if verb == "corpus":  # bounded: one record of one small cell
-        argv += ["--p", p, "--n", n, "--count", "1"]
-    return argv
+    # corpus takes no flags beside its plan, which bounds the work: at most a
+    # few records of small cells
+    reads_none = (action in ("epsilon", "oracle", "enumerate", "generate")
+                  or (action, kind) == ("eta", "sp"))
+    return argv, reads_none
 
 
 @pytest.mark.parametrize("verb, action", VERB_ACTIONS)
@@ -472,9 +625,9 @@ def _fuzz_argv(verb, action, doc, n, p):
 @given(data=st.data(), n=SMALL_ARGS, p=SMALL_ARGS)
 def test_cli_fuzz_exits_with_a_documented_code(verb, action, data, n, p):
     seed = SEED_DOCS.get((verb, action), SEED_DOCS.get(verb))
-    argv = _fuzz_argv(verb, action, data.draw(mutated(seed)), n, p)
+    argv, reads_none = _fuzz_argv(verb, action, data.draw(mutated(seed)), n, p)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2, 3), argv
+    assert code == 2 if reads_none else code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv

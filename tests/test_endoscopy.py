@@ -8,7 +8,8 @@ import pytest
 
 from helpers import count_eliminations, random_algebra, random_fixed_invertible
 from twistedgl.cli import _corpus_entries
-from twistedgl.endoscopy import (EndoscopicDatum, constancy_record,
+from twistedgl.endoscopy import (ConstancyCell, EndoscopicDatum, constancy_cell,
+                                 constancy_record,
                                  enumerate_elliptic_data,
                                  eta_so, eta_so_value, eta_sp, eta_sp_value,
                                  gs_constancy_check,
@@ -278,13 +279,41 @@ def test_gs_constancy_moderate_sweep():
 def test_constancy_record_sides():
     for p, n, k, seed in ((3, 2, 3, 6), (2, 1, 5, 1), (5, 3, 2, 2)):
         amb, cfg = pipeline_fixture(p, n, square_class(k, p), square_class(1, p), seed)
-        rec = constancy_record(cfg, n)
+        rec = constancy_record(ConstancyCell(amb.q_V, n), cfg)
         delta, _ = rigidify(cfg)
         assert rec.lhs == transfer_factor_whittaker(amb.q_V, delta, n)
         assert rec.rhs == weil_index(scale(2 * (-1) ** n, amb.q_V))
         assert rec.passed and gs_constancy_check(cfg, n)
     with pytest.raises(FrozenInstanceError):
         rec.lhs = rec.rhs
+
+
+def test_constancy_cell_keeps_the_sides_of_its_space():
+    for p, n, k, c in ((3, 2, 3, 2), (2, 1, 5, 1), (5, 3, 1, 1), (7, 2, 7, 3)):
+        cell = constancy_cell(p, n, k, c)
+        q_v = quasisplit_space(2 * n, square_class(k, p), square_class(c, p), p)
+        assert cell.space == q_v and cell.ambient == make_ambient(q_v, 1)
+        assert cell.rhs == weil_index(scale(2 * (-1) ** n, q_v))
+        assert cell.epsilon_inverse == epsilon_half(square_class(k, p), p).inverse()
+        target = scale((-1) ** n, norm_form(square_class(k, p), p))
+        assert cell.target == witt_decompose(target)[1]
+        for seed in range(3):
+            cfg = random_config(cell.ambient, seed)
+            delta = rigidify(cfg)[0]
+            rec = constancy_record(cell, cfg)
+            assert rec.lhs == transfer_factor_whittaker(q_v, delta, n) == cell.lhs(delta)
+            assert rec.rhs == cell.rhs and rec.passed
+
+
+def test_constancy_record_refuses_a_configuration_on_another_space():
+    cell = constancy_cell(3, 2, 3, 1)
+    other = constancy_cell(3, 2, 3, 2)
+    cfg = random_config(other.ambient, 1)
+    with pytest.raises(ValueError, match="another space"):
+        constancy_record(cell, cfg)
+    for n, space in ((0, diag_form([], 3)), (2, quad_form([[1, 0], [0, 1]], 3))):
+        with pytest.raises(ValueError):
+            ConstancyCell(space, n)
 
 
 def one_record_per_cell(primes, ns):
@@ -300,9 +329,10 @@ def test_constancy_and_the_lhs_lemma_on_every_cell():
     cells = one_record_per_cell((2, 3, 5, 7, 17), (1, 2, 3))
     assert len(cells) == 124
     for (p, n, k, c), entry in cells.items():
-        q_v = quasisplit_space(2 * n, square_class(k, p), square_class(c, p), p)
-        cfg = random_config(make_ambient(q_v, 1), entry["seed"])
-        assert constancy_record(cfg, n).passed, (p, n, k, c)
+        cell = constancy_cell(p, n, k, c)
+        q_v = cell.space
+        cfg = random_config(cell.ambient, entry["seed"])
+        assert constancy_record(cell, cfg).passed, (p, n, k, c)
         # the lhs lemma: q_delta = 1/2 (delta + delta^T) is -2 q_V, up to squares
         delta, _ = rigidify(cfg)
         sym = mat_scale(F(1, 2), mat_add(delta, transpose(delta)))

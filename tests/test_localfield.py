@@ -216,6 +216,16 @@ def test_certificates_reject_bad_polynomials():
                              "unramified-irreducible-mod-p")
 
 
+def test_field_names_its_polynomial_with_rational_literals():
+    for p, poly, cert, text in (
+            (3, (F(-2, 9), F(1), F(1)), "quadratic-nonsquare-disc", "Q_3[t]/(t^2 + t - 2/9)"),
+            (3, (F(-9, 2), F(3), F(1)), "quadratic-nonsquare-disc", "Q_3[t]/(t^2 + 3 t - 9/2)"),
+            (3, (F(3), F(-3, 2), F(0), F(1)), "eisenstein", "Q_3[t]/(t^3 - 3/2 t + 3)"),
+            (2, (F(-2), F(0), F(1)), "eisenstein", "Q_2[t]/(t^2 - 2)"),
+            (5, (F(-7), F(1)), "degree-one", "Q_5")):
+        assert str(LocalFieldDescriptor(Prime(p), poly, cert)) == text
+
+
 def certifies_unramified(poly, p):
     try:
         LocalFieldDescriptor(Prime(p), poly, "unramified-irreducible-mod-p")

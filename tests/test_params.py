@@ -1,6 +1,7 @@
 """Formal selfdual parameter bookkeeping."""
 
 import random
+import warnings
 
 import pytest
 
@@ -111,6 +112,17 @@ def test_classify_lands_in_enumeration():
             if datum.n_O == 0:
                 assert all(c.sign == -1 for c in phi.constituents)
                 assert datum.chi.is_trivial()
+
+
+def test_classify_reads_the_dimension_sum_without_a_warning():
+    # a sign -1 constituent has even dimension >= 2, so n_S = 6 below counts
+    # dimensions, not the two sign -1 constituents
+    p = 3
+    phi = FormalParameter((symp(2, p), symp(4, p), orth(2, 3, p)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        datum = classify(phi)
+    assert (datum.n_O, datum.n_S, datum.chi) == (2, 6, square_class(3, p))
 
 
 def test_hypothesis_even_so():
