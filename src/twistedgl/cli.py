@@ -15,7 +15,9 @@ nothing else imports it; `weil oracle` needs the `oracle` extra.
 
 `corpus run --in|--json` runs the entries of a plan that `corpus generate`
 emitted, whole or cut down, and gives the manifest of `corpus run` with the
-plan's flags.  The manifest's "cells" list gives, per (p, n, K, c) cell, its
+plan's flags.  The manifest's "seed", "primes", "ns" and "count" describe the
+plan its entries came from, so a cut-down plan has fewer records than
+"count" per (p, n).  The manifest's "cells" list gives, per (p, n, K, c) cell, its
 records, failures, rhs and the distinct lhs values seen.  An action that
 reads no document (hilbert, sqclass, weil epsilon and oracle, endo enumerate,
 endo eta --kind sp, corpus generate) refuses one with exit 2.
@@ -254,6 +256,7 @@ def digest(doc) -> str:
 
 
 def cmd_hilbert(args) -> int:
+    refuse_document(args, "hilbert")
     a, b = parse_rat(args.a), parse_rat(args.b)
     value = hilbert_qp(a, b, args.p)
     doc = {"a": rat_str(a), "b": rat_str(b), "p": args.p, "hilbert": value}
@@ -273,6 +276,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_sqclass(args) -> int:
+    refuse_document(args, "sqclass")
     cls = square_class(parse_rat(args.a), args.p)
     emit({"a": args.a, "p": args.p, "class": cls.representative}, args)
     return EXIT_OK
@@ -628,10 +632,9 @@ def cmd_corpus(args) -> int:
 # argument parsing
 
 
-def _add_io(sub, document=True):
-    if document:
-        sub.add_argument("--in", dest="infile", help="input document path")
-        sub.add_argument("--json", help="inline input document")
+def _add_io(sub):
+    sub.add_argument("--in", dest="infile", help="input document path")
+    sub.add_argument("--json", help="inline input document")
     sub.add_argument("--out", help="output document path")
 
 
@@ -648,13 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--oracle", action="store_true",
                    help="cross-check with the solubility oracle")
     s.add_argument("--depth", type=int, default=None)
-    _add_io(s, document=False)
+    _add_io(s)
     s.set_defaults(func=cmd_hilbert)
 
     s = sp.add_parser("sqclass", help="canonical square class")
     s.add_argument("a")
     s.add_argument("--p", type=int, required=True)
-    _add_io(s, document=False)
+    _add_io(s)
     s.set_defaults(func=cmd_sqclass)
 
     s = sp.add_parser("qform", help="quadratic form queries")
@@ -715,12 +718,13 @@ def build_parser() -> argparse.ArgumentParser:
                                   "a plan that generate emitted, in place of the "
                                   "four flags")
     s.add_argument("action", choices=["generate", "run"])
-    s.add_argument("--seed", type=int, help="default 0")
+    s.add_argument("--seed", type=int, help=f"default {CORPUS_FLAGS['seed']}")
     s.add_argument("--p", help="comma-separated primes, each at most once "
-                               "(default 2,3,5,7)")
+                               f"(default {CORPUS_FLAGS['p']})")
     s.add_argument("--n", help="comma-separated ranks n, each at most once "
-                               "(default 1,2,3)")
-    s.add_argument("--count", type=int, help="records per (p, n) (default 1000)")
+                               f"(default {CORPUS_FLAGS['n']})")
+    s.add_argument("--count", type=int,
+                   help=f"records per (p, n) (default {CORPUS_FLAGS['count']})")
     _add_io(s)
     s.set_defaults(func=cmd_corpus)
 

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import sys
 import time
@@ -416,6 +417,8 @@ def test_corpus_run_of_a_one_entry_plan(capsys):
     plan["entries"] = plan["entries"][4:5]
     code, doc = run(capsys, "corpus", "run", "--json", json.dumps(plan))
     assert code == 0 and doc["records"] == full["records"][4:5]
+    # the header describes the plan the entry came from, not the records run
+    assert (doc["seed"], doc["primes"], doc["ns"], doc["count"]) == (2, [5], [2], 6)
     assert [c["records"] for c in doc["cells"]] == [1] and doc["failures"] == 0
 
 
@@ -587,7 +590,8 @@ JSON_DOCS = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.sampled_from(DOC_KEYS), inner, max_size=4)),
     max_leaves=10)
-SMALL_ARGS = st.sampled_from(("-1", "0", "1", "2", "3", "4", "7"))
+SMALL_VALUES = ("-1", "0", "1", "2", "3", "4", "7")
+SMALL_ARGS = st.sampled_from(SMALL_VALUES)
 
 
 @st.composite
@@ -614,7 +618,7 @@ def _fuzz_argv(verb, action, doc, n, p):
     if verb == "weil":
         argv += ["--p", p, "--d", n, "--a", n, "--k", "1"]
     # corpus takes no flags beside its plan, which bounds the work: at most a
-    # few records of small cells
+    # few records of small cells; its flags alone have the test below
     reads_none = (action in ("epsilon", "oracle", "enumerate", "generate")
                   or (action, kind) == ("eta", "sp"))
     return argv, reads_none
@@ -631,3 +635,21 @@ def test_cli_fuzz_exits_with_a_documented_code(verb, action, data, n, p):
         code = main(argv)
     assert code == 2 if reads_none else code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("action", ("generate", "run"))
+def test_corpus_flags_exit_with_a_documented_code(action):
+    # every small --p and --n with no document, one record of one cell each:
+    # a prime and a rank n >= 1 give one entry, anything else exit 2
+    for p, n in itertools.product(SMALL_VALUES, SMALL_VALUES):
+        argv = ["corpus", action, "--p", p, "--n", n, "--count", "1"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert "Traceback" not in err.getvalue(), argv
+        if p in ("2", "3", "7") and int(n) >= 1:
+            doc = json.loads(out.getvalue())
+            rows = doc["records"] if action == "run" else doc["entries"]
+            assert code == 0 and len(rows) == 1, argv
+        else:
+            assert code == 2 and out.getvalue() == "", argv
