@@ -10,6 +10,13 @@ for --kind sp), a JSON integer when integral and a "num/den" string
 otherwise; "eta_class" is the canonical representative of its square class,
 a JSON integer like every other class field.
 
+`gs param` reads {"config": configuration, "param": class parameter} and
+prints {"param_match": bool}: whether the parameter's x corresponds to the
+configuration along the norm (gsnorm.gs_param_check).  It exits 0 on a match
+and 1 otherwise; a parameter whose kind does not fit the ambient (tGL-odd on
+an odd orthogonal ambient, tGL-even on the others), or that is not very
+regular, or a norm that is not very regular, is a usage error, exit 2.
+
 `hilbert --oracle` and `weil oracle` load the oracles module on demand, and
 nothing else imports it; `weil oracle` needs the `oracle` extra.
 
@@ -40,9 +47,9 @@ from .endoscopy import (constancy_cell, constancy_record, enumerate_elliptic_dat
                         eta_so_value, eta_sp_value, gs_constancy_check,
                         transfer_factor_whittaker)
 from .etale import make_algebra, quadratic_tower, split_tower, trace_form_quadratic
-from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_section,
-                     make_ambient, random_config, rigidify, u_of_xy,
-                     xy_condition)
+from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_param_check,
+                     gs_section, make_ambient, random_config, rigidify,
+                     u_of_xy, xy_condition)
 from .linalg import fr, mat, mat_add, mat_mul, transpose
 from .localfield import (QP, LocalFieldDescriptor, as_prime, hilbert_qp,
                          square_class, square_class_table)
@@ -396,6 +403,10 @@ def cmd_gs(args) -> int:
         y = gs_section(ambient, x, gamma)
         emit({"Y": mat_doc(y)}, args)
         return EXIT_OK
+    if args.action == "param":
+        ok = gs_param_check(parse_config(doc["config"]), parse_param(doc["param"]))
+        emit({"param_match": ok}, args)
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     config = parse_config(doc)
     if args.action == "norm":
         emit({"gamma": mat_doc(gs_norm(config))}, args)
@@ -688,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_class)
 
     s = sp.add_parser("gs", help="norm-correspondence operations")
-    s.add_argument("action", choices=["random", "norm", "section", "verify"])
+    s.add_argument("action", choices=["random", "norm", "section", "verify", "param"])
     s.add_argument("--seed", type=int, default=0)
     _add_io(s)
     s.set_defaults(func=cmd_gs)

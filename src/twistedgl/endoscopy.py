@@ -1,4 +1,8 @@
-"""Elliptic endoscopic data, regular-nilpotent invariants and transfer factors.
+"""Elliptic endoscopic data, the eta invariants and transfer factors.
+
+The eta invariants are closed forms here; the regular nilpotents they are
+read from are built only in `oracles`, the reference the tests compare them
+with.
 
 The transfer factor is Waldspurger's Witt-comparison formula for quasisplit
 even orthogonal spaces: +1 exactly when the symmetrized twisted point
@@ -45,11 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .etale import EtaleAlgebraWithInvolution, AlgebraElement, trace_form_quadratic
 from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, is_very_regular,
                      make_ambient, twisted_point)
-from .linalg import (Mat, clear_denominators, det, mat, mat_add, mat_mul,
-                     mat_neg, to_mat, transpose, zeros)
+from .linalg import Mat, clear_denominators, mat, to_mat
 from .localfield import SquareClass, as_prime, square_class, square_class_table
 from .qform import (QuadForm, WittClass, direct_sum, hyperbolic, invariants,
                     norm_form, quad_form, represents, scale, witt_decompose)
@@ -112,126 +114,19 @@ def quasisplit_space(n_o: int, kclass, c, p) -> QuadForm:
 
 
 # ---------------------------------------------------------------------------
-# theta space and regular nilpotents
-
-
-@dataclass(frozen=True)
-class ThetaSpace:
-    """F^2n with the fixed symplectic base point of the twisted space.
-
-    Basis order (e_1 .. e_n, e_-n .. e_-1); the form pairs e_i with e_-i
-    through the signs (-1)^i (i > 0) and (-1)^(i+1) (i < 0).
-    """
-
-    n: int
-    theta_gram: Mat
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-
-def _theta_pos(i: int, n: int) -> int:
-    return i - 1 if i > 0 else n + (n + i)
-
-
-def theta_space(n: int) -> ThetaSpace:
-    if n < 1:
-        raise ValueError("n must be positive")
-    g = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, n + 1):
-        g[_theta_pos(i, n)][_theta_pos(-i, n)] = Fraction((-1) ** i)
-        g[_theta_pos(-i, n)][_theta_pos(i, n)] = Fraction((-1) ** (i + 1))
-    gram = tuple(tuple(row) for row in g)
-    if transpose(gram) != mat_neg(gram) or det(gram) == 0:
-        raise RuntimeError("theta base point must be a symplectic form")
-    return ThetaSpace(n, gram)
-
-
-def regular_nilpotent_sp(n: int) -> Mat:
-    """The standard regular nilpotent in the symplectic Lie algebra of theta.
-
-    e_1 -> 0, e_i -> e_(i-1) for 1 < i <= n, e_-n -> e_n, e_i -> e_(i-1)
-    for -n < i <= -1.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    dim = 2 * n
-    cols = {}
-    for i in range(2, n + 1):
-        cols[_theta_pos(i, n)] = _theta_pos(i - 1, n)
-    cols[_theta_pos(-n, n)] = _theta_pos(n, n)
-    for i in range(-n + 1, 0):
-        cols[_theta_pos(i, n)] = _theta_pos(i - 1, n)
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    for src, dst in cols.items():
-        m[dst][src] = Fraction(1)
-    nil = tuple(tuple(row) for row in m)
-    theta = theta_space(n).theta_gram
-    if mat_add(mat_mul(transpose(nil), theta), mat_mul(theta, nil)) != zeros(dim):
-        raise RuntimeError("nilpotent fails the symplectic Lie algebra identity")
-    return nil
+# eta invariants
 
 
 def eta_sp_value(n: int) -> Fraction:
     """The value theta(v | N^(2n-1) v') of the regular nilpotent; equals 1.
 
     N^(2n-1) sends the last basis vector e_-1 to e_1 and kills the rest, and
-    theta pairs e_-1 with e_1 by (-1)^(1+1) = 1 (oracles.eta_sp_reference
-    carries out the construction).
+    theta pairs e_-1 with e_1 by (-1)^(1+1) = 1 (oracles builds theta and N,
+    and oracles.eta_sp_reference carries out the construction).
     """
     if n < 1:
         raise ValueError("n must be positive")
     return Fraction(1)
-
-
-def eta_sp(n: int, p=2) -> SquareClass:
-    """The square class of theta(v | N^(2n-1) v'); equals the trivial class."""
-    prime = as_prime(p)
-    return square_class(eta_sp_value(n), prime)
-
-
-def split_odd_space(m: int, y, p) -> QuadForm:
-    """The split odd space m Hy + <y> in the paired basis (e_i, e_-i, v)."""
-    prime = as_prime(p)
-    dim = 2 * m + 1
-    g = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(m):
-        g[i][m + i] = Fraction(1)
-        g[m + i][i] = Fraction(1)
-    g[2 * m][2 * m] = Fraction(y)
-    return quad_form(tuple(tuple(row) for row in g), prime)
-
-
-def regular_nilpotent_so(q_flat: QuadForm) -> Mat:
-    """The regular nilpotent of the split odd space built by split_odd_space.
-
-    e_i -> e_(i+1) (1 <= i < m), e_m -> v, v -> -y e_-m, e_i -> -e_(i+1)
-    (-m <= i < -1), e_-1 -> 0; basis order (e_1..e_m, e_-1..e_-m, v).
-    """
-    dim = q_flat.dim
-    if dim % 2 == 0:
-        raise ValueError("expected an odd-dimensional split space")
-    m = (dim - 1) // 2
-    g = q_flat.gram
-    y = g[2 * m][2 * m]
-    expected = split_odd_space(m, y, q_flat.p)
-    if g != expected.gram:
-        raise ValueError("Gram is not in the canonical split odd shape")
-    # positions: e_i -> i-1 (1<=i<=m), e_-i -> m+i-1, v -> 2m
-    mtx = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(1, m):
-        mtx[i][i - 1] = Fraction(1)          # e_i -> e_{i+1}
-    if m >= 1:
-        mtx[2 * m][m - 1] = Fraction(1)      # e_m -> v
-        mtx[2 * m - 1][2 * m] = -y           # v -> -y e_{-m}
-    for j in range(2, m + 1):
-        # e_{-j} -> -e_{-(j-1)}: the chain descends back to e_{-1} -> 0
-        mtx[m + j - 2][m + j - 1] = Fraction(-1)
-    nil = tuple(tuple(row) for row in mtx)
-    if mat_add(mat_mul(transpose(nil), g), mat_mul(g, nil)) != zeros(dim):
-        raise RuntimeError("nilpotent fails the orthogonal Lie algebra identity")
-    return nil
 
 
 def eta_so_value(v_prime: QuadForm, y, n: int) -> Fraction:
@@ -240,7 +135,8 @@ def eta_so_value(v_prime: QuadForm, y, n: int) -> Fraction:
     v_prime is the binary part of (V, q) = (n-1) Hy + (V', q'); y must be
     represented by it.  N^(2n-2) runs down the chain e_1 -> .. -> e_(n-1) ->
     v -> -y e_-(n-1) -> .. -> (-1)^(n-1) y e_-1, and q pairs e_-1 with e_1 by
-    1 (oracles.eta_so_reference carries out the construction).
+    1 (oracles builds the split space and N, and oracles.eta_so_reference
+    carries out the construction).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -252,11 +148,6 @@ def eta_so_value(v_prime: QuadForm, y, n: int) -> Fraction:
     if not represents(v_prime, y):
         raise ValueError("y is not represented by the binary part")
     return (-1) ** (n - 1) * y
-
-
-def eta_so(v_prime: QuadForm, y, n: int) -> SquareClass:
-    """The square class of eta_so_value(v_prime, y, n), the class of (-1)^(n-1) y."""
-    return square_class(eta_so_value(v_prime, y, n), v_prime.p)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +282,3 @@ def gs_constancy_check(config: GSConfiguration, n: int) -> bool:
     if not is_very_regular(gs_norm(config)):
         raise ValueError("norm is not very regular for this configuration")
     return constancy_record(ConstancyCell(amb.q_V, n), config).passed
-
-
-def separation_check(algebra: EtaleAlgebraWithInvolution, c1: AlgebraElement,
-                     c2: AlgebraElement) -> bool:
-    """Twists over one algebra give trace forms of equal determinant class."""
-    d1 = invariants(trace_form_quadratic(algebra, c1)).det
-    d2 = invariants(trace_form_quadratic(algebra, c2)).det
-    return d1 == d2

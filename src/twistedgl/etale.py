@@ -246,15 +246,6 @@ class AlgebraElement:
                 blocks.append(top + bot)
         return block_diag(*blocks)
 
-    def norm_to_qp(self) -> Fraction:
-        out = Fraction(1)
-        for f, (a, b) in zip(self.algebra.factors, self.parts):
-            if f.step_kind == SPLIT:
-                out *= a.norm() * b.norm()
-            else:
-                out *= (a * a - f.d * b * b).norm()
-        return out
-
     def __str__(self) -> str:
         return "[" + "; ".join(f"{a}, {b}" for a, b in self.parts) + "]"
 
@@ -265,11 +256,6 @@ def tau(x: AlgebraElement) -> AlgebraElement:
     for f, (a, b) in zip(x.algebra.factors, x.parts):
         parts.append((b, a) if f.step_kind == SPLIT else (a, -b))
     return AlgebraElement(x.algebra, tuple(parts))
-
-
-def norm_to_fixed(x: AlgebraElement) -> AlgebraElement:
-    """x * tau(x), an element of the fixed subalgebra."""
-    return x * tau(x)
 
 
 def trace_to_qp(x: AlgebraElement) -> Fraction:
@@ -336,42 +322,3 @@ def trace_form_alternating(algebra: EtaleAlgebraWithInvolution, c: AlgebraElemen
         raise ValueError("twist must be anti-fixed")
     g = trace_form_bilinear(algebra, c)
     return QuadForm(g, algebra.p, None, ALTERNATING)
-
-
-def fixed_basis(algebra: EtaleAlgebraWithInvolution) -> tuple[AlgebraElement, ...]:
-    """Basis of the fixed subalgebra: base powers, diagonal on split factors."""
-    out = []
-    for idx, f in enumerate(algebra.factors):
-        d = f.base.degree
-        for power in range(d):
-            coeffs = [Fraction(0)] * d
-            coeffs[power] = Fraction(1)
-            vals = [g.base.zero if j != idx else g.base.element(coeffs)
-                    for j, g in enumerate(algebra.factors)]
-            out.append(algebra.fixed_element(vals))
-    return tuple(out)
-
-
-def trace_form_fixed(algebra: EtaleAlgebraWithInvolution, a: AlgebraElement) -> Mat:
-    """Gram of the rank-1 form <a> on the fixed subalgebra, over its own basis.
-
-    The fixed-algebra trace of a fixed element y is trace_to_qp(y) / 2.
-    """
-    if tau(a) != a:
-        raise ValueError("twist must lie in the fixed subalgebra")
-    basis = fixed_basis(algebra)
-    rows = []
-    for bi in basis:
-        bia = bi * a
-        rows.append(tuple(trace_to_qp(bia * bj) / 2 for bj in basis))
-    return tuple(rows)
-
-
-def norm_fixed_to_qp(algebra: EtaleAlgebraWithInvolution, t: AlgebraElement) -> Fraction:
-    """Norm from the fixed subalgebra down to Q: product of base-field norms."""
-    if tau(t) != t:
-        raise ValueError("element must lie in the fixed subalgebra")
-    out = Fraction(1)
-    for f, (a, _) in zip(algebra.factors, t.parts):
-        out *= a.norm()
-    return out

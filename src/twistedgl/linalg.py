@@ -96,10 +96,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mat_scale(c, a: Mat) -> Mat:
     c = fr(c)
     return tuple(tuple(c * x for x in row) for row in a)
@@ -430,4 +426,3 @@ def poly_eval(p: Poly, x) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-

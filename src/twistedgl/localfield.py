@@ -554,17 +554,18 @@ def tame_data(fld: LocalFieldDescriptor, x) -> tuple[int, int]:
         return tame_data(model, model.element(convert(x.coeffs)))
 
     if cert == "eisenstein":
+        # pi = t is a uniformizer and x = sum c_i pi^i; the terms have the
+        # distinct valuations d v(c_i) + i, so the least, w = d v + j at c_j,
+        # leads: x / pi^w = (c_j / p^v) (p / pi^d)^v mod pi.  The defining
+        # polynomial gives pi^d = -a_0 - sum_(0<i<d) a_i pi^i, whose inner
+        # terms lie deeper than a_0, so p / pi^d = -p / a_0 mod pi.
         d = fld.degree
-        w = min(d * valuation(c, p) + i for i, c in enumerate(x.coeffs) if c != 0)
-        u = x
-        if w:
-            step = fld.gen.inverse() if w > 0 else fld.gen
-            for _ in range(abs(w)):
-                u = u * step
-        c0 = u.coeffs[0]
-        if c0 == 0 or valuation(c0, p) != 0:
-            raise RuntimeError("eisenstein unit-part reduction failed")
-        return w, legendre(c0, p)
+        w, j = min((d * valuation(c, p) + i, i) for i, c in enumerate(x.coeffs) if c)
+        v = (w - j) // d
+        chi = legendre(x.coeffs[j] / Fraction(p) ** v, p)
+        if v % 2:
+            chi *= legendre(-p / fld.defining_poly[0], p)
+        return w, chi
 
     # unramified-irreducible-mod-p
     w = min(valuation(c, p) for c in x.coeffs if c != 0)
@@ -597,10 +598,3 @@ def is_square_in_field(fld: LocalFieldDescriptor, d) -> bool:
         return is_square_qp(dv, fld.p)
     w, chi = tame_data(fld, d)
     return w % 2 == 0 and chi == 1
-
-
-def is_local_norm(fld: LocalFieldDescriptor, d, x) -> bool:
-    """Whether x is a norm from fld(sqrt(d)): the Hilbert symbol (d, x) is +1."""
-    if is_square_in_field(fld, d):
-        return True
-    return hilbert_tame(fld, d, x) == 1

@@ -4,11 +4,14 @@
   the package, and the only user of numpy, imported when a sum is taken);
 * the Hensel-certified solubility oracle for Hilbert symbols over Q_p and
   odd-p quadratic fields;
-* the explicit regular-nilpotent construction of the eta invariants, the
-  reference for their closed forms in endoscopy.
+* the regular-nilpotent construction of the eta invariants, the reference
+  for their closed forms in endoscopy: the theta space and its regular
+  nilpotent, the split odd space and its regular nilpotent, and the eta
+  values read off their top powers.  No other module builds these.
 
-Neither `twistedgl` nor `twistedgl.cli` imports this module at import time;
-the CLI loads it only for `hilbert --oracle` and `weil oracle`.  The Gauss-sum
+Neither `twistedgl` nor `twistedgl.cli` imports this module at import time,
+and it imports nothing from `endoscopy`, whose closed forms it checks; the
+CLI loads it only for `hilbert --oracle` and `weil oracle`.  The Gauss-sum
 oracle needs numpy, the `oracle` extra.
 """
 
@@ -19,11 +22,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .endoscopy import (regular_nilpotent_so, regular_nilpotent_sp,
-                        split_odd_space, theta_space)
-from .linalg import Mat, fr, identity, mat_mul, transpose
+from .linalg import (Mat, det, fr, identity, mat_add, mat_mul, mat_scale,
+                     transpose, zeros)
 from .localfield import (FieldElement, LocalFieldDescriptor, _quadratic_model,
                          _unit_mod, as_prime, unit_part, valuation)
+from .qform import QuadForm, quad_form
 from .weil import Mu8
 
 # ---------------------------------------------------------------------------
@@ -334,6 +337,107 @@ def solubility_oracle(a, b, fld: LocalFieldDescriptor, depth: int) -> Solubility
 
 # ---------------------------------------------------------------------------
 # the regular-nilpotent construction of eta
+
+
+@dataclass(frozen=True)
+class ThetaSpace:
+    """F^2n with the fixed symplectic base point of the twisted space.
+
+    Basis order (e_1 .. e_n, e_-n .. e_-1); the form pairs e_i with e_-i
+    through the signs (-1)^i (i > 0) and (-1)^(i+1) (i < 0).
+    """
+
+    n: int
+    theta_gram: Mat
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.n
+
+
+def _theta_pos(i: int, n: int) -> int:
+    return i - 1 if i > 0 else n + (n + i)
+
+
+def theta_space(n: int) -> ThetaSpace:
+    if n < 1:
+        raise ValueError("n must be positive")
+    g = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(1, n + 1):
+        g[_theta_pos(i, n)][_theta_pos(-i, n)] = Fraction((-1) ** i)
+        g[_theta_pos(-i, n)][_theta_pos(i, n)] = Fraction((-1) ** (i + 1))
+    gram = tuple(tuple(row) for row in g)
+    if transpose(gram) != mat_scale(-1, gram) or det(gram) == 0:
+        raise RuntimeError("theta base point must be a symplectic form")
+    return ThetaSpace(n, gram)
+
+
+def regular_nilpotent_sp(n: int) -> Mat:
+    """The standard regular nilpotent in the symplectic Lie algebra of theta.
+
+    e_1 -> 0, e_i -> e_(i-1) for 1 < i <= n, e_-n -> e_n, e_i -> e_(i-1)
+    for -n < i <= -1.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    dim = 2 * n
+    cols = {}
+    for i in range(2, n + 1):
+        cols[_theta_pos(i, n)] = _theta_pos(i - 1, n)
+    cols[_theta_pos(-n, n)] = _theta_pos(n, n)
+    for i in range(-n + 1, 0):
+        cols[_theta_pos(i, n)] = _theta_pos(i - 1, n)
+    m = [[Fraction(0)] * dim for _ in range(dim)]
+    for src, dst in cols.items():
+        m[dst][src] = Fraction(1)
+    nil = tuple(tuple(row) for row in m)
+    theta = theta_space(n).theta_gram
+    if mat_add(mat_mul(transpose(nil), theta), mat_mul(theta, nil)) != zeros(dim):
+        raise RuntimeError("nilpotent fails the symplectic Lie algebra identity")
+    return nil
+
+
+def split_odd_space(m: int, y, p) -> QuadForm:
+    """The split odd space m Hy + <y> in the paired basis (e_i, e_-i, v)."""
+    prime = as_prime(p)
+    dim = 2 * m + 1
+    g = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(m):
+        g[i][m + i] = Fraction(1)
+        g[m + i][i] = Fraction(1)
+    g[2 * m][2 * m] = Fraction(y)
+    return quad_form(tuple(tuple(row) for row in g), prime)
+
+
+def regular_nilpotent_so(q_flat: QuadForm) -> Mat:
+    """The regular nilpotent of the split odd space built by split_odd_space.
+
+    e_i -> e_(i+1) (1 <= i < m), e_m -> v, v -> -y e_-m, e_i -> -e_(i+1)
+    (-m <= i < -1), e_-1 -> 0; basis order (e_1..e_m, e_-1..e_-m, v).
+    """
+    dim = q_flat.dim
+    if dim % 2 == 0:
+        raise ValueError("expected an odd-dimensional split space")
+    m = (dim - 1) // 2
+    g = q_flat.gram
+    y = g[2 * m][2 * m]
+    expected = split_odd_space(m, y, q_flat.p)
+    if g != expected.gram:
+        raise ValueError("Gram is not in the canonical split odd shape")
+    # positions: e_i -> i-1 (1<=i<=m), e_-i -> m+i-1, v -> 2m
+    mtx = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(1, m):
+        mtx[i][i - 1] = Fraction(1)          # e_i -> e_{i+1}
+    if m >= 1:
+        mtx[2 * m][m - 1] = Fraction(1)      # e_m -> v
+        mtx[2 * m - 1][2 * m] = -y           # v -> -y e_{-m}
+    for j in range(2, m + 1):
+        # e_{-j} -> -e_{-(j-1)}: the chain descends back to e_{-1} -> 0
+        mtx[m + j - 2][m + j - 1] = Fraction(-1)
+    nil = tuple(tuple(row) for row in mtx)
+    if mat_add(mat_mul(transpose(nil), g), mat_mul(g, nil)) != zeros(dim):
+        raise RuntimeError("nilpotent fails the orthogonal Lie algebra identity")
+    return nil
 
 
 def _rank_one_value(s: Mat) -> Fraction:

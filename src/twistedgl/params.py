@@ -3,7 +3,7 @@
 Constituents are pure bookkeeping: a dimension, a selfduality sign and a
 determinant square class.  Nothing representation-theoretic is modeled; the
 module decides which elliptic endoscopic datum a parameter comes from and
-evaluates the structural zero of the multiplicity pairing.
+whether an irreducible one avoids the odd orthogonal side.
 """
 
 from __future__ import annotations
@@ -107,16 +107,3 @@ def hypothesis_even_SO(phi: FormalParameter) -> bool:
     if not c.selfdual:
         raise ValueError("hypothesis applies to selfdual parameters")
     return c.sign == 1
-
-
-MULT_SYMBOLIC = "requires-packet-data"
-
-
-def mult_shell(sigma_tag, phi: FormalParameter, g_of_sigma: EndoscopicDatum,
-               g_of_phi: EndoscopicDatum):
-    """Structural multiplicity: 0 on mismatched groups, symbolic otherwise."""
-    if not is_elliptic_param(phi):
-        raise ValueError("multiplicity shell needs an elliptic parameter")
-    if g_of_sigma != g_of_phi:
-        return 0
-    return MULT_SYMBOLIC

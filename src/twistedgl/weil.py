@@ -21,7 +21,6 @@ Evaluation here is exact and imports no oracle code.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from .linalg import fr
@@ -61,9 +60,6 @@ class Mu8:
         if self.exponent == 4:
             return -1
         raise ValueError(f"zeta8^{self.exponent} is not a sign")
-
-    def as_complex(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.exponent / 8)
 
     def __str__(self) -> str:
         return f"zeta8^{self.exponent}"

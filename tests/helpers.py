@@ -467,6 +467,24 @@ def reference_quadratic_tame_data(fld, x) -> tuple[int, int]:
     return w, chi
 
 
+def reference_eisenstein_tame_data(fld, x) -> tuple[int, int]:
+    """(valuation, residue character of the unit part) of a nonzero x in an
+    Eisenstein field, p odd, by field arithmetic: w is the least d v(c_i) + i
+    over the coordinates c_i of x, and x is divided by the uniformizer t one
+    power at a time (multiplied by it when w < 0) until the unit part is left,
+    whose residue is its constant coordinate."""
+    p = int(fld.p)
+    d = fld.degree
+    w = min(d * valuation(c, p) + i for i, c in enumerate(x.coeffs) if c != 0)
+    u = x
+    step = fld.gen.inverse() if w > 0 else fld.gen
+    for _ in range(abs(w)):
+        u = u * step
+    c0 = u.coeffs[0]
+    assert c0 != 0 and valuation(c0, p) == 0, "the unit part has a unit residue"
+    return w, legendre(c0, p)
+
+
 def reference_weil_rank1(a, p: int) -> int:
     """The exponent k of gamma(<a>) = zeta8^k by the closed form pinned from
     the Gauss-sum oracle, on valuations and unit parts."""

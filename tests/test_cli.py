@@ -283,6 +283,21 @@ def test_endo_check_through_cli(capsys):
     assert code == 0 and doc["constancy"] is True
 
 
+def test_gs_param_verb_exit_codes(capsys):
+    code, doc = run(capsys, "gs", "param", "--json", json.dumps(GS_PARAM))
+    assert code == 0 and doc == {"param_match": True}
+    # x = 2 + i: -tau(x)/x = (-3 + 4i)/5, not an eigenvalue of gamma
+    other = copy.deepcopy(GS_PARAM)
+    other["param"]["x"] = [["2", "1"]]
+    code, doc = run(capsys, "gs", "param", "--json", json.dumps(other))
+    assert code == 1 and doc == {"param_match": False}
+    # a tGL-odd parameter on the even orthogonal ambient is refused
+    wrong = copy.deepcopy(GS_PARAM)
+    wrong["param"].update(kind="tGL-odd", xD="1")
+    code, doc = run(capsys, "gs", "param", "--json", json.dumps(wrong))
+    assert code == 2 and doc is None
+
+
 def test_param_verbs(capsys):
     payload = json.dumps({"p": 3, "constituents": [
         {"dim": 4, "sign": "+1", "det": "3"}]})
@@ -548,7 +563,7 @@ VERB_ACTIONS = (
     ("weil", "oracle"), ("etale", "build"), ("etale", "traceform"),
     ("class", "build"), ("class", "invariant"), ("class", "corresponds"),
     ("class", "elliptic"), ("gs", "random"), ("gs", "norm"), ("gs", "section"),
-    ("gs", "verify"), ("endo", "enumerate"), ("endo", "eta"), ("endo", "delta"),
+    ("gs", "verify"), ("gs", "param"), ("endo", "enumerate"), ("endo", "eta"), ("endo", "delta"),
     ("endo", "check"), ("param", "classify"), ("param", "hypothesis"),
     ("corpus", "generate"), ("corpus", "run"), ("hilbert", None),
     ("sqclass", None))
@@ -559,6 +574,10 @@ PARAM = {"kind": "tGL-even", "algebra": [{"base": {"p": 5}, "step": "split"}],
 # norm is the very regular rotation gamma below
 CONFIG = {"ambient": {"qV": FORM, "epsilon": 1}, "X": [["1", "0"], ["0", "1"]],
           "Y": [["-1/2", "1"], ["-1", "-1/2"]]}
+# x = 1 + 2i in Q_3(i): -tau(x)/x = (3 + 4i)/5 has the eigenvalues of gamma
+GS_PARAM = {"config": CONFIG,
+            "param": {"kind": "tGL-even", "algebra": [{"base": {"p": 3}, "step": {"d": "-1"}}],
+                      "x": [["1", "2"]]}}
 SEED_DOCS = {
     "qform": FORM, "weil": FORM, "class": PARAM, "gs": CONFIG, "endo": CONFIG,
     "param": {"p": 3, "constituents": [{"dim": 4, "sign": "+1", "det": "3"}]},
@@ -571,6 +590,7 @@ SEED_DOCS = {
     ("etale", "traceform"): {"algebra": PARAM["algebra"], "c": [["1", "1"]]},
     ("class", "corresponds"): {"delta": PARAM, "gamma": PARAM},
     ("gs", "random"): CONFIG["ambient"],
+    ("gs", "param"): GS_PARAM,
     ("gs", "section"): {"ambient": CONFIG["ambient"], "X": CONFIG["X"],
                         "gamma": [["3/5", "-4/5"], ["4/5", "3/5"]]},
     ("endo", "eta"): {"binary": FORM, "y": "1"},

@@ -1,5 +1,8 @@
 """The block formalism: closure condition, unipotents, norms, sections."""
 
+import contextlib
+import io
+import json
 import random
 from dataclasses import fields
 from types import SimpleNamespace
@@ -14,6 +17,7 @@ from helpers import (hilbert90_x, random_algebra, random_antifixed_invertible,
                      reference_random_config, reference_transfer_factor,
                      reference_xy_condition)
 from twistedgl import gsnorm
+from twistedgl.cli import config_doc, main
 from twistedgl.endoscopy import transfer_factor
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                build_Sp, corresponds, is_elliptic,
@@ -23,7 +27,7 @@ from twistedgl.gsnorm import (ELL, GSConfiguration, gs_norm, gs_param_check,
                               gs_section, is_very_regular, make_ambient,
                               random_config, rigidify, u_of_xy, xy_condition)
 from twistedgl.linalg import (block_diag, charpoly, charpoly_mod, det, identity,
-                              inverse, mat, mat_add, mat_mul, mat_neg, mat_scale,
+                              inverse, mat, mat_add, mat_mul, mat_scale,
                               mat_sub, poly_squarefree_mod, transpose)
 from twistedgl.localfield import QP, square_class
 from twistedgl.qform import (alternating_form, diag_form, direct_sum,
@@ -63,7 +67,7 @@ def test_make_ambient_shapes():
     assert amb.gram_q1 == transpose(amb.gram_q1)
     sym = alternating_form([[0, 1], [-1, 0]], 3)
     amb2 = make_ambient(sym, -1)
-    assert transpose(amb2.gram_q1) == mat_neg(amb2.gram_q1)
+    assert transpose(amb2.gram_q1) == mat_scale(-1, amb2.gram_q1)
     with pytest.raises(ValueError):
         make_ambient(hyperbolic(1, 3), 1)  # excluded isotropic binary V
     with pytest.raises(ValueError):
@@ -333,55 +337,107 @@ def test_gs_param_check_even_orthogonal():
             assert not gs_param_check(GSConfiguration(amb, x, mat(bad)), param)
 
 
-def test_gs_param_check_symplectic():
+def symplectic_case(rng):
+    """(configuration, tGL-even parameter) on a symplectic ambient over Q_3,
+    the configuration a section of the norm of a very regular Sp class."""
     p = 3
     while True:
-        alg = random_algebra(p, RNG)
-        y = random_norm_one_generator(alg, RNG, avoid=(1,))
-        c = random_antifixed_invertible(alg, RNG)
+        alg = random_algebra(p, rng)
+        y = random_norm_one_generator(alg, rng, avoid=(1,))
+        c = random_antifixed_invertible(alg, rng)
         q_c, gamma = build_Sp(ClassParameter("Sp", alg, y, c=c))
         # x with tau(x)/x = y (epsilon = -1 flips the sign in the lemma)
         for _ in range(40):
-            x_alg = hilbert90_x(-y, random_generator(alg, RNG, require_very_regular=False))
+            x_alg = hilbert90_x(-y, random_generator(alg, rng, require_very_regular=False))
             if x_alg.is_invertible() and is_generator(x_alg) and very_regular(x_alg):
                 break
         else:
             continue
         break
     amb = make_ambient(q_c, -1)
-    x = rand_invertible(amb.n, RNG)
+    x = rand_invertible(amb.n, rng)
     ysec = gs_section(amb, x, gamma)
     cfg = GSConfiguration(amb, x, ysec)
     assert gs_norm(cfg) == gamma
-    param = ClassParameter("tGL-even", alg, x_alg)
-    assert gs_param_check(cfg, param)
+    return cfg, ClassParameter("tGL-even", alg, x_alg)
 
 
-def test_gs_param_check_odd_orthogonal():
+def odd_orthogonal_case(rng):
+    """(configuration, tGL-odd parameter) on a 3-dim orthogonal ambient over
+    Q_3, the configuration a section of minus a very regular SO-odd class."""
     p = 3
     while True:
         alg = make_algebra([quadratic_tower(QP(p), 2)])
-        y = random_norm_one_generator(alg, RNG, avoid=(-1,))
-        c = random_fixed_invertible(alg, RNG)
+        y = random_norm_one_generator(alg, rng, avoid=(-1,))
+        c = random_fixed_invertible(alg, rng)
         a = square_class(1, p)
         q, g = build_SO_odd(ClassParameter("SO-odd", alg, y, c=c, a=a))
-        gamma = mat_neg(g)  # norms carry -1 times the special orthogonal group
+        gamma = mat_scale(-1, g)  # norms carry -1 times the special orthogonal group
         if det(mat_sub(gamma, identity(3))) == 0:
             continue
         for _ in range(40):
-            x_alg = hilbert90_x(-y, random_generator(alg, RNG, require_very_regular=False))
+            x_alg = hilbert90_x(-y, random_generator(alg, rng, require_very_regular=False))
             if x_alg.is_invertible() and is_generator(x_alg) and very_regular(x_alg):
                 break
         else:
             continue
         break
     amb = make_ambient(q, 1)
-    x = rand_invertible(amb.n, RNG)
+    x = rand_invertible(amb.n, rng)
     ysec = gs_section(amb, x, gamma)
     cfg = GSConfiguration(amb, x, ysec)
     assert gs_norm(cfg) == gamma
-    param = ClassParameter("tGL-odd", alg, x_alg, x_D=square_class(1, p))
-    assert gs_param_check(cfg, param)
+    return cfg, ClassParameter("tGL-odd", alg, x_alg, x_D=square_class(1, p))
+
+
+def test_gs_param_check_symplectic():
+    assert gs_param_check(*symplectic_case(RNG))
+
+
+def test_gs_param_check_odd_orthogonal():
+    assert gs_param_check(*odd_orthogonal_case(RNG))
+
+
+def param_doc(param):
+    """The class-parameter document of a parameter over Q_p bases."""
+    doc = {"kind": param.kind,
+           "algebra": [{"base": {"p": f.base.p},
+                        "step": "split" if f.step_kind == "split"
+                        else {"d": str(f.d.coeffs[0])}}
+                       for f in param.algebra.factors],
+           "x": [[str(v) for v in a.coeffs + b.coeffs] for a, b in param.x.parts]}
+    if param.x_D is not None:
+        doc["xD"] = param.x_D.representative
+    return doc
+
+
+def gs_param_verb(cfg, param):
+    """gs param on (cfg, param) through the CLI: (exit code, document)."""
+    out = io.StringIO()
+    payload = json.dumps({"config": config_doc(cfg), "param": param_doc(param)})
+    with contextlib.redirect_stdout(out):
+        code = main(["gs", "param", "--json", payload])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_gs_param_verb_even_orthogonal(p):
+    amb, gamma, y, x_alg, alg, c = even_fixture(p, random.Random(7100 + p))
+    x = rand_invertible(amb.n, random.Random(7200 + p))
+    cfg = GSConfiguration(amb, x, gs_section(amb, x, gamma))
+    assert gs_param_verb(cfg, ClassParameter("tGL-even", alg, x_alg)) == (0, {"param_match": True})
+
+
+def test_gs_param_verb_symplectic():
+    cfg, param = symplectic_case(random.Random(7300))
+    assert cfg.ambient.epsilon == -1
+    assert gs_param_verb(cfg, param) == (0, {"param_match": True})
+
+
+def test_gs_param_verb_odd_orthogonal():
+    cfg, param = odd_orthogonal_case(random.Random(7400))
+    assert cfg.ambient.n == 3 and param.kind == "tGL-odd"
+    assert gs_param_verb(cfg, param) == (0, {"param_match": True})
 
 
 def test_ellipticity_transfer_and_endoscopic_compatibility():

@@ -1,12 +1,128 @@
-"""Runtime import hygiene: the package and its CLI never load oracle-only code."""
+"""Runtime hygiene: the package and its CLI never load oracle-only code, and
+the runtime modules hold only what the CLI verbs and the benchmark reach."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "twistedgl"
+
+# Runtime definitions that no verb reaches, each kept for the reason given.
+KEPT = {
+    "localfield.hilbert_tame": "the Hilbert symbol over the extension bases "
+                               "that etale build accepts, checked against the "
+                               "solubility oracle's quadratic ring",
+    "localfield.LocalFieldDescriptor.residue_q": "the residue field order of "
+                                                 "hilbert_tame",
+    "weil.weil_rank1": "the rank-1 table that the Gauss-sum oracle tests",
+    "endoscopy.transfer_factor": "the paper's plain transfer factor, before "
+                                 "its Whittaker normalization",
+    "localfield.LocalFieldDescriptor.gen": "test aid: the generator t that "
+                                           "field elements are built from",
+    "etale.EtaleAlgebraWithInvolution.fixed_element": "test aid: tau-fixed twists",
+    "etale.EtaleAlgebraWithInvolution.skew_element": "test aid: tau-antifixed twists",
+    "linalg.mat_scale": "test aid: scaled and negated matrices",
+    "linalg.charpoly_mod": "test aid: the F_ell characteristic polynomial of a "
+                           "rational matrix",
+    "qform.witt_equivalent": "test aid: Witt equivalence of two forms",
+}
+
+
+def _names(nodes) -> set[str]:
+    """Every name and attribute the nodes mention."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+    return out
+
+
+def _definitions():
+    """{module.name or module.Class.method: (name, names it mentions)} over
+    the runtime modules, and the names their module-level code mentions.
+    Imports mention nothing, so a re-export keeps no definition alive."""
+    defs, module_level = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{path.stem}.{node.name}"] = (node.name, _names([node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [s for s in node.body if isinstance(s, ast.FunctionDef)]
+                rest = [s for s in node.body if s not in methods]
+                defs[f"{path.stem}.{node.name}"] = (
+                    node.name, _names(rest + node.decorator_list + node.bases))
+                for m in methods:
+                    defs[f"{path.stem}.{node.name}.{m.name}"] = (m.name, _names([m]))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                module_level |= _names([node])
+    return defs, module_level
+
+
+def _benchmark_names() -> set[str]:
+    """The names perfbench imports from twistedgl, and the attributes it reads
+    off an imported twistedgl module (cli.main, say)."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    out = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "twistedgl":
+                for alias in n.names:
+                    out.add(alias.name)
+                    if alias.name in modules:
+                        imported.add(alias.asname or alias.name)
+        out |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id in imported}
+    return out
+
+
+def unreached_definitions() -> set[str]:
+    """The runtime definitions that a name-based call graph does not reach from
+    the cmd_* handlers, main, module-level code and perfbench's imports.
+
+    A definition is reached when a reached definition mentions its name; a
+    method named like __dunder__ is reached with its class.  Matching by name
+    over-approximates the calls, so what it leaves unreached is unreached."""
+    defs, module_level = _definitions()
+    names = module_level | _benchmark_names() | {
+        name for name, _ in defs.values() if name == "main" or name.startswith("cmd_")}
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for qual, (name, mentions) in defs.items():
+            if qual in reached:
+                continue
+            owner = qual.rsplit(".", 1)[0]
+            if name in names or (name.startswith("__") and name.endswith("__")
+                                 and owner in reached):
+                reached.add(qual)
+                names |= mentions
+                grew = True
+    return set(defs) - reached
+
+
+def test_runtime_is_what_the_cli_and_the_benchmark_reach():
+    unreached = unreached_definitions()
+    assert sorted(unreached - set(KEPT)) == [], "delete, surface as a verb or keep"
+    assert sorted(set(KEPT) - unreached) == [], "kept, but reached or gone"
+
+
+def test_oracles_import_nothing_from_endoscopy():
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "endoscopy"]
 
 
 def test_runtime_imports_leave_numpy_and_the_oracles_out():

@@ -9,10 +9,10 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import reference_quadratic_tame_data
+from helpers import reference_eisenstein_tame_data, reference_quadratic_tame_data
 from twistedgl.localfield import (PSI_13, QP, LocalFieldDescriptor, Prime,
                                   _residue_char_fq,
-                                  as_prime, hilbert_qp, hilbert_tame, is_local_norm,
+                                  as_prime, hilbert_qp, hilbert_tame,
                                   is_square_in_field, least_nonresidue,
                                   legendre, square_class, square_class_table,
                                   tame_data, valuation)
@@ -374,24 +374,6 @@ def test_tame_rejects_wild_extensions():
         is_square_in_field(fld, fld.gen)
 
 
-def test_is_local_norm_examples():
-    u5 = least_nonresidue(5)
-    assert is_local_norm(QP(5), u5, u5) is True
-    assert is_local_norm(QP(3), 3, 9) is True
-    assert is_local_norm(QP(2), -1, 3) is False
-
-
-def test_is_local_norm_square_d_trivial():
-    assert is_local_norm(QP(3), 4, 5) is True
-
-
-def test_is_local_norm_on_extension():
-    unr = unramified_q3()
-    # d = uniformizer class 3: norms from the ramified quadratic over L
-    t3 = unr.embed(3)
-    assert is_local_norm(unr, t3, unr.embed(-1)) == (hilbert_tame(unr, t3, unr.embed(-1)) == 1)
-
-
 # ---------------------------------------------------------------------------
 # quadratic fields certified by their discriminant
 
@@ -440,6 +422,37 @@ def test_quadratic_tame_data_matches_the_closed_forms(p):
     assert {(r, dn) for r, dn, _, _ in seen} >= {(0, True), (0, False), (1, True), (1, False)}
     assert {wn for _, _, wn, _ in seen} == {True, False}
     assert {chi for _, _, _, chi in seen} == {1, -1}
+
+
+def random_p_unit(p, rng):
+    return F(rng.choice([k for k in range(-30, 31) if k % p]),
+             rng.choice([k for k in (1, 2, 3, 4, 7, 11) if k % p]))
+
+
+@pytest.mark.parametrize("d, p", [(2, 3), (2, 5), (2, 7), (3, 5), (3, 7)])
+def test_eisenstein_tame_data_reads_the_leading_term(d, p):
+    rng = random.Random(9300 + 10 * d + p)
+    seen = set()
+    for _ in range(8):
+        # t^d + a_(d-1) t^(d-1) + ... + a_0: v(a_0) = 1, inner a_i in pZ_p
+        inner = [rng.choice((0, p * random_p_unit(p, rng), p * p * random_p_unit(p, rng)))
+                 for _ in range(d - 1)]
+        fld = LocalFieldDescriptor(Prime(p), (p * random_p_unit(p, rng), *inner, F(1)),
+                                   "eisenstein")
+        for _ in range(12):
+            coeffs = [rng.choice((0, random_p_unit(p, rng) * F(p) ** rng.randint(-3, 3)))
+                      for _ in range(d)]
+            if not any(coeffs):
+                continue
+            x = fld.element(coeffs)
+            w, chi = tame_data(fld, x)
+            assert (w, chi) == reference_eisenstein_tame_data(fld, x), (str(fld), str(x))
+            seen.add((w < 0, (w // d) % 2, chi))
+    # negative and non-negative valuations, both parities of v(c_j), where
+    # the factor (-p/a_0 | p) enters or not, and both characters
+    assert {wn for wn, _, _ in seen} == {True, False}
+    assert {odd for _, odd, _ in seen} == {0, 1}
+    assert {chi for _, _, chi in seen} == {1, -1}
 
 
 def test_quadratic_tame_symbol_against_oracle():

@@ -5,11 +5,10 @@ import warnings
 
 import pytest
 
-from twistedgl.endoscopy import EndoscopicDatum, enumerate_elliptic_data
+from twistedgl.endoscopy import enumerate_elliptic_data
 from twistedgl.localfield import square_class, square_class_table
-from twistedgl.params import (MULT_SYMBOLIC, FormalConstituent,
-                              FormalParameter, classify, hypothesis_even_SO,
-                              is_elliptic_param, mult_shell)
+from twistedgl.params import (FormalConstituent, FormalParameter, classify,
+                              hypothesis_even_SO, is_elliptic_param)
 
 
 def orth(dim, det, p, mult=1):
@@ -137,14 +136,3 @@ def test_hypothesis_even_so():
     for phi in (FormalParameter((orth(4, 3, p),)), FormalParameter((symp(4, p),))):
         datum = classify(phi)
         assert hypothesis_even_SO(phi) == (datum.n_O == phi.total_dim)
-
-
-def test_mult_shell():
-    p = 3
-    phi = FormalParameter((orth(4, 3, p),))
-    g_phi = classify(phi)
-    g_other = EndoscopicDatum(0, 4, square_class(1, p))
-    assert mult_shell("sigma", phi, g_other, g_phi) == 0
-    assert mult_shell("sigma", phi, g_phi, g_phi) == MULT_SYMBOLIC
-    with pytest.raises(ValueError):
-        mult_shell("sigma", FormalParameter((orth(2, 3, p, mult=2),)), g_phi, g_phi)
