@@ -38,9 +38,10 @@ hyperbolic plane, N_K the norm form of the discriminant algebra K).
 
 ConstancyCell holds what is constant on one space q: the target, the epsilon
 factor, the ambient with Q^-1 and the rhs.  constancy_record takes a cell and
-computes per record only the twisted point and the Witt class of q_delta;
-transfer_factor and transfer_factor_whittaker are the same comparison on a
-cell of their own.
+computes per record only the twisted point's checks and the Witt class of
+q_delta, eliminated once from the integer rows Y_n + Y_n^T over 2 d_Y of the
+configuration's y_scaled; transfer_factor and transfer_factor_whittaker are
+the same comparison on a cell of their own, on the cleared rows of delta.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from functools import cached_property
 
 from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, is_very_regular,
                      make_ambient, twisted_point)
-from .linalg import Mat, clear_denominators, mat, to_mat
+from .linalg import Mat, clear_denominators, mat
 from .localfield import SquareClass, as_prime, square_class, square_class_table
-from .qform import (QuadForm, WittClass, direct_sum, hyperbolic, invariants,
-                    norm_form, quad_form, represents, scale, witt_decompose)
+from .qform import (QuadForm, WittClass, diagonal, direct_sum, hyperbolic,
+                    invariants, norm_form, represents, scale, witt_decompose,
+                    witt_kernel)
 from .weil import Mu8, epsilon_half, weil_index
 
 
@@ -192,6 +194,7 @@ class ConstancyCell:
 
     @cached_property
     def rhs(self) -> Mu8:
+        diagonal(self.space)  # so that the scaling carries the diagonal
         return weil_index(scale(2 * (-1) ** self.n, self.space))
 
     def plain_factor(self, delta: Mat) -> int:
@@ -202,14 +205,16 @@ class ConstancyCell:
         if len(delta) != dim or any(len(row) != dim for row in delta):
             raise ValueError(f"delta must be a {dim} x {dim} matrix, the "
                              "dimension of the space")
-        rows, den = clear_denominators(delta)
-        sym = to_mat([[x + y for x, y in zip(row, col)]
-                      for row, col in zip(rows, zip(*rows))], 2 * den)
+        return self._plain_factor(*clear_denominators(delta))
+
+    def _plain_factor(self, rows: list[list[int]], den: int) -> int:
+        """plain_factor at delta = rows / den: q_delta = (rows + rows^T) / 2 den."""
+        sym = [[x + y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
         try:
-            q_delta = quad_form(sym, self.space.p)
-        except ValueError:  # sym is symmetric, so its determinant is 0
+            kernel = witt_kernel(sym, 2 * den, self.space.p)
+        except ValueError:  # sym is symmetric, so it is degenerate
             raise ValueError("singular symmetrization: delta is not very regular") from None
-        return 1 if witt_decompose(q_delta)[1] == self.target else -1
+        return 1 if kernel == self.target else -1
 
     def lhs(self, delta: Mat) -> Mu8:
         """The Whittaker-normalized factor at delta."""
@@ -267,7 +272,9 @@ def constancy_record(cell: ConstancyCell, config: GSConfiguration) -> ConstancyR
     its own (see the module docstring)."""
     if config.ambient.q_V != cell.space:
         raise ValueError("the configuration lies on another space than the cell")
-    return ConstancyRecord(cell.lhs(twisted_point(config)), cell.rhs)
+    twisted_point(config)  # the closure condition and invertibility
+    sign = cell._plain_factor(*config.y_scaled)
+    return ConstancyRecord(cell.epsilon_inverse * Mu8.from_sign(sign), cell.rhs)
 
 
 def gs_constancy_check(config: GSConfiguration, n: int) -> bool:

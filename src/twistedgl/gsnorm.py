@@ -15,8 +15,9 @@ each identity is checked or built after multiplying through by its
 denominator:
 
 * a sample draws integer X and R, sets S = R - eps R^T and
-  Y = -1/2 X Q^-1 X^T + S = (-X A X^T + 2a S) / 2a, and tests det X and
-  det Y_n;
+  Y = -1/2 X Q^-1 X^T + S = (-X A X^T + 2a S) / 2a, tests det X, and
+  decides very-regularity on -eps Y_n^T Y_n^-1, similar to the norm (see
+  random_config), whose inverse of Y_n is also its test of det Y_n;
 * with Y_n^-1 = R / pi, the norm is
   1 + Q^-1 X^T Y^-1 X = (c I + d_Y A X_n^T R X_n) / c, c = a d_X^2 pi;
 * the closure condition Y + eps Y^T + X Q^-1 X^T = 0 is
@@ -163,6 +164,11 @@ def random_config(ambient: AmbientSpace, seed: int,
     Y is the symmetric particular solution -1/2 X Q^-1 X^T plus a random
     check-skew matrix; rejection sampling enforces invertibility and, by
     default, very-regularity of the norm.  Deterministic per seed.
+
+    The closure condition, which holds here by construction, gives
+    X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, so the norm is
+    decided on that similar matrix.  Only here: gs_norm, which reads pairs
+    not known to satisfy the closure, builds gamma by its formula.
     """
     n, eps = ambient.n, ambient.epsilon
     if require_very_regular and eps == 1 and n % 2:
@@ -179,16 +185,23 @@ def random_config(ambient: AmbientSpace, seed: int,
         xax = _xax(a_rows, x)
         y = [[2 * a * (r[i][j] - eps * r[j][i]) - v for j, v in enumerate(row)]
              for i, row in enumerate(xax)]
-        if int_det(y) == 0:
+        if require_very_regular:
+            try:
+                y_inv, pi = int_inverse(y)
+            except ValueError:  # det Y = 0
+                continue
+            yt = [[-eps * v for v in col] for col in zip(*y)]  # gamma ~ -eps Y^T Y^-1
+            if not _very_regular(int_mul(yt, y_inv), pi):
+                continue
+        elif int_det(y) == 0:
             continue
-        config = GSConfiguration(ambient, to_mat(x), to_mat(y, 2 * a))
-        # both determinants were just taken (X's before S is drawn, which
-        # keeps the seeded stream), and X and Y are already integer rows
-        for name, value in (("x_scaled", (x, 1)), ("y_scaled", (y, 2 * a)),
-                            ("invertible", True)):
+        # det X was taken before R was drawn, which keeps the seeded stream;
+        # the configuration is built once, from the integer rows
+        config = object.__new__(GSConfiguration)
+        for name, value in (("ambient", ambient), ("X", to_mat(x)),
+                            ("Y", to_mat(y, 2 * a)), ("x_scaled", (x, 1)),
+                            ("y_scaled", (y, 2 * a)), ("invertible", True)):
             object.__setattr__(config, name, value)
-        if require_very_regular and not _very_regular(*_norm_scaled(config)):
-            continue
         return config
     raise RuntimeError(f"retry budget exhausted for seed {seed}")
 

@@ -21,8 +21,10 @@ input and the integers grow only as fast as determinants do.  Two routines
 do it.  _eliminate here, by rows, gives the determinant, and in Gauss-Jordan
 form on [B | I] ends with pi I on the left, so B^-1 = right / pi; the
 determinant of the Sylvester matrix of f and f' decides poly_squarefree.
-qform._eliminate_symmetric, by congruence, diagonalizes a symmetric Gram and
-is the non-degeneracy check of a symmetric form.
+qform._eliminate_symmetric, by congruence, diagonalizes a symmetric Gram
+given as integer rows over a denominator, like the int_* kernels here; it is
+the non-degeneracy check of a symmetric form, and its Mat callers wrap it
+through clear_denominators.
 
 A property that survives reduction modulo a prime can be certified there.
 int_charpoly_mod reduces rows / den modulo a prime l (each entry becomes

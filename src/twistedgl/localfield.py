@@ -353,7 +353,7 @@ class LocalFieldDescriptor:
     def degree(self) -> int:
         return len(self.defining_poly) - 1
 
-    @property
+    @cached_property
     def ramification_e(self) -> int:
         """A quadratic field is unramified exactly when its discriminant
         pairs trivially with every unit class: the norms from the unramified
@@ -367,11 +367,11 @@ class LocalFieldDescriptor:
             return 1 if all(disc.hilbert(u) == 1 for u in units) else 2
         return 1
 
-    @property
+    @cached_property
     def residue_f(self) -> int:
         return self.degree // self.ramification_e
 
-    @property
+    @cached_property
     def residue_q(self) -> int:
         return self.p ** self.residue_f
 

@@ -10,7 +10,9 @@ A symmetric form is eliminated once: the constructor's non-degeneracy check
 is the symmetric Bareiss elimination of its cleared-integer Gram, whose
 diagonal the form keeps, as it keeps its invariants and their anisotropic
 kernel.  An alternating Gram is checked by its determinant; forms known
-non-degenerate by construction are eliminated when first read.
+non-degenerate by construction are eliminated when first read, and a scaling
+carries the scaled diagonal of a form already eliminated.  A form known only
+by integer rows (a twisted point's q_delta) is eliminated once by witt_kernel.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ class QuadForm:
     @cached_property
     def _diagonal(self) -> tuple[Fraction, ...]:
         """The diagonal of the one symmetric elimination of this form."""
-        return _eliminate_symmetric(self.gram, transform=False)[0]
+        return _eliminate_symmetric(*clear_denominators(self.gram), transform=False)[0]
 
     @cached_property
     def invariants(self) -> "FormInvariants":
         """The invariants of this form, computed on first use; see invariants()."""
-        return _invariants(self)
+        return _invariants(diagonal(self), self.p)
 
     def __str__(self) -> str:
         name = self.label or f"{self.symmetry} form"
@@ -118,22 +120,22 @@ def _same_prime(q1: QuadForm, q2: QuadForm):
 # diagonalization
 
 
-def _eliminate_symmetric(gram: Mat, transform: bool):
-    """Symmetric Bareiss elimination of a Gram matrix on cleared integers.
+def _eliminate_symmetric(rows: list[list[int]], d: int, transform: bool):
+    """Symmetric Bareiss elimination of the Gram G = rows / d on integers.
 
-    Works on B = D*G, D the common denominator.  Pivot rule: first nonzero
-    diagonal entry of the trailing block, moved up by a swap; if its diagonal
-    vanishes entirely, symmetrize on the first nonzero off-diagonal pair
-    (col_i += col_j, row_i += row_j) and move that index up.  Step k then
-    updates the trailing block by the exact division
+    Works on a copy of B = rows = d*G, d > 0 any denominator of G.  Pivot
+    rule: first nonzero diagonal entry of the trailing block, moved up by a
+    swap; if its diagonal vanishes entirely, symmetrize on the first nonzero
+    off-diagonal pair (col_i += col_j, row_i += row_j) and move that index
+    up.  Step k then updates the trailing block by the exact division
     (pivot*b_rc - b_rk*b_kc) // previous pivot, so the k-th pivot is the
     leading principal (k+1)-minor of B after the moves and
-    a_k = pivot_k / (pivot_(k-1) * D).  With transform, the same column
-    operations run on an integer matrix E, whose column k ends as
-    pivot_(k-1) times column k of the congruence P with P^T G P = diag(a).
+    a_k = pivot_k / (pivot_(k-1) * d), whatever d is.  With transform, the
+    same column operations run on an integer matrix E, whose column k ends
+    as pivot_(k-1) times column k of the congruence P with P^T G P = diag(a).
     Returns (diag, P), P None without transform.
     """
-    b, d = clear_denominators(gram)
+    b = [list(row) for row in rows]
     n = len(b)
     e = [[int(i == j) for j in range(n)] for i in range(n)] if transform else []
 
@@ -188,7 +190,7 @@ def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
     pair before pivoting.
     """
     _require_symmetric(q, "diagonalization")
-    return _eliminate_symmetric(q.gram, transform=True)
+    return _eliminate_symmetric(*clear_denominators(q.gram), transform=True)
 
 
 def diagonal(q: QuadForm) -> tuple[Fraction, ...]:
@@ -259,9 +261,9 @@ def invariants(q: QuadForm) -> FormInvariants:
     return q.invariants
 
 
-def _invariants(q: QuadForm) -> FormInvariants:
-    p = q.p
-    classes = [square_class(a, p) for a in diagonal(q)]
+def _invariants(diag: tuple[Fraction, ...], p: Prime) -> FormInvariants:
+    """The invariants of the form with this diagonal over Q_p."""
+    classes = [square_class(a, p) for a in diag]
     n = len(classes)
     # Hasse c = prod_j (a_1...a_(j-1), a_j) by bimultiplicativity: n symbols
     # instead of n(n-1)/2, each a bilinear form on bits
@@ -303,6 +305,14 @@ def equivalent(q1: QuadForm, q2: QuadForm) -> bool:
     return i1.det == i2.det and i1.hasse == i2.hasse
 
 
+def witt_kernel(rows: list[list[int]], d: int, p: Prime) -> WittClass:
+    """The anisotropic kernel of the symmetric Gram rows / d, from its integer
+    rows in one elimination, without building its Fractions."""
+    if any(x != y for row, col in zip(rows, zip(*rows)) for x, y in zip(row, col)):
+        raise ValueError("Gram matrix is not symmetric")
+    return _invariants(_eliminate_symmetric(rows, d, transform=False)[0], p).kernel
+
+
 def witt_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
     _same_prime(q1, q2)
     return witt_decompose(q1)[1] == witt_decompose(q2)[1]
@@ -325,8 +335,12 @@ def scale(c, q: QuadForm) -> QuadForm:
     if c == 0:
         raise ValueError("scaling by zero")
     # det(cQ) = c^n det Q is nonzero, and cQ keeps the symmetry of Q
-    g = tuple(tuple(c * x for x in row) for row in q.gram)
-    return _known_form(g, q.p, None, q.symmetry)
+    g = tuple(tuple(c * x if x else x for x in row) for row in q.gram)
+    cq = _known_form(g, q.p, None, q.symmetry)
+    if "_diagonal" in q.__dict__:
+        # cG pivots as G does, so its elimination gives c times G's diagonal
+        object.__setattr__(cq, "_diagonal", tuple(c * a for a in q._diagonal))
+    return cq
 
 
 def hyperbolic(k: int, p) -> QuadForm:

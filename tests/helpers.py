@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import sympy
 
-from twistedgl import linalg, qform
+from twistedgl import gsnorm, linalg, qform
 from twistedgl.etale import (EtaleAlgebraWithInvolution, make_algebra,
                              quadratic_tower, split_tower, tau, is_generator,
                              very_regular)
@@ -526,7 +526,8 @@ def reference_phi(ambient, x):
     return mat_mul(inverse(ambient.q_V.gram), transpose(x))
 
 
-def reference_random_config(ambient, rng, require_very_regular=True, budget=10000):
+def reference_fraction_random_config(ambient, rng, require_very_regular=True,
+                                     budget=10000):
     """(X, Y) by the Fraction algorithm of random_config: integer X and R
     drawn from rng in the same order, Y = -1/2 X Q^-1 X^T + (R - eps R^T),
     samples with det X = 0 or det Y = 0 rejected before the next draw, and by
@@ -549,6 +550,33 @@ def reference_random_config(ambient, rng, require_very_regular=True, budget=1000
             continue
         return x, y
     raise RuntimeError("retry budget exhausted")
+
+
+def reference_random_config(ambient, seed, require_very_regular=True):
+    """The integer sampler that decided very-regularity on the norm itself:
+    det X and det Y_n each by int_det, then the certificate on the rows of
+    1 + Q^-1 X^T Y^-1 X that gs_norm builds.  The reference for
+    gsnorm.random_config, which must return the same X and Y."""
+    n, eps = ambient.n, ambient.epsilon
+    rng = random.Random(seed)
+    a_rows, a = ambient.q_inverse_scaled
+    for _ in range(gsnorm.RETRY_BUDGET):
+        x = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if linalg.int_det(x) == 0:
+            continue
+        r = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        xax = gsnorm._xax(a_rows, x)
+        y = [[2 * a * (r[i][j] - eps * r[j][i]) - v for j, v in enumerate(row)]
+             for i, row in enumerate(xax)]
+        if linalg.int_det(y) == 0:
+            continue
+        config = gsnorm.GSConfiguration(ambient, linalg.to_mat(x),
+                                        linalg.to_mat(y, 2 * a))
+        if require_very_regular and not gsnorm._very_regular(
+                *gsnorm._norm_scaled(config)):
+            continue
+        return config
+    raise RuntimeError(f"retry budget exhausted for seed {seed}")
 
 
 def reference_transfer_factor(space, delta, n):
@@ -575,15 +603,16 @@ def reference_witt_class_exists(aniso_dim, detc, hasse, p) -> bool:
 
 
 def count_eliminations(monkeypatch):
-    """Record the Grams qform._eliminate_symmetric is called on and the
+    """Record the input of the symmetric kernel qform._eliminate_symmetric,
+    the integer rows over a denominator d read as the Gram rows / d, and the
     matrices linalg.det is called on, under every name a twistedgl module
     binds det to.  Returns the two lists, which fill as the calls happen."""
     grams, dets = [], []
     eliminate, det_ = qform._eliminate_symmetric, linalg.det
 
-    def counted_eliminate(gram, transform):
-        grams.append(gram)
-        return eliminate(gram, transform)
+    def counted_eliminate(rows, d, transform):
+        grams.append(linalg.to_mat(rows, d))
+        return eliminate(rows, d, transform)
 
     def counted_det(a):
         dets.append(a)

@@ -125,6 +125,27 @@ def test_corpus_run_takes_no_rational_determinant(capsys, monkeypatch):
     assert code == 0 and doc["failures"] == 0 and dets == []
 
 
+def test_corpus_run_eliminates_each_space_once(capsys, monkeypatch):
+    # one prime a run and n >= 2, so that no two cells share a Gram and no
+    # space has the Gram of a binary target
+    grams, _ = count_eliminations(monkeypatch)
+    for p in (2, 3, 5):
+        del grams[:]
+        code, doc = run(capsys, "corpus", "run", "--p", str(p), "--n", "2,3",
+                        "--count", "6", "--seed", "1")
+        assert code == 0 and doc["failures"] == 0
+        for cell in doc["cells"]:
+            n = cell["n"]
+            space = quasisplit_space(2 * n, square_class(cell["K"], p),
+                                     square_class(cell["c"], p), p)
+            # the rhs reads the Weil index of 2 (-1)^n q off q's scaled diagonal
+            assert grams.count(space.gram) == 1
+            assert grams.count(scale(2 * (-1) ** n, space).gram) == 0
+        # per cell its space and the target (-1)^n N_K, per record its q_delta
+        records = sum(cell["records"] for cell in doc["cells"])
+        assert len(grams) == 2 * len(doc["cells"]) + records
+
+
 def test_gs_round_trip_through_cli(capsys):
     spec = {"qV": {"p": 3, "diag": ["1", "-2", "2", "3"]}, "epsilon": 1}
     code, cfg = run(capsys, "gs", "random", "--seed", "5", "--json", json.dumps(spec))

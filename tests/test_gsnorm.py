@@ -14,9 +14,10 @@ from helpers import (hilbert90_x, random_algebra, random_antifixed_invertible,
                      random_fixed_invertible, random_generator,
                      random_norm_one_generator, reference_gs_norm,
                      reference_is_very_regular, reference_phi,
+                     reference_fraction_random_config,
                      reference_random_config, reference_transfer_factor,
                      reference_xy_condition)
-from twistedgl import gsnorm
+from twistedgl import gsnorm, linalg
 from twistedgl.cli import config_doc, main
 from twistedgl.endoscopy import transfer_factor
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
@@ -27,8 +28,9 @@ from twistedgl.gsnorm import (ELL, GSConfiguration, gs_norm, gs_param_check,
                               gs_section, is_very_regular, make_ambient,
                               random_config, rigidify, u_of_xy, xy_condition)
 from twistedgl.linalg import (block_diag, charpoly, charpoly_mod, det, identity,
-                              inverse, mat, mat_add, mat_mul, mat_scale,
-                              mat_sub, poly_squarefree_mod, transpose)
+                              int_inverse, int_mul, inverse, mat, mat_add,
+                              mat_mul, mat_scale, mat_sub, poly_squarefree_mod,
+                              to_mat, transpose)
 from twistedgl.localfield import QP, square_class
 from twistedgl.qform import (alternating_form, diag_form, direct_sum,
                              hyperbolic, quad_form)
@@ -466,10 +468,11 @@ def test_random_config_deterministic():
 # the integer-row pipeline against the Fraction reference
 
 
-def random_ambient(rng, n, eps):
+def random_ambient(rng, n, eps, p=None):
     """make_ambient on a random nondegenerate rational Gram of size n:
-    symmetric for eps = 1, alternating for eps = -1 (n even)."""
-    p = rng.choice((2, 3, 5, 7))
+    symmetric for eps = 1, alternating for eps = -1 (n even), over p or a
+    random prime of 2, 3, 5, 7."""
+    p = rng.choice((2, 3, 5, 7)) if p is None else p
     while True:
         g = [[F(0)] * n for _ in range(n)]
         for i in range(n):
@@ -550,10 +553,59 @@ def test_pipeline_equals_the_fraction_reference(n, eps, monkeypatch):
                 RecordingRandom.made.clear()
                 cfg = random_config(amb, seed, very_regular)
                 ref_rng = random.Random(seed)
-                assert (cfg.X, cfg.Y) == reference_random_config(amb, ref_rng, very_regular)
+                assert (cfg.X, cfg.Y) == reference_fraction_random_config(
+                    amb, ref_rng, very_regular)
                 # the same draws, so the seeded stream ends where it did
                 (used,) = RecordingRandom.made
                 assert used.getstate() == ref_rng.getstate()
                 check_against_reference(amb, cfg)
         for _ in range(3):
             check_against_reference(amb, rational_config(rng, amb))
+
+
+@pytest.mark.parametrize("eps, n", [(1, 2), (1, 4), (1, 6), (-1, 2), (-1, 4)])
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_random_config_equals_the_norm_certificate_sampler(p, eps, n):
+    # the sampler decides very-regularity on -eps Y_n^T Y_n^-1, similar to
+    # the norm; the reference builds the norm and decides on it
+    amb = random_ambient(random.Random(9100 + 10 * n + eps + p), n, eps, p)
+    for seed in range(20):
+        for very_regular in (True, False):
+            cfg = random_config(amb, seed, very_regular)
+            ref = reference_random_config(amb, seed, very_regular)
+            assert (cfg.X, cfg.Y) == (ref.X, ref.Y)
+            assert to_mat(*cfg.x_scaled) == cfg.X and to_mat(*cfg.y_scaled) == cfg.Y
+            y, _ = cfg.y_scaled
+            y_inv, pi = int_inverse(y)
+            similar = int_mul([[-eps * v for v in col] for col in zip(*y)], y_inv)
+            assert charpoly(to_mat(similar, pi)) == charpoly(gs_norm(cfg))
+
+
+def test_an_accepted_draw_eliminates_x_once_and_y_once(monkeypatch):
+    amb = make_ambient(diag_form([1, -2, 3, 5], 3), 1)
+    amb.q_inverse_scaled  # the ambient's own inverse, taken once
+    calls, eliminate = [], linalg._eliminate
+
+    def counted(rows, jordan):
+        calls.append([list(row) for row in rows])
+        return eliminate(rows, jordan)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    first_draws = 0
+    for seed in range(20):
+        for very_regular in (True, False):
+            del calls[:]
+            cfg = random_config(amb, seed, very_regular)
+            x, y = cfg.x_scaled[0], cfg.y_scaled[0]
+            # a draw eliminates its X (n columns), and its Y when det X != 0:
+            # by the inverse [Y | I] with the certificate, by int_det without
+            ys = [c for c in calls if [row[:4] for row in c] == y]
+            assert calls.count(x) == 1 and len(ys) == 1
+            assert ys[0] == ([row + [int(i == j) for j in range(4)]
+                              for i, row in enumerate(y)] if very_regular else y)
+            assert calls[-2:] == [x, ys[0]]
+            draws = sum(len(c[0]) == 4 and c != y for c in calls)
+            if draws == 1:
+                first_draws += 1
+                assert len(calls) == 2
+    assert first_draws >= 10

@@ -424,6 +424,27 @@ def test_forms_known_non_degenerate_are_eliminated_when_read(monkeypatch):
     assert diagonal(q) == (1, 3, -2)
 
 
+def test_scale_carries_the_diagonal_of_a_fresh_elimination():
+    rng = random.Random(23)
+    for p in (2, 3, 5, 7):
+        for dim in (1, 2, 3, 5, 8):
+            # integer and fractional Grams, and one with a zero diagonal, which
+            # the elimination symmetrizes before its first pivot
+            fresh = rand_form(rng, p, dim)
+            for q in (fresh, quad_form(scale(F(rng.randint(1, 9), 12), fresh).gram, p),
+                      direct_sum(hyperbolic(1, p), fresh)):
+                diagonal(q)
+                for c in (-1, 2, F(-3, 4), F(rng.randint(-20, -1), rng.randint(2, 9)),
+                          F(rng.randint(1, 20), rng.randint(2, 9))):
+                    cq = scale(c, q)
+                    assert "_diagonal" in vars(cq)
+                    assert diagonal(cq) == diagonalize(quad_form(cq.gram, p))[0]
+                    assert diagonal(cq) == reference_diagonalize(cq.gram)[0]
+                    assert invariants(cq) == invariants(quad_form(cq.gram, p))
+    # without a known diagonal the scaling is eliminated when read
+    assert "_diagonal" not in vars(scale(3, diag_form([1, 2], 5)))
+
+
 def test_witt_class_existence_is_the_reference_table():
     for p in (2, 3, 5, 7):
         realized = 0
