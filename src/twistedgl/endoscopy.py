@@ -39,9 +39,8 @@ hyperbolic plane, N_K the norm form of the discriminant algebra K).
 ConstancyCell holds what is constant on one space q: the target, the epsilon
 factor, the ambient with Q^-1 and the rhs.  constancy_record takes a cell and
 computes per record only the twisted point's checks and the Witt class of
-q_delta, eliminated once from the integer rows Y_n + Y_n^T over 2 d_Y of the
-configuration's y_scaled; transfer_factor and transfer_factor_whittaker are
-the same comparison on a cell of their own, on the cleared rows of delta.
+q_delta from the integer rows of its y_scaled; transfer_factor and
+transfer_factor_whittaker are the same comparison on a cell of their own.
 """
 
 from __future__ import annotations
@@ -165,7 +164,7 @@ class ConstancyCell:
     (-1)^n N_K, K the discriminant algebra of q; epsilon(1/2, chi_K, psi)^-1;
     the ambient V1 of q with its Q^-1; and the rhs, the Weil index of
     2 (-1)^n q.  What is left per twisted point is the elimination of q_delta
-    and its Witt comparison with the target (plain_factor).
+    and its Witt comparison with the target (_plain_factor).
     """
 
     space: QuadForm
@@ -197,28 +196,33 @@ class ConstancyCell:
         diagonal(self.space)  # so that the scaling carries the diagonal
         return weil_index(scale(2 * (-1) ** self.n, self.space))
 
-    def plain_factor(self, delta: Mat) -> int:
-        """Waldspurger's Witt comparison at delta: +1 exactly when
-        q_delta = 1/2 (delta + delta^T) is Witt-equivalent to the target."""
+    def _rows(self, delta: Mat) -> tuple[list[list[int]], int]:
+        """delta, checked square of the space's dimension, as rows / den."""
         delta = mat(delta)
         dim = self.space.dim
         if len(delta) != dim or any(len(row) != dim for row in delta):
             raise ValueError(f"delta must be a {dim} x {dim} matrix, the "
                              "dimension of the space")
-        return self._plain_factor(*clear_denominators(delta))
+        return clear_denominators(delta)
 
     def _plain_factor(self, rows: list[list[int]], den: int) -> int:
-        """plain_factor at delta = rows / den: q_delta = (rows + rows^T) / 2 den."""
+        """Waldspurger's Witt comparison at delta = rows / den: +1 exactly when
+        q_delta = 1/2 (delta + delta^T) = (rows + rows^T) / 2 den is
+        Witt-equivalent to the target."""
         sym = [[x + y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
         try:
             kernel = witt_kernel(sym, 2 * den, self.space.p)
-        except ValueError:  # sym is symmetric, so it is degenerate
+        except ValueError:  # q_delta is degenerate
             raise ValueError("singular symmetrization: delta is not very regular") from None
         return 1 if kernel == self.target else -1
 
     def lhs(self, delta: Mat) -> Mu8:
         """The Whittaker-normalized factor at delta."""
-        return self.epsilon_inverse * Mu8.from_sign(self.plain_factor(delta))
+        return self._lhs(*self._rows(delta))
+
+    def _lhs(self, rows: list[list[int]], den: int) -> Mu8:
+        """lhs at delta = rows / den."""
+        return self.epsilon_inverse * Mu8.from_sign(self._plain_factor(rows, den))
 
 
 def constancy_cell(p, n: int, k, c) -> ConstancyCell:
@@ -237,7 +241,8 @@ def transfer_factor(gamma_space: QuadForm, delta: Mat, n: int) -> int:
     space must have dimension 2n, n >= 1, and delta must be square of that
     size.
     """
-    return ConstancyCell(gamma_space, n).plain_factor(delta)
+    cell = ConstancyCell(gamma_space, n)
+    return cell._plain_factor(*cell._rows(delta))
 
 
 def transfer_factor_whittaker(gamma_space: QuadForm, delta: Mat, n: int) -> Mu8:
@@ -273,8 +278,7 @@ def constancy_record(cell: ConstancyCell, config: GSConfiguration) -> ConstancyR
     if config.ambient.q_V != cell.space:
         raise ValueError("the configuration lies on another space than the cell")
     twisted_point(config)  # the closure condition and invertibility
-    sign = cell._plain_factor(*config.y_scaled)
-    return ConstancyRecord(cell.epsilon_inverse * Mu8.from_sign(sign), cell.rhs)
+    return ConstancyRecord(cell._lhs(*config.y_scaled), cell.rhs)
 
 
 def gs_constancy_check(config: GSConfiguration, n: int) -> bool:

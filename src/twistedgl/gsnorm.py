@@ -166,9 +166,8 @@ def random_config(ambient: AmbientSpace, seed: int,
     default, very-regularity of the norm.  Deterministic per seed.
 
     The closure condition, which holds here by construction, gives
-    X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, so the norm is
-    decided on that similar matrix.  Only here: gs_norm, which reads pairs
-    not known to satisfy the closure, builds gamma by its formula.
+    X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, and the norm is
+    decided on that; gs_norm, for pairs not known closed, keeps the formula.
     """
     n, eps = ambient.n, ambient.epsilon
     if require_very_regular and eps == 1 and n % 2:
@@ -185,15 +184,12 @@ def random_config(ambient: AmbientSpace, seed: int,
         xax = _xax(a_rows, x)
         y = [[2 * a * (r[i][j] - eps * r[j][i]) - v for j, v in enumerate(row)]
              for i, row in enumerate(xax)]
-        if require_very_regular:
-            try:
-                y_inv, pi = int_inverse(y)
-            except ValueError:  # det Y = 0
-                continue
-            yt = [[-eps * v for v in col] for col in zip(*y)]  # gamma ~ -eps Y^T Y^-1
-            if not _very_regular(int_mul(yt, y_inv), pi):
-                continue
-        elif int_det(y) == 0:
+        try:
+            y_inv, pi = int_inverse(y)
+        except ValueError:  # det Y = 0
+            continue
+        yt = [[-eps * v for v in col] for col in zip(*y)]  # gamma ~ -eps Y^T Y^-1
+        if require_very_regular and not _very_regular(int_mul(yt, y_inv), pi):
             continue
         # det X was taken before R was drawn, which keeps the seeded stream;
         # the configuration is built once, from the integer rows

@@ -306,10 +306,8 @@ def equivalent(q1: QuadForm, q2: QuadForm) -> bool:
 
 
 def witt_kernel(rows: list[list[int]], d: int, p: Prime) -> WittClass:
-    """The anisotropic kernel of the symmetric Gram rows / d, from its integer
-    rows in one elimination, without building its Fractions."""
-    if any(x != y for row, col in zip(rows, zip(*rows)) for x, y in zip(row, col)):
-        raise ValueError("Gram matrix is not symmetric")
+    """The anisotropic kernel of the symmetric (unchecked) Gram rows / d, in
+    one elimination on its integer rows; raises on a degenerate Gram."""
     return _invariants(_eliminate_symmetric(rows, d, transform=False)[0], p).kernel
 
 

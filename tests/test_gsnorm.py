@@ -565,20 +565,34 @@ def test_pipeline_equals_the_fraction_reference(n, eps, monkeypatch):
 
 @pytest.mark.parametrize("eps, n", [(1, 2), (1, 4), (1, 6), (-1, 2), (-1, 4)])
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
-def test_random_config_equals_the_norm_certificate_sampler(p, eps, n):
+def test_random_config_equals_the_norm_certificate_sampler(p, eps, n, monkeypatch):
     # the sampler decides very-regularity on -eps Y_n^T Y_n^-1, similar to
     # the norm; the reference builds the norm and decides on it
     amb = random_ambient(random.Random(9100 + 10 * n + eps + p), n, eps, p)
+    decided, very_regular_of = [], gsnorm._very_regular
+
+    def recorded(rows, den):
+        decided.append((rows, den))
+        return very_regular_of(rows, den)
+
+    monkeypatch.setattr(gsnorm, "_very_regular", recorded)
     for seed in range(20):
         for very_regular in (True, False):
-            cfg = random_config(amb, seed, very_regular)
             ref = reference_random_config(amb, seed, very_regular)
+            del decided[:]  # the reference decides by the same function
+            cfg = random_config(amb, seed, very_regular)
             assert (cfg.X, cfg.Y) == (ref.X, ref.Y)
             assert to_mat(*cfg.x_scaled) == cfg.X and to_mat(*cfg.y_scaled) == cfg.Y
+            norm_poly = charpoly(gs_norm(cfg))
             y, _ = cfg.y_scaled
             y_inv, pi = int_inverse(y)
             similar = int_mul([[-eps * v for v in col] for col in zip(*y)], y_inv)
-            assert charpoly(to_mat(similar, pi)) == charpoly(gs_norm(cfg))
+            assert charpoly(to_mat(similar, pi)) == norm_poly
+            # what the accepted draw was decided on, rows and denominator
+            if very_regular:
+                assert charpoly(to_mat(*decided[-1])) == norm_poly
+            else:
+                assert decided == []
 
 
 def test_an_accepted_draw_eliminates_x_once_and_y_once(monkeypatch):
@@ -597,12 +611,12 @@ def test_an_accepted_draw_eliminates_x_once_and_y_once(monkeypatch):
             del calls[:]
             cfg = random_config(amb, seed, very_regular)
             x, y = cfg.x_scaled[0], cfg.y_scaled[0]
-            # a draw eliminates its X (n columns), and its Y when det X != 0:
-            # by the inverse [Y | I] with the certificate, by int_det without
+            # a draw eliminates its X (n columns), and its Y when det X != 0,
+            # by the inverse [Y | I], with or without the certificate
             ys = [c for c in calls if [row[:4] for row in c] == y]
             assert calls.count(x) == 1 and len(ys) == 1
-            assert ys[0] == ([row + [int(i == j) for j in range(4)]
-                              for i, row in enumerate(y)] if very_regular else y)
+            assert ys[0] == [row + [int(i == j) for j in range(4)]
+                             for i, row in enumerate(y)]
             assert calls[-2:] == [x, ys[0]]
             draws = sum(len(c[0]) == 4 and c != y for c in calls)
             if draws == 1:
