@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -81,6 +82,14 @@ def rat_json(x):
 
 def mat_doc(m) -> list[list[str]]:
     return [[rat_str(x) for x in row] for row in m]
+
+
+def rows_doc(rows, den: int) -> list[list[str]]:
+    """mat_doc of the integer rows / den (den > 0), without Fractions."""
+    def entry(x):
+        g = math.gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+    return [[entry(x) for x in row] for row in rows]
 
 
 def poly_doc(p) -> list[str]:
@@ -203,12 +212,15 @@ def parse_config(doc) -> GSConfiguration:
     return GSConfiguration(ambient, x, y)
 
 
-def config_doc(config: GSConfiguration) -> dict:
+def config_doc(config: GSConfiguration, q_doc: dict | None = None) -> dict:
+    """The configuration document; q_doc, when given, is form_doc of its q_V,
+    which a corpus run renders once per cell."""
+    amb = config.ambient
     return {
-        "ambient": {"qV": form_doc(config.ambient.q_V),
-                    "epsilon": config.ambient.epsilon},
-        "X": mat_doc(config.X),
-        "Y": mat_doc(config.Y),
+        "ambient": {"qV": form_doc(amb.q_V) if q_doc is None else q_doc,
+                    "epsilon": amb.epsilon},
+        "X": rows_doc(*config.x_scaled),
+        "Y": rows_doc(*config.y_scaled),
     }
 
 
@@ -519,15 +531,17 @@ def _corpus_entries(seed: int, primes, ns, count: int):
 
 def _run_entry(entry, cells: dict) -> dict:
     """The record of one entry.  cells maps the raw (p, n, K, c) of the run's
-    entries to their ConstancyCell, which the first entry of a cell builds."""
+    entries to their ConstancyCell and the form_doc of its space, which the
+    first entry of a cell builds."""
     key = (entry["p"], entry["n"], entry["K"], entry["c"])
-    cell = cells.get(key)
-    if cell is None:
-        cell = cells[key] = constancy_cell(*key)
+    if key not in cells:
+        cell = constancy_cell(*key)
+        cells[key] = cell, form_doc(cell.space)
+    cell, q_doc = cells[key]
     config = random_config(cell.ambient, entry["seed"])
     result = constancy_record(cell, config)
     record = dict(entry)
-    record["inputs_digest"] = digest(config_doc(config))
+    record["inputs_digest"] = digest(config_doc(config, q_doc))
     record["lhs"] = str(result.lhs)
     record["rhs"] = str(result.rhs)
     record["pass"] = result.passed

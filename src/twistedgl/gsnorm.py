@@ -16,15 +16,21 @@ denominator:
 
 * a sample draws integer X and R, sets S = R - eps R^T and
   Y = -1/2 X Q^-1 X^T + S = (-X A X^T + 2a S) / 2a, tests det X, and
-  decides very-regularity on -eps Y_n^T Y_n^-1, similar to the norm (see
-  random_config), whose inverse of Y_n is also its test of det Y_n;
+  decides det Y and very-regularity on Z = -eps Y_n^-1 Y_n^T, similar to
+  the norm (see random_config).  Z is first taken mod the prime ELL, where
+  the solve that gives it also proves det Y_n != 0 and a certificate can
+  only accept; a draw the residues cannot accept goes to the exact path,
+  whose inverse of Y_n is its test of det Y_n;
 * with Y_n^-1 = R / pi, the norm is
   1 + Q^-1 X^T Y^-1 X = (c I + d_Y A X_n^T R X_n) / c, c = a d_X^2 pi;
 * the closure condition Y + eps Y^T + X Q^-1 X^T = 0 is
   a d_X^2 (Y_n + eps Y_n^T) + d_Y X_n A X_n^T = 0.
 
 Fractions are built only for the X, Y, Q^-1, norm and phi that are returned,
-and in the rational fallback of is_very_regular.
+and in the rational fallbacks of is_very_regular and random_config.  A
+sampled configuration comes with its invertibility and closure condition
+marked, so neither is checked again; every other configuration checks them
+on first use.
 """
 
 from __future__ import annotations
@@ -38,13 +44,14 @@ from .classes import ClassParameter, twist_invariant
 from .etale import char_poly, tau, very_regular
 from .linalg import (Mat, charpoly, clear_denominators, det, from_blocks,
                      identity, int_charpoly_mod, int_det, int_inverse, int_mul,
-                     inverse, mat, mat_mul, mat_sub, poly_eval, poly_mul,
-                     poly_squarefree, poly_squarefree_mod, to_mat, transpose,
-                     zeros)
+                     int_solve_mod, inverse, mat, mat_mul, mat_sub, poly_eval,
+                     poly_mul, poly_squarefree, poly_squarefree_mod, to_mat,
+                     transpose, zeros)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
 
-# the prime of the very-regularity certificate, the Mersenne prime 2^61 - 1
-ELL = (1 << 61) - 1
+# the prime of the very-regularity certificate, the largest below 2^15: a
+# product of two residues stays below 2^30, one CPython digit
+ELL = 32749
 # samples random_config draws before it gives up on a seed
 RETRY_BUDGET = 10000
 
@@ -139,6 +146,19 @@ class GSConfiguration:
         """det X != 0 and det Y != 0, computed once per configuration."""
         return int_det(self.x_scaled[0]) != 0 and int_det(self.y_scaled[0]) != 0
 
+    @cached_property
+    def closed(self) -> bool:
+        """The closure condition Y + eps Y^T + X Q^-1 X^T = 0, checked exactly
+        on first use."""
+        amb = self.ambient
+        a_rows, a = amb.q_inverse_scaled
+        x, dx = self.x_scaled
+        y, dy = self.y_scaled
+        eps, c = amb.epsilon, a * dx * dx
+        xax = _xax(a_rows, x)
+        return all(c * (y[i][j] + eps * y[j][i]) + dy * v == 0
+                   for i, row in enumerate(xax) for j, v in enumerate(row))
+
 
 def _xax(a_rows: list[list[int]], x: list[list[int]]) -> list[list[int]]:
     """X A X^T on integer rows."""
@@ -146,15 +166,9 @@ def _xax(a_rows: list[list[int]], x: list[list[int]]) -> list[list[int]]:
 
 
 def xy_condition(config: GSConfiguration) -> bool:
-    """Exact check of Y + eps Y^T + X Q^-1 X^T = 0."""
-    amb = config.ambient
-    a_rows, a = amb.q_inverse_scaled
-    x, dx = config.x_scaled
-    y, dy = config.y_scaled
-    eps, c = amb.epsilon, a * dx * dx
-    xax = _xax(a_rows, x)
-    return all(c * (y[i][j] + eps * y[j][i]) + dy * v == 0
-               for i, row in enumerate(xax) for j, v in enumerate(row))
+    """Exact check of Y + eps Y^T + X Q^-1 X^T = 0 (see GSConfiguration.closed;
+    random_config presets it on the pairs it builds closed)."""
+    return config.closed
 
 
 def random_config(ambient: AmbientSpace, seed: int,
@@ -166,8 +180,18 @@ def random_config(ambient: AmbientSpace, seed: int,
     default, very-regularity of the norm.  Deterministic per seed.
 
     The closure condition, which holds here by construction, gives
-    X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, and the norm is
-    decided on that; gs_norm, for pairs not known closed, keeps the formula.
+    X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, similar in turn to
+    Z = -eps Y^-1 Y^T; gs_norm, for pairs not known closed, keeps the formula.
+    A draw is first decided on residues mod ELL: one Gauss-Jordan on
+    [Y_n | -eps Y_n^T] over F_ELL gives Z, and its success proves
+    det Y_n != 0; the certificate of is_very_regular on Z then proves the
+    norm very regular.  Residues prove only what they certify, so they may
+    only accept: when ELL divides det Y_n or the certificate fails, the
+    draw goes to the exact path, where int_inverse(Y_n) is the det Y test
+    and -eps Y_n^T Y_n^-1 is decided on its rational characteristic
+    polynomial (its certificate mod ELL is the one that just failed).  Every
+    rejection is exact, so the draws accepted, and the seeded stream, do not
+    depend on ELL.
     """
     n, eps = ambient.n, ambient.epsilon
     if require_very_regular and eps == 1 and n % 2:
@@ -184,19 +208,24 @@ def random_config(ambient: AmbientSpace, seed: int,
         xax = _xax(a_rows, x)
         y = [[2 * a * (r[i][j] - eps * r[j][i]) - v for j, v in enumerate(row)]
              for i, row in enumerate(xax)]
-        try:
-            y_inv, pi = int_inverse(y)
-        except ValueError:  # det Y = 0
-            continue
-        yt = [[-eps * v for v in col] for col in zip(*y)]  # gamma ~ -eps Y^T Y^-1
-        if require_very_regular and not _very_regular(int_mul(yt, y_inv), pi):
-            continue
+        yt = [[-eps * v for v in col] for col in zip(*y)]
+        z = int_solve_mod(y, yt, ELL)  # residues only accept; rejections are exact
+        if z is None or (require_very_regular
+                         and not _certified(int_charpoly_mod(z, 1, ELL))):
+            try:
+                y_inv, pi = int_inverse(y)
+            except ValueError:  # det Y = 0
+                continue
+            if require_very_regular and not _rational_very_regular(
+                    int_mul(yt, y_inv), pi):
+                continue
         # det X was taken before R was drawn, which keeps the seeded stream;
-        # the configuration is built once, from the integer rows
+        # the configuration is built once, from the integer rows, and closed
         config = object.__new__(GSConfiguration)
         for name, value in (("ambient", ambient), ("X", to_mat(x)),
                             ("Y", to_mat(y, 2 * a)), ("x_scaled", (x, 1)),
-                            ("y_scaled", (y, 2 * a)), ("invertible", True)):
+                            ("y_scaled", (y, 2 * a)), ("invertible", True),
+                            ("closed", True)):
             object.__setattr__(config, name, value)
         return config
     raise RuntimeError(f"retry budget exhausted for seed {seed}")
@@ -209,18 +238,27 @@ def is_very_regular(gamma: Mat) -> bool:
     f = charpoly(gamma) mod ELL is squarefree over F_ELL with f(1) and f(-1)
     nonzero, gamma is very regular (see linalg).  That decides only True;
     every other case, and every False, is decided over Q on f = charpoly(gamma),
-    whose values f(1), f(-1) are +-det(gamma -+ 1).
+    whose values f(1), f(-1) are +-det(gamma -+ 1).  random_config runs the
+    same certificate on residues alone, and keeps the same fallback.
     """
     return _very_regular(*clear_denominators(gamma))
 
 
+def _certified(f: list[int] | None) -> bool:
+    """The certificate modulo ELL on f = charpoly mod ELL (None when ELL
+    divides a denominator): f squarefree over F_ELL, f(1) and f(-1) nonzero."""
+    return (f is not None and poly_squarefree_mod(f, ELL) and sum(f) % ELL != 0
+            and (sum(f[::2]) - sum(f[1::2])) % ELL != 0)
+
+
 def _very_regular(rows: list[list[int]], den: int) -> bool:
     """is_very_regular of rows / den."""
-    f = int_charpoly_mod(rows, den, ELL)
-    if f is not None and poly_squarefree_mod(f, ELL):
-        at_one, at_minus_one = sum(f) % ELL, (sum(f[::2]) - sum(f[1::2])) % ELL
-        if at_one and at_minus_one:
-            return True
+    return (_certified(int_charpoly_mod(rows, den, ELL))
+            or _rational_very_regular(rows, den))
+
+
+def _rational_very_regular(rows: list[list[int]], den: int) -> bool:
+    """is_very_regular of rows / den, decided over Q."""
     f = charpoly(to_mat(rows, den))
     return poly_squarefree(f) and poly_eval(f, 1) != 0 and poly_eval(f, -1) != 0
 

@@ -8,9 +8,9 @@ ever enter.
 Inside, a rational matrix is held as integer rows plus one positive common
 denominator: (rows, den) stands for rows / den.  clear_denominators takes a
 Mat there (den is the least common multiple of the entry denominators) and
-to_mat brings it back.  The kernels int_mul, int_det, int_inverse and
-int_charpoly_mod work on integer rows alone and never modify their
-arguments; mat_mul, det, inverse and charpoly_mod are their Mat wrappers.
+to_mat brings it back.  The kernels int_mul, int_det, int_inverse,
+int_charpoly_mod and int_solve_mod work on integer rows alone and never
+modify their arguments; mat_mul, det, inverse and charpoly_mod are their Mat wrappers.
 Code that chains several products (the Goldberg-Shahidi sampler and norm in
 gsnorm, the symmetrization of a twisted point in endoscopy) stays on integer
 rows throughout and builds Fractions only for the Mat it returns.
@@ -39,7 +39,12 @@ So a squarefree f mod l proves f squarefree over Q, and f(c) != 0 mod l
 proves f(c) != 0.  The converse fails: a squarefree f may acquire a repeated
 root mod l, and l may divide the denominator.  Those answers decide nothing,
 and the caller falls back to the rational test, the one place outside the
-Mat boundary where Fractions are built.  The F_p polynomial helpers
+Mat boundary where Fractions are built.  int_solve_mod gives A^-1 B mod l by
+Gauss-Jordan over F_l, and its success proves det A != 0, so a matrix known
+only through such a solve can be certified without an exact inverse.  The
+certificate prime (gsnorm.ELL = 32749) is the largest below 2^15: the
+product of two residues stays below 2^30, one CPython digit, so these
+kernels never multiply multi-digit integers.  The F_p polynomial helpers
 (remainder, gcd, power modulo f) also serve the Rabin irreducibility test and
 the residue character in localfield.
 """
@@ -326,6 +331,31 @@ def int_charpoly_mod(rows: Sequence[Sequence[int]], den: int,
                     cur[j] = (cur[j] - c * x) % ell
         polys.append(cur)
     return polys[n]
+
+
+def int_solve_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+                  ell: int) -> list[list[int]] | None:
+    """A^-1 B mod the prime ell as residue rows, for square integer rows A
+    and integer rows B of the same height, or None when ell divides det A.
+
+    Gauss-Jordan over F_ell on [A | B]: step k scales the pivot row to a
+    leading 1 and clears column k from every other row.  As in _eliminate,
+    entries in columns up to k are not maintained.
+    """
+    n = len(a)
+    rows = [[x % ell for x in ra] + [x % ell for x in rb] for ra, rb in zip(a, b)]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = pow(rows[k][k], -1, ell)
+        top = rows[k][k + 1:] = [x * inv % ell for x in rows[k][k + 1:]]
+        for r, row in enumerate(rows):
+            f = row[k]
+            if f and r != k:
+                row[k + 1:] = [(x - f * t) % ell for x, t in zip(row[k + 1:], top)]
+    return [row[n:] for row in rows]
 
 
 def poly_squarefree_mod(f: Sequence[int], ell: int) -> bool:

@@ -18,8 +18,8 @@ from helpers import (hilbert90_x, random_algebra, random_antifixed_invertible,
                      reference_random_config, reference_transfer_factor,
                      reference_xy_condition)
 from twistedgl import gsnorm, linalg
-from twistedgl.cli import config_doc, main
-from twistedgl.endoscopy import transfer_factor
+from twistedgl.cli import _corpus_entries, config_doc, main
+from twistedgl.endoscopy import constancy_cell, transfer_factor
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                build_Sp, corresponds, is_elliptic,
                                twist_invariant)
@@ -28,7 +28,7 @@ from twistedgl.gsnorm import (ELL, GSConfiguration, gs_norm, gs_param_check,
                               gs_section, is_very_regular, make_ambient,
                               random_config, rigidify, u_of_xy, xy_condition)
 from twistedgl.linalg import (block_diag, charpoly, charpoly_mod, det, identity,
-                              int_inverse, int_mul, inverse, mat, mat_add,
+                              int_det, int_inverse, int_mul, inverse, mat, mat_add,
                               mat_mul, mat_scale, mat_sub, poly_squarefree_mod,
                               to_mat, transpose)
 from twistedgl.localfield import QP, square_class
@@ -563,39 +563,70 @@ def test_pipeline_equals_the_fraction_reference(n, eps, monkeypatch):
             check_against_reference(amb, rational_config(rng, amb))
 
 
+def reduce_mod(poly, ell):
+    """A polynomial with ell-integral rational coefficients, reduced mod ell."""
+    return [c.numerator * pow(c.denominator, -1, ell) % ell for c in poly]
+
+
+def certifies(f, ell):
+    """The certificate on residues: f squarefree mod ell, f(1), f(-1) nonzero."""
+    return (poly_squarefree_mod(f, ell) and sum(f) % ell != 0
+            and (sum(f[::2]) - sum(f[1::2])) % ell != 0)
+
+
 @pytest.mark.parametrize("eps, n", [(1, 2), (1, 4), (1, 6), (-1, 2), (-1, 4)])
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_random_config_equals_the_norm_certificate_sampler(p, eps, n, monkeypatch):
-    # the sampler decides very-regularity on -eps Y_n^T Y_n^-1, similar to
-    # the norm; the reference builds the norm and decides on it
+    # the sampler decides a draw on Z = -eps Y_n^-1 Y_n^T mod ELL, similar to
+    # the norm, and falls back to the exact -eps Y_n^T Y_n^-1 over Q; the
+    # reference builds the norm and decides on it
     amb = random_ambient(random.Random(9100 + 10 * n + eps + p), n, eps, p)
-    decided, very_regular_of = [], gsnorm._very_regular
+    solved, decided = [], []
+    solve, very_regular_of = gsnorm.int_solve_mod, gsnorm._rational_very_regular
+
+    def recorded_solve(a, b, ell):
+        solved.append(solve(a, b, ell))
+        return solved[-1]
 
     def recorded(rows, den):
         decided.append((rows, den))
         return very_regular_of(rows, den)
 
-    monkeypatch.setattr(gsnorm, "_very_regular", recorded)
+    monkeypatch.setattr(gsnorm, "int_solve_mod", recorded_solve)
+    monkeypatch.setattr(gsnorm, "_rational_very_regular", recorded)
     for seed in range(20):
         for very_regular in (True, False):
             ref = reference_random_config(amb, seed, very_regular)
-            del decided[:]  # the reference decides by the same function
+            del solved[:], decided[:]  # the reference's rational fallbacks
             cfg = random_config(amb, seed, very_regular)
             assert (cfg.X, cfg.Y) == (ref.X, ref.Y)
             assert to_mat(*cfg.x_scaled) == cfg.X and to_mat(*cfg.y_scaled) == cfg.Y
             norm_poly = charpoly(gs_norm(cfg))
             y, _ = cfg.y_scaled
             y_inv, pi = int_inverse(y)
-            similar = int_mul([[-eps * v for v in col] for col in zip(*y)], y_inv)
-            assert charpoly(to_mat(similar, pi)) == norm_poly
-            # what the accepted draw was decided on, rows and denominator
-            if very_regular:
-                assert charpoly(to_mat(*decided[-1])) == norm_poly
+            yt = [[-eps * v for v in col] for col in zip(*y)]
+            assert charpoly(to_mat(int_mul(yt, y_inv), pi)) == norm_poly
+            # the residues of the accepted draw: Z = Y_n^-1 (-eps Y_n^T) mod
+            # ELL, with the norm's characteristic polynomial reduced mod ELL
+            z = solved[-1]
+            on_residues = pi % ELL != 0
+            if on_residues:
+                inv_pi = pow(pi, -1, ELL)
+                assert z == [[v * inv_pi % ELL for v in row] for row in int_mul(y_inv, yt)]
+                f = reduce_mod(norm_poly, ELL)
+                assert linalg.int_charpoly_mod(z, 1, ELL) == f
+                on_residues = not very_regular or certifies(f, ELL)
             else:
+                assert z is None
+            # the exact rows over their denominator decide the accepted draw
+            # just when its residues could not accept it
+            exact = bool(decided) and decided[-1] == (int_mul(yt, y_inv), pi)
+            assert exact == (very_regular and not on_residues)
+            if not very_regular:
                 assert decided == []
 
 
-def test_an_accepted_draw_eliminates_x_once_and_y_once(monkeypatch):
+def test_an_accepted_draw_eliminates_x_once_and_y_only_on_fallback(monkeypatch):
     amb = make_ambient(diag_form([1, -2, 3, 5], 3), 1)
     amb.q_inverse_scaled  # the ambient's own inverse, taken once
     calls, eliminate = [], linalg._eliminate
@@ -604,22 +635,75 @@ def test_an_accepted_draw_eliminates_x_once_and_y_once(monkeypatch):
         calls.append([list(row) for row in rows])
         return eliminate(rows, jordan)
 
-    monkeypatch.setattr(linalg, "_eliminate", counted)
-    first_draws = 0
-    for seed in range(20):
+    first_draws, fallbacks = {ELL: 0, 7: 0}, {ELL: 0, 7: 0}
+    for ell in (ELL, 7):
+        monkeypatch.setattr(gsnorm, "ELL", ell)
+        for seed in range(20):
+            for very_regular in (True, False):
+                monkeypatch.setattr(linalg, "_eliminate", counted)
+                del calls[:]
+                cfg = random_config(amb, seed, very_regular)
+                monkeypatch.setattr(linalg, "_eliminate", eliminate)
+                x, y = cfg.x_scaled[0], cfg.y_scaled[0]
+                # the residues fail to accept when ell divides det Y_n or the
+                # norm's characteristic polynomial mod ell does not certify
+                fallback = int_det(y) % ell == 0 or very_regular and not certifies(
+                    reduce_mod(charpoly(gs_norm(cfg)), ell), ell)
+                fallbacks[ell] += fallback
+                # a draw eliminates its X over Z (n columns); its Y only on
+                # the fallback, as the inverse [Y | I], and after it at most
+                # the Sylvester matrix of the rational squarefree test
+                ys = [c for c in calls if [row[:4] for row in c] == y]
+                assert calls.count(x) == 1
+                after = calls[calls.index(x) + 1:]
+                if fallback:
+                    assert ys == [[row + [int(i == j) for j in range(4)]
+                                   for i, row in enumerate(y)]]
+                    assert after[0] == ys[0]
+                    assert all(len(c) == len(c[0]) == 7 for c in after[1:])
+                else:
+                    assert ys == [] and after == []
+                if sum(len(c[0]) == 4 for c in calls) == 1:
+                    first_draws[ell] += 1
+                    assert calls[0] == x  # nothing of an earlier draw
+    assert first_draws[ELL] >= 10 and fallbacks[ELL] <= 2
+    assert fallbacks[7] >= 5  # 9 of the 40 draws here
+
+
+@pytest.mark.parametrize("ell", (3, 7))
+@pytest.mark.parametrize("eps, n", [(1, 2), (1, 4), (-1, 2), (-1, 4)])
+def test_residues_that_cannot_accept_fall_back_to_the_exact_sampler(eps, n, ell,
+                                                                    monkeypatch):
+    # at a small prime the residues often cannot accept; the draws still
+    # equal the reference's, which decides every draw on the norm
+    amb = random_ambient(random.Random(9300 + 10 * n + eps + ell), n, eps)
+    inverses, int_inverse_of = [], gsnorm.int_inverse
+
+    def recorded(rows):
+        inverses.append(rows)
+        return int_inverse_of(rows)
+
+    monkeypatch.setattr(gsnorm, "ELL", ell)
+    for seed in range(10):
         for very_regular in (True, False):
-            del calls[:]
+            ref = reference_random_config(amb, seed, very_regular)
+            monkeypatch.setattr(gsnorm, "int_inverse", recorded)
             cfg = random_config(amb, seed, very_regular)
-            x, y = cfg.x_scaled[0], cfg.y_scaled[0]
-            # a draw eliminates its X (n columns), and its Y when det X != 0,
-            # by the inverse [Y | I], with or without the certificate
-            ys = [c for c in calls if [row[:4] for row in c] == y]
-            assert calls.count(x) == 1 and len(ys) == 1
-            assert ys[0] == [row + [int(i == j) for j in range(4)]
-                             for i, row in enumerate(y)]
-            assert calls[-2:] == [x, ys[0]]
-            draws = sum(len(c[0]) == 4 and c != y for c in calls)
-            if draws == 1:
-                first_draws += 1
-                assert len(calls) == 2
-    assert first_draws >= 10
+            monkeypatch.setattr(gsnorm, "int_inverse", int_inverse_of)
+            assert (cfg.X, cfg.Y) == (ref.X, ref.Y)
+    assert inverses  # the exact path ran
+
+
+def test_sampled_configurations_are_closed_on_every_corpus_large_cell():
+    # the sampler presets the closure it builds; xy_condition's formula,
+    # recomputed on each sampled configuration, and the Fraction reference agree
+    cells = {}
+    for e in _corpus_entries(0, (2, 3, 5, 7), (6,), 8):
+        key = (e["p"], e["n"], e["K"], e["c"])
+        cell = cells.setdefault(key, constancy_cell(*key))
+        cfg = random_config(cell.ambient, e["seed"])
+        assert vars(cfg)["closed"] is True
+        assert GSConfiguration.closed.func(cfg)
+        assert xy_condition(GSConfiguration(cfg.ambient, cfg.X, cfg.Y))
+        assert reference_xy_condition(cell.ambient, cfg.X, cfg.Y)
+    assert {p for p, *_ in cells} == {2, 3, 5, 7}

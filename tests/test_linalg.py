@@ -5,7 +5,8 @@ entries that force row swaps, and singular inputs, both as Mats and as the
 integer rows over a common denominator that the int_ kernels take (where
 int_charpoly_mod must answer None when l divides the denominator).  The
 kernels over F_l are checked against the rational characteristic polynomial
-reduced mod l and against sympy's squarefree test over GF(l).  The squarefree test over Q is
+reduced mod l, against sympy's squarefree test over GF(l), and (int_solve_mod,
+which must answer None when l divides det A) against sympy's inv_mod.  The squarefree test over Q is
 checked against sympy on products of rational linear and irreducible
 quadratic factors with multiplicities, and on characteristic polynomials of
 matrices with repeated eigenvalues.
@@ -19,11 +20,16 @@ import pytest
 import sympy
 
 from twistedgl.linalg import (charpoly, charpoly_mod, det, int_charpoly_mod,
-                              int_det, int_inverse, int_mul, inverse, mat,
-                              mat_mul, poly_squarefree, poly_squarefree_mod)
+                              int_det, int_inverse, int_mul, int_solve_mod,
+                              inverse, mat, mat_mul, poly_squarefree,
+                              poly_squarefree_mod)
 from twistedgl.gsnorm import ELL
 
 SIZES = range(1, 13)
+# a 61-bit prime, so that the kernels over F_l are also checked where a
+# residue product spans several CPython digits; ELL is the certificate prime
+MERSENNE = (1 << 61) - 1
+PRIMES = (MERSENNE, 7, 13, ELL)
 
 
 def to_sympy(a):
@@ -102,7 +108,7 @@ def reduce_mod(poly, ell):
 
 
 # small primes make zero pivots, and so the Hessenberg row swaps, common
-@pytest.mark.parametrize("ell", (ELL, 7, 13))
+@pytest.mark.parametrize("ell", PRIMES)
 @pytest.mark.parametrize("n, rational, a", cases(20263, random_matrix))
 def test_charpoly_mod_is_charpoly_reduced(n, rational, a, ell):
     assert charpoly_mod(a, ell) == reduce_mod(charpoly(a), ell)
@@ -122,7 +128,7 @@ def random_int_rows(rng, n, m=None):
 def int_cases(seed):
     """(n, rows, den): square integer rows of size 1-12, a third of them
     singular (the last row a combination of the others), and a denominator
-    that some of the primes 7, 13 and ELL divide."""
+    that some of the primes 7, 13 and MERSENNE divide."""
     rng = random.Random(seed)
     out = []
     for n in SIZES:
@@ -132,7 +138,7 @@ def int_cases(seed):
                 coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
                 rows[-1] = [sum(c * rows[i][j] for i, c in enumerate(coeffs))
                             for j in range(n)]
-            out.append((n, rows, rng.choice((1, 2, 6, 35, 26, 3 * ELL))))
+            out.append((n, rows, rng.choice((1, 2, 6, 35, 26, 3 * MERSENNE))))
     return out
 
 
@@ -168,7 +174,7 @@ def test_int_det_and_inverse_match_sympy(n, rows, den):
     assert rows == before  # the kernels leave their argument alone
 
 
-@pytest.mark.parametrize("ell", (ELL, 7, 13))
+@pytest.mark.parametrize("ell", PRIMES)
 @pytest.mark.parametrize("n, rows, den", int_cases(20269))
 def test_int_charpoly_mod_matches_sympy(n, rows, den, ell):
     f = int_charpoly_mod(rows, den, ell)
@@ -180,6 +186,38 @@ def test_int_charpoly_mod_matches_sympy(n, rows, den, ell):
     assert f == charpoly_mod(mat([[F(x, den) for x in row] for row in rows]), ell)
 
 
+def solve_cases(seed):
+    """(n, a, b, ell): square integer rows a of size 1-12 with rows b of width
+    1-12, over a prime ell of 7, 13 and ELL.  In a third of the cases ell
+    divides det a: the last row is a combination of the others, plus ell
+    times a random row in half of those, so that det a is nonzero."""
+    rng = random.Random(seed)
+    out = []
+    for n in SIZES:
+        for k in range(3):
+            for ell in (7, 13, ELL):
+                a = random_int_rows(rng, n)
+                if k == 2:
+                    coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+                    shift = rng.choice((0, ell))
+                    a[-1] = [sum(c * a[i][j] for i, c in enumerate(coeffs))
+                             + shift * rng.randint(-3, 3) for j in range(n)]
+                out.append((n, a, random_int_rows(rng, n, rng.randint(1, 12)), ell))
+    return out
+
+
+@pytest.mark.parametrize("n, a, b, ell", solve_cases(20270))
+def test_int_solve_mod_matches_sympy(n, a, b, ell):
+    before = [list(row) for row in a], [list(row) for row in b]
+    z = int_solve_mod(a, b, ell)
+    if sympy.Matrix(a).det() % ell == 0:
+        assert z is None
+    else:
+        expected = sympy.Matrix(a).inv_mod(ell) * sympy.Matrix(b)
+        assert z == [[int(x) % ell for x in row] for row in expected.tolist()]
+    assert (a, b) == before  # the kernel leaves its arguments alone
+
+
 def test_charpoly_mod_needs_ell_integral_entries():
     assert charpoly_mod(mat([[1, F(1, 7)], [0, 2]]), 7) is None
     assert charpoly_mod(mat([[F(3, ELL)]]), ELL) is None
@@ -189,7 +227,7 @@ def test_charpoly_mod_needs_ell_integral_entries():
         charpoly_mod(mat([[1, 2]]), ELL)
 
 
-@pytest.mark.parametrize("ell", (ELL, 7, 13))
+@pytest.mark.parametrize("ell", PRIMES)
 def test_poly_squarefree_mod_matches_sympy(ell):
     rng = random.Random(20264)
     t = sympy.Symbol("T")
