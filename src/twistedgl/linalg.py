@@ -10,10 +10,11 @@ denominator: (rows, den) stands for rows / den.  clear_denominators takes a
 Mat there (den is the least common multiple of the entry denominators) and
 to_mat brings it back.  The kernels int_mul, int_det, int_inverse,
 int_charpoly_mod and int_solve_mod work on integer rows alone and never
-modify their arguments; mat_mul, det, inverse and charpoly_mod are their Mat wrappers.
-Code that chains several products (the Goldberg-Shahidi sampler and norm in
-gsnorm, the symmetrization of a twisted point in endoscopy) stays on integer
-rows throughout and builds Fractions only for the Mat it returns.
+modify their arguments; mat_mul, det, inverse and charpoly_mod are their
+Mat wrappers.  Code that chains several products (the Goldberg-Shahidi
+sampler and norm in gsnorm, the symmetrization of a twisted point in
+endoscopy) stays on integer rows throughout and builds Fractions only for
+the Mat it returns.
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each update
 is divided exactly by the previous pivot, so every entry is a minor of the
@@ -43,10 +44,10 @@ Mat boundary where Fractions are built.  int_solve_mod gives A^-1 B mod l by
 Gauss-Jordan over F_l, and its success proves det A != 0, so a matrix known
 only through such a solve can be certified without an exact inverse.  The
 certificate prime (gsnorm.ELL = 32749) is the largest below 2^15: the
-product of two residues stays below 2^30, one CPython digit, so these
-kernels never multiply multi-digit integers.  The F_p polynomial helpers
-(remainder, gcd, power modulo f) also serve the Rabin irreducibility test and
-the residue character in localfield.
+product of two residues stays below 2^30, one CPython digit, so after the
+first reduction these kernels multiply no multi-digit integers.  The F_p
+polynomial helpers (remainder, gcd, power modulo f) also serve the Rabin
+irreducibility test and the residue character in localfield.
 """
 
 from __future__ import annotations
