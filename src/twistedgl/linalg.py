@@ -345,17 +345,21 @@ def int_solve_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
     """
     n = len(a)
     rows = [[x % ell for x in ra] + [x % ell for x in rb] for ra, rb in zip(a, b)]
+    width = len(rows[0]) if rows else 0
     for k in range(n):
         piv = next((r for r in range(k, n) if rows[r][k]), None)
         if piv is None:
             return None
         rows[k], rows[piv] = rows[piv], rows[k]
-        inv = pow(rows[k][k], -1, ell)
-        top = rows[k][k + 1:] = [x * inv % ell for x in rows[k][k + 1:]]
+        top = rows[k]
+        inv = pow(top[k], -1, ell)
+        for c in range(k + 1, width):
+            top[c] = top[c] * inv % ell
         for r, row in enumerate(rows):
             f = row[k]
             if f and r != k:
-                row[k + 1:] = [(x - f * t) % ell for x, t in zip(row[k + 1:], top)]
+                for c in range(k + 1, width):
+                    row[c] = (row[c] - f * top[c]) % ell
     return [row[n:] for row in rows]
 
 
