@@ -608,20 +608,19 @@ def test_random_config_equals_the_norm_certificate_sampler(p, eps, n, monkeypatc
             assert charpoly(to_mat(int_mul(yt, y_inv), pi)) == norm_poly
             # the residues of the accepted draw: Z = Y_n^-1 (-eps Y_n^T) mod
             # ELL, with the norm's characteristic polynomial reduced mod ELL
-            z = solved[-1]
-            on_residues = pi % ELL != 0
-            if on_residues:
+            z, accepted_on_residues = solved[-1], False
+            if pi % ELL:
                 inv_pi = pow(pi, -1, ELL)
                 assert z == [[v * inv_pi % ELL for v in row] for row in int_mul(y_inv, yt)]
                 f = reduce_mod(norm_poly, ELL)
                 assert linalg.int_charpoly_mod(z, 1, ELL) == f
-                on_residues = not very_regular or certifies(f, ELL)
+                accepted_on_residues = not very_regular or certifies(f, ELL)
             else:
                 assert z is None
             # the exact rows over their denominator decide the accepted draw
             # just when its residues could not accept it
             exact = bool(decided) and decided[-1] == (int_mul(yt, y_inv), pi)
-            assert exact == (very_regular and not on_residues)
+            assert exact == (very_regular and not accepted_on_residues)
             if not very_regular:
                 assert decided == []
 
