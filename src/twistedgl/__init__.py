@@ -20,8 +20,8 @@ from .classes import (
     is_elliptic,
 )
 from .gsnorm import (
-    AmbientSpace, GSConfiguration, make_ambient, xy_condition, random_config,
-    u_of_xy, rigidify, gs_norm, gs_section, gs_param_check, is_very_regular,
+    AmbientSpace, GSConfiguration, make_ambient, random_config, u_of_xy,
+    rigidify, gs_norm, gs_section, gs_param_check, is_very_regular,
 )
 from .endoscopy import (
     EndoscopicDatum, enumerate_elliptic_data, quasisplit_space, eta_sp_value,

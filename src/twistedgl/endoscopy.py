@@ -38,8 +38,8 @@ hyperbolic plane, N_K the norm form of the discriminant algebra K).
 
 ConstancyCell holds what is constant on one space q: the target, the epsilon
 factor, the ambient with Q^-1 and the rhs.  constancy_record takes a cell and
-computes per record only the twisted point's checks and the Witt class of
-q_delta from the integer rows of its y_scaled; transfer_factor and
+computes per record only the checks of rigidify and the Witt class of
+q_delta from the integer rows y_scaled, never the Mat Y; transfer_factor and
 transfer_factor_whittaker are the same comparison on a cell of their own.
 """
 
@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, is_very_regular,
-                     make_ambient, twisted_point)
+from .gsnorm import (AmbientSpace, GSConfiguration, check_rigidifiable, gs_norm,
+                     is_very_regular, make_ambient)
 from .linalg import Mat, clear_denominators, mat
 from .localfield import SquareClass, as_prime, square_class, square_class_table
 from .qform import (QuadForm, WittClass, diagonal, direct_sum, hyperbolic,
@@ -277,7 +277,7 @@ def constancy_record(cell: ConstancyCell, config: GSConfiguration) -> ConstancyR
     its own (see the module docstring)."""
     if config.ambient.q_V != cell.space:
         raise ValueError("the configuration lies on another space than the cell")
-    twisted_point(config)  # the closure condition and invertibility
+    check_rigidifiable(config)
     return ConstancyRecord(cell._lhs(*config.y_scaled), cell.rhs)
 
 

@@ -8,11 +8,10 @@ isometry phi, and the norm map 1 + Q^-1 X^T Y^-1 X lands in the isometry
 group of (V, q).  Dual bases are fixed once so every checked transpose is a
 literal matrix transpose.
 
-The sampler, the norm, the closure check and rigidify run on integer rows
-over one common denominator (see linalg).  The ambient keeps
-Q^-1 = A / a, the configuration keeps X = X_n / d_X and Y = Y_n / d_Y, and
-each identity is checked or built after multiplying through by its
-denominator:
+A configuration is its integer rows over one common denominator (see
+linalg): the ambient keeps Q^-1 = A / a, the configuration keeps only
+X = X_n / d_X and Y = Y_n / d_Y, and each identity is checked or built
+after multiplying through by its denominator:
 
 * a sample draws integer X and R, sets S = R - eps R^T and
   Y = -1/2 X Q^-1 X^T + S = (-X A X^T + 2a S) / 2a, tests det X, and
@@ -26,11 +25,12 @@ denominator:
 * the closure condition Y + eps Y^T + X Q^-1 X^T = 0 is
   a d_X^2 (Y_n + eps Y_n^T) + d_Y X_n A X_n^T = 0.
 
-Fractions are built only for the X, Y, Q^-1, norm and phi that are returned,
-and in the rational fallbacks of is_very_regular and random_config.  A
-sampled configuration comes with its invertibility and closure condition
-marked, so neither is checked again; every other configuration checks them
-on first use.
+The Mats X and Y are views built when first read (u_of_xy, rigidify,
+gs_param_check), so a corpus record, which reads only rows, builds neither.
+Fractions are otherwise built only for the Q^-1, norm and phi returned, and
+in the rational fallbacks of is_very_regular and random_config.  A sampled
+configuration comes with its invertibility and closure condition marked;
+every other configuration checks them on first use.
 """
 
 from __future__ import annotations
@@ -115,31 +115,39 @@ def make_ambient(q_V: QuadForm, epsilon: int) -> AmbientSpace:
     return AmbientSpace(q_V, epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class GSConfiguration:
-    """An ambient space with X: V -> H-dual and Y: H -> H-dual."""
+    """An ambient space with X: V -> H-dual and Y: H -> H-dual, given as n x n
+    matrices and held as the integer rows x_scaled = (X_n, d_X) and
+    y_scaled = (Y_n, d_Y); the Mats X and Y are views built when first read."""
 
     ambient: AmbientSpace
-    X: Mat
-    Y: Mat
+    x_scaled: tuple[list[list[int]], int]
+    y_scaled: tuple[list[list[int]], int]
 
-    def __post_init__(self):
-        n = self.ambient.n
-        x, y = mat(self.X), mat(self.Y)
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "Y", y)
-        if len(x) != n or len(x[0]) != n or len(y) != n or len(y[0]) != n:
-            raise ValueError("X and Y must be n x n")
+    def __init__(self, ambient: AmbientSpace, X: Mat, Y: Mat):
+        n = ambient.n
+        vars(self).update(ambient=ambient,
+                          x_scaled=clear_denominators(_n_by_n(X, n, "X")),
+                          y_scaled=clear_denominators(_n_by_n(Y, n, "Y")))
+
+    @classmethod
+    def _built_closed(cls, ambient, x_scaled, y_scaled) -> GSConfiguration:
+        """A pair closed by construction, with X and Y known invertible."""
+        config = cls.__new__(cls)
+        vars(config).update(ambient=ambient, x_scaled=x_scaled, y_scaled=y_scaled,
+                            invertible=True, closed=True)
+        return config
 
     @cached_property
-    def x_scaled(self) -> tuple[list[list[int]], int]:
-        """X as (integer rows, denominator)."""
-        return clear_denominators(self.X)
+    def X(self) -> Mat:
+        """X_n / d_X, built on first read."""
+        return to_mat(*self.x_scaled)
 
     @cached_property
-    def y_scaled(self) -> tuple[list[list[int]], int]:
-        """Y as (integer rows, denominator)."""
-        return clear_denominators(self.Y)
+    def Y(self) -> Mat:
+        """Y_n / d_Y, built on first read."""
+        return to_mat(*self.y_scaled)
 
     @cached_property
     def invertible(self) -> bool:
@@ -155,20 +163,20 @@ class GSConfiguration:
         x, dx = self.x_scaled
         y, dy = self.y_scaled
         eps, c = amb.epsilon, a * dx * dx
-        xax = _xax(a_rows, x)
         return all(c * (y[i][j] + eps * y[j][i]) + dy * v == 0
-                   for i, row in enumerate(xax) for j, v in enumerate(row))
+                   for i, row in enumerate(_xax(a_rows, x)) for j, v in enumerate(row))
+
+
+def _n_by_n(m, n: int, name: str) -> Mat:
+    """m as a Mat, refused unless it is n x n (mat refuses ragged rows)."""
+    if len(m := mat(m)) != n or len(m[0]) != n:
+        raise ValueError(f"{name} must be {n} x {n}")
+    return m
 
 
 def _xax(a_rows: list[list[int]], x: list[list[int]]) -> list[list[int]]:
     """X A X^T on integer rows."""
     return int_mul(x, int_mul(a_rows, transpose(x)))
-
-
-def xy_condition(config: GSConfiguration) -> bool:
-    """Exact check of Y + eps Y^T + X Q^-1 X^T = 0 (see GSConfiguration.closed;
-    random_config presets it on the pairs it builds closed)."""
-    return config.closed
 
 
 def random_config(ambient: AmbientSpace, seed: int,
@@ -219,15 +227,8 @@ def random_config(ambient: AmbientSpace, seed: int,
             if require_very_regular and not _rational_very_regular(
                     int_mul(yt, y_inv), pi):
                 continue
-        # det X was taken before R was drawn, which keeps the seeded stream;
-        # the configuration is built once, from the integer rows, and closed
-        config = object.__new__(GSConfiguration)
-        for name, value in (("ambient", ambient), ("X", to_mat(x)),
-                            ("Y", to_mat(y, 2 * a)), ("x_scaled", (x, 1)),
-                            ("y_scaled", (y, 2 * a)), ("invertible", True),
-                            ("closed", True)):
-            object.__setattr__(config, name, value)
-        return config
+        # det X was taken before R was drawn, which keeps the seeded stream
+        return GSConfiguration._built_closed(ambient, (x, 1), (y, 2 * a))
     raise RuntimeError(f"retry budget exhausted for seed {seed}")
 
 
@@ -272,7 +273,7 @@ def _phi_scaled(config: GSConfiguration) -> tuple[list[list[int]], int]:
 
 def u_of_xy(config: GSConfiguration) -> Mat:
     """The unipotent isometry 1 + n(X, Y) in block form on (H-dual, V, H)."""
-    if not xy_condition(config):
+    if not config.closed:
         raise ValueError("closure condition violated")
     n = config.ambient.n
     phi, den = _phi_scaled(config)
@@ -285,23 +286,19 @@ def u_of_xy(config: GSConfiguration) -> Mat:
     ])
 
 
-def twisted_point(config: GSConfiguration) -> Mat:
-    """delta = Y, once the closure condition and invertibility are checked:
-    the twisted-space point of rigidify without its isometry phi."""
-    if not xy_condition(config):
+def check_rigidifiable(config: GSConfiguration) -> None:
+    """The closure and invertibility checks of rigidify, on rows alone."""
+    if not config.closed:
         raise ValueError("closure condition violated")
     if not config.invertible:
         raise ValueError("rigidification needs invertible X and Y")
-    return config.Y
 
 
 def rigidify(config: GSConfiguration) -> tuple[Mat, Mat]:
-    """(delta, phi): the twisted point with Gram Y and the exact isometry.
-
-    phi = Q^-1 X^T carries (H, delta + eps delta^T) onto (V, -eps q).
-    """
-    delta = twisted_point(config)
-    return delta, to_mat(*_phi_scaled(config))
+    """(delta, phi): the twisted point with Gram Y and the exact isometry
+    phi = Q^-1 X^T, which carries (H, delta + eps delta^T) onto (V, -eps q)."""
+    check_rigidifiable(config)
+    return config.Y, to_mat(*_phi_scaled(config))
 
 
 def _norm_scaled(config: GSConfiguration) -> tuple[list[list[int]], int]:
@@ -318,7 +315,8 @@ def _norm_scaled(config: GSConfiguration) -> tuple[list[list[int]], int]:
 
 
 def gs_norm(config: GSConfiguration) -> Mat:
-    """The norm 1 + Q^-1 X^T Y^-1 X, an exact isometry of (V, q)."""
+    """The norm 1 + Q^-1 X^T Y^-1 X, an exact isometry of (V, q) for a closed
+    pair only; the gs norm verb refuses any other."""
     if not config.invertible:
         raise ValueError("norm needs invertible X and Y")
     return to_mat(*_norm_scaled(config))
@@ -326,16 +324,14 @@ def gs_norm(config: GSConfiguration) -> Mat:
 
 def gs_section(ambient: AmbientSpace, x: Mat, gamma: Mat) -> Mat:
     """Y = X (gamma - 1)^-1 Q^-1 X^T: the section of the norm at this X."""
-    x = mat(x)
-    gamma = mat(gamma)
     n = ambient.n
+    x, gamma = _n_by_n(x, n, "X"), _n_by_n(gamma, n, "gamma")
     if det(x) == 0:
         raise ValueError("section needs an invertible X")
     gm1 = mat_sub(gamma, identity(n))
     if det(gm1) == 0:
         raise ValueError("gamma - 1 must be invertible")
-    qinv = ambient.q_inverse
-    return mat_mul(x, mat_mul(inverse(gm1), mat_mul(qinv, transpose(x))))
+    return mat_mul(x, mat_mul(inverse(gm1), mat_mul(ambient.q_inverse, transpose(x))))
 
 
 def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:

@@ -14,7 +14,8 @@ modify their arguments; mat_mul, det, inverse and charpoly_mod are their
 Mat wrappers.  Code that chains several products (the Goldberg-Shahidi
 sampler and norm in gsnorm, the symmetrization of a twisted point in
 endoscopy) stays on integer rows throughout and builds Fractions only for
-the Mat it returns.
+the Mat it returns; a Goldberg-Shahidi configuration holds only its rows
+and builds its Mats X and Y when they are first read.
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each update
 is divided exactly by the previous pivot, so every entry is a minor of the

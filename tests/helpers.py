@@ -514,7 +514,7 @@ def reference_gs_norm(ambient, x, y):
 
 def reference_xy_condition(ambient, x, y):
     """Y + eps Y^T + X Q^-1 X^T = 0 by Fraction sums: the reference for
-    xy_condition."""
+    GSConfiguration.closed."""
     qinv = inverse(ambient.q_V.gram)
     total = mat_add(mat_add(y, mat_scale(ambient.epsilon, transpose(y))),
                     mat_mul(x, mat_mul(qinv, transpose(x))))

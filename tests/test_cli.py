@@ -184,6 +184,34 @@ def test_gs_verbs_on_an_alternating_ambient(capsys):
     capsys.readouterr()
 
 
+def test_gs_section_and_norm_refuse_what_they_cannot_answer(capsys):
+    ambient = {"qV": {"p": 3, "diag": ["1", "1"]}}
+    eye, rot = [["1", "0"], ["0", "1"]], [["0", "1"], ["-1", "0"]]
+    code, good = run(capsys, "gs", "section", "--json",
+                     json.dumps({"ambient": ambient, "X": eye, "gamma": rot}))
+    assert code == 0
+    # an X or gamma that is not n x n is refused, not cut down to n x n
+    eye3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    for x, gamma in ((eye, [["0", "1", "5"], ["-1", "0", "7"], ["9", "9", "9"]]),
+                     (eye, [["0", "1", "5"], ["-1", "0", "7"]]), (eye, [["0", "1"]]),
+                     (eye3, rot), ([["1", "0", "0"], ["0", "1", "0"]], rot)):
+        code, doc = run(capsys, "gs", "section", "--json",
+                        json.dumps({"ambient": ambient, "X": x, "gamma": gamma}))
+        assert code == 2 and doc is None, (x, gamma)
+    # X = Y = I fails the closure condition, so its gamma = 2I is no isometry:
+    # gs norm refuses it as endo check does, and gs verify reports it
+    unclosed = json.dumps({"ambient": ambient, "X": eye, "Y": eye})
+    code, doc = run(capsys, "gs", "norm", "--json", unclosed)
+    assert code == 2 and doc is None
+    code, doc = run(capsys, "endo", "check", "--n", "1", "--json", unclosed)
+    assert code == 2 and doc is None
+    code, doc = run(capsys, "gs", "verify", "--json", unclosed)
+    assert code == 1 and doc["checks"] == {"xy_condition": False}
+    closed = json.dumps({"ambient": ambient, "X": eye, "Y": good["Y"]})
+    code, doc = run(capsys, "gs", "norm", "--json", closed)
+    assert code == 0 and doc["gamma"] == rot
+
+
 def test_endo_delta_eliminates_q_delta_once(capsys, monkeypatch):
     space = {"p": 3, "diag": ["1", "1"]}
     delta = [["1", "2"], ["0", "3"]]

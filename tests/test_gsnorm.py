@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 from fractions import Fraction as F
 
@@ -17,7 +17,7 @@ from helpers import (hilbert90_x, random_algebra, random_antifixed_invertible,
                      reference_fraction_random_config,
                      reference_random_config, reference_transfer_factor,
                      reference_xy_condition)
-from twistedgl import gsnorm, linalg
+from twistedgl import cli, gsnorm, linalg
 from twistedgl.cli import _corpus_entries, config_doc, main
 from twistedgl.endoscopy import constancy_cell, transfer_factor
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
@@ -26,7 +26,7 @@ from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
 from twistedgl.etale import is_generator, make_algebra, quadratic_tower, tau, very_regular
 from twistedgl.gsnorm import (ELL, GSConfiguration, gs_norm, gs_param_check,
                               gs_section, is_very_regular, make_ambient,
-                              random_config, rigidify, u_of_xy, xy_condition)
+                              random_config, rigidify, u_of_xy)
 from twistedgl.linalg import (block_diag, charpoly, charpoly_mod, det, identity,
                               int_det, int_inverse, int_mul, inverse, mat, mat_add,
                               mat_mul, mat_scale, mat_sub, poly_squarefree_mod,
@@ -85,6 +85,54 @@ def test_ambient_stores_only_q_and_epsilon():
     assert amb == make_ambient(q, 1)
 
 
+def test_a_configuration_is_its_integer_rows():
+    amb = make_ambient(diag_form([1, -2, 3], 5), 1)
+    x = mat([[F(1, 2), 0, 1], [0, 3, 0], [1, 0, F(2, 3)]])
+    y = mat([[1, F(1, 4), 0], [0, 2, 0], [5, 0, 1]])
+    cfg = GSConfiguration(amb, x, y)
+    assert [f.name for f in fields(cfg)] == ["ambient", "x_scaled", "y_scaled"]
+    assert cfg.x_scaled == ([[3, 0, 6], [0, 18, 0], [6, 0, 4]], 6)
+    assert cfg.y_scaled == ([[4, 1, 0], [0, 8, 0], [20, 0, 4]], 4)
+    assert "X" not in vars(cfg) and "Y" not in vars(cfg)
+    assert cfg.X == x and cfg.Y == y
+    assert cfg.X is cfg.X  # built on the first read, then kept
+    with pytest.raises(FrozenInstanceError):
+        cfg.X = y
+    for bad in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="Y must be 3 x 3"):
+            GSConfiguration(amb, x, mat(bad))
+    # a sampled configuration comes with its checks, and without its Mats
+    sampled = random_config(make_ambient(diag_form([1, -2, 3, 5], 3), 1), 0)
+    assert vars(sampled).keys() == {"ambient", "x_scaled", "y_scaled",
+                                    "invertible", "closed"}
+
+
+def test_a_corpus_record_builds_no_fraction_x_or_y(monkeypatch):
+    # a corpus record reads only the rows of its configuration: sampling it,
+    # checking the constancy identity and digesting its document build
+    # neither the Mat X nor the Mat Y
+    sampled, sample = [], cli.random_config
+    built, to_mat_of = [], gsnorm.to_mat
+
+    def recorded(ambient, seed):
+        sampled.append(sample(ambient, seed))
+        return sampled[-1]
+
+    def counted(rows, den=1):
+        built.append((rows, den))
+        return to_mat_of(rows, den)
+
+    monkeypatch.setattr(cli, "random_config", recorded)
+    monkeypatch.setattr(gsnorm, "to_mat", counted)
+    cells = {}
+    for e in _corpus_entries(0, (2, 3, 5, 7), (6,), 8):
+        assert cli._run_entry(e, cells)["pass"]
+    assert len(sampled) == 32
+    for cfg in sampled:
+        assert "X" not in vars(cfg) and "Y" not in vars(cfg)
+        assert cfg.x_scaled not in built and cfg.y_scaled not in built
+
+
 def test_random_config_gives_up_after_the_retry_budget(monkeypatch):
     amb = make_ambient(diag_form([1, 1], 3), 1)
     monkeypatch.setattr(gsnorm, "RETRY_BUDGET", 0)
@@ -123,10 +171,10 @@ def test_xy_condition_symmetric_solution_and_perturbation():
         from twistedgl.linalg import inverse
         for seed in range(5):
             cfg = random_config(amb, seed, require_very_regular=False)
-            assert xy_condition(cfg)
+            assert cfg.closed
             y = [list(r) for r in cfg.Y]
             y[0][0] += 1
-            assert not xy_condition(GSConfiguration(amb, cfg.X, mat(y)))
+            assert not GSConfiguration(amb, cfg.X, mat(y)).closed
 
 
 def test_u_isometry_and_nilpotency():
@@ -241,7 +289,7 @@ def test_norm_and_rigidify_need_invertible_x_and_y():
     amb = make_ambient(diag_form([1, 1], 3), 1)
     # X = 0 with a skew invertible Y meets the closure condition
     cfg = GSConfiguration(amb, mat([[0, 0], [0, 0]]), mat([[0, 1], [-1, 0]]))
-    assert xy_condition(cfg) and not cfg.invertible
+    assert cfg.closed and not cfg.invertible
     with pytest.raises(ValueError, match="norm needs invertible X and Y"):
         gs_norm(cfg)
     with pytest.raises(ValueError, match="rigidification needs invertible X and Y"):
@@ -291,7 +339,7 @@ def test_gs_norm_g_invariance():
             x2 = mat_mul(g, cfg.X)
             y2 = mat_mul(g, mat_mul(cfg.Y, transpose(g)))
             cfg2 = GSConfiguration(amb, x2, y2)
-            assert xy_condition(cfg2)
+            assert cfg2.closed
             assert gs_norm(cfg2) == base
 
 
@@ -302,7 +350,7 @@ def test_gs_section_round_trip_parametrized():
             x = rand_invertible(amb.n, RNG)
             ysec = gs_section(amb, x, gamma)
             cfg = GSConfiguration(amb, x, ysec)
-            assert xy_condition(cfg)
+            assert cfg.closed
             assert gs_norm(cfg) == gamma
 
 
@@ -516,11 +564,11 @@ class RecordingRandom(random.Random):
 
 
 def check_against_reference(amb, cfg):
-    """gs_norm, xy_condition, rigidify and transfer_factor of cfg equal the
+    """gs_norm, closed, rigidify and transfer_factor of cfg equal the
     Fraction reference (or both refuse)."""
     x, y = cfg.X, cfg.Y
     closed = reference_xy_condition(amb, x, y)
-    assert xy_condition(cfg) == closed
+    assert cfg.closed == closed
     invertible = det(x) != 0 and det(y) != 0
     assert cfg.invertible == invertible
     if invertible:
@@ -694,7 +742,7 @@ def test_residues_that_cannot_accept_fall_back_to_the_exact_sampler(eps, n, ell,
 
 
 def test_sampled_configurations_are_closed_on_every_corpus_large_cell():
-    # the sampler presets the closure it builds; xy_condition's formula,
+    # the sampler presets the closure it builds; the closure formula,
     # recomputed on each sampled configuration, and the Fraction reference agree
     cells = {}
     for e in _corpus_entries(0, (2, 3, 5, 7), (6,), 8):
@@ -703,6 +751,6 @@ def test_sampled_configurations_are_closed_on_every_corpus_large_cell():
         cfg = random_config(cell.ambient, e["seed"])
         assert vars(cfg)["closed"] is True
         assert GSConfiguration.closed.func(cfg)
-        assert xy_condition(GSConfiguration(cfg.ambient, cfg.X, cfg.Y))
+        assert GSConfiguration(cfg.ambient, cfg.X, cfg.Y).closed
         assert reference_xy_condition(cell.ambient, cfg.X, cfg.Y)
     assert {p for p, *_ in cells} == {2, 3, 5, 7}
