@@ -21,7 +21,7 @@ from .classes import (
 )
 from .gsnorm import (
     AmbientSpace, GSConfiguration, make_ambient, random_config, u_of_xy,
-    rigidify, gs_norm, gs_section, gs_param_check, is_very_regular,
+    rigidify, gs_norm, gs_section, gs_param_check,
 )
 from .endoscopy import (
     EndoscopicDatum, enumerate_elliptic_data, quasisplit_space, eta_sp_value,

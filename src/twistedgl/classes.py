@@ -17,7 +17,8 @@ from .etale import (AlgebraElement, EtaleAlgebraWithInvolution, QUADRATIC,
                     char_poly, is_generator, tau, trace_form_alternating,
                     trace_form_bilinear, trace_form_quadratic, very_regular)
 from .linalg import (Mat, Poly, block_diag, charpoly, det, identity, inverse,
-                     mat, mat_mul, poly_eval, poly_squarefree, transpose)
+                     is_isometry, mat, mat_mul, poly_eval, poly_squarefree,
+                     transpose)
 from .localfield import SquareClass
 from .qform import QuadForm, diag_form, direct_sum
 
@@ -156,7 +157,7 @@ def build_Sp(param: ClassParameter) -> tuple[QuadForm, Mat]:
 
 
 def _check_isometry(g: Mat, gram: Mat):
-    if mat_mul(transpose(g), mat_mul(gram, g)) != gram:
+    if not is_isometry(g, gram):
         raise RuntimeError("built element fails its group identity")
 
 

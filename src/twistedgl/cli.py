@@ -1,8 +1,9 @@
 """Command-line surface: exact queries, seeded corpus generation and batch checks.
 
 Documents are JSON with rationals as "num/den" strings and eighth roots of
-unity as "zeta8^k".  Exit codes: 0 pass, 1 check failure, 2 usage error,
-3 oracle inconclusive.
+unity as "zeta8^k".  Exit codes: 0 pass, 1 check failure, 2 usage or I/O
+error, 3 oracle inconclusive.  An unreadable --in, an unwritable --out and a
+closed stdout (`| head -1`) are I/O errors: one line on stderr.
 
 `endo eta` prints {"eta": value, "eta_class": class}: "eta" is the exact
 value of the regular-nilpotent construction ((-1)^(n-1) y for --kind so, 1
@@ -13,12 +14,15 @@ a JSON integer like every other class field.
 `gs param` reads {"config": configuration, "param": class parameter} and
 prints {"param_match": bool}: whether the parameter's x corresponds to the
 configuration along the norm (gsnorm.gs_param_check).  It exits 0 on a match
-and 1 otherwise; a parameter whose kind does not fit the ambient (tGL-odd on
+and 1 otherwise; an unclosed or singular pair (as for `gs norm` and
+`endo check`), a parameter whose kind does not fit the ambient (tGL-odd on
 an odd orthogonal ambient, tGL-even on the others), or that is not very
 regular, or a norm that is not very regular, is a usage error, exit 2.
+`gs section` refuses a gamma that is no isometry of q_V, exit 2.
 
 `hilbert --oracle` and `weil oracle` load the oracles module on demand, and
-nothing else imports it; `weil oracle` needs the `oracle` extra.
+nothing else imports it; `weil oracle` needs the `oracle` extra.  Both
+refuse work above oracles.MAX_TRIPLES or MAX_PERIOD before any search.
 
 `corpus run --in|--json` runs the entries of a plan that `corpus generate`
 emitted, whole or cut down, and gives the manifest of `corpus run` with the
@@ -36,6 +40,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -44,20 +49,20 @@ from . import __version__
 from .classes import (ClassParameter, build_SO_even, build_SO_odd, build_Sp,
                       build_tGL_even, build_tGL_odd, class_invariant,
                       corresponds, is_elliptic)
-from .endoscopy import (constancy_cell, constancy_record, enumerate_elliptic_data,
-                        eta_so_value, eta_sp_value, gs_constancy_check,
-                        transfer_factor_whittaker)
+from .endoscopy import (ConstancyCell, constancy_cell, constancy_record,
+                        enumerate_elliptic_data, eta_so_value, eta_sp_value,
+                        gs_constancy_check, transfer_factor)
 from .etale import make_algebra, quadratic_tower, split_tower, trace_form_quadratic
 from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_param_check,
                      gs_section, make_ambient, random_config, rigidify,
                      u_of_xy)
-from .linalg import fr, mat, mat_add, mat_mul, transpose
+from .linalg import fr, is_isometry, mat, mat_add, mat_mul, transpose
 from .localfield import (QP, LocalFieldDescriptor, as_prime, hilbert_qp,
                          square_class, square_class_table)
 from .params import FormalConstituent, FormalParameter, classify, hypothesis_even_SO
 from .qform import (QuadForm, alternating_form, diag_form, equivalent,
                     invariants, is_isotropic, quad_form, witt_decompose)
-from .weil import epsilon_half, weil_index
+from .weil import Mu8, epsilon_half, weil_index
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
@@ -263,7 +268,7 @@ def emit(doc, args) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout fails here, inside main
 
 
 def digest(doc) -> str:
@@ -430,8 +435,7 @@ def cmd_gs(args) -> int:
     checks["xy_condition"] = config.closed
     if checks["xy_condition"]:
         u = u_of_xy(config)
-        g1 = config.ambient.gram_q1
-        checks["u_isometry"] = mat_mul(transpose(u), mat_mul(g1, u)) == g1
+        checks["u_isometry"] = is_isometry(u, config.ambient.gram_q1)
         delta, phi = rigidify(config)
         lhs = mat_mul(transpose(phi),
                       mat_mul(tuple(tuple(-config.ambient.epsilon * v for v in row)
@@ -440,11 +444,11 @@ def cmd_gs(args) -> int:
                                    for row in transpose(delta)))
         checks["rigidify_isometry"] = lhs == rhs
         gamma = gs_norm(config)
-        qg = config.ambient.q_V.gram
-        checks["norm_isometry"] = mat_mul(transpose(gamma), mat_mul(qg, gamma)) == qg
-        y2 = gs_section(config.ambient, config.X, gamma)
-        checks["section_round_trip"] = gs_norm(
-            GSConfiguration(config.ambient, config.X, y2)) == gamma
+        checks["norm_isometry"] = is_isometry(gamma, config.ambient.q_V.gram)
+        # gs_section refuses a gamma that is no isometry
+        checks["section_round_trip"] = checks["norm_isometry"] and gs_norm(
+            GSConfiguration(config.ambient, config.X,
+                            gs_section(config.ambient, config.X, gamma))) == gamma
     emit({"checks": checks, "all_pass": all(checks.values())}, args)
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
@@ -479,8 +483,9 @@ def cmd_endo(args) -> int:
     if args.action == "delta":
         space = parse_form(doc["space"])
         delta = mat([[parse_rat(v) for v in row] for row in doc["delta"]])
-        lam = transfer_factor_whittaker(space, delta, args.n)
-        plain = (lam * epsilon_half(invariants(space).dpm, space.p)).as_sign()
+        plain = transfer_factor(space, delta, args.n)
+        # transfer_factor_whittaker too would eliminate q_delta a second time
+        lam = ConstancyCell(space, args.n).epsilon_inverse * Mu8.from_sign(plain)
         emit({"delta": plain, "delta_lambda": str(lam)}, args)
         return EXIT_OK
     # check
@@ -774,6 +779,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -41,6 +41,8 @@ factor, the ambient with Q^-1 and the rhs.  constancy_record takes a cell and
 computes per record only the checks of rigidify and the Witt class of
 q_delta from the integer rows y_scaled, never the Mat Y; transfer_factor and
 transfer_factor_whittaker are the same comparison on a cell of their own.
+gs_constancy_check also checks that an outside configuration is closed and
+invertible, and that its norm is very regular, on Y_n alone (gsnorm).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .gsnorm import (AmbientSpace, GSConfiguration, check_rigidifiable, gs_norm,
-                     is_very_regular, make_ambient)
+from .gsnorm import (AmbientSpace, GSConfiguration, _norm_very_regular,
+                     check_rigidifiable, make_ambient)
 from .linalg import Mat, clear_denominators, mat
 from .localfield import SquareClass, as_prime, square_class, square_class_table
 from .qform import (QuadForm, WittClass, diagonal, direct_sum, hyperbolic,
@@ -283,13 +285,15 @@ def constancy_record(cell: ConstancyCell, config: GSConfiguration) -> ConstancyR
 
 def gs_constancy_check(config: GSConfiguration, n: int) -> bool:
     """constancy_record on the cell of the configuration's own space, once the
-    configuration is checked to lie on a quasisplit even orthogonal ambient
-    with a very regular norm."""
+    configuration is checked to be a closed, invertible pair on a quasisplit
+    even orthogonal ambient whose norm is very regular, which its Y_n decides
+    (gsnorm._norm_very_regular)."""
     amb = config.ambient
     if amb.epsilon != 1 or amb.n != 2 * n:
         raise ValueError("constancy check lives on even orthogonal ambients")
     if not is_quasisplit_even(amb.q_V):
         raise ValueError("the orthogonal group must be quasisplit")
-    if not is_very_regular(gs_norm(config)):
+    check_rigidifiable(config)
+    if not _norm_very_regular(config.y_scaled[0], 1):
         raise ValueError("norm is not very regular for this configuration")
     return constancy_record(ConstancyCell(amb.q_V, n), config).passed

@@ -8,6 +8,12 @@ isometry phi, and the norm map 1 + Q^-1 X^T Y^-1 X lands in the isometry
 group of (V, q).  Dual bases are fixed once so every checked transpose is a
 literal matrix transpose.
 
+On a closed pair X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, so
+the norm gamma is similar to Z = -eps Y^-1 Y^T and is known from Y alone:
+_norm_very_regular(Y_n, eps) is the one very-regularity rule (random_config,
+endoscopy.gs_constancy_check), and gs_param_check reads the characteristic
+polynomial off twist_invariant(Y).
+
 A configuration is its integer rows over one common denominator (see
 linalg): the ambient keeps Q^-1 = A / a, the configuration keeps only
 X = X_n / d_X and Y = Y_n / d_Y, and each identity is checked or built
@@ -15,11 +21,7 @@ after multiplying through by its denominator:
 
 * a sample draws integer X and R, sets S = R - eps R^T and
   Y = -1/2 X Q^-1 X^T + S = (-X A X^T + 2a S) / 2a, tests det X, and
-  decides det Y and very-regularity on Z = -eps Y_n^-1 Y_n^T, similar to
-  the norm (see random_config).  Z is first taken mod the prime ELL, where
-  the solve that gives it also proves det Y_n != 0 and a certificate can
-  only accept; a draw the residues cannot accept goes to the exact path,
-  whose inverse of Y_n is its test of det Y_n;
+  leaves det Y and very-regularity to the rule;
 * with Y_n^-1 = R / pi, the norm is
   1 + Q^-1 X^T Y^-1 X = (c I + d_Y A X_n^T R X_n) / c, c = a d_X^2 pi;
 * the closure condition Y + eps Y^T + X Q^-1 X^T = 0 is
@@ -28,9 +30,9 @@ after multiplying through by its denominator:
 The Mats X and Y are views built when first read (u_of_xy, rigidify,
 gs_param_check), so a corpus record, which reads only rows, builds neither.
 Fractions are otherwise built only for the Q^-1, norm and phi returned, and
-in the rational fallbacks of is_very_regular and random_config.  A sampled
-configuration comes with its invertibility and closure condition marked;
-every other configuration checks them on first use.
+in the exact path of the rule.  A sampled configuration comes with its
+invertibility and closure condition marked; every other configuration
+checks them on first use.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from .classes import ClassParameter, twist_invariant
 from .etale import char_poly, tau, very_regular
 from .linalg import (Mat, charpoly, clear_denominators, det, from_blocks,
                      identity, int_charpoly_mod, int_det, int_inverse, int_mul,
-                     int_solve_mod, inverse, mat, mat_mul, mat_sub, poly_eval,
-                     poly_mul, poly_squarefree, poly_squarefree_mod, to_mat,
-                     transpose, zeros)
+                     int_solve_mod, inverse, is_isometry, mat, mat_mul, mat_sub,
+                     poly_eval, poly_mul, poly_squarefree, poly_squarefree_mod,
+                     to_mat, transpose, zeros)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
 
 # the prime of the very-regularity certificate, the largest below 2^15: a
@@ -179,30 +181,17 @@ def _xax(a_rows: list[list[int]], x: list[list[int]]) -> list[list[int]]:
     return int_mul(x, int_mul(a_rows, transpose(x)))
 
 
-def random_config(ambient: AmbientSpace, seed: int,
-                  require_very_regular: bool = True) -> GSConfiguration:
-    """Seeded random member of U': invertible X, Y with the closure condition.
+def random_config(ambient: AmbientSpace, seed: int) -> GSConfiguration:
+    """Seeded random member of U' with a very regular norm: invertible X, Y
+    with the closure condition.
 
     Y is the symmetric particular solution -1/2 X Q^-1 X^T plus a random
-    check-skew matrix; rejection sampling enforces invertibility and, by
-    default, very-regularity of the norm.  Deterministic per seed.
-
-    The closure condition, which holds here by construction, gives
-    X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, similar in turn to
-    Z = -eps Y^-1 Y^T; gs_norm, for pairs not known closed, keeps the formula.
-    A draw is first decided on residues mod ELL: one Gauss-Jordan on
-    [Y_n | -eps Y_n^T] over F_ELL gives Z, and its success proves
-    det Y_n != 0; the certificate of is_very_regular on Z then proves the
-    norm very regular.  Residues prove only what they certify, so they may
-    only accept: when ELL divides det Y_n or the certificate fails, the
-    draw goes to the exact path, where int_inverse(Y_n) is the det Y test
-    and -eps Y_n^T Y_n^-1 is decided on its rational characteristic
-    polynomial (its certificate mod ELL is the one that just failed).  Every
-    rejection is exact, so the draws accepted, and the seeded stream, do not
-    depend on ELL.
+    check-skew matrix; rejection sampling keeps the first draw with
+    det X != 0 whose Y_n passes _norm_very_regular.  Deterministic per seed.
+    An odd orthogonal ambient is refused: none of its norms is very regular.
     """
     n, eps = ambient.n, ambient.epsilon
-    if require_very_regular and eps == 1 and n % 2:
+    if eps == 1 and n % 2:
         raise ValueError("no very regular norm on an odd orthogonal ambient: an "
                          "isometry of an odd-dimensional space has eigenvalue +-1")
     rng = random.Random(seed)
@@ -216,51 +205,35 @@ def random_config(ambient: AmbientSpace, seed: int,
         xax = _xax(a_rows, x)
         y = [[2 * a * (r[i][j] - eps * r[j][i]) - v for j, v in enumerate(row)]
              for i, row in enumerate(xax)]
-        yt = [[-eps * v for v in col] for col in zip(*y)]
-        z = int_solve_mod(y, yt, ELL)  # residues only accept; rejections are exact
-        if z is None or (require_very_regular
-                         and not _certified(int_charpoly_mod(z, 1, ELL))):
-            try:
-                y_inv, pi = int_inverse(y)
-            except ValueError:  # det Y = 0
-                continue
-            if require_very_regular and not _rational_very_regular(
-                    int_mul(yt, y_inv), pi):
-                continue
-        # det X was taken before R was drawn, which keeps the seeded stream
-        return GSConfiguration._built_closed(ambient, (x, 1), (y, 2 * a))
+        if _norm_very_regular(y, eps):
+            # det X was taken before R was drawn, which keeps the seeded stream
+            return GSConfiguration._built_closed(ambient, (x, 1), (y, 2 * a))
     raise RuntimeError(f"retry budget exhausted for seed {seed}")
 
 
-def is_very_regular(gamma: Mat) -> bool:
-    """A squarefree characteristic polynomial, and neither 1 nor -1 an eigenvalue.
+def _norm_very_regular(y: list[list[int]], eps: int) -> bool:
+    """Whether det Y_n != 0 and the norm of a closed pair with Y = Y_n / d_Y,
+    similar to Z = -eps Y_n^-1 Y_n^T, is very regular: a squarefree
+    characteristic polynomial, and neither 1 nor -1 an eigenvalue.
 
-    First the certificate modulo ELL: when every entry is ELL-integral and
-    f = charpoly(gamma) mod ELL is squarefree over F_ELL with f(1) and f(-1)
-    nonzero, gamma is very regular (see linalg).  That decides only True;
-    every other case, and every False, is decided over Q on f = charpoly(gamma),
-    whose values f(1), f(-1) are +-det(gamma -+ 1).  random_config runs the
-    same certificate on residues alone, and keeps the same fallback.
+    Residues may only accept: Gauss-Jordan on [Y_n | -eps Y_n^T] over F_ELL
+    gives Z and proves det Y_n != 0, and f = charpoly(Z) mod ELL squarefree
+    with f(1), f(-1) nonzero proves the rest (see linalg).  Anything else is
+    decided exactly, by int_inverse(Y_n) and the rational characteristic
+    polynomial of -eps Y_n^T Y_n^-1, so the answer does not depend on ELL.
     """
-    return _very_regular(*clear_denominators(gamma))
-
-
-def _certified(f: list[int] | None) -> bool:
-    """The certificate modulo ELL on f = charpoly mod ELL (None when ELL
-    divides a denominator): f squarefree over F_ELL, f(1) and f(-1) nonzero."""
-    return (f is not None and poly_squarefree_mod(f, ELL) and sum(f) % ELL != 0
-            and (sum(f[::2]) - sum(f[1::2])) % ELL != 0)
-
-
-def _very_regular(rows: list[list[int]], den: int) -> bool:
-    """is_very_regular of rows / den."""
-    return (_certified(int_charpoly_mod(rows, den, ELL))
-            or _rational_very_regular(rows, den))
-
-
-def _rational_very_regular(rows: list[list[int]], den: int) -> bool:
-    """is_very_regular of rows / den, decided over Q."""
-    f = charpoly(to_mat(rows, den))
+    yt = [[-eps * v for v in col] for col in zip(*y)]
+    z = int_solve_mod(y, yt, ELL)
+    if z is not None:
+        f = int_charpoly_mod(z, 1, ELL)
+        if (poly_squarefree_mod(f, ELL) and sum(f) % ELL
+                and (sum(f[::2]) - sum(f[1::2])) % ELL):
+            return True
+    try:
+        y_inv, pi = int_inverse(y)
+    except ValueError:  # det Y_n = 0
+        return False
+    f = charpoly(to_mat(int_mul(yt, y_inv), pi))
     return poly_squarefree(f) and poly_eval(f, 1) != 0 and poly_eval(f, -1) != 0
 
 
@@ -301,33 +274,31 @@ def rigidify(config: GSConfiguration) -> tuple[Mat, Mat]:
     return config.Y, to_mat(*_phi_scaled(config))
 
 
-def _norm_scaled(config: GSConfiguration) -> tuple[list[list[int]], int]:
-    """The norm as (rows, c): (c I + d_Y A X_n^T R X_n) / c with
-    Y_n^-1 = R / pi and c = a d_X^2 pi."""
+def gs_norm(config: GSConfiguration) -> Mat:
+    """The norm 1 + Q^-1 X^T Y^-1 X = (c I + d_Y A X_n^T R X_n) / c, with
+    Y_n^-1 = R / pi and c = a d_X^2 pi; an exact isometry of (V, q) for a
+    closed pair only, and the gs norm verb refuses any other."""
+    if not config.invertible:
+        raise ValueError("norm needs invertible X and Y")
     a_rows, a = config.ambient.q_inverse_scaled
     x, dx = config.x_scaled
     y, dy = config.y_scaled
     r, pi = int_inverse(y)
     c = a * dx * dx * pi
     m = int_mul(a_rows, int_mul(transpose(x), int_mul(r, x)))
-    return [[dy * v + c * (i == j) for j, v in enumerate(row)]
-            for i, row in enumerate(m)], c
-
-
-def gs_norm(config: GSConfiguration) -> Mat:
-    """The norm 1 + Q^-1 X^T Y^-1 X, an exact isometry of (V, q) for a closed
-    pair only; the gs norm verb refuses any other."""
-    if not config.invertible:
-        raise ValueError("norm needs invertible X and Y")
-    return to_mat(*_norm_scaled(config))
+    return to_mat([[dy * v + c * (i == j) for j, v in enumerate(row)]
+                   for i, row in enumerate(m)], c)
 
 
 def gs_section(ambient: AmbientSpace, x: Mat, gamma: Mat) -> Mat:
-    """Y = X (gamma - 1)^-1 Q^-1 X^T: the section of the norm at this X."""
+    """Y = X (gamma - 1)^-1 Q^-1 X^T: the section of the norm at this X, for
+    an isometry gamma of q_V."""
     n = ambient.n
     x, gamma = _n_by_n(x, n, "X"), _n_by_n(gamma, n, "gamma")
     if det(x) == 0:
         raise ValueError("section needs an invertible X")
+    if not is_isometry(gamma, ambient.q_V.gram):
+        raise ValueError("gamma is not an isometry of q_V")
     gm1 = mat_sub(gamma, identity(n))
     if det(gm1) == 0:
         raise ValueError("gamma - 1 must be invertible")
@@ -335,32 +306,26 @@ def gs_section(ambient: AmbientSpace, x: Mat, gamma: Mat) -> Mat:
 
 
 def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:
-    """Verify the parameter correspondence along the norm.
+    """Verify the parameter correspondence along the norm of a closed,
+    invertible pair.
 
-    Even orthogonal and symplectic: char poly of the norm equals that of
-    mult by -eps tau(x)/x.  Odd orthogonal: char poly of -norm equals that
-    of mult by tau(x)/x times the trivial eigenvalue block (T - 1).
+    The norm is similar to -eps Y^-1 Y^T (see _norm_very_regular), so
+    twist_invariant(Y), the characteristic polynomial of Y^-1 Y^T, decides
+    both the very-regularity test (it must be squarefree) and the match: it
+    must equal the characteristic polynomial of mult by tau(x)/x, times the
+    trivial eigenvalue block (T - 1) in the odd orthogonal case.
     """
+    check_rigidifiable(config)
     amb = config.ambient
     odd = amb.epsilon == 1 and amb.n % 2 == 1
     if x_param.kind != ("tGL-odd" if odd else "tGL-even"):
         raise ValueError("parameter kind does not match the ambient signature")
     if not very_regular(x_param.x):
         raise ValueError("parameter is not very regular")
-    cp_gamma = charpoly(gs_norm(config))
-    if not poly_squarefree(cp_gamma):
-        raise ValueError("norm is not very regular for this configuration")
-    t_minus_1 = (Fraction(-1), Fraction(1))
-    ratio = tau(x_param.x) * x_param.x.inverse()
     delta_fp = twist_invariant(config.Y)
-    expected_fp = char_poly(ratio)
+    if not poly_squarefree(delta_fp):
+        raise ValueError("norm is not very regular for this configuration")
+    expected_fp = char_poly(tau(x_param.x) * x_param.x.inverse())
     if odd:
-        expected_fp = poly_mul(expected_fp, t_minus_1)
-    if delta_fp != expected_fp:
-        return False
-    if odd:
-        # charpoly(-gamma)(T) = (-1)^n charpoly(gamma)(-T): coefficient i
-        # picks up the sign (-1)^(n - i)
-        n = amb.n
-        return tuple((-1) ** (n - i) * c for i, c in enumerate(cp_gamma)) == expected_fp
-    return cp_gamma == char_poly(ratio * (-amb.epsilon))
+        expected_fp = poly_mul(expected_fp, (Fraction(-1), Fraction(1)))
+    return delta_fp == expected_fp

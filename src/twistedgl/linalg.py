@@ -11,11 +11,12 @@ Mat there (den is the least common multiple of the entry denominators) and
 to_mat brings it back.  The kernels int_mul, int_det, int_inverse,
 int_charpoly_mod and int_solve_mod work on integer rows alone and never
 modify their arguments; mat_mul, det, inverse and charpoly_mod are their
-Mat wrappers.  Code that chains several products (the Goldberg-Shahidi
-sampler and norm in gsnorm, the symmetrization of a twisted point in
-endoscopy) stays on integer rows throughout and builds Fractions only for
-the Mat it returns; a Goldberg-Shahidi configuration holds only its rows
-and builds its Mats X and Y when they are first read.
+Mat wrappers, and is_isometry (g^T G g = G) is the one isometry test.  Code
+that chains several products (the Goldberg-Shahidi sampler and norm in
+gsnorm, the symmetrization of a twisted point in endoscopy) stays on integer
+rows throughout and builds Fractions only for the Mat it returns; a
+Goldberg-Shahidi configuration holds only its rows and builds its Mats X and
+Y when they are first read.
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each update
 is divided exactly by the previous pivot, so every entry is a minor of the
@@ -40,10 +41,11 @@ Q, monic and l-integral by Gauss's lemma, stays a repeated factor of f mod l.
 So a squarefree f mod l proves f squarefree over Q, and f(c) != 0 mod l
 proves f(c) != 0.  The converse fails: a squarefree f may acquire a repeated
 root mod l, and l may divide the denominator.  Those answers decide nothing,
-and the caller falls back to the rational test, the one place outside the
-Mat boundary where Fractions are built.  int_solve_mod gives A^-1 B mod l by
-Gauss-Jordan over F_l, and its success proves det A != 0, so a matrix known
-only through such a solve can be certified without an exact inverse.  The
+and the caller, gsnorm's very-regularity rule, decides over Q instead, the
+one place outside the Mat boundary where Fractions are built.
+int_solve_mod gives A^-1 B mod l by Gauss-Jordan over F_l, and its success
+proves det A != 0, so a matrix known only through such a solve can be
+certified without an exact inverse.  The
 certificate prime (gsnorm.ELL = 32749) is the largest below 2^15: the
 product of two residues stays below 2^30, one CPython digit, so after the
 first reduction these kernels multiply no multi-digit integers.  The F_p
@@ -145,6 +147,11 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     ia, da = clear_denominators(a)
     ib, db = clear_denominators(b)
     return to_mat(int_mul(ia, ib), da * db)
+
+
+def is_isometry(g: Mat, gram: Mat) -> bool:
+    """g^T gram g == gram: g preserves the form with Gram matrix gram."""
+    return mat_mul(transpose(g), mat_mul(gram, g)) == gram
 
 
 def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int]:

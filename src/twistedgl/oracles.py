@@ -121,6 +121,11 @@ def gauss_oracle(a, p, k: int, tol: float = 1e-6) -> GaussOracleResult:
 # the solubility oracle
 
 
+# the most triples solubility_oracle may be charged, a few seconds at 2-3 us
+# a triple: Q_11 at its budget depth 5 is charged 645,535
+MAX_TRIPLES = 10 ** 6
+
+
 class Solubility(enum.Enum):
     SOLUBLE = "soluble"
     INSOLUBLE = "insoluble"
@@ -282,10 +287,20 @@ def solubility_oracle(a, b, fld: LocalFieldDescriptor, depth: int) -> Solubility
     vanishes identically); an empty level certifies insolubility, final once
     the depth covers the budget v(4ab) + 2e + 1.  Below-budget exhaustion
     returns INCONCLUSIVE, never a guess.
+
+    Before any search, ValueError refuses a charge above MAX_TRIPLES, a cost
+    model and not a bound: with q digits, q^3 triples at the first level and
+    q^2 live candidates of q^3 triples at each later one (over Q_p, p <= 13,
+    the worst pair at its budget depth tries about a quarter of that).
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     ring = _oracle_ring(fld)
+    digs = list(ring.digits())
+    charge = len(digs) ** 3 * (1 + (depth - 1) * len(digs) ** 2)
+    if charge > MAX_TRIPLES:
+        raise ValueError(f"a depth-{depth} search is charged {charge} triples, "
+                         f"above the oracle's bound {MAX_TRIPLES}")
     ra = ring.from_field(fld, a)
     rb = ring.from_field(fld, b)
     budget = solubility_budget(a, b, fld)
@@ -310,7 +325,6 @@ def solubility_oracle(a, b, fld: LocalFieldDescriptor, depth: int) -> Solubility
 
     zero = 0 if isinstance(ring, _ZpRing) else (0, 0)
     live = [(zero, zero, zero)]
-    digs = list(ring.digits())
     for level in range(depth):
         new_live = []
         for (x, y, z) in live:

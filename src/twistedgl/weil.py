@@ -54,13 +54,6 @@ class Mu8:
             return Mu8(4)
         raise ValueError("sign must be +1 or -1")
 
-    def as_sign(self) -> int:
-        if self.exponent == 0:
-            return 1
-        if self.exponent == 4:
-            return -1
-        raise ValueError(f"zeta8^{self.exponent} is not a sign")
-
     def __str__(self) -> str:
         return f"zeta8^{self.exponent}"
 

@@ -384,7 +384,8 @@ def reference_diagonalize(gram):
 def reference_is_very_regular(gamma):
     """Very regularity decided over Q by sympy: a squarefree characteristic
     polynomial and det(gamma -+ 1) != 0.  The reference for
-    gsnorm.is_very_regular, which must return exactly this on every input."""
+    gsnorm._norm_very_regular, which must return exactly this on the norm of
+    every closed pair."""
     m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                       for row in gamma])
     eye = sympy.eye(len(gamma))
@@ -554,9 +555,10 @@ def reference_fraction_random_config(ambient, rng, require_very_regular=True,
 
 def reference_random_config(ambient, seed, require_very_regular=True):
     """The integer sampler that decided very-regularity on the norm itself:
-    det X and det Y_n each by int_det, then the certificate on the rows of
-    1 + Q^-1 X^T Y^-1 X that gs_norm builds.  The reference for
-    gsnorm.random_config, which must return the same X and Y."""
+    det X and det Y_n each by int_det, then, by default, sympy's test on the
+    norm 1 + Q^-1 X^T Y^-1 X that gs_norm builds.  The reference for
+    gsnorm.random_config, which must return the same X and Y; with
+    require_very_regular=False it gives the closed pairs of any norm."""
     n, eps = ambient.n, ambient.epsilon
     rng = random.Random(seed)
     a_rows, a = ambient.q_inverse_scaled
@@ -572,8 +574,8 @@ def reference_random_config(ambient, seed, require_very_regular=True):
             continue
         config = gsnorm.GSConfiguration(ambient, linalg.to_mat(x),
                                         linalg.to_mat(y, 2 * a))
-        if require_very_regular and not gsnorm._very_regular(
-                *gsnorm._norm_scaled(config)):
+        if require_very_regular and not reference_is_very_regular(
+                gsnorm.gs_norm(config)):
             continue
         return config
     raise RuntimeError(f"retry budget exhausted for seed {seed}")

@@ -5,9 +5,12 @@ import copy
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,19 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_process(*argv, **kwargs) -> subprocess.Popen:
+    """python -m twistedgl.cli argv in a fresh process, run from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.Popen([sys.executable, "-m", "twistedgl.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            **kwargs)
+
+
 def test_hilbert_verb(capsys):
     code, doc = run(capsys, "hilbert", "5", "2", "--p", "5")
     assert code == 0 and doc["hilbert"] == -1
@@ -42,6 +58,39 @@ def test_hilbert_oracle_inconclusive_exit(capsys):
     code, doc = run(capsys, "hilbert", "-1", "-1", "--p", "2", "--oracle",
                     "--depth", "1")
     assert code == 3 and doc["oracle"] == "inconclusive"
+
+
+def test_hilbert_oracle_refuses_work_above_its_bound(capsys):
+    # the budget depth 4 at p = 101, and a depth-1 search's 101^3 triples,
+    # are both charged above oracles.MAX_TRIPLES and refused before any search
+    for extra in ((), ("--depth", "1")):
+        started = time.perf_counter()
+        code, doc = run(capsys, "hilbert", "101", "2", "--p", "101", "--oracle", *extra)
+        assert code == 2 and doc is None
+        assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("argv, path", [
+    (("qform", "invariants", "--in"), "missing.json"),
+    (("sqclass", "3", "--p", "5", "--out"), "missing/x.json"),
+])
+def test_an_unreadable_or_unwritable_file_exits_2(argv, path, tmp_path):
+    proc = cli_process(*argv, str(tmp_path / path))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2 and out == ""
+    assert err.startswith("I/O error: [Errno 2] No such file or directory")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_a_closed_stdout_exits_2(tmp_path):
+    # corpus run ... | head -1: the manifest, about 90 kB, overfills the pipe,
+    # so emit writes to a pipe whose reader has gone
+    proc = cli_process("corpus", "run", "--p", "3", "--n", "1,2", "--count", "200")
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == "I/O error: [Errno 32] Broken pipe\n"  # nothing at shutdown
 
 
 def test_sqclass_verb(capsys):
@@ -210,6 +259,16 @@ def test_gs_section_and_norm_refuse_what_they_cannot_answer(capsys):
     closed = json.dumps({"ambient": ambient, "X": eye, "Y": good["Y"]})
     code, doc = run(capsys, "gs", "norm", "--json", closed)
     assert code == 0 and doc["gamma"] == rot
+    # gamma = 2I is no isometry of diag(1, 1), so it has no section
+    code, doc = run(capsys, "gs", "section", "--json", json.dumps(
+        {"ambient": ambient, "X": eye, "gamma": [["2", "0"], ["0", "2"]]}))
+    assert code == 2 and doc is None
+    # gs param refuses an unclosed pair too, here GS_PARAM with one entry of
+    # Y moved
+    unclosed_param = copy.deepcopy(GS_PARAM)
+    unclosed_param["config"]["Y"][0][0] = "1/2"
+    code, doc = run(capsys, "gs", "param", "--json", json.dumps(unclosed_param))
+    assert code == 2 and doc is None
 
 
 def test_endo_delta_eliminates_q_delta_once(capsys, monkeypatch):

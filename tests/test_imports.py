@@ -20,8 +20,6 @@ KEPT = {
     "localfield.LocalFieldDescriptor.residue_q": "the residue field order of "
                                                  "hilbert_tame",
     "weil.weil_rank1": "the rank-1 table that the Gauss-sum oracle tests",
-    "endoscopy.transfer_factor": "the paper's plain transfer factor, before "
-                                 "its Whittaker normalization",
     "localfield.LocalFieldDescriptor.gen": "test aid: the generator t that "
                                            "field elements are built from",
     "etale.EtaleAlgebraWithInvolution.fixed_element": "test aid: tau-fixed twists",
