@@ -41,6 +41,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -101,10 +102,15 @@ def poly_doc(p) -> list[str]:
     return [rat_str(c) for c in p]
 
 
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rat(s) -> Fraction:
-    """An integer or a "num/den" string; JSON floats and booleans are refused,
-    since a float literal has already lost the exact value it was meant to be."""
-    if isinstance(s, (bool, float)):
+    """An integer, or a string of an optional sign, digits and optionally
+    "/digits".  Floats, booleans and decimal or exponent strings are refused:
+    a float has already lost the exact value it was meant to be, and Fraction
+    would build "1e9999999" at any cost."""
+    if isinstance(s, (bool, float)) or isinstance(s, str) and not RATIONAL.fullmatch(s):
         raise UsageError(f"bad rational literal {s!r}: write an integer or a "
                          f'"num/den" string')
     try:
@@ -286,7 +292,8 @@ def cmd_hilbert(args) -> int:
     doc = {"a": rat_str(a), "b": rat_str(b), "p": args.p, "hilbert": value}
     if args.oracle:
         from .oracles import Solubility, solubility_budget, solubility_oracle
-        depth = args.depth or solubility_budget(a, b, QP(args.p))
+        depth = (solubility_budget(a, b, QP(args.p)) if args.depth is None
+                 else args.depth)
         verdict = solubility_oracle(a, b, QP(args.p), depth)
         doc["oracle"] = verdict.value
         doc["oracle_depth"] = depth
@@ -774,7 +781,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"malformed input: {exc!r}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

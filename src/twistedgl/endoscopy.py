@@ -55,9 +55,8 @@ from .gsnorm import (AmbientSpace, GSConfiguration, _norm_very_regular,
                      check_rigidifiable, make_ambient)
 from .linalg import Mat, clear_denominators, mat
 from .localfield import SquareClass, as_prime, square_class, square_class_table
-from .qform import (QuadForm, WittClass, diagonal, direct_sum, hyperbolic,
-                    invariants, norm_form, represents, scale, witt_decompose,
-                    witt_kernel)
+from .qform import (QuadForm, WittClass, direct_sum, hyperbolic, invariants,
+                    norm_form, represents, scale, witt_decompose, witt_kernel)
 from .weil import Mu8, epsilon_half, weil_index
 
 
@@ -195,7 +194,6 @@ class ConstancyCell:
 
     @cached_property
     def rhs(self) -> Mu8:
-        diagonal(self.space)  # so that the scaling carries the diagonal
         return weil_index(scale(2 * (-1) ** self.n, self.space))
 
     def _rows(self, delta: Mat) -> tuple[list[list[int]], int]:

@@ -6,13 +6,17 @@ decomposition and the comparison operations built on them.  Alternating
 Grams share the container through a symmetry tag; Witt theory is exposed for
 the symmetric tag only.
 
-A symmetric form is eliminated once: the constructor's non-degeneracy check
-is the symmetric Bareiss elimination of its cleared-integer Gram, whose
-diagonal the form keeps, as it keeps its invariants and their anisotropic
-kernel.  An alternating Gram is checked by its determinant; forms known
-non-degenerate by construction are eliminated when first read, and a scaling
-carries the scaled diagonal of a form already eliminated.  A form known only
-by integer rows (a twisted point's q_delta) is eliminated once by witt_kernel.
+A symmetric form holds its diagonal from the moment it is built, and that
+diagonal is the one the symmetric Bareiss elimination of its Gram gives, so
+diagonal(q) == diagonalize(q)[0] for every form.  The checked constructor
+runs that elimination once, as its non-degeneracy check, and direct_sum goes
+through it: whole-Gram pivoting may move a row of one block into a zero
+pivot of the other, so a sum's diagonal is not its blocks' side by side.
+diag_form (its entries), hyperbolic (<2, -1/2> a plane) and scale (c times
+the source's diagonal) give the elimination's diagonal in closed form and
+are never eliminated.  An alternating Gram is checked by its determinant and
+holds no diagonal.  A form known only by integer rows (a twisted point's
+q_delta) is eliminated once by witt_kernel.
 """
 
 from __future__ import annotations
@@ -39,32 +43,39 @@ class QuadForm:
     symmetry: str = SYMMETRIC
 
     def __post_init__(self):
-        object.__setattr__(self, "p", as_prime(self.p))
+        p = as_prime(self.p)
         g = mat(self.gram)
-        object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
         if self.symmetry == SYMMETRIC:
-            if g != transpose(g):
+            rows, d = clear_denominators(g)  # compared as ints, faster than Fractions
+            if rows != [list(col) for col in zip(*rows)]:
                 raise ValueError("Gram matrix is not symmetric")
-            self._diagonal  # the elimination raises on a degenerate Gram
+            # the elimination raises on a degenerate Gram
+            diag = _eliminate_symmetric(rows, d, transform=False)[0]
         elif self.symmetry == ALTERNATING:
             if transpose(g) != tuple(tuple(-x for x in row) for row in g):
                 raise ValueError("Gram matrix is not alternating")
             if n and det(g) == 0:
                 raise ValueError("degenerate Gram matrix")
+            diag = None
         else:
             raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
+        vars(self).update(p=p, gram=g, _diagonal=diag)
+
+    @classmethod
+    def _built(cls, gram: Mat, p: Prime, label: str | None, symmetry: str,
+               diag: tuple[Fraction, ...] | None) -> QuadForm:
+        """A form known square, non-degenerate and of this symmetry, built
+        without the checks; diag is its elimination's (None if alternating)."""
+        q = cls.__new__(cls)
+        vars(q).update(gram=gram, p=p, label=label, symmetry=symmetry, _diagonal=diag)
+        return q
 
     @property
     def dim(self) -> int:
         return len(self.gram)
-
-    @cached_property
-    def _diagonal(self) -> tuple[Fraction, ...]:
-        """The diagonal of the one symmetric elimination of this form."""
-        return _eliminate_symmetric(*clear_denominators(self.gram), transform=False)[0]
 
     @cached_property
     def invariants(self) -> "FormInvariants":
@@ -74,18 +85,6 @@ class QuadForm:
     def __str__(self) -> str:
         name = self.label or f"{self.symmetry} form"
         return f"{name} of dim {self.dim} over Q_{self.p}"
-
-
-def _known_form(gram: Mat, p: Prime, label: str | None, symmetry: str) -> QuadForm:
-    """A QuadForm built without QuadForm's checks, for a Gram of Fractions
-    already known square, of the given symmetry and non-degenerate: a
-    diagonal with nonzero entries, or a scaling, a direct sum or hyperbolic
-    planes of checked forms.  A symmetric one is eliminated when first read."""
-    q = object.__new__(QuadForm)
-    for name, value in (("gram", gram), ("p", p), ("label", label),
-                        ("symmetry", symmetry)):
-        object.__setattr__(q, name, value)
-    return q
 
 
 def quad_form(gram, p, label: str | None = None) -> QuadForm:
@@ -99,7 +98,8 @@ def diag_form(entries, p, label: str | None = None) -> QuadForm:
     n = len(entries)
     g = tuple(tuple(entries[i] if i == j else Fraction(0) for j in range(n))
               for i in range(n))
-    return _known_form(g, as_prime(p), label, SYMMETRIC)  # det = prod(entries)
+    # a diagonal Gram pivots on its entries in order
+    return QuadForm._built(g, as_prime(p), label, SYMMETRIC, tuple(entries))
 
 
 def alternating_form(gram, p, label: str | None = None) -> QuadForm:
@@ -194,7 +194,7 @@ def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
 
 
 def diagonal(q: QuadForm) -> tuple[Fraction, ...]:
-    """The diagonal entries of diagonalize(q), without building P; kept on q."""
+    """The diagonal entries of diagonalize(q), held by q since it was built."""
     _require_symmetric(q, "diagonalization")
     return q._diagonal
 
@@ -324,21 +324,20 @@ def direct_sum(q1: QuadForm, q2: QuadForm) -> QuadForm:
     _same_prime(q1, q2)
     if q1.symmetry != q2.symmetry:
         raise ValueError("direct sum of forms with different symmetry tags")
-    # det(q1 + q2) = det q1 * det q2, both nonzero
-    return _known_form(block_diag(q1.gram, q2.gram), q1.p, None, q1.symmetry)
+    # whole-Gram pivoting may move a row of q2 into a zero pivot of q1, so the
+    # diagonal is a fresh elimination, not the two diagonals side by side
+    return QuadForm(block_diag(q1.gram, q2.gram), q1.p, None, q1.symmetry)
 
 
 def scale(c, q: QuadForm) -> QuadForm:
     c = fr(c)
     if c == 0:
         raise ValueError("scaling by zero")
-    # det(cQ) = c^n det Q is nonzero, and cQ keeps the symmetry of Q
+    # det(cQ) = c^n det Q is nonzero, and cQ keeps the symmetry of Q; cG
+    # pivots as G does, so its elimination gives c times G's diagonal
     g = tuple(tuple(c * x if x else x for x in row) for row in q.gram)
-    cq = _known_form(g, q.p, None, q.symmetry)
-    if "_diagonal" in q.__dict__:
-        # cG pivots as G does, so its elimination gives c times G's diagonal
-        object.__setattr__(cq, "_diagonal", tuple(c * a for a in q._diagonal))
-    return cq
+    diag = None if q.symmetry == ALTERNATING else tuple(c * a for a in q._diagonal)
+    return QuadForm._built(g, q.p, None, q.symmetry, diag)
 
 
 def hyperbolic(k: int, p) -> QuadForm:
@@ -347,7 +346,9 @@ def hyperbolic(k: int, p) -> QuadForm:
         raise ValueError("negative number of planes")
     plane = mat([[0, 1], [1, 0]])
     g = block_diag(*([plane] * k)) if k else ()
-    return _known_form(g, as_prime(p), f"{k}Hy", SYMMETRIC)  # det (-1)^k
+    # each plane is symmetrized to [[2, 1], [1, 0]], which gives 2, then -1/2
+    diag = (Fraction(2), Fraction(-1, 2)) * k
+    return QuadForm._built(g, as_prime(p), f"{k}Hy", SYMMETRIC, diag)
 
 
 def norm_form(dclass, p) -> QuadForm:

@@ -70,6 +70,41 @@ def test_hilbert_oracle_refuses_work_above_its_bound(capsys):
         assert time.perf_counter() - started < 1
 
 
+def test_hilbert_oracle_refuses_a_depth_below_one(capsys):
+    for depth in ("0", "-1"):
+        code, doc = run(capsys, "hilbert", "5", "2", "--p", "5", "--oracle",
+                        "--depth", depth)
+        assert code == 2 and doc is None
+
+
+@pytest.mark.parametrize("literal", ["1e9999999", "0.5", "1_0"])
+def test_a_rational_is_an_integer_or_num_den_only(capsys, literal):
+    # Fraction accepts all three, and builds 10^9999999 in time quadratic
+    # in the exponent
+    started = time.perf_counter()
+    code, doc = run(capsys, "sqclass", "--p", "2", "--", literal)
+    assert code == 2 and doc is None
+    assert time.perf_counter() - started < 1
+
+
+def test_signed_integer_and_num_den_literals_parse(capsys):
+    code, doc = run(capsys, "sqclass", "--p", "2", "--", "-3/4")
+    assert code == 0
+    assert doc["class"] == run(capsys, "sqclass", "--p", "2", "--", "-3")[1]["class"]
+    code, doc = run(capsys, "sqclass", "--p", "2", "--", "12")
+    assert code == 0 and doc["class"] == run(capsys, "sqclass", "3", "--p", "2")[1]["class"]
+
+
+def test_a_deeply_nested_document_exits_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    proc = cli_process("qform", "invariants", "--in", str(deep))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2 and out == ""
+    assert err.startswith("malformed input: RecursionError(")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 @pytest.mark.parametrize("argv, path", [
     (("qform", "invariants", "--in"), "missing.json"),
     (("sqclass", "3", "--p", "5", "--out"), "missing/x.json"),
@@ -183,16 +218,18 @@ def test_corpus_run_eliminates_each_space_once(capsys, monkeypatch):
         code, doc = run(capsys, "corpus", "run", "--p", str(p), "--n", "2,3",
                         "--count", "6", "--seed", "1")
         assert code == 0 and doc["failures"] == 0
+        run_grams = grams[:]  # before the spaces built below are eliminated
         for cell in doc["cells"]:
             n = cell["n"]
             space = quasisplit_space(2 * n, square_class(cell["K"], p),
                                      square_class(cell["c"], p), p)
             # the rhs reads the Weil index of 2 (-1)^n q off q's scaled diagonal
-            assert grams.count(space.gram) == 1
-            assert grams.count(scale(2 * (-1) ** n, space).gram) == 0
-        # per cell its space and the target (-1)^n N_K, per record its q_delta
+            assert run_grams.count(space.gram) == 1
+            assert run_grams.count(scale(2 * (-1) ** n, space).gram) == 0
+        # per cell its space, per record its q_delta; the target (-1)^n N_K is
+        # built with its diagonal
         records = sum(cell["records"] for cell in doc["cells"])
-        assert len(grams) == 2 * len(doc["cells"]) + records
+        assert len(run_grams) == len(doc["cells"]) + records
 
 
 def test_gs_round_trip_through_cli(capsys):

@@ -19,6 +19,14 @@ KEPT = {
                                "solubility oracle's quadratic ring",
     "localfield.LocalFieldDescriptor.residue_q": "the residue field order of "
                                                  "hilbert_tame",
+    "localfield.LocalFieldDescriptor.residue_f": "the residue degree of residue_q",
+    "localfield.LocalFieldDescriptor.ramification_e": "the ramification index of "
+                                                      "residue_f and of the "
+                                                      "solubility oracle's "
+                                                      "quadratic ring",
+    "localfield.FieldElement.valuation": "test aid: the normalized valuation, "
+                                         "v(p) = e, that checks ramification_e",
+    "localfield.FieldElement.norm": "the norm that FieldElement.valuation reads",
     "weil.weil_rank1": "the rank-1 table that the Gauss-sum oracle tests",
     "localfield.LocalFieldDescriptor.gen": "test aid: the generator t that "
                                            "field elements are built from",
@@ -32,14 +40,14 @@ KEPT = {
 
 
 def _names(nodes) -> set[str]:
-    """Every name and attribute the nodes mention."""
+    """Every name the nodes mention, and every attribute as ".attr"."""
     out = set()
     for node in nodes:
         for n in ast.walk(node):
             if isinstance(n, ast.Name):
                 out.add(n.id)
             elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
+                out.add("." + n.attr)
     return out
 
 
@@ -68,7 +76,7 @@ def _definitions():
 
 def _benchmark_names() -> set[str]:
     """The names perfbench imports from twistedgl, and the attributes it reads
-    off an imported twistedgl module (cli.main, say)."""
+    off an imported twistedgl module (cli.main, say), as names."""
     modules = {p.stem for p in PACKAGE.glob("*.py")}
     out = set()
     for path in (ROOT / "perfbench").glob("*.py"):
@@ -89,9 +97,12 @@ def unreached_definitions() -> set[str]:
     """The runtime definitions that a name-based call graph does not reach from
     the cmd_* handlers, main, module-level code and perfbench's imports.
 
-    A definition is reached when a reached definition mentions its name; a
-    method named like __dunder__ is reached with its class.  Matching by name
-    over-approximates the calls, so what it leaves unreached is unreached."""
+    A function or a class is reached when a reached definition mentions its
+    name, bare or as an attribute; a method only when one mentions it as an
+    attribute (obj.name), so a module function of the same name keeps no
+    method alive, and a method named like __dunder__ is reached with its
+    class.  Matching by name over-approximates the calls, so what it leaves
+    unreached is unreached."""
     defs, module_level = _definitions()
     names = module_level | _benchmark_names() | {
         name for name, _ in defs.values() if name == "main" or name.startswith("cmd_")}
@@ -103,8 +114,10 @@ def unreached_definitions() -> set[str]:
             if qual in reached:
                 continue
             owner = qual.rsplit(".", 1)[0]
-            if name in names or (name.startswith("__") and name.endswith("__")
-                                 and owner in reached):
+            method = owner.count(".") == 1
+            if ("." + name in names or not method and name in names
+                    or method and name.startswith("__") and name.endswith("__")
+                    and owner in reached):
                 reached.add(qual)
                 names |= mentions
                 grew = True

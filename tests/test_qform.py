@@ -412,15 +412,18 @@ def test_a_symmetric_form_is_eliminated_once(monkeypatch):
     assert dets == []
 
 
-def test_forms_known_non_degenerate_are_eliminated_when_read(monkeypatch):
+def test_forms_built_from_blocks_are_eliminated_once_only_by_direct_sum(monkeypatch):
     grams, dets = count_eliminations(monkeypatch)
     q = diag_form([1, 3, -2], 3)
-    forms = [q, scale(F(2, 3), q), direct_sum(q, q), hyperbolic(2, 3)]
+    closed = [q, scale(F(2, 3), q), hyperbolic(2, 3)]
     assert grams == [] and dets == []
-    for f in forms:
+    s = direct_sum(q, q)
+    assert grams == [s.gram]  # one elimination, when it is built
+    for f in closed + [s]:
+        assert "_diagonal" in vars(f)
         invariants(f)
         witt_decompose(f)
-    assert grams == [f.gram for f in forms]
+    assert grams == [s.gram] and dets == []
     assert diagonal(q) == (1, 3, -2)
 
 
@@ -433,7 +436,6 @@ def test_scale_carries_the_diagonal_of_a_fresh_elimination():
             fresh = rand_form(rng, p, dim)
             for q in (fresh, quad_form(scale(F(rng.randint(1, 9), 12), fresh).gram, p),
                       direct_sum(hyperbolic(1, p), fresh)):
-                diagonal(q)
                 for c in (-1, 2, F(-3, 4), F(rng.randint(-20, -1), rng.randint(2, 9)),
                           F(rng.randint(1, 20), rng.randint(2, 9))):
                     cq = scale(c, q)
@@ -441,8 +443,35 @@ def test_scale_carries_the_diagonal_of_a_fresh_elimination():
                     assert diagonal(cq) == diagonalize(quad_form(cq.gram, p))[0]
                     assert diagonal(cq) == reference_diagonalize(cq.gram)[0]
                     assert invariants(cq) == invariants(quad_form(cq.gram, p))
-    # without a known diagonal the scaling is eliminated when read
-    assert "_diagonal" not in vars(scale(3, diag_form([1, 2], 5)))
+    # a scaling of a diagonal form carries the scaled entries
+    cq = scale(3, diag_form([1, 2], 5))
+    assert "_diagonal" in vars(cq) and diagonal(cq) == (3, 6)
+
+
+def _random_composition(rng, p, depth):
+    """A form built by diag_form, hyperbolic, scale and direct_sum alone."""
+    kind = rng.choice(("diag", "hyperbolic") if depth == 0 else
+                      ("diag", "hyperbolic", "scale", "sum", "sum"))
+    if kind == "diag":
+        return diag_form([F(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 4))
+                          for _ in range(rng.randint(1, 3))], p)
+    if kind == "hyperbolic":
+        return hyperbolic(rng.randint(1, 2), p)
+    if kind == "scale":
+        c = F(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 9))
+        return scale(c, _random_composition(rng, p, depth - 1))
+    return direct_sum(_random_composition(rng, p, depth - 1),
+                      _random_composition(rng, p, depth - 1))
+
+
+def test_every_composition_holds_the_diagonal_of_a_fresh_elimination():
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        for _ in range(250):
+            f = _random_composition(rng, p, rng.randint(0, 3))
+            assert "_diagonal" in vars(f)
+            assert diagonal(f) == diagonalize(quad_form(f.gram, p))[0]
+            assert diagonal(f) == reference_diagonalize(f.gram)[0]
 
 
 def test_witt_class_existence_is_the_reference_table():
