@@ -1,13 +1,17 @@
 """Etale algebras with involution over Q_p.
 
 An algebra is an ordered product of factor towers: a certified base field
-(the tau-fixed part of the factor) with a quadratic step, either split
-(L_i = F_i x F_i, tau the swap) or a field step F_i(sqrt(d)) with d a
-certified non-square.  Elements live in the frozen basis ordering
-(factor-major, base-power-minor); every operation is exact.
+F (the tau-fixed part of the factor) with a quadratic step, either split
+(F x F, tau the swap) or a field step F(sqrt(d)) with d a certified
+non-square.  Both are F[s]/(s^2 - d) with tau(s) = -s: the split step is
+d = 1, as F[s]/(s^2 - 1) = F x F by s -> (1, -1).  So a factor component is
+stored as a + b*s, a pair (a, b) of base-field elements, and one formula
+serves both steps.  Every operation is exact.
 
-Factor components are stored as pairs (a, b) of base-field elements: the
-split pair (a, b) itself, or a + b*sqrt(d) for a field step.
+The frozen coordinates of a factor, in which elements are read and written
+and the frozen basis is ordered (factor-major, base-power-minor), are (a, b)
+on a field step and the components (x, y) = (a + b, a - b) on a split step.
+Only `element` and `mult_matrix` know them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ QUADRATIC = "quadratic"
 
 @dataclass(frozen=True)
 class FactorTower:
-    """One factor of the algebra: a base field with a quadratic step."""
+    """One factor of the algebra: F[s]/(s^2 - d) over the base field F.  A
+    split step takes no parameter and stores d = 1; a field step's d is a
+    certified non-square."""
 
     base: LocalFieldDescriptor
     step_kind: str
@@ -36,6 +42,7 @@ class FactorTower:
         if self.step_kind == SPLIT:
             if self.d is not None:
                 raise ValueError("split step takes no parameter")
+            object.__setattr__(self, "d", self.base.one)
             return
         if self.step_kind != QUADRATIC:
             raise ValueError(f"unknown step kind {self.step_kind!r}")
@@ -60,7 +67,7 @@ def split_tower(base: LocalFieldDescriptor) -> FactorTower:
 
 
 def quadratic_tower(base: LocalFieldDescriptor, d) -> FactorTower:
-    return FactorTower(base, QUADRATIC, d if isinstance(d, FieldElement) else base.embed(d))
+    return FactorTower(base, QUADRATIC, d)
 
 
 @dataclass(frozen=True)
@@ -85,15 +92,22 @@ class EtaleAlgebraWithInvolution:
         return sum(f.dim_over_qp for f in self.factors)
 
     def element(self, parts) -> "AlgebraElement":
-        return AlgebraElement(self, tuple((a, b) for a, b in parts))
+        """The element with these frozen coordinates, one pair per factor:
+        (a, b) for a + b*sqrt(d) on a field step, the components (x, y) of
+        F x F on a split step, which is a + b*s with a = (x + y)/2 and
+        b = (x - y)/2."""
+        parts = tuple(parts)
+        if len(parts) != len(self.factors):
+            raise ValueError("one component per factor")
+        half = Fraction(1, 2)
+        return AlgebraElement(self, tuple(
+            ((x + y) * half, (x - y) * half) if f.step_kind == SPLIT else (x, y)
+            for f, (x, y) in zip(self.factors, parts)))
 
     def embed(self, c) -> "AlgebraElement":
         c = fr(c)
-        parts = []
-        for f in self.factors:
-            a = f.base.embed(c)
-            parts.append((a, a if f.step_kind == SPLIT else f.base.zero))
-        return self.element(parts)
+        return AlgebraElement(self, tuple((f.base.embed(c), f.base.zero)
+                                          for f in self.factors))
 
     @property
     def one(self) -> "AlgebraElement":
@@ -104,48 +118,35 @@ class EtaleAlgebraWithInvolution:
         return self.embed(0)
 
     def fixed_element(self, base_values) -> "AlgebraElement":
-        """The tau-fixed element with the given base-field component per factor."""
+        """The tau-fixed element c (that is, (c, c) on a split factor) with
+        the given base-field component c per factor."""
         if len(base_values) != len(self.factors):
             raise ValueError("one base value per factor")
-        parts = []
-        for f, c in zip(self.factors, base_values):
-            if not isinstance(c, FieldElement):
-                c = f.base.embed(c)
-            if c.field != f.base:
-                raise ValueError("component lives in the wrong base field")
-            parts.append((c, c if f.step_kind == SPLIT else f.base.zero))
-        return self.element(parts)
+        return AlgebraElement(self, tuple(
+            (c if isinstance(c, FieldElement) else f.base.embed(c), f.base.zero)
+            for f, c in zip(self.factors, base_values)))
 
     def skew_element(self, base_values) -> "AlgebraElement":
-        """The tau-antifixed element: (c, -c) per split factor, c*sqrt(d) else."""
+        """The tau-antifixed element c*s per factor: c*sqrt(d) on a field
+        step, (c, -c) on a split one."""
         if len(base_values) != len(self.factors):
             raise ValueError("one base value per factor")
-        parts = []
-        for f, c in zip(self.factors, base_values):
-            if not isinstance(c, FieldElement):
-                c = f.base.embed(c)
-            parts.append((c, -c) if f.step_kind == SPLIT else (f.base.zero, c))
-        return self.element(parts)
+        return AlgebraElement(self, tuple(
+            (f.base.zero, c if isinstance(c, FieldElement) else f.base.embed(c))
+            for f, c in zip(self.factors, base_values)))
 
     def basis(self) -> tuple["AlgebraElement", ...]:
-        """The frozen Q-basis, factor-major, base-power-minor."""
+        """The frozen Q-basis, factor-major, base-power-minor: the unit
+        vectors of the frozen coordinates."""
+        zeros = [(f.base.zero, f.base.zero) for f in self.factors]
         out = []
         for idx, f in enumerate(self.factors):
-            d = f.base.degree
+            d, zero = f.base.degree, f.base.zero
             for half in range(2):
                 for power in range(d):
-                    parts = []
-                    for jdx, g in enumerate(self.factors):
-                        a, b = g.base.zero, g.base.zero
-                        if jdx == idx:
-                            coeffs = [Fraction(0)] * d
-                            coeffs[power] = Fraction(1)
-                            val = g.base.element(coeffs)
-                            if half == 0:
-                                a = val
-                            else:
-                                b = val
-                        parts.append((a, b))
+                    unit = f.base.element([Fraction(int(i == power)) for i in range(d)])
+                    parts = list(zeros)
+                    parts[idx] = (zero, unit) if half else (unit, zero)
                     out.append(self.element(parts))
         return tuple(out)
 
@@ -196,38 +197,27 @@ class AlgebraElement:
 
     def __mul__(self, other):
         o = self._same(other)
-        parts = []
-        for f, (a1, b1), (a2, b2) in zip(self.algebra.factors, self.parts, o.parts):
-            if f.step_kind == SPLIT:
-                parts.append((a1 * a2, b1 * b2))
-            else:
-                parts.append((a1 * a2 + f.d * b1 * b2, a1 * b2 + b1 * a2))
-        return AlgebraElement(self.algebra, tuple(parts))
+        return AlgebraElement(self.algebra, tuple(
+            (a1 * a2 + f.d * b1 * b2, a1 * b2 + b1 * a2)
+            for f, (a1, b1), (a2, b2) in zip(self.algebra.factors, self.parts, o.parts)))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return all(a.is_zero() and b.is_zero() for a, b in self.parts)
 
+    def _norms(self):
+        """The norm a^2 - d b^2 of each factor component down to its base."""
+        return (a * a - f.d * b * b for f, (a, b) in zip(self.algebra.factors, self.parts))
+
     def is_invertible(self) -> bool:
-        for f, (a, b) in zip(self.algebra.factors, self.parts):
-            if f.step_kind == SPLIT:
-                if a.is_zero() or b.is_zero():
-                    return False
-            else:
-                if (a * a - f.d * b * b).is_zero():
-                    return False
-        return True
+        return not any(nrm.is_zero() for nrm in self._norms())
 
     def inverse(self) -> "AlgebraElement":
         parts = []
-        for f, (a, b) in zip(self.algebra.factors, self.parts):
-            if f.step_kind == SPLIT:
-                parts.append((a.inverse(), b.inverse()))
-            else:
-                nrm = a * a - f.d * b * b
-                ninv = nrm.inverse()
-                parts.append((a * ninv, -(b * ninv)))
+        for (a, b), nrm in zip(self.parts, self._norms()):
+            ninv = nrm.inverse()
+            parts.append((a * ninv, -(b * ninv)))
         return AlgebraElement(self.algebra, tuple(parts))
 
     # -- structure maps ----------------------------------------------------
@@ -236,37 +226,29 @@ class AlgebraElement:
         """Matrix of v -> self*v over the frozen Q-basis."""
         blocks = []
         for f, (a, b) in zip(self.algebra.factors, self.parts):
-            ma, mb = a.mult_matrix(), b.mult_matrix()
             if f.step_kind == SPLIT:
-                blocks.append(block_diag(ma, mb))
+                blocks.append(block_diag((a + b).mult_matrix(), (a - b).mult_matrix()))
             else:
-                mdb = (f.d * b).mult_matrix()
+                ma, mb, mdb = a.mult_matrix(), b.mult_matrix(), (f.d * b).mult_matrix()
                 top = tuple(ra + rb for ra, rb in zip(ma, mdb))
                 bot = tuple(ra + rb for ra, rb in zip(mb, ma))
                 blocks.append(top + bot)
         return block_diag(*blocks)
 
     def __str__(self) -> str:
-        return "[" + "; ".join(f"{a}, {b}" for a, b in self.parts) + "]"
+        return "[" + "; ".join(f"{a} + {b}s" for a, b in self.parts) + "]"
 
 
 def tau(x: AlgebraElement) -> AlgebraElement:
-    """The involution: swap on split factors, sqrt(d) -> -sqrt(d) on field steps."""
-    parts = []
-    for f, (a, b) in zip(x.algebra.factors, x.parts):
-        parts.append((b, a) if f.step_kind == SPLIT else (a, -b))
-    return AlgebraElement(x.algebra, tuple(parts))
+    """The involution s -> -s: sqrt(d) -> -sqrt(d) on a field step, the swap
+    (x, y) -> (y, x) on a split one."""
+    return AlgebraElement(x.algebra, tuple((a, -b) for a, b in x.parts))
 
 
 def trace_to_qp(x: AlgebraElement) -> Fraction:
-    """Trace of multiplication by x on the whole algebra, over Q."""
-    out = Fraction(0)
-    for f, (a, b) in zip(x.algebra.factors, x.parts):
-        if f.step_kind == SPLIT:
-            out += a.trace() + b.trace()
-        else:
-            out += 2 * a.trace()
-    return out
+    """Trace of multiplication by x on the whole algebra, over Q: 2 tr(a) for
+    each factor component a + b*s."""
+    return sum((2 * a.trace() for a, _ in x.parts), Fraction(0))
 
 
 def char_poly(x: AlgebraElement):

@@ -299,10 +299,11 @@ def gs_section(ambient: AmbientSpace, x: Mat, gamma: Mat) -> Mat:
         raise ValueError("section needs an invertible X")
     if not is_isometry(gamma, ambient.q_V.gram):
         raise ValueError("gamma is not an isometry of q_V")
-    gm1 = mat_sub(gamma, identity(n))
-    if det(gm1) == 0:
-        raise ValueError("gamma - 1 must be invertible")
-    return mat_mul(x, mat_mul(inverse(gm1), mat_mul(ambient.q_inverse, transpose(x))))
+    try:
+        gm1_inv = inverse(mat_sub(gamma, identity(n)))
+    except ValueError:
+        raise ValueError("gamma - 1 must be invertible") from None
+    return mat_mul(x, mat_mul(gm1_inv, mat_mul(ambient.q_inverse, transpose(x))))
 
 
 def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:

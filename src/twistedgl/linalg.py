@@ -85,10 +85,9 @@ def identity(n: int) -> Mat:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, m: int | None = None) -> Mat:
-    m = n if m is None else m
+def zeros(n: int) -> Mat:
     zero = Fraction(0)
-    return tuple((zero,) * m for _ in range(n))
+    return tuple((zero,) * n for _ in range(n))
 
 
 def dims(a: Mat) -> tuple[int, int]:

@@ -48,6 +48,8 @@ _CHUNK = 1 << 22
 # the largest period p^(2k - v) summed; 11^7, the largest the rank-1 table
 # check needs, is about 1.95e7
 MAX_PERIOD = 1 << 25
+# the largest distance to an eighth root of unity a stabilized sum may have
+SNAP_TOL = 1e-6
 
 
 def _gauss_phase(a: Fraction, p: int, k: int) -> complex:
@@ -85,12 +87,12 @@ def _snap_mu8(z: complex) -> tuple[Mu8, float]:
     return Mu8(best), dist
 
 
-def gauss_oracle(a, p, k: int, tol: float = 1e-6) -> GaussOracleResult:
+def gauss_oracle(a, p, k: int) -> GaussOracleResult:
     """Numerical Weil index of <a>: stabilized truncated Gauss sum.
 
     Evaluates the normalized sum at truncation levels k and k+1, snaps to the
     nearest eighth root of unity and demands agreement of the snapped values
-    with snap distance below tol at both levels.  Raises OracleError instead
+    with snap distance below SNAP_TOL at both levels.  Raises OracleError instead
     of guessing when stabilization fails, and ValueError when the period
     p^(2(k+1) - v(a)) of the second level exceeds MAX_PERIOD.
     """
@@ -110,8 +112,8 @@ def gauss_oracle(a, p, k: int, tol: float = 1e-6) -> GaussOracleResult:
     z2 = _gauss_phase(a, p, k + 1)
     s1, d1 = _snap_mu8(z1)
     s2, d2 = _snap_mu8(z2)
-    if d1 > tol or d2 > tol:
-        raise OracleError(f"snap distance {max(d1, d2):.2e} above {tol:.0e}")
+    if d1 > SNAP_TOL or d2 > SNAP_TOL:
+        raise OracleError(f"snap distance {max(d1, d2):.2e} above {SNAP_TOL:.0e}")
     if s1 != s2:
         raise OracleError(f"no stabilization: {s1} at level {k}, {s2} at level {k + 1}")
     return GaussOracleResult(z1, s1, d1)

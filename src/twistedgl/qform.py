@@ -21,7 +21,7 @@ q_delta) is eliminated once by witt_kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,7 +39,7 @@ class QuadForm:
 
     gram: Mat
     p: Prime
-    label: str | None = None
+    label: str | None = field(default=None, compare=False)  # a name, not part of the form
     symmetry: str = SYMMETRIC
 
     def __post_init__(self):

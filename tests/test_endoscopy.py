@@ -311,6 +311,13 @@ def test_constancy_record_refuses_a_configuration_on_another_space():
             ConstancyCell(space, n)
 
 
+def test_constancy_record_takes_its_space_under_another_label():
+    cell = constancy_cell(3, 2, 3, 2)
+    renamed = quad_form(cell.space.gram, 3, "a library caller's name")
+    assert renamed.label != cell.space.label
+    assert constancy_record(cell, random_config(make_ambient(renamed, 1), 1)).passed
+
+
 def one_record_per_cell(primes, ns):
     """The first corpus entry of every (p, n, K, c) cell of the plan."""
     cells = {}

@@ -10,8 +10,10 @@ from twistedgl.etale import (char_poly, is_generator, make_algebra,
                              quadratic_tower, split_tower, tau,
                              trace_form_bilinear, trace_form_quadratic,
                              trace_to_qp, very_regular)
-from twistedgl.linalg import det, identity, mat_add, poly_eval, transpose
-from twistedgl.localfield import QP
+from twistedgl.linalg import (block_diag, det, identity, inverse, mat_add, mat_mul,
+                              poly_eval, transpose)
+from twistedgl.localfield import (QP, LocalFieldDescriptor, Prime, is_square_in_field,
+                                  least_nonresidue)
 from twistedgl.qform import witt_decompose
 
 
@@ -71,6 +73,44 @@ def test_mult_matrix_identity_and_det():
         assert one.mult_matrix() == identity(alg.dim_over_qp)
         assert char_poly(one) == tuple(
             _binom_poly(alg.dim_over_qp))
+
+
+def _unramified_quadratic(p):
+    u = least_nonresidue(p)
+    return LocalFieldDescriptor(Prime(p), (F(-u), F(0), F(1)), "unramified-irreducible-mod-p")
+
+
+def test_frozen_coordinates_over_qp_and_an_unramified_base():
+    """mult_matrix is a representation in the frozen coordinates, and on a
+    split factor those are the components (u, v) of F x F."""
+    rng = random.Random(8)
+
+    def rand(base):
+        return base.element([F(rng.randint(-5, 5)) for _ in range(base.degree)])
+
+    for p in (2, 3, 5, 7):
+        for base in (QP(p),) if p == 2 else (QP(p), _unramified_quadratic(p)):
+            for _ in range(6):
+                towers = []
+                for _ in range(rng.choice((1, 2))):
+                    if rng.random() < 0.4:
+                        towers.append(split_tower(base))
+                        continue
+                    d = rand(base)
+                    while d.is_zero() or is_square_in_field(base, d):
+                        d = rand(base)
+                    towers.append(quadratic_tower(base, d))
+                alg = make_algebra(towers)
+                x, y = random_invertible_element(alg, rng), random_invertible_element(alg, rng)
+                assert (x * y).mult_matrix() == mat_mul(x.mult_matrix(), y.mult_matrix())
+                assert x.inverse().mult_matrix() == inverse(x.mult_matrix())
+                assert alg.one.mult_matrix() == identity(alg.dim_over_qp)
+                split = make_algebra([split_tower(base)])
+                u, v = rand(base), rand(base)
+                z = split.element([(u, v)])
+                assert z.mult_matrix() == block_diag(u.mult_matrix(), v.mult_matrix())
+                assert tau(z) == split.element([(v, u)])
+                assert trace_to_qp(z) == u.trace() + v.trace()
 
 
 def _binom_poly(n):

@@ -10,8 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (hilbert90_x, random_algebra, random_antifixed_invertible,
-                     random_fixed_invertible, random_generator,
+from helpers import (count_eliminations, hilbert90_x, random_algebra,
+                     random_antifixed_invertible, random_fixed_invertible,
+                     random_generator,
                      random_norm_one_generator, reference_gs_norm,
                      reference_is_very_regular, reference_phi,
                      reference_fraction_random_config,
@@ -370,6 +371,18 @@ def test_gs_section_rejects_unipotent_eigenvalue():
         gs_section(amb, x, identity(2))
 
 
+def test_gs_section_eliminates_gamma_minus_one_once(monkeypatch):
+    rng = random.Random(9)
+    amb, gamma = even_fixture(3, rng)[:2]
+    x = rand_invertible(amb.n, rng)
+    _, dets = count_eliminations(monkeypatch)
+    gs_section(amb, x, gamma)
+    # the inverse of gamma - 1 is its one elimination: det is not asked first
+    assert mat_sub(gamma, identity(amb.n)) not in dets
+    with pytest.raises(ValueError, match="gamma - 1 must be invertible"):
+        gs_section(make_ambient(diag_form([1, 2], 5), 1), identity(2), identity(2))
+
+
 def test_twist_invariant_independent_of_x():
     amb, gamma, y, x_alg, alg, c = even_fixture(3, RNG)
     fingerprints = set()
@@ -464,7 +477,9 @@ def param_doc(param):
                         "step": "split" if f.step_kind == "split"
                         else {"d": str(f.d.coeffs[0])}}
                        for f in param.algebra.factors],
-           "x": [[str(v) for v in a.coeffs + b.coeffs] for a, b in param.x.parts]}
+           "x": [[str(v) for v in (a + b).coeffs + (a - b).coeffs] if f.step_kind == "split"
+                 else [str(v) for v in a.coeffs + b.coeffs]
+                 for f, (a, b) in zip(param.algebra.factors, param.x.parts)]}
     if param.x_D is not None:
         doc["xD"] = param.x_D.representative
     return doc

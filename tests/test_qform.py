@@ -51,6 +51,13 @@ def test_symmetric_and_alternating_are_the_only_tags():
         QuadForm([[1, 2], [3, 4]], 3, None, "general")
 
 
+def test_a_label_names_a_form_and_takes_no_part_in_equality():
+    for a, b in ((direct_sum(hyperbolic(1, 5), hyperbolic(1, 5)), hyperbolic(2, 5)),
+                 (norm_form(3, 5), diag_form([1, -3], 5))):
+        assert a.label != b.label and a.gram == b.gram
+        assert a == b and hash(a) == hash(b)
+
+
 def test_diagonalize_identity_and_diagonal():
     q = diag_form([1, 1, 1], 5)
     d, p = diagonalize(q)
