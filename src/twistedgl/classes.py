@@ -4,7 +4,12 @@ Parameters (L, L_pm, x) and friends name stable classes in twisted general
 linear spaces and in orthogonal and symplectic groups.  Builders return exact
 Gram matrices and group elements; comparisons go through squarefree
 characteristic polynomials, which are faithful exactly on the very regular
-locus this module accepts.  The unitary kinds "U" and "tGL-E" are parameters
+locus this module accepts.  Very regular is one test throughout: a
+squarefree characteristic polynomial, of mult by y for the classical kinds
+and of mult by x/tau(x) for the twisted ones.  Both elements r have
+tau(r) = 1/r, which pairs their eigenvalues as lambda and 1/lambda, so a
+squarefree one has neither 1 nor -1 as an eigenvalue and no separate
+eigenvalue test is made.  The unitary kinds "U" and "tGL-E" are parameters
 only: they have a fingerprint and an ellipticity test, and no builder.
 """
 
@@ -17,8 +22,7 @@ from .etale import (AlgebraElement, EtaleAlgebraWithInvolution, QUADRATIC,
                     char_poly, is_generator, tau, trace_form_alternating,
                     trace_form_bilinear, trace_form_quadratic, very_regular)
 from .linalg import (Mat, Poly, block_diag, charpoly, det, identity, inverse,
-                     is_isometry, mat, mat_mul, poly_eval, poly_squarefree,
-                     transpose)
+                     is_isometry, mat, mat_mul, poly_squarefree, transpose)
 from .localfield import SquareClass
 from .qform import QuadForm, diag_form, direct_sum
 
@@ -52,13 +56,9 @@ class ClassParameter:
         else:
             if x * tau(x) != self.algebra.one:
                 raise ValueError("y must satisfy y tau(y) = 1")
-            cp = char_poly(x)  # is_generator's test and the eigenvalue tests
-            if not poly_squarefree(cp):
+            # y tau(y) = 1: a generator has no eigenvalue +-1 (see the module)
+            if not is_generator(x):
                 raise ValueError("y must generate the algebra")
-            if self.kind in ("SO-even", "U") and poly_eval(cp, 1) == 0:
-                raise ValueError("very regular element cannot have eigenvalue 1")
-            if self.kind in ("SO-even", "SO-odd", "U") and poly_eval(cp, -1) == 0:
-                raise ValueError("very regular element cannot have eigenvalue -1")
             if self.c is None:
                 raise ValueError(f"{self.kind} parameter needs c")
             if self.c.algebra != self.algebra or not self.c.is_invertible():

@@ -57,7 +57,8 @@ from .etale import make_algebra, quadratic_tower, split_tower, trace_form_quadra
 from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_param_check,
                      gs_section, make_ambient, random_config, rigidify,
                      u_of_xy)
-from .linalg import fr, is_isometry, mat, mat_add, mat_mul, transpose
+from .linalg import (Mat, fr, is_isometry, mat, mat_add, mat_mul, mat_scale,
+                     transpose)
 from .localfield import (QP, LocalFieldDescriptor, as_prime, hilbert_qp,
                          square_class, square_class_table)
 from .params import FormalConstituent, FormalParameter, classify, hypothesis_even_SO
@@ -127,6 +128,11 @@ def parse_int(x) -> int:
     return int(x)
 
 
+def parse_mat(rows) -> Mat:
+    """A matrix literal: rows of rational literals, as in parse_rat."""
+    return mat([[parse_rat(v) for v in row] for row in rows])
+
+
 def parse_form(doc, p=None, alternating=False) -> QuadForm:
     """A symmetric form from 'diag' or 'gram', or with alternating set an
     alternating form from 'gram'."""
@@ -137,7 +143,7 @@ def parse_form(doc, p=None, alternating=False) -> QuadForm:
     if "diag" in doc and not alternating:
         return diag_form([parse_rat(x) for x in doc["diag"]], prime, label)
     if "gram" in doc:
-        g = [[parse_rat(x) for x in row] for row in doc["gram"]]
+        g = parse_mat(doc["gram"])
         return (alternating_form if alternating else quad_form)(g, prime, label)
     raise UsageError("alternating form literal needs 'gram'" if alternating
                      else "form literal needs 'diag' or 'gram'")
@@ -218,9 +224,7 @@ def parse_ambient(doc) -> AmbientSpace:
 
 def parse_config(doc) -> GSConfiguration:
     ambient = parse_ambient(doc["ambient"])
-    x = mat([[parse_rat(v) for v in row] for row in doc["X"]])
-    y = mat([[parse_rat(v) for v in row] for row in doc["Y"]])
-    return GSConfiguration(ambient, x, y)
+    return GSConfiguration(ambient, parse_mat(doc["X"]), parse_mat(doc["Y"]))
 
 
 def config_doc(config: GSConfiguration, q_doc: dict | None = None) -> dict:
@@ -422,9 +426,7 @@ def cmd_gs(args) -> int:
     doc = read_input(args)
     if args.action == "section":
         ambient = parse_ambient(doc["ambient"])
-        x = mat([[parse_rat(v) for v in row] for row in doc["X"]])
-        gamma = mat([[parse_rat(v) for v in row] for row in doc["gamma"]])
-        y = gs_section(ambient, x, gamma)
+        y = gs_section(ambient, parse_mat(doc["X"]), parse_mat(doc["gamma"]))
         emit({"Y": mat_doc(y)}, args)
         return EXIT_OK
     if args.action == "param":
@@ -444,11 +446,10 @@ def cmd_gs(args) -> int:
         u = u_of_xy(config)
         checks["u_isometry"] = is_isometry(u, config.ambient.gram_q1)
         delta, phi = rigidify(config)
+        eps = config.ambient.epsilon
         lhs = mat_mul(transpose(phi),
-                      mat_mul(tuple(tuple(-config.ambient.epsilon * v for v in row)
-                                    for row in config.ambient.q_V.gram), phi))
-        rhs = mat_add(delta, tuple(tuple(config.ambient.epsilon * v for v in row)
-                                   for row in transpose(delta)))
+                      mat_mul(mat_scale(-eps, config.ambient.q_V.gram), phi))
+        rhs = mat_add(delta, mat_scale(eps, transpose(delta)))
         checks["rigidify_isometry"] = lhs == rhs
         gamma = gs_norm(config)
         checks["norm_isometry"] = is_isometry(gamma, config.ambient.q_V.gram)
@@ -489,7 +490,7 @@ def cmd_endo(args) -> int:
     doc = read_input(args)
     if args.action == "delta":
         space = parse_form(doc["space"])
-        delta = mat([[parse_rat(v) for v in row] for row in doc["delta"]])
+        delta = parse_mat(doc["delta"])
         plain = transfer_factor(space, delta, args.n)
         # transfer_factor_whittaker too would eliminate q_delta a second time
         lam = ConstancyCell(space, args.n).epsilon_inverse * Mu8.from_sign(plain)

@@ -262,12 +262,14 @@ def is_generator(x: AlgebraElement) -> bool:
 
 
 def very_regular(x: AlgebraElement) -> bool:
-    """x invertible with x/tau(x) - 1 and x/tau(x) + 1 both invertible."""
+    """x invertible and r = x/tau(x) a generator: distinct eigenvalues.
+
+    None of them is 1 or -1: tau(r) = 1/r, so the embeddings, paired as
+    sigma and sigma o tau, pair the eigenvalues of r as lambda and 1/lambda,
+    and an eigenvalue +-1 would come twice."""
     if not x.is_invertible():
         raise ValueError("very-regularity needs an invertible element")
-    r = x * tau(x).inverse()
-    one = x.algebra.one
-    return (r - one).is_invertible() and (r + one).is_invertible()
+    return is_generator(x * tau(x).inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ On a closed pair X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, so
 the norm gamma is similar to Z = -eps Y^-1 Y^T and is known from Y alone:
 _norm_very_regular(Y_n, eps) is the one very-regularity rule (random_config,
 endoscopy.gs_constancy_check), and gs_param_check reads the characteristic
-polynomial off twist_invariant(Y).
+polynomial off twist_invariant(Y).  The rule is a squarefree characteristic
+polynomial and nothing more: Y^-1 Z^T Y = Z^-1, so the eigenvalues of Z pair
+as lambda <-> 1/lambda, and +-1 has even multiplicity when n is even
+(det Z = 1); when n is odd, the skew Y - Y^T is singular, and Y v = Y^T v
+for some v != 0 makes -eps an eigenvalue.
 
 A configuration is its integer rows over one common denominator (see
 linalg): the ambient keeps Q^-1 = A / a, the configuration keeps only
@@ -43,11 +47,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .classes import ClassParameter, twist_invariant
-from .etale import char_poly, tau, very_regular
+from .etale import char_poly, tau
 from .linalg import (Mat, charpoly, clear_denominators, det, from_blocks,
                      identity, int_charpoly_mod, int_det, int_inverse, int_mul,
                      int_solve_mod, inverse, is_isometry, mat, mat_mul, mat_sub,
-                     poly_eval, poly_mul, poly_squarefree, poly_squarefree_mod,
+                     poly_mul, poly_squarefree, poly_squarefree_mod,
                      to_mat, transpose, zeros)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
 
@@ -214,27 +218,27 @@ def random_config(ambient: AmbientSpace, seed: int) -> GSConfiguration:
 def _norm_very_regular(y: list[list[int]], eps: int) -> bool:
     """Whether det Y_n != 0 and the norm of a closed pair with Y = Y_n / d_Y,
     similar to Z = -eps Y_n^-1 Y_n^T, is very regular: a squarefree
-    characteristic polynomial, and neither 1 nor -1 an eigenvalue.
+    characteristic polynomial.  No eigenvalue test follows, as none can fire:
+    Z is similar to Z^-1 (see the module), so a squarefree f = charpoly(Z)
+    has neither 1 nor -1 as a root, and an odd n is never very regular.
 
     Residues may only accept: Gauss-Jordan on [Y_n | -eps Y_n^T] over F_ELL
-    gives Z and proves det Y_n != 0, and f = charpoly(Z) mod ELL squarefree
-    with f(1), f(-1) nonzero proves the rest (see linalg).  Anything else is
-    decided exactly, by int_inverse(Y_n) and the rational characteristic
-    polynomial of -eps Y_n^T Y_n^-1, so the answer does not depend on ELL.
+    gives Z and proves det Y_n != 0, and f mod ELL squarefree proves f
+    squarefree (see linalg).  Anything else is decided exactly, by
+    int_inverse(Y_n) and the rational characteristic polynomial of
+    -eps Y_n^T Y_n^-1, so the answer does not depend on ELL.
     """
+    if len(y) % 2:
+        return False
     yt = [[-eps * v for v in col] for col in zip(*y)]
     z = int_solve_mod(y, yt, ELL)
-    if z is not None:
-        f = int_charpoly_mod(z, 1, ELL)
-        if (poly_squarefree_mod(f, ELL) and sum(f) % ELL
-                and (sum(f[::2]) - sum(f[1::2])) % ELL):
-            return True
+    if z is not None and poly_squarefree_mod(int_charpoly_mod(z, 1, ELL), ELL):
+        return True
     try:
         y_inv, pi = int_inverse(y)
     except ValueError:  # det Y_n = 0
         return False
-    f = charpoly(to_mat(int_mul(yt, y_inv), pi))
-    return poly_squarefree(f) and poly_eval(f, 1) != 0 and poly_eval(f, -1) != 0
+    return poly_squarefree(charpoly(to_mat(int_mul(yt, y_inv), pi)))
 
 
 def _phi_scaled(config: GSConfiguration) -> tuple[list[list[int]], int]:
@@ -312,21 +316,24 @@ def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:
 
     The norm is similar to -eps Y^-1 Y^T (see _norm_very_regular), so
     twist_invariant(Y), the characteristic polynomial of Y^-1 Y^T, decides
-    both the very-regularity test (it must be squarefree) and the match: it
-    must equal the characteristic polynomial of mult by tau(x)/x, times the
-    trivial eigenvalue block (T - 1) in the odd orthogonal case.
+    both the very-regularity test (it must be squarefree) and the match.  The
+    parameter's one characteristic polynomial, of mult by tau(x)/x, does the
+    same on its side: squarefree is very regular (etale.very_regular, as
+    char_poly(tau(r)) = char_poly(r) for r = x/tau(x)), and it must equal the
+    norm's, times the trivial eigenvalue block (T - 1) in the odd orthogonal
+    case.
     """
     check_rigidifiable(config)
     amb = config.ambient
     odd = amb.epsilon == 1 and amb.n % 2 == 1
     if x_param.kind != ("tGL-odd" if odd else "tGL-even"):
         raise ValueError("parameter kind does not match the ambient signature")
-    if not very_regular(x_param.x):
+    expected_fp = char_poly(tau(x_param.x) * x_param.x.inverse())
+    if not poly_squarefree(expected_fp):
         raise ValueError("parameter is not very regular")
     delta_fp = twist_invariant(config.Y)
     if not poly_squarefree(delta_fp):
         raise ValueError("norm is not very regular for this configuration")
-    expected_fp = char_poly(tau(x_param.x) * x_param.x.inverse())
     if odd:
         expected_fp = poly_mul(expected_fp, (Fraction(-1), Fraction(1)))
     return delta_fp == expected_fp

@@ -38,11 +38,11 @@ the gcd(f, f') degree test over F_l (von zur Gathen and Gerhard, Modern
 Computer Algebra, ch. 6 and 14).  A monic f with l-integral coefficients
 reduces to a polynomial of the same degree, and a repeated factor of f over
 Q, monic and l-integral by Gauss's lemma, stays a repeated factor of f mod l.
-So a squarefree f mod l proves f squarefree over Q, and f(c) != 0 mod l
-proves f(c) != 0.  The converse fails: a squarefree f may acquire a repeated
-root mod l, and l may divide the denominator.  Those answers decide nothing,
-and the caller, gsnorm's very-regularity rule, decides over Q instead, the
-one place outside the Mat boundary where Fractions are built.
+So a squarefree f mod l proves f squarefree over Q.  The converse fails: a
+squarefree f may acquire a repeated root mod l, and l may divide the
+denominator.  Those answers decide nothing, and the caller, gsnorm's
+very-regularity rule, decides over Q instead, the one place outside the Mat
+boundary where Fractions are built.
 int_solve_mod gives A^-1 B mod l by Gauss-Jordan over F_l, and its success
 proves det A != 0, so a matrix known only through such a solve can be
 certified without an exact inverse.  The

@@ -320,7 +320,7 @@ class LocalFieldDescriptor:
         object.__setattr__(self, "defining_poly", poly)
         if self.certificate not in CERTIFICATES:
             raise ValueError(f"unknown certificate {self.certificate!r}")
-        if poly[-1] != 1:
+        if not poly or poly[-1] != 1:
             raise ValueError("defining polynomial must be monic")
         p, deg = self.p, len(poly) - 1
         if self.certificate == "degree-one":

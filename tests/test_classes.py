@@ -4,7 +4,8 @@ import random
 from fractions import Fraction as F
 
 from helpers import (hilbert90_x, random_algebra, random_fixed_invertible,
-                     random_generator, random_norm_one_generator)
+                     random_generator, random_invertible_element,
+                     random_norm_one_generator)
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                build_Sp, build_tGL_even, build_tGL_odd,
                                class_invariant, corresponds, is_elliptic,
@@ -12,7 +13,7 @@ from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
 from twistedgl.etale import (char_poly, make_algebra, quadratic_tower,
                              split_tower, tau, trace_form_bilinear, very_regular)
 from twistedgl.linalg import (block_diag, charpoly, det, identity, mat_add,
-                              mat_mul, poly_eval, transpose)
+                              mat_mul, poly_eval, poly_squarefree, transpose)
 from twistedgl.localfield import QP, square_class
 from twistedgl.qform import diag_form
 
@@ -97,6 +98,25 @@ def test_build_so_odd():
     # -gamma has no eigenvalue +1 on the algebra block
     cp = charpoly(tuple(tuple(-v for v in row) for row in gamma))
     assert poly_eval(charpoly(gamma), -1) != 0
+
+
+def test_a_squarefree_norm_one_element_has_no_eigenvalue_pm1():
+    # y = z / tau(z) has tau(y) = 1/y, which pairs its eigenvalues as lambda
+    # and 1/lambda: once char_poly(y) is squarefree, neither 1 nor -1 is a
+    # root, so ClassParameter tests squarefreeness alone
+    rng = random.Random(1904)
+    squarefree = repeated_pm1 = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            alg = random_algebra(p, rng)
+            z = random_invertible_element(alg, rng, span=2)
+            cp = char_poly(z * tau(z).inverse())
+            if poly_squarefree(cp):
+                squarefree += 1
+                assert poly_eval(cp, 1) != 0 and poly_eval(cp, -1) != 0
+            elif poly_eval(cp, 1) == 0 or poly_eval(cp, -1) == 0:
+                repeated_pm1 += 1
+    assert squarefree and repeated_pm1  # both sides of the lemma are drawn
 
 
 def test_build_sp_split_block():

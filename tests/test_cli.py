@@ -22,7 +22,7 @@ from twistedgl.endoscopy import quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
 from twistedgl.linalg import mat, mat_add, mat_scale, transpose
 from twistedgl.localfield import square_class
-from twistedgl.qform import scale
+from twistedgl.qform import diag_form, scale
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 def run(capsys, *argv):
@@ -441,6 +441,30 @@ def test_gs_param_verb_exit_codes(capsys):
     wrong["param"].update(kind="tGL-odd", xD="1")
     code, doc = run(capsys, "gs", "param", "--json", json.dumps(wrong))
     assert code == 2 and doc is None
+
+
+def test_repeated_eigenvalues_of_x_over_tau_x_are_not_very_regular(capsys):
+    # x = ((1, 2), (3, 6)) over split x split Q_3: r = x / tau(x) = (1/2, 2,
+    # 1/2, 2), so r - 1 and r + 1 are invertible but r's eigenvalues repeat
+    algebra = [{"base": {"p": 3}, "step": "split"}] * 2
+    param = {"kind": "tGL-even", "algebra": algebra, "x": [["1", "2"], ["3", "6"]]}
+    gamma = {"kind": "SO-even", "algebra": algebra, "x": [["2", "1/2"], ["3", "1/3"]],
+             "c": [["1", "1"], ["1", "1"]]}
+    code, doc = run(capsys, "class", "build", "--json", json.dumps(param))
+    assert code == 0 and doc is not None
+    for action in ("invariant", "elliptic"):
+        assert run(capsys, "class", action, "--json", json.dumps(param)) == (2, None)
+    code, doc = run(capsys, "class", "corresponds", "--json",
+                    json.dumps({"delta": param, "gamma": gamma}))
+    assert (code, doc) == (2, None)
+    ambient = make_ambient(diag_form([1, 1, 1, 1], 3), 1)
+    payload = {"config": config_doc(random_config(ambient, 0)), "param": param}
+    assert run(capsys, "gs", "param", "--json", json.dumps(payload)) == (2, None)
+
+
+def test_etale_build_refuses_an_empty_defining_polynomial(capsys):
+    algebra = [{"base": {"p": 3, "poly": []}, "step": "split"}]
+    assert run(capsys, "etale", "build", "--json", json.dumps(algebra)) == (2, None)
 
 
 def test_param_verbs(capsys):

@@ -11,7 +11,7 @@ from twistedgl.etale import (char_poly, is_generator, make_algebra,
                              trace_form_bilinear, trace_form_quadratic,
                              trace_to_qp, very_regular)
 from twistedgl.linalg import (block_diag, det, identity, inverse, mat_add, mat_mul,
-                              poly_eval, transpose)
+                              poly_eval, poly_squarefree, transpose)
 from twistedgl.localfield import (QP, LocalFieldDescriptor, Prime, is_square_in_field,
                                   least_nonresidue)
 from twistedgl.qform import witt_decompose
@@ -153,13 +153,20 @@ def test_very_regular():
     assert not very_regular(fixed)
     x = alg.element([(f.base.embed(2), f.base.embed(5))])
     assert very_regular(x)
+    # r = x / tau(x) = (1/2, 2, 1/2, 2): r - 1 and r + 1 are invertible, but
+    # its eigenvalues repeat
+    two = make_algebra([split_tower(QP(3)), split_tower(QP(3))])
+    x = two.element([(g.base.embed(u), g.base.embed(v))
+                     for g, (u, v) in zip(two.factors, ((1, 2), (3, 6)))])
+    assert not very_regular(x)
     rng = random.Random(4)
     for _ in range(30):
         a2 = random_algebra(3, rng)
         x = random_invertible_element(a2, rng)
         r = x * tau(x).inverse()
         want = det(mat_add(r.mult_matrix(), identity(a2.dim_over_qp))) != 0 and \
-            det(mat_add(r.mult_matrix(), (-a2.one).mult_matrix())) != 0
+            det(mat_add(r.mult_matrix(), (-a2.one).mult_matrix())) != 0 and \
+            poly_squarefree(char_poly(r))
         assert very_regular(x) == want
 
 

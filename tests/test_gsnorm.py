@@ -243,6 +243,8 @@ def test_is_very_regular_is_the_rational_test(seed, monkeypatch):
         assert answer == expected
         if exact:
             undecided += 1
+        elif n % 2:
+            assert not expected  # decided by parity, without a certificate
         else:
             assert expected  # the certificate never proves a false claim
             decided += 1

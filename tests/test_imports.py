@@ -32,7 +32,8 @@ KEPT = {
                                            "field elements are built from",
     "etale.EtaleAlgebraWithInvolution.fixed_element": "test aid: tau-fixed twists",
     "etale.EtaleAlgebraWithInvolution.skew_element": "test aid: tau-antifixed twists",
-    "linalg.mat_scale": "test aid: scaled and negated matrices",
+    "linalg.poly_eval": "test aid: the eigenvalue test that "
+                        "helpers.random_norm_one_generator reads",
     "linalg.charpoly_mod": "test aid: the F_ell characteristic polynomial of a "
                            "rational matrix",
     "qform.witt_equivalent": "test aid: Witt equivalence of two forms",

@@ -10,8 +10,8 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import reference_eisenstein_tame_data, reference_quadratic_tame_data
-from twistedgl.localfield import (PSI_13, QP, LocalFieldDescriptor, Prime,
-                                  _residue_char_fq,
+from twistedgl.localfield import (CERTIFICATES, PSI_13, QP, LocalFieldDescriptor,
+                                  Prime, _residue_char_fq,
                                   as_prime, hilbert_qp, hilbert_tame,
                                   is_square_in_field, least_nonresidue,
                                   legendre, square_class, square_class_table,
@@ -214,6 +214,13 @@ def test_certificates_reject_bad_polynomials():
         # x^2 + 2 == (x+1)(x+2) mod 3
         LocalFieldDescriptor(Prime(3), (F(2), F(0), F(1)),
                              "unramified-irreducible-mod-p")
+
+
+def test_an_empty_or_zero_defining_polynomial_is_not_monic():
+    for poly in ((), (F(0),), (F(0), F(0))):
+        for cert in CERTIFICATES:
+            with pytest.raises(ValueError, match="monic"):
+                LocalFieldDescriptor(Prime(3), poly, cert)
 
 
 def test_field_names_its_polynomial_with_rational_literals():
