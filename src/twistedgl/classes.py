@@ -6,7 +6,8 @@ Gram matrices and group elements; comparisons go through squarefree
 characteristic polynomials, which are faithful exactly on the very regular
 locus this module accepts.  Very regular is one test throughout: a
 squarefree characteristic polynomial, of mult by y for the classical kinds
-and of mult by x/tau(x) for the twisted ones.  Both elements r have
+and of mult by x/tau(x) for the twisted ones, the parameter's fingerprint,
+computed once per parameter.  Both elements r have
 tau(r) = 1/r, which pairs their eigenvalues as lambda and 1/lambda, so a
 squarefree one has neither 1 nor -1 as an eigenvalue and no separate
 eigenvalue test is made.  The unitary kinds "U" and "tGL-E" are parameters
@@ -17,16 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .etale import (AlgebraElement, EtaleAlgebraWithInvolution, QUADRATIC,
                     char_poly, is_generator, tau, trace_form_alternating,
-                    trace_form_bilinear, trace_form_quadratic, very_regular)
+                    trace_form_bilinear, trace_form_quadratic)
 from .linalg import (Mat, Poly, block_diag, charpoly, det, identity, inverse,
                      is_isometry, mat, mat_mul, poly_squarefree, transpose)
 from .localfield import SquareClass
 from .qform import QuadForm, diag_form, direct_sum
 
 KINDS = ("tGL-even", "tGL-odd", "SO-even", "SO-odd", "Sp", "U", "tGL-E")
+TWISTED = ("tGL-even", "tGL-odd", "tGL-E")
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class ClassParameter:
             raise ValueError("element lives in a different algebra")
         if not x.is_invertible():
             raise ValueError("parameter element must be invertible")
-        if self.kind in ("tGL-even", "tGL-odd", "tGL-E"):
+        if self.kind in TWISTED:
             if not is_generator(x):
                 raise ValueError("x must generate the algebra")
             if self.kind == "tGL-odd" and self.x_D is None:
@@ -57,7 +60,7 @@ class ClassParameter:
             if x * tau(x) != self.algebra.one:
                 raise ValueError("y must satisfy y tau(y) = 1")
             # y tau(y) = 1: a generator has no eigenvalue +-1 (see the module)
-            if not is_generator(x):
+            if not poly_squarefree(self.fingerprint):
                 raise ValueError("y must generate the algebra")
             if self.c is None:
                 raise ValueError(f"{self.kind} parameter needs c")
@@ -70,9 +73,20 @@ class ClassParameter:
                 if tau(self.c) != self.c:
                     raise ValueError("twist c must be tau-fixed")
 
+    @cached_property
+    def fingerprint(self) -> Poly:
+        """The characteristic polynomial of mult by x/tau(x) for the twisted
+        kinds and by y for the classical ones, computed once."""
+        x = self.x
+        if self.kind in TWISTED:
+            x = x * tau(x).inverse()
+        return char_poly(x)
+
     def is_very_regular(self) -> bool:
-        if self.kind in ("tGL-even", "tGL-odd", "tGL-E"):
-            return very_regular(self.x)
+        """A squarefree fingerprint, as in etale.very_regular (x is known
+        invertible)."""
+        if self.kind in TWISTED:
+            return poly_squarefree(self.fingerprint)
         return True  # checked at construction for the classical kinds
 
 
@@ -90,13 +104,11 @@ class ClassInvariant:
 
 
 def class_invariant(param: ClassParameter) -> ClassInvariant:
-    if param.kind in ("tGL-even", "tGL-odd", "tGL-E"):
-        base = char_poly(param.x * tau(param.x).inverse())
+    if param.kind in TWISTED:
         aux = (param.x_D,) if param.x_D is not None else ()
     else:
-        base = char_poly(param.x)
         aux = (param.a,) if param.a is not None else ()
-    return ClassInvariant(base, param.kind, aux)
+    return ClassInvariant(param.fingerprint, param.kind, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +187,8 @@ def corresponds(delta_param: ClassParameter, gamma_param: ClassParameter) -> boo
     """Endoscopic correspondence of very regular classes: x/tau(x) = -y.
 
     Realized as equality of the squarefree characteristic polynomials of
-    mult by -x/tau(x) and mult by y.
+    mult by -x/tau(x) and mult by y, both read off the fingerprints: with
+    f(T) = det(T - r) of degree m, det(T + r) = (-1)^m f(-T).
     """
     if delta_param.kind != "tGL-even" or gamma_param.kind != "SO-even":
         raise ValueError("correspondence compares tGL-even with SO-even")
@@ -183,9 +196,10 @@ def corresponds(delta_param: ClassParameter, gamma_param: ClassParameter) -> boo
         raise ValueError("delta parameter is not very regular")
     if delta_param.algebra.dim_over_qp != gamma_param.algebra.dim_over_qp:
         return False
-    lhs = char_poly(-(delta_param.x * tau(delta_param.x).inverse()))
-    rhs = char_poly(gamma_param.x)
-    return lhs == rhs
+    f = delta_param.fingerprint
+    m = len(f) - 1
+    minus_r = tuple(c if (m - i) % 2 == 0 else -c for i, c in enumerate(f))
+    return minus_r == gamma_param.fingerprint
 
 
 def is_elliptic(param: ClassParameter) -> bool:

@@ -277,15 +277,22 @@ def very_regular(x: AlgebraElement) -> bool:
 
 
 def trace_form_bilinear(algebra: EtaleAlgebraWithInvolution, x: AlgebraElement) -> Mat:
-    """Gram of (v, v') -> trace(tau(v) v' x) over the frozen basis."""
+    """Gram of (v, v') -> trace(tau(v) v' x) over the frozen basis.
+
+    Entry (i, j) is the trace of u v with u = tau(b_i) x and v = b_j, and
+    on each factor u v = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) s has trace
+    2 tr(a1 a2 + d b1 b2) (see trace_to_qp): only the a-part of the product
+    is formed, with d b1 taken once per row."""
     if not x.is_invertible():
         raise ValueError("trace form of a non-invertible twist")
     basis = algebra.basis()
-    tb = [tau(b) for b in basis]
     rows = []
-    for bi in tb:
-        bix = bi * x
-        rows.append(tuple(trace_to_qp(bix * bj) for bj in basis))
+    for bi in basis:
+        u = [(a, f.d * b) for f, (a, b) in zip(algebra.factors, (tau(bi) * x).parts)]
+        rows.append(tuple(
+            sum((2 * (a1 * a2 + db1 * b2).trace()
+                 for (a1, db1), (a2, b2) in zip(u, bj.parts)), Fraction(0))
+            for bj in basis))
     g = tuple(rows)
     if det(g) == 0:
         raise RuntimeError("trace form degenerate for an invertible twist")

@@ -23,9 +23,9 @@ linalg): the ambient keeps Q^-1 = A / a, the configuration keeps only
 X = X_n / d_X and Y = Y_n / d_Y, and each identity is checked or built
 after multiplying through by its denominator:
 
-* a sample draws integer X and R, sets S = R - eps R^T and
-  Y = -1/2 X Q^-1 X^T + S = (-X A X^T + 2a S) / 2a, tests det X, and
-  leaves det Y and very-regularity to the rule;
+* a sample draws integer X and R (each in one call, see _draw), sets
+  S = R - eps R^T and Y = -1/2 X Q^-1 X^T + S = (-X A X^T + 2a S) / 2a,
+  tests det X, and leaves det Y and very-regularity to the rule;
 * with Y_n^-1 = R / pi, the norm is
   1 + Q^-1 X^T Y^-1 X = (c I + d_Y A X_n^T R X_n) / c, c = a d_X^2 pi;
 * the closure condition Y + eps Y^T + X Q^-1 X^T = 0 is
@@ -42,9 +42,11 @@ checks them on first use.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .classes import ClassParameter, twist_invariant
 from .etale import char_poly, tau
@@ -170,7 +172,7 @@ class GSConfiguration:
         y, dy = self.y_scaled
         eps, c = amb.epsilon, a * dx * dx
         return all(c * (y[i][j] + eps * y[j][i]) + dy * v == 0
-                   for i, row in enumerate(_xax(a_rows, x)) for j, v in enumerate(row))
+                   for i, row in enumerate(_xax(a_rows, x, eps)) for j, v in enumerate(row))
 
 
 def _n_by_n(m, n: int, name: str) -> Mat:
@@ -180,9 +182,44 @@ def _n_by_n(m, n: int, name: str) -> Mat:
     return m
 
 
-def _xax(a_rows: list[list[int]], x: list[list[int]]) -> list[list[int]]:
-    """X A X^T on integer rows."""
-    return int_mul(x, int_mul(a_rows, transpose(x)))
+def _xax(a_rows: list[list[int]], x: list[list[int]], eps: int) -> list[list[int]]:
+    """X A X^T on integer rows, for A = eps A^T (symmetric or alternating).
+
+    A X^T is formed row by row over the nonzero entries of A alone, and only
+    the upper triangle of X (A X^T) is computed: X A X^T = eps (X A X^T)^T,
+    so the lower triangle is the upper one mirrored with the sign eps."""
+    n = len(x)
+    xt = list(zip(*x))
+    ax = []
+    for row in a_rows:
+        acc = [0] * n
+        for k, v in enumerate(row):
+            if v:
+                acc = [s + v * t for s, t in zip(acc, xt[k])]
+        ax.append(acc)
+    cols = list(zip(*ax))
+    out = [[sum(map(mul, xi, c)) for c in cols[i:]] for i, xi in enumerate(x)]
+    for i, row in enumerate(out):
+        row[:0] = [eps * out[j][i] for j in range(i)]
+    return out
+
+
+def _draw(rng: random.Random, n: int, lo: int, hi: int) -> list[list[int]]:
+    """n x n integers, row by row, exactly as n * n calls rng.randint(lo, hi)
+    would draw them, leaving rng in the same state.
+
+    randint takes one 32-bit word per try and keeps its top k bits when they
+    are below m = hi - lo + 1, k = m.bit_length() (CPython's _randbelow);
+    getrandbits(32 * need) returns the next need words, the first in the
+    lowest bits.  So one call draws every try, and a second asks only for the
+    entries the rejected words left short."""
+    m = hi - lo + 1
+    shift = 32 - m.bit_length()
+    vals = []
+    while need := n * n - len(vals):
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        vals += [v + lo for w in struct.unpack(f"<{need}I", words) if (v := w >> shift) < m]
+    return [vals[i:i + n] for i in range(0, n * n, n)]
 
 
 def random_config(ambient: AmbientSpace, seed: int) -> GSConfiguration:
@@ -201,12 +238,12 @@ def random_config(ambient: AmbientSpace, seed: int) -> GSConfiguration:
     rng = random.Random(seed)
     a_rows, a = ambient.q_inverse_scaled
     for _ in range(RETRY_BUDGET):
-        x = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        x = _draw(rng, n, -9, 9)
         if int_det(x) == 0:
             continue
-        r = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        r = _draw(rng, n, -4, 4)
         # S = R - eps R^T, so S + eps S^T = 0; Y over the denominator 2a
-        xax = _xax(a_rows, x)
+        xax = _xax(a_rows, x, eps)
         y = [[2 * a * (r[i][j] - eps * r[j][i]) - v for j, v in enumerate(row)]
              for i, row in enumerate(xax)]
         if _norm_very_regular(y, eps):

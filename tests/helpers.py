@@ -555,8 +555,9 @@ def reference_fraction_random_config(ambient, rng, require_very_regular=True,
 
 def reference_random_config(ambient, seed, require_very_regular=True):
     """The integer sampler that decided very-regularity on the norm itself:
-    det X and det Y_n each by int_det, then, by default, sympy's test on the
-    norm 1 + Q^-1 X^T Y^-1 X that gs_norm builds.  The reference for
+    entries drawn by randint, X A X^T by two dense products, det X and
+    det Y_n each by int_det, then, by default, sympy's test on the norm
+    1 + Q^-1 X^T Y^-1 X that gs_norm builds.  The reference for
     gsnorm.random_config, which must return the same X and Y; with
     require_very_regular=False it gives the closed pairs of any norm."""
     n, eps = ambient.n, ambient.epsilon
@@ -567,7 +568,7 @@ def reference_random_config(ambient, seed, require_very_regular=True):
         if linalg.int_det(x) == 0:
             continue
         r = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        xax = gsnorm._xax(a_rows, x)
+        xax = linalg.int_mul(x, linalg.int_mul(a_rows, linalg.transpose(x)))
         y = [[2 * a * (r[i][j] - eps * r[j][i]) - v for j, v in enumerate(row)]
              for i, row in enumerate(xax)]
         if linalg.int_det(y) == 0:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import count_eliminations, reference_transfer_factor
-from twistedgl import endoscopy
+from twistedgl import endoscopy, etale
 from twistedgl.cli import config_doc, digest, main, rat_json, rat_str
 from twistedgl.endoscopy import quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
@@ -460,6 +460,32 @@ def test_repeated_eigenvalues_of_x_over_tau_x_are_not_very_regular(capsys):
     ambient = make_ambient(diag_form([1, 1, 1, 1], 3), 1)
     payload = {"config": config_doc(random_config(ambient, 0)), "param": param}
     assert run(capsys, "gs", "param", "--json", json.dumps(payload)) == (2, None)
+
+
+def test_class_corresponds_takes_three_characteristic_polynomials(capsys, monkeypatch):
+    # x = ((1, 2), (3, 15)) over split x split Q_3 has r = x / tau(x) =
+    # (1/2, 2, 1/5, 5); y is -r, tau(-r) or an element that does not
+    # correspond.  The polynomials are those of x (x's generator test), r
+    # (very-regularity) and y (y's generator test): char_poly(-r) is read
+    # off r's, and y's is not taken again
+    algebra = [{"base": {"p": 3}, "step": "split"}] * 2
+    delta = {"kind": "tGL-even", "algebra": algebra, "x": [["1", "2"], ["3", "15"]]}
+    gamma = {"kind": "SO-even", "algebra": algebra,
+             "x": [["-1/2", "-2"], ["-1/5", "-5"]], "c": [["1", "1"], ["1", "1"]]}
+    polys, charpoly_of = [], etale.charpoly
+
+    def counted(m):
+        polys.append(m)
+        return charpoly_of(m)
+
+    monkeypatch.setattr(etale, "charpoly", counted)
+    for y, expected in ((gamma["x"], True), ([["-2", "-1/2"], ["-1/5", "-5"]], True),
+                        ([["-1/3", "-3"], ["-1/5", "-5"]], False)):
+        del polys[:]
+        code, doc = run(capsys, "class", "corresponds", "--json",
+                        json.dumps({"delta": delta, "gamma": dict(gamma, x=y)}))
+        assert (code, doc) == (0, {"corresponds": expected})
+        assert len(polys) == 3
 
 
 def test_etale_build_refuses_an_empty_defining_polynomial(capsys):

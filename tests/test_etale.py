@@ -105,6 +105,9 @@ def test_frozen_coordinates_over_qp_and_an_unramified_base():
                 assert (x * y).mult_matrix() == mat_mul(x.mult_matrix(), y.mult_matrix())
                 assert x.inverse().mult_matrix() == inverse(x.mult_matrix())
                 assert alg.one.mult_matrix() == identity(alg.dim_over_qp)
+                basis = alg.basis()
+                assert trace_form_bilinear(alg, x) == tuple(
+                    tuple(trace_to_qp(tau(bi) * x * bj) for bj in basis) for bi in basis)
                 split = make_algebra([split_tower(base)])
                 u, v = rand(base), rand(base)
                 z = split.element([(u, v)])
@@ -177,6 +180,10 @@ def test_trace_form_bilinear_transpose_and_symmetrization():
             alg = random_algebra(p, rng)
             x = random_invertible_element(alg, rng)
             g = trace_form_bilinear(alg, x)
+            # the definition, with every product formed in full
+            basis = alg.basis()
+            assert g == tuple(tuple(trace_to_qp(tau(bi) * x * bj) for bj in basis)
+                              for bi in basis)
             gt = trace_form_bilinear(alg, tau(x))
             assert gt == transpose(g)
             both = x + tau(x)

@@ -778,3 +778,34 @@ def test_sampled_configurations_are_closed_on_every_corpus_large_cell():
         assert GSConfiguration(cfg.ambient, cfg.X, cfg.Y).closed
         assert reference_xy_condition(cell.ambient, cfg.X, cfg.Y)
     assert {p for p, *_ in cells} == {2, 3, 5, 7}
+
+
+@pytest.mark.parametrize("eps", (1, -1))
+def test_xax_is_the_dense_product(eps):
+    # half of X A X^T over A's nonzeros, mirrored with the sign eps, on
+    # dense random ambients and on the sparse Q^-1 of quasisplit cells
+    rng = random.Random(9500 + eps)
+    sizes = (2, 4, 6) if eps == -1 else (1, 2, 3, 4)
+    ambients = [random_ambient(rng, rng.choice(sizes), eps) for _ in range(12)]
+    if eps == 1:
+        ambients += [constancy_cell(p, n, k, 1).ambient
+                     for p, n, k in ((2, 6, 3), (3, 6, 1), (5, 3, 2), (7, 1, 3))]
+    for amb in ambients:
+        a_rows, _ = amb.q_inverse_scaled
+        n = amb.n
+        for _ in range(5):
+            x = [[rng.randint(-9, 9) if rng.random() < 0.8 else 0 for _ in range(n)]
+                 for _ in range(n)]
+            assert gsnorm._xax(a_rows, x, eps) == int_mul(x, int_mul(a_rows, transpose(x)))
+
+
+def test_one_call_draw_consumes_the_stream_of_randint():
+    # _draw rests on how CPython's randint consumes 32-bit words: a change
+    # there must fail here rather than silently change the sampled corpus
+    for seed in range(1000):
+        for n in (1, 2, 4, 12):
+            drawn, expected = random.Random(seed), random.Random(seed)
+            for lo, hi in ((-9, 9), (-4, 4)):
+                assert gsnorm._draw(drawn, n, lo, hi) == \
+                    [[expected.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+                assert drawn.getstate() == expected.getstate()

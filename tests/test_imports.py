@@ -32,6 +32,10 @@ KEPT = {
                                            "field elements are built from",
     "etale.EtaleAlgebraWithInvolution.fixed_element": "test aid: tau-fixed twists",
     "etale.EtaleAlgebraWithInvolution.skew_element": "test aid: tau-antifixed twists",
+    "etale.trace_to_qp": "test aid: the trace over Q_p whose a-part formula "
+                         "trace_form_bilinear applies entry by entry",
+    "etale.very_regular": "test aid: very-regularity of an element, which "
+                          "ClassParameter decides on its cached fingerprint",
     "linalg.poly_eval": "test aid: the eigenvalue test that "
                         "helpers.random_norm_one_generator reads",
     "linalg.charpoly_mod": "test aid: the F_ell characteristic polynomial of a "

@@ -12,6 +12,7 @@ quadratic factors with multiplicities, and on characteristic polynomials of
 matrices with repeated eigenvalues.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -19,6 +20,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from twistedgl import linalg
 from twistedgl.linalg import (charpoly, charpoly_mod, det, int_charpoly_mod,
                               int_det, int_inverse, int_mul, int_solve_mod,
                               inverse, mat, mat_mul, poly_squarefree,
@@ -184,6 +186,114 @@ def test_int_charpoly_mod_matches_sympy(n, rows, den, ell):
     coeffs = scaled_to_sympy(rows, den).charpoly(sympy.Symbol("T")).all_coeffs()
     assert f == [int(c.p) * pow(int(c.q), -1, ell) % ell for c in reversed(coeffs)]
     assert f == charpoly_mod(mat([[F(x, den) for x in row] for row in rows]), ell)
+
+
+def valid_cuts(rows):
+    """Every k with rows[i][j] == rows[j][i] == 0 for all i < k <= j, and 0
+    and n: by definition the finest split into contiguous diagonal blocks."""
+    n = len(rows)
+    inner = [k for k in range(1, n)
+             if all(rows[i][j] == rows[j][i] == 0 for i in range(k) for j in range(k, n))]
+    return [0] + inner + [n]
+
+
+def random_block(rng, size, singular=False):
+    """Integer rows of a size x size block with entries in [-5, 5], of
+    nonzero determinant unless singular (then the last row is a multiple
+    of the first, or 0 in a 1 x 1 block)."""
+    while True:
+        b = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+        if singular:
+            k = rng.randint(-2, 2) if size > 1 else 0
+            b[-1] = [k * v for v in b[0]]
+            return b
+        if int_det(b):
+            return b
+
+
+def random_blocks(rng):
+    """Blocks of size 1-3, of total size at least linalg.SPLIT_FROM, the
+    dimension from which int_inverse splits."""
+    blocks, target = [], rng.randint(linalg.SPLIT_FROM, 14)
+    while sum(map(len, blocks)) < target:
+        blocks.append(random_block(rng, rng.randint(1, 3)))
+    return blocks
+
+
+def block_diagonal(blocks):
+    n = sum(map(len, blocks))
+    rows, off = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[off + i][off:off + len(row)] = row
+        off += len(b)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_int_inverse_inverts_a_block_diagonal_matrix_block_by_block(seed, monkeypatch):
+    # blocks of size 1-3, determinants of both signs: the split inverse is
+    # the unsplit Gauss-Jordan's (R, pi), since pi = |det B| makes R unique
+    rng = random.Random(20280 + seed)
+    signs, eliminated, gauss_jordan = set(), [], linalg._gauss_jordan
+
+    def counted(rows):
+        eliminated.append(len(rows))
+        return gauss_jordan(rows)
+
+    for _ in range(25):
+        blocks = random_blocks(rng)
+        rows = block_diagonal(blocks)
+        n = len(rows)
+        bounds = list(itertools.accumulate(map(len, blocks), initial=0))
+        cuts = linalg._block_cuts(rows)
+        assert cuts == valid_cuts(rows) and set(bounds) <= set(cuts)
+        monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+        del eliminated[:]
+        r, pi = int_inverse(rows)
+        monkeypatch.setattr(linalg, "_gauss_jordan", gauss_jordan)
+        assert eliminated == [e - s for s, e in zip(cuts, cuts[1:])]  # block by block
+        assert (r, pi) == gauss_jordan(rows)
+        d = int_det(rows)
+        signs.add(d > 0)
+        assert pi == abs(d) == math.prod(abs(int_det(b)) for b in blocks)
+        den = rng.choice((1, 2, 6))
+        assert inverse(mat([[F(v, den) for v in row] for row in rows])) == \
+            tuple(tuple(F(den * v, pi) for v in row) for row in r)
+        assert sympy.Matrix(r) / pi == sympy.Matrix(rows).inv()
+        # a block-diagonal matrix only after a permutation: when index 0 is
+        # tied to index 1, 1 and the last index trade places, so index 0 is
+        # tied to n - 1 and no contiguous split exists
+        if rows[0][1] or rows[1][0]:
+            perm = list(range(n))
+            perm[1], perm[-1] = perm[-1], perm[1]
+            mixed = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+            assert linalg._block_cuts(mixed) == valid_cuts(mixed) == [0, n]
+            rm, pim = int_inverse(mixed)
+            assert (rm, pim) == linalg._gauss_jordan(mixed) and pim == pi
+            assert rm == [[r[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    assert signs == {True, False}
+
+
+def test_int_inverse_of_a_dense_matrix_is_not_split():
+    rng = random.Random(20290)
+    for n in SIZES:
+        rows = random_block(rng, n)
+        rows[0][-1] = rows[-1][0] = rng.choice((-3, 3))  # index 0 reaches n - 1
+        assert linalg._block_cuts(rows) == valid_cuts(rows) == [0, n]
+        assert int_inverse(rows) == linalg._gauss_jordan(rows)
+
+
+def test_int_inverse_refuses_a_singular_block():
+    rng = random.Random(20291)
+    for k in range(20):
+        blocks = random_blocks(rng)
+        i = k % len(blocks)
+        blocks[i] = random_block(rng, len(blocks[i]), singular=True)
+        rows = block_diagonal(blocks)
+        assert int_det(rows) == 0
+        with pytest.raises(ValueError, match="singular matrix"):
+            int_inverse(rows)
 
 
 def solve_cases(seed):
