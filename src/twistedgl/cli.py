@@ -547,11 +547,13 @@ def _corpus_entries(seed: int, primes, ns, count: int):
 def _run_entry(entry, cells: dict) -> dict:
     """The record of one entry.  cells maps the raw (p, n, K, c) of the run's
     entries to their ConstancyCell and the form_doc of its space, which the
-    first entry of a cell builds."""
+    first entry of a cell builds, and the raw (p, n mod 2, K) to the run's
+    first cell over it, whose target and epsilon factor later cells adopt."""
     key = (entry["p"], entry["n"], entry["K"], entry["c"])
     if key not in cells:
         cell = constancy_cell(*key)
-        cells[key] = cell, form_doc(cell.space)
+        kin = cells.setdefault((entry["p"], entry["n"] % 2, entry["K"]), cell)
+        cells[key] = cell.adopt(kin), form_doc(cell.space)
     cell, q_doc = cells[key]
     config = random_config(cell.ambient, entry["seed"])
     result = constancy_record(cell, config)

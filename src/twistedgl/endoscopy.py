@@ -53,10 +53,11 @@ from functools import cached_property
 
 from .gsnorm import (AmbientSpace, GSConfiguration, _norm_very_regular,
                      check_rigidifiable, make_ambient)
-from .linalg import Mat, clear_denominators, mat
+from .linalg import Mat, block_diag, clear_denominators, mat
 from .localfield import SquareClass, as_prime, square_class, square_class_table
-from .qform import (QuadForm, WittClass, direct_sum, hyperbolic, invariants,
-                    norm_form, represents, scale, witt_decompose, witt_kernel)
+from .qform import (SYMMETRIC, QuadForm, WittClass, diagonal, hyperbolic,
+                    invariants, norm_form, represents, scale, witt_decompose,
+                    witt_kernel)
 from .weil import Mu8, epsilon_half, weil_index
 
 
@@ -112,7 +113,13 @@ def quasisplit_space(n_o: int, kclass, c, p) -> QuadForm:
     tail = scale(c, norm_form(kclass, prime))
     if n_o == 2:
         return tail
-    return direct_sum(hyperbolic((n_o - 2) // 2, prime), tail)
+    planes = hyperbolic((n_o - 2) // 2, prime)
+    # the elimination of the sum pivots first on the tail's diagonal <c, -cd>
+    # when K is a field, since the planes' Gram diagonal is zero, and then
+    # on each plane; for the split K it meets the planes first
+    first, last = (tail, planes) if tail.gram[0][0] else (planes, tail)
+    return QuadForm._built(block_diag(planes.gram, tail.gram), prime, None, SYMMETRIC,
+                           diagonal(first) + diagonal(last))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +173,11 @@ class ConstancyCell:
     the ambient V1 of q with its Q^-1; and the rhs, the Weil index of
     2 (-1)^n q.  What is left per twisted point is the elimination of q_delta
     and its Witt comparison with the target (_plain_factor).
+
+    The target depends only on (p, n mod 2, K) and the epsilon factor only on
+    (p, K), so a corpus run shares them: each new cell takes them from the
+    run's first cell over the same (p, n mod 2, K) through adopt.  The rhs is
+    never shared; each cell computes it from its own space.
     """
 
     space: QuadForm
@@ -187,6 +199,12 @@ class ConstancyCell:
     @cached_property
     def epsilon_inverse(self) -> Mu8:
         return epsilon_half(invariants(self.space).dpm, self.space.p).inverse()
+
+    def adopt(self, kin: ConstancyCell) -> ConstancyCell:
+        """This cell, holding the target and epsilon factor of kin, a cell over
+        the same (p, n mod 2, K), as if it had computed them itself."""
+        vars(self).update(target=kin.target, epsilon_inverse=kin.epsilon_inverse)
+        return self
 
     @cached_property
     def ambient(self) -> AmbientSpace:

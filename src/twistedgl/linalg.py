@@ -276,10 +276,6 @@ def inverse(a: Mat) -> Mat:
     return to_mat([[d * x for x in row] for row in r], pi)
 
 
-def trace(a: Mat) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def block_diag(*blocks: Mat) -> Mat:
     n = sum(len(b) for b in blocks)
     out = [[Fraction(0)] * n for _ in range(n)]

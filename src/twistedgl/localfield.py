@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .linalg import (Mat, Poly, det, fr, gfp_gcd, gfp_powmod, gfp_trim,
-                     inverse as mat_inverse, poly_trim, trace)
+                     inverse as mat_inverse, poly_trim)
 
 # ---------------------------------------------------------------------------
 # primes
@@ -375,6 +375,17 @@ class LocalFieldDescriptor:
     def residue_q(self) -> int:
         return self.p ** self.residue_f
 
+    @cached_property
+    def trace_vector(self) -> tuple[Fraction, ...]:
+        """tr(t^i) for i < degree: the power sums of the roots of the defining
+        polynomial f, by Newton's identities
+        p_k = -(k f_(d-k) + sum_(0<i<k) f_(d-i) p_(k-i))."""
+        f, d = self.defining_poly, self.degree
+        sums = [Fraction(d)]
+        for k in range(1, d):
+            sums.append(-k * f[d - k] - sum(f[d - i] * sums[k - i] for i in range(1, k)))
+        return tuple(sums)
+
     def element(self, coeffs) -> "FieldElement":
         return FieldElement(self, tuple(fr(c) for c in coeffs))
 
@@ -483,7 +494,8 @@ class FieldElement:
         return det(self.mult_matrix())
 
     def trace(self) -> Fraction:
-        return trace(self.mult_matrix())
+        """sum c_i tr(t^i), read off the field's trace vector."""
+        return sum(c * t for c, t in zip(self.coeffs, self.field.trace_vector))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():

@@ -12,10 +12,11 @@ diagonal(q) == diagonalize(q)[0] for every form.  The checked constructor
 runs that elimination once, as its non-degeneracy check, and direct_sum goes
 through it: whole-Gram pivoting may move a row of one block into a zero
 pivot of the other, so a sum's diagonal is not its blocks' side by side.
-diag_form (its entries), hyperbolic (<2, -1/2> a plane) and scale (c times
-the source's diagonal) give the elimination's diagonal in closed form and
-are never eliminated.  An alternating Gram is checked by its determinant and
-holds no diagonal.  A form known only by integer rows (a twisted point's
+diag_form (its entries), hyperbolic (<2, -1/2> a plane), scale (c times
+the source's diagonal) and endoscopy.quasisplit_space (the diagonals of its
+two blocks, the one with a nonzero Gram diagonal first) give the
+elimination's diagonal in closed form and are never eliminated.  An
+alternating Gram is checked by its determinant and holds no diagonal.  A form known only by integer rows (a twisted point's
 q_delta) is eliminated once by witt_kernel.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .linalg import (Mat, block_diag, clear_denominators, det, fr, mat,
                      transpose)
@@ -95,8 +96,8 @@ def diag_form(entries, p, label: str | None = None) -> QuadForm:
     entries = [fr(a) for a in entries]
     if any(a == 0 for a in entries):
         raise ValueError("diagonal entries must be nonzero")
-    n = len(entries)
-    g = tuple(tuple(entries[i] if i == j else Fraction(0) for j in range(n))
+    n, zero = len(entries), Fraction(0)  # one zero shared by the N^2 - N slots
+    g = tuple(tuple(entries[i] if i == j else zero for j in range(n))
               for i in range(n))
     # a diagonal Gram pivots on its entries in order
     return QuadForm._built(g, as_prime(p), label, SYMMETRIC, tuple(entries))
@@ -238,11 +239,17 @@ class FormInvariants:
         return self.kernel.aniso_dim
 
 
+@lru_cache(maxsize=128)  # a constant of p: taken once per prime, not per form
+def _minus_one(p: Prime) -> SquareClass:
+    """The square class of -1 over Q_p."""
+    return square_class(-1, p)
+
+
 def _isotropic_triple(dim: int, detc: SquareClass, hasse: int) -> bool:
     """The isotropy criterion on (dim, det class, Hasse) (Serre, ch. IV)."""
     if dim <= 1:
         return False
-    m1 = square_class(-1, detc.p)
+    m1 = _minus_one(detc.p)
     if dim == 2:
         return detc == m1
     if dim == 3:
@@ -271,7 +278,7 @@ def _invariants(diag: tuple[Fraction, ...], p: Prime) -> FormInvariants:
     for c in classes:
         hasse *= prefix.hilbert(c)
         prefix = prefix * c
-    m1 = square_class(-1, p)
+    m1 = _minus_one(p)
     dpm = m1 * prefix if n * (n - 1) // 2 % 2 else prefix
     # Witt reduction: split q = q' + H while the criterion finds q isotropic;
     # det q' = -det q, and the Hasse invariant picks up (-1, det q')

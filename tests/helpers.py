@@ -19,11 +19,12 @@ from twistedgl.etale import (EtaleAlgebraWithInvolution, make_algebra,
                              very_regular)
 from twistedgl.linalg import (det, identity, inverse, mat, mat_add, mat_mul,
                               mat_scale, mat_sub, transpose)
-from twistedgl.localfield import (QP, _residue_char_fq, _unit_mod,
+from twistedgl.localfield import (QP, SquareClass, _residue_char_fq, _unit_mod,
                                   least_nonresidue, legendre, square_class,
                                   square_class_table, valuation)
-from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,
-                             quad_form, scale, witt_equivalent)
+from twistedgl.qform import (QuadForm, diagonalize, direct_sum, hyperbolic,
+                             invariants, norm_form, quad_form, scale,
+                             witt_equivalent)
 
 
 def _vp(n: int, p: int):
@@ -379,6 +380,22 @@ def reference_diagonalize(gram):
             if g[k][r] != 0:
                 add_col(r, k, -g[k][r] / pivot)
     return tuple(g[i][i] for i in range(n)), tuple(tuple(row) for row in pmat)
+
+
+def reference_quasisplit_space(n_o, kclass, c, p):
+    """(n_O - 2) H + c N_K as the direct sum of its blocks, whose diagonal is a
+    whole-Gram elimination: the reference for endoscopy.quasisplit_space,
+    which must return the same Gram, label and diagonal in closed form."""
+    c = c.representative if isinstance(c, SquareClass) else c
+    tail = scale(c, norm_form(kclass, p))
+    return tail if n_o == 2 else direct_sum(hyperbolic((n_o - 2) // 2, p), tail)
+
+
+def reference_trace(x):
+    """The trace of the multiplication matrix of a field element: the
+    reference for FieldElement.trace."""
+    m = x.mult_matrix()
+    return sum((m[i][i] for i in range(len(m))), Fraction(0))
 
 
 def reference_is_very_regular(gamma):

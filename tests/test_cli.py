@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import itertools
 import json
@@ -209,27 +210,42 @@ def test_corpus_run_takes_no_rational_determinant(capsys, monkeypatch):
     assert code == 0 and doc["failures"] == 0 and dets == []
 
 
-def test_corpus_run_eliminates_each_space_once(capsys, monkeypatch):
-    # one prime a run and n >= 2, so that no two cells share a Gram and no
-    # space has the Gram of a binary target
+def test_corpus_run_eliminates_once_per_record(capsys, monkeypatch):
     grams, _ = count_eliminations(monkeypatch)
     for p in (2, 3, 5):
         del grams[:]
         code, doc = run(capsys, "corpus", "run", "--p", str(p), "--n", "2,3",
                         "--count", "6", "--seed", "1")
         assert code == 0 and doc["failures"] == 0
-        run_grams = grams[:]  # before the spaces built below are eliminated
         for cell in doc["cells"]:
             n = cell["n"]
             space = quasisplit_space(2 * n, square_class(cell["K"], p),
                                      square_class(cell["c"], p), p)
-            # the rhs reads the Weil index of 2 (-1)^n q off q's scaled diagonal
-            assert run_grams.count(space.gram) == 1
-            assert run_grams.count(scale(2 * (-1) ** n, space).gram) == 0
-        # per cell its space, per record its q_delta; the target (-1)^n N_K is
-        # built with its diagonal
-        records = sum(cell["records"] for cell in doc["cells"])
-        assert len(run_grams) == len(doc["cells"]) + records
+            # the space is built with its diagonal, and the rhs reads the Weil
+            # index of 2 (-1)^n q off q's scaled diagonal
+            assert grams.count(space.gram) == 0
+            assert grams.count(scale(2 * (-1) ** n, space).gram) == 0
+        # per record its q_delta and nothing per cell: the target (-1)^n N_K
+        # is built with its diagonal too
+        assert len(grams) == sum(cell["records"] for cell in doc["cells"])
+
+
+# SHA-256 of the manifest with sorted keys and elapsed_seconds dropped, first
+# 16 hex digits: a change of any output of these plans changes its digest
+MANIFEST_DIGESTS = [
+    ((), "9f833e50e769f269"),
+    (("--p", "2,3,5,7", "--n", "6", "--count", "8", "--seed", "0"), "189e2efb28600431"),
+    (("--p", "2,3,5,7", "--n", "1,2", "--count", "16"), "81f4778b1ea21bc3"),
+]
+
+
+@pytest.mark.parametrize("plan, want", MANIFEST_DIGESTS)
+def test_corpus_manifest_is_pinned(capsys, plan, want):
+    code, doc = run(capsys, "corpus", "run", *plan)
+    assert code == 0
+    del doc["elapsed_seconds"]
+    doc_bytes = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(doc_bytes).hexdigest()[:16] == want
 
 
 def test_gs_round_trip_through_cli(capsys):

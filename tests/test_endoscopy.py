@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (count_eliminations, random_algebra, random_fixed_invertible,
-                     reference_is_very_regular, reference_random_config)
-from twistedgl.cli import _corpus_entries
+                     reference_diagonalize, reference_is_very_regular,
+                     reference_quasisplit_space, reference_random_config)
+from twistedgl.cli import _corpus_entries, _run_entry, form_doc
 from twistedgl.endoscopy import (ConstancyCell, EndoscopicDatum, constancy_cell,
                                  constancy_record, enumerate_elliptic_data,
                                  eta_so_value, eta_sp_value, gs_constancy_check,
@@ -17,14 +18,16 @@ from twistedgl.endoscopy import (ConstancyCell, EndoscopicDatum, constancy_cell,
 from twistedgl.etale import trace_form_quadratic
 from twistedgl.gsnorm import (GSConfiguration, gs_norm, gs_section, make_ambient,
                               random_config, rigidify)
-from twistedgl.linalg import det, identity, mat, mat_add, mat_mul, mat_scale, transpose
+from twistedgl.linalg import (clear_denominators, det, identity, mat, mat_add, mat_mul,
+                              mat_scale, transpose)
 from twistedgl.localfield import QP, hilbert_qp, square_class, square_class_table
 from twistedgl.oracles import (_rank_one_value, eta_so_reference, eta_sp_reference,
                                regular_nilpotent_so, regular_nilpotent_sp,
                                split_odd_space, theta_space)
-from twistedgl.qform import (diag_form, direct_sum, equivalent, hyperbolic,
-                             invariants, norm_form, quad_form, represents, scale,
-                             witt_decompose, witt_equivalent)
+from twistedgl.qform import (_eliminate_symmetric, diag_form, diagonal, direct_sum,
+                             equivalent, hyperbolic, invariants, norm_form,
+                             quad_form, represents, scale, witt_decompose,
+                             witt_equivalent)
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 RNG = random.Random(11)
@@ -69,6 +72,30 @@ def test_quasisplit_space():
                 if kcls.is_trivial():
                     _, kernel = witt_decompose(quasisplit_space(4, kcls, c, p))
                     assert kernel.aniso_dim == 0
+
+
+# (n_O, K, c, p) over every class K and c: 1,008 spaces
+QUASISPLIT_SWEEP = [(n_o, k, c, p) for p in (2, 3, 5, 7, 11, 13)
+                    for k in square_class_table(p) for c in square_class_table(p)
+                    for n_o in range(4, 17, 2)]
+
+
+def test_quasisplit_space_holds_the_diagonal_of_its_elimination():
+    for args in QUASISPLIT_SWEEP:
+        q, ref = quasisplit_space(*args), reference_quasisplit_space(*args)
+        # the same Gram and document as the direct sum of its blocks
+        assert (q.gram, q.label, form_doc(q)) == (ref.gram, ref.label, form_doc(ref))
+        # and the diagonal of the kernel and of the Fraction reference
+        rows, d = clear_denominators(q.gram)
+        assert diagonal(q) == _eliminate_symmetric(rows, d, transform=False)[0]
+        assert diagonal(q) == reference_diagonalize(q.gram)[0]
+
+
+def test_quasisplit_space_eliminates_nothing(monkeypatch):
+    grams, dets = count_eliminations(monkeypatch)
+    for args in QUASISPLIT_SWEEP:
+        quasisplit_space(*args)
+    assert grams == [] and dets == []
 
 
 def test_quasisplit_space_c_changes_hasse_only():
@@ -298,6 +325,22 @@ def test_constancy_cell_keeps_the_sides_of_its_space():
             rec = constancy_record(cell, cfg)
             assert rec.lhs == transfer_factor_whittaker(q_v, delta, n) == cell.lhs(delta)
             assert rec.rhs == cell.rhs and rec.passed
+
+
+def test_corpus_cells_share_what_a_fresh_cell_computes():
+    cells = {}
+    for entry in _corpus_entries(2, [2, 3, 5, 7], [1, 2, 3, 4], 4):
+        _run_entry(entry, cells)
+    run_cells = [v[0] for key, v in cells.items() if len(key) == 4]
+    for cell in run_cells:
+        fresh = ConstancyCell(cell.space, cell.n)
+        assert cell.target == fresh.target
+        assert cell.epsilon_inverse == fresh.epsilon_inverse
+        assert cell.rhs == fresh.rhs
+    # one target per (p, n mod 2, K), held by every cell over it
+    firsts = [cell for key, cell in cells.items() if len(key) == 3]
+    assert len(firsts) < len(run_cells)
+    assert len({id(cell.target) for cell in run_cells}) == len(firsts)
 
 
 def test_constancy_record_refuses_a_configuration_on_another_space():

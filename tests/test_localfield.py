@@ -9,7 +9,8 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import reference_eisenstein_tame_data, reference_quadratic_tame_data
+from helpers import (reference_eisenstein_tame_data, reference_quadratic_tame_data,
+                     reference_trace)
 from twistedgl.localfield import (CERTIFICATES, PSI_13, QP, LocalFieldDescriptor,
                                   Prime, _residue_char_fq,
                                   as_prime, hilbert_qp, hilbert_tame,
@@ -320,6 +321,30 @@ def test_field_element_arithmetic():
     assert (x * x.inverse()).coeffs == (F(1), F(0))
     assert x.norm() == 4 - 3 * 25
     assert x.trace() == 4
+
+
+@pytest.mark.parametrize("p, poly, cert, e", [
+    (5, (0, 1), "degree-one", 1),
+    (3, (-2, 0, 1), "quadratic-nonsquare-disc", 1),  # 2 is no square mod 3
+    (2, (1, 1, 1), "quadratic-nonsquare-disc", 1),   # disc -3 = 5 mod 8
+    (3, (-6, 3, 1), "quadratic-nonsquare-disc", 2),  # disc 33 = 3 * 11
+    (2, (-1, 2, 1), "quadratic-nonsquare-disc", 2),  # disc 8
+    (3, (-3, 6, 3, 1), "eisenstein", 3),
+    (2, (2, 2, 0, 1), "eisenstein", 3),
+    (2, (1, 1, 0, 1), "unramified-irreducible-mod-p", 1),
+    (5, (1, 1, F(1, 2), 1), "unramified-irreducible-mod-p", 1),
+])
+def test_field_trace_reads_the_trace_vector(p, poly, cert, e):
+    fld = LocalFieldDescriptor(p, tuple(F(c) for c in poly), cert)
+    assert fld.ramification_e == e
+    rng = random.Random(p * 1000 + len(poly))
+    for _ in range(20):
+        x = fld.element([F(rng.randint(-40, 40), rng.randint(1, 9))
+                         for _ in range(fld.degree)])
+        assert x.trace() == reference_trace(x)
+    for i in range(fld.degree):
+        basis = fld.element([int(i == j) for j in range(fld.degree)])
+        assert fld.trace_vector[i] == reference_trace(basis)
 
 
 def test_tame_symbol_examples():

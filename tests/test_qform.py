@@ -12,9 +12,9 @@ from helpers import (count_eliminations, diag_isotropy_bruteforce,
                      padic_congruence_witness, reference_diagonalize,
                      reference_witt_class_exists)
 from twistedgl.linalg import det, identity, mat, mat_mul, transpose
-from twistedgl.localfield import hilbert_qp, square_class, square_class_table
-from twistedgl.qform import (QuadForm, WittClass, alternating_form, diag_form,
-                             diagonal,
+from twistedgl.localfield import as_prime, hilbert_qp, square_class, square_class_table
+from twistedgl.qform import (QuadForm, WittClass, _minus_one, alternating_form,
+                             diag_form, diagonal,
                              diagonalize, direct_sum, equivalent, hyperbolic,
                              invariants, is_isotropic, norm_form, quad_form,
                              represents, scale, witt_decompose,
@@ -509,3 +509,20 @@ def test_invariants_keep_the_anisotropic_kernel():
             assert kernel is inv.kernel and witt == inv.witt_index
             assert is_isotropic(q) == (witt > 0)
             assert kernel.aniso_dim == inv.aniso_dim == dim - 2 * witt
+
+
+def test_diag_form_shares_one_zero():
+    entries = [F(1), F(-2, 3), F(5), F(7, 2), F(-11)]
+    q = diag_form(entries, 3)
+    n = len(entries)
+    assert q.gram == tuple(tuple(entries[i] if i == j else F(0) for j in range(n))
+                           for i in range(n))
+    zeros = {id(x) for i, row in enumerate(q.gram) for j, x in enumerate(row) if i != j}
+    assert len(zeros) == 1
+
+
+def test_the_class_of_minus_one_is_taken_once_per_prime():
+    for p in (2, 3, 5, 7, 11, 13, 17, 10007):
+        prime = as_prime(p)
+        assert _minus_one(prime) == square_class(-1, p)
+        assert _minus_one(prime) is _minus_one(as_prime(p))
