@@ -93,6 +93,9 @@ def mat_doc(m) -> list[list[str]]:
 
 def rows_doc(rows, den: int) -> list[list[str]]:
     """mat_doc of the integer rows / den (den > 0), without Fractions."""
+    if den == 1:
+        return [[str(x) for x in row] for row in rows]
+
     def entry(x):
         g = math.gcd(x, den)
         return str(x // g) if g == den else f"{x // g}/{den // g}"
@@ -150,7 +153,7 @@ def parse_form(doc, p=None, alternating=False) -> QuadForm:
 
 
 def form_doc(q: QuadForm) -> dict:
-    doc = {"p": q.p, "gram": mat_doc(q.gram)}
+    doc = {"p": q.p, "gram": rows_doc(q.rows, q.den)}
     if q.label:
         doc["label"] = q.label
     return doc

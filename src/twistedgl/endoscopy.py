@@ -11,8 +11,8 @@ the discriminant algebra, and -1 otherwise.  Its Whittaker normalization
 divides by the epsilon factor, an exact eighth root of unity.  The flagship
 cross-check compares this against the Weil index of 2 (-1)^n q computed from
 the rank-1 tables.  The two sides share qform.diagonal, localfield.square_class
-and weil._rank1 (the lhs through invariants and epsilon_half, the rhs through
-weil_index), and each shared piece has an independent test: diagonal against
+and weil._rank1 (the lhs through invariants and epsilon_half, the rhs directly
+on q's diagonal), and each shared piece has an independent test: diagonal against
 a reference congruence P^T Q P = diag (test_qform), the rank-1 table against
 the Gauss-sum oracle (test_weil), and square classes through the Hilbert
 symbol against Hilbert reciprocity (test_localfield).
@@ -53,12 +53,12 @@ from functools import cached_property
 
 from .gsnorm import (AmbientSpace, GSConfiguration, _norm_very_regular,
                      check_rigidifiable, make_ambient)
-from .linalg import Mat, block_diag, clear_denominators, mat
+from .linalg import Mat, clear_denominators, mat
 from .localfield import SquareClass, as_prime, square_class, square_class_table
-from .qform import (SYMMETRIC, QuadForm, WittClass, diagonal, hyperbolic,
-                    invariants, norm_form, represents, scale, witt_decompose,
-                    witt_kernel)
-from .weil import Mu8, epsilon_half, weil_index
+from .qform import (SYMMETRIC, QuadForm, WittClass, block_rows, diagonal,
+                    hyperbolic, invariants, norm_form, represents, scale,
+                    witt_decompose, witt_kernel)
+from .weil import Mu8, _rank1, epsilon_half
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ def quasisplit_space(n_o: int, kclass, c, p) -> QuadForm:
     # the elimination of the sum pivots first on the tail's diagonal <c, -cd>
     # when K is a field, since the planes' Gram diagonal is zero, and then
     # on each plane; for the split K it meets the planes first
-    first, last = (tail, planes) if tail.gram[0][0] else (planes, tail)
-    return QuadForm._built(block_diag(planes.gram, tail.gram), prime, None, SYMMETRIC,
+    first, last = (tail, planes) if tail.rows[0][0] else (planes, tail)
+    return QuadForm._built(*block_rows(planes, tail), prime, None, SYMMETRIC,
                            diagonal(first) + diagonal(last))
 
 
@@ -171,8 +171,10 @@ class ConstancyCell:
     cell keeps, each computed on first use: the Witt class of the target
     (-1)^n N_K, K the discriminant algebra of q; epsilon(1/2, chi_K, psi)^-1;
     the ambient V1 of q with its Q^-1; and the rhs, the Weil index of
-    2 (-1)^n q.  What is left per twisted point is the elimination of q_delta
-    and its Witt comparison with the target (_plain_factor).
+    2 (-1)^n q, which is the product of gamma(<2 (-1)^n a_i>) over the
+    diagonal a_i that q holds, so no scaled form is built.  What is left per
+    twisted point is the elimination of q_delta and its Witt comparison with
+    the target (_plain_factor).
 
     The target depends only on (p, n mod 2, K) and the epsilon factor only on
     (p, K), so a corpus run shares them: each new cell takes them from the
@@ -212,7 +214,14 @@ class ConstancyCell:
 
     @cached_property
     def rhs(self) -> Mu8:
-        return weil_index(scale(2 * (-1) ** self.n, self.space))
+        """The Weil index of 2 (-1)^n q, read off the diagonal a_i that q
+        holds: 2 (-1)^n q has the diagonal 2 (-1)^n a_i."""
+        p = self.space.p
+        twist = square_class(2 * (-1) ** self.n, p)
+        out = Mu8(0)
+        for a in diagonal(self.space):
+            out = out * _rank1(twist * square_class(a, p))
+        return out
 
     def _rows(self, delta: Mat) -> tuple[list[list[int]], int]:
         """delta, checked square of the space's dimension, as rows / den."""

@@ -83,8 +83,8 @@ class AmbientSpace:
     def q_inverse_scaled(self) -> tuple[list[list[int]], int]:
         """Q^-1 as (A, a), integer rows A and a > 0 with Q^-1 = A / a,
         computed once per ambient."""
-        rows, d = clear_denominators(self.q_V.gram)
-        r, pi = int_inverse(rows)
+        r, pi = int_inverse(self.q_V.rows)
+        d = self.q_V.den
         return [[d * x for x in row] for row in r], pi
 
     @cached_property

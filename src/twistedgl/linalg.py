@@ -14,9 +14,10 @@ modify their arguments; mat_mul, det, inverse and charpoly_mod are their
 Mat wrappers, and is_isometry (g^T G g = G) is the one isometry test.  Code
 that chains several products (the Goldberg-Shahidi sampler and norm in
 gsnorm, the symmetrization of a twisted point in endoscopy) stays on integer
-rows throughout and builds Fractions only for the Mat it returns; a
-Goldberg-Shahidi configuration holds only its rows and builds its Mats X and
-Y when they are first read.
+rows throughout and builds Fractions only for the Mat it returns.  Two
+types hold integer rows and build their Mats as views when first read: a
+quadratic form (qform.QuadForm, its Gram as rows over the least den) and a
+Goldberg-Shahidi configuration (its X and Y).
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each update
 is divided exactly by the previous pivot, so every entry is a minor of the
@@ -27,8 +28,7 @@ diagonal block of B, as int_inverse splits B into its blocks); the
 determinant of the Sylvester matrix of f and f' decides poly_squarefree.
 qform._eliminate_symmetric, by congruence, diagonalizes a symmetric Gram
 given as integer rows over a denominator, like the int_* kernels here; it is
-the non-degeneracy check of a symmetric form, and its Mat callers wrap it
-through clear_denominators.
+the non-degeneracy check of a symmetric form and reads the form's rows.
 
 A property that survives reduction modulo a prime can be certified there.
 int_charpoly_mod reduces rows / den modulo a prime l (each entry becomes
@@ -132,10 +132,12 @@ def clear_denominators(a: Mat) -> tuple[list[list[int]], int]:
 
 
 def to_mat(rows: Sequence[Sequence[int]], den: int = 1) -> Mat:
-    """The Mat rows / den, for integer rows and den > 0."""
+    """The Mat rows / den, for integer rows and den > 0; its zero entries
+    share one Fraction."""
+    zero = Fraction(0)
     if den == 1:
-        return tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        return tuple(tuple(Fraction(x) if x else zero for x in row) for row in rows)
+    return tuple(tuple(Fraction(x, den) if x else zero for x in row) for row in rows)
 
 
 def int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -6,77 +6,102 @@ decomposition and the comparison operations built on them.  Alternating
 Grams share the container through a symmetry tag; Witt theory is exposed for
 the symmetric tag only.
 
+A form is its Gram G = rows / den: integer rows (a tuple of tuples) over the
+least common denominator of G's entries, the pair that
+linalg.clear_denominators gives, so equal Grams are equal pairs, and == and
+hash compare them.  The Mat gram is a view, built from the rows when it is
+first read; the checked constructor keeps the Mat it was given as that view.
+diag_form, hyperbolic, scale, direct_sum (through block_rows) and
+endoscopy.quasisplit_space build rows directly, and the elimination, Q^-1
+and the form's document read rows, so a form built by them never builds a
+Fraction Gram unless a caller reads gram.
+
 A symmetric form holds its diagonal from the moment it is built, and that
 diagonal is the one the symmetric Bareiss elimination of its Gram gives, so
 diagonal(q) == diagonalize(q)[0] for every form.  The checked constructor
-runs that elimination once, as its non-degeneracy check, and direct_sum goes
-through it: whole-Gram pivoting may move a row of one block into a zero
+runs that elimination once on its rows, as its non-degeneracy check, and so
+does direct_sum: whole-Gram pivoting may move a row of one block into a zero
 pivot of the other, so a sum's diagonal is not its blocks' side by side.
 diag_form (its entries), hyperbolic (<2, -1/2> a plane), scale (c times
 the source's diagonal) and endoscopy.quasisplit_space (the diagonals of its
 two blocks, the one with a nonzero Gram diagonal first) give the
 elimination's diagonal in closed form and are never eliminated.  An
-alternating Gram is checked by its determinant and holds no diagonal.  A form known only by integer rows (a twisted point's
-q_delta) is eliminated once by witt_kernel.
+alternating Gram is checked by the determinant of its rows and holds no
+diagonal.  A form known only by integer rows (a twisted point's q_delta) is
+eliminated once by witt_kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .linalg import (Mat, block_diag, clear_denominators, det, fr, mat,
-                     transpose)
+from .linalg import Mat, clear_denominators, fr, int_det, mat, to_mat
 from .localfield import Prime, SquareClass, as_prime, square_class
 
 SYMMETRIC = "symmetric"
 ALTERNATING = "alternating"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadForm:
-    """A non-degenerate form over Q_p given by its Gram matrix."""
+    """A non-degenerate form over Q_p with Gram matrix rows / den, den the
+    least common denominator of its entries."""
 
-    gram: Mat
+    rows: tuple[tuple[int, ...], ...]
+    den: int
     p: Prime
     label: str | None = field(default=None, compare=False)  # a name, not part of the form
     symmetry: str = SYMMETRIC
 
-    def __post_init__(self):
-        p = as_prime(self.p)
-        g = mat(self.gram)
+    def __init__(self, gram, p, label: str | None = None, symmetry: str = SYMMETRIC):
+        p = as_prime(p)
+        g = mat(gram)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
-        if self.symmetry == SYMMETRIC:
-            rows, d = clear_denominators(g)  # compared as ints, faster than Fractions
-            if rows != [list(col) for col in zip(*rows)]:
+        rows, den = clear_denominators(g)
+        rows = tuple(map(tuple, rows))
+        cols = tuple(zip(*rows))
+        if symmetry == SYMMETRIC:
+            if rows != cols:
                 raise ValueError("Gram matrix is not symmetric")
             # the elimination raises on a degenerate Gram
-            diag = _eliminate_symmetric(rows, d, transform=False)[0]
-        elif self.symmetry == ALTERNATING:
-            if transpose(g) != tuple(tuple(-x for x in row) for row in g):
+            diag = _eliminate_symmetric(rows, den, transform=False)[0]
+        elif symmetry == ALTERNATING:
+            if cols != tuple(tuple(-x for x in row) for row in rows):
                 raise ValueError("Gram matrix is not alternating")
-            if n and det(g) == 0:
+            if n and int_det(rows) == 0:
                 raise ValueError("degenerate Gram matrix")
             diag = None
         else:
-            raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
-        vars(self).update(p=p, gram=g, _diagonal=diag)
+            raise ValueError(f"unknown symmetry tag {symmetry!r}")
+        # the Mat it was given is kept as the view gram
+        vars(self).update(rows=rows, den=den, p=p, label=label, symmetry=symmetry,
+                          gram=g, _diagonal=diag)
 
     @classmethod
-    def _built(cls, gram: Mat, p: Prime, label: str | None, symmetry: str,
+    def _built(cls, rows: tuple[tuple[int, ...], ...], den: int, p: Prime,
+               label: str | None, symmetry: str,
                diag: tuple[Fraction, ...] | None) -> QuadForm:
-        """A form known square, non-degenerate and of this symmetry, built
-        without the checks; diag is its elimination's (None if alternating)."""
+        """A form known square, non-degenerate and of this symmetry, with rows
+        over the least den, built without the checks; diag is its
+        elimination's (None if alternating)."""
         q = cls.__new__(cls)
-        vars(q).update(gram=gram, p=p, label=label, symmetry=symmetry, _diagonal=diag)
+        vars(q).update(rows=rows, den=den, p=p, label=label, symmetry=symmetry,
+                       _diagonal=diag)
         return q
+
+    @cached_property
+    def gram(self) -> Mat:
+        """rows / den as a Mat, built on first read."""
+        return to_mat(self.rows, self.den)
 
     @property
     def dim(self) -> int:
-        return len(self.gram)
+        return len(self.rows)
 
     @cached_property
     def invariants(self) -> "FormInvariants":
@@ -96,11 +121,17 @@ def diag_form(entries, p, label: str | None = None) -> QuadForm:
     entries = [fr(a) for a in entries]
     if any(a == 0 for a in entries):
         raise ValueError("diagonal entries must be nonzero")
-    n, zero = len(entries), Fraction(0)  # one zero shared by the N^2 - N slots
-    g = tuple(tuple(entries[i] if i == j else zero for j in range(n))
-              for i in range(n))
+    den = math.lcm(*(a.denominator for a in entries))
+    rows = _monomial_rows([(i, a.numerator * (den // a.denominator))
+                           for i, a in enumerate(entries)])
     # a diagonal Gram pivots on its entries in order
-    return QuadForm._built(g, as_prime(p), label, SYMMETRIC, tuple(entries))
+    return QuadForm._built(rows, den, as_prime(p), label, SYMMETRIC, tuple(entries))
+
+
+def _monomial_rows(entries) -> tuple[tuple[int, ...], ...]:
+    """Square integer rows, row i zero but for v in column j, (j, v) = entries[i]."""
+    n = len(entries)
+    return tuple((0,) * j + (v,) + (0,) * (n - 1 - j) for j, v in entries)
 
 
 def alternating_form(gram, p, label: str | None = None) -> QuadForm:
@@ -191,7 +222,7 @@ def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
     pair before pivoting.
     """
     _require_symmetric(q, "diagonalization")
-    return _eliminate_symmetric(*clear_denominators(q.gram), transform=True)
+    return _eliminate_symmetric(q.rows, q.den, transform=True)
 
 
 def diagonal(q: QuadForm) -> tuple[Fraction, ...]:
@@ -327,35 +358,60 @@ def witt_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
 # constructors
 
 
+def block_rows(*forms: QuadForm) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The Gram of the forms' orthogonal sum as (rows, den), den the least
+    common multiple of their dens.  It is still the least denominator: a
+    prime power dividing den exactly divides some block's den, and that
+    block's rows are prime to it."""
+    den = math.lcm(*(q.den for q in forms))
+    n = sum(q.dim for q in forms)
+    out, before = [], 0
+    for q in forms:
+        f, left, right = den // q.den, (0,) * before, (0,) * (n - before - q.dim)
+        out += [left + (row if f == 1 else tuple(f * x for x in row)) + right
+                for row in q.rows]
+        before += q.dim
+    return tuple(out), den
+
+
 def direct_sum(q1: QuadForm, q2: QuadForm) -> QuadForm:
     _same_prime(q1, q2)
     if q1.symmetry != q2.symmetry:
         raise ValueError("direct sum of forms with different symmetry tags")
-    # whole-Gram pivoting may move a row of q2 into a zero pivot of q1, so the
-    # diagonal is a fresh elimination, not the two diagonals side by side
-    return QuadForm(block_diag(q1.gram, q2.gram), q1.p, None, q1.symmetry)
+    rows, den = block_rows(q1, q2)
+    # det = det q1 det q2 is nonzero; whole-Gram pivoting may move a row of
+    # q2 into a zero pivot of q1, so the diagonal is a fresh elimination, not
+    # the two diagonals side by side
+    diag = (None if q1.symmetry == ALTERNATING
+            else _eliminate_symmetric(rows, den, transform=False)[0])
+    return QuadForm._built(rows, den, q1.p, None, q1.symmetry, diag)
 
 
 def scale(c, q: QuadForm) -> QuadForm:
     c = fr(c)
     if c == 0:
         raise ValueError("scaling by zero")
+    # c rows / den = (num / g) (rows / h) / ((cden / h) (den / g)) with g and h
+    # the common factors that num shares with den and cden with the rows; the
+    # factors left are coprime, so the new den is again the least
+    num, cden = c.numerator, c.denominator
+    g, h = math.gcd(num, q.den), math.gcd(cden, *(x for row in q.rows for x in row))
+    f = num // g
+    rows = tuple(tuple(x // h * f for x in row) for row in q.rows)
     # det(cQ) = c^n det Q is nonzero, and cQ keeps the symmetry of Q; cG
     # pivots as G does, so its elimination gives c times G's diagonal
-    g = tuple(tuple(c * x if x else x for x in row) for row in q.gram)
     diag = None if q.symmetry == ALTERNATING else tuple(c * a for a in q._diagonal)
-    return QuadForm._built(g, q.p, None, q.symmetry, diag)
+    return QuadForm._built(rows, cden // h * (q.den // g), q.p, None, q.symmetry, diag)
 
 
 def hyperbolic(k: int, p) -> QuadForm:
     """Orthogonal sum of k hyperbolic planes."""
     if k < 0:
         raise ValueError("negative number of planes")
-    plane = mat([[0, 1], [1, 0]])
-    g = block_diag(*([plane] * k)) if k else ()
+    rows = _monomial_rows([(i ^ 1, 1) for i in range(2 * k)])
     # each plane is symmetrized to [[2, 1], [1, 0]], which gives 2, then -1/2
     diag = (Fraction(2), Fraction(-1, 2)) * k
-    return QuadForm._built(g, as_prime(p), f"{k}Hy", SYMMETRIC, diag)
+    return QuadForm._built(rows, 1, as_prime(p), f"{k}Hy", SYMMETRIC, diag)
 
 
 def norm_form(dclass, p) -> QuadForm:

@@ -22,9 +22,9 @@ from twistedgl.linalg import (det, identity, inverse, mat, mat_add, mat_mul,
 from twistedgl.localfield import (QP, SquareClass, _residue_char_fq, _unit_mod,
                                   least_nonresidue, legendre, square_class,
                                   square_class_table, valuation)
-from twistedgl.qform import (QuadForm, diagonalize, direct_sum, hyperbolic,
-                             invariants, norm_form, quad_form, scale,
-                             witt_equivalent)
+from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,
+                             quad_form, scale, witt_equivalent)
+from twistedgl.weil import weil_index
 
 
 def _vp(n: int, p: int):
@@ -383,12 +383,20 @@ def reference_diagonalize(gram):
 
 
 def reference_quasisplit_space(n_o, kclass, c, p):
-    """(n_O - 2) H + c N_K as the direct sum of its blocks, whose diagonal is a
-    whole-Gram elimination: the reference for endoscopy.quasisplit_space,
-    which must return the same Gram, label and diagonal in closed form."""
+    """(n_O - 2) H + c N_K as the checked form of the Fraction Gram of its
+    blocks, whose diagonal is a whole-Gram elimination: the reference for
+    endoscopy.quasisplit_space, which must return the same Gram, label and
+    diagonal in closed form."""
     c = c.representative if isinstance(c, SquareClass) else c
-    tail = scale(c, norm_form(kclass, p))
-    return tail if n_o == 2 else direct_sum(hyperbolic((n_o - 2) // 2, p), tail)
+    tail = mat_scale(c, norm_form(kclass, p).gram)
+    planes = [mat([[0, 1], [1, 0]])] * ((n_o - 2) // 2)
+    return quad_form(linalg.block_diag(*planes, tail), p)
+
+
+def reference_rhs(space, n):
+    """The Weil index of the scaled form 2 (-1)^n q: the reference for
+    endoscopy.ConstancyCell.rhs, which reads it off q's own diagonal."""
+    return weil_index(scale(2 * (-1) ** n, space))
 
 
 def reference_trace(x):

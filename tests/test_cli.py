@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from twistedgl.endoscopy import quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
 from twistedgl.linalg import mat, mat_add, mat_scale, transpose
 from twistedgl.localfield import square_class
-from twistedgl.qform import diag_form, scale
+from twistedgl.qform import QuadForm, diag_form, quad_form, scale
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 def run(capsys, *argv):
@@ -567,7 +568,8 @@ def _cell_key(r):
 
 
 def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
-    calls = {"quasisplit_space": 0, "weil_index": 0}
+    # the rhs of a cell is its 2n rank-1 factors, taken once per cell
+    calls = {"quasisplit_space": 0, "_rank1": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(endoscopy, name)):
             calls[_name] += 1
@@ -577,7 +579,36 @@ def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
                     "--count", "8", "--seed", "4")
     cells = {_cell_key(r) for r in doc["records"]}
     assert code == 0 and len(doc["records"]) == 32 and len(cells) < 32
-    assert calls == {"quasisplit_space": len(cells), "weil_index": len(cells)}
+    assert calls == {"quasisplit_space": len(cells),
+                     "_rank1": sum(2 * n for _, n, _, _ in cells)}
+
+
+def test_a_corpus_run_builds_no_fraction_gram(capsys, monkeypatch):
+    # every form of the run is built on integer rows: none is checked from a
+    # Mat, and no form's Gram view is read
+    built = {"checked": 0, "gram": 0}
+    init, gram = QuadForm.__init__, QuadForm.gram
+
+    def counted_init(self, *args):
+        built["checked"] += 1
+        init(self, *args)
+
+    def counted_gram(self):
+        built["gram"] += 1
+        return gram.func(self)
+
+    view = cached_property(counted_gram)
+    view.__set_name__(QuadForm, "gram")
+    monkeypatch.setattr(QuadForm, "__init__", counted_init)
+    monkeypatch.setattr(QuadForm, "gram", view)
+    code, doc = run(capsys, "corpus", "run", "--p", "2,3,5,7", "--n", "1,2",
+                    "--count", "16")
+    assert code == 0 and len(doc["records"]) == 128
+    assert built == {"checked": 0, "gram": 0}
+    # both counters count: one checked form, and one view read once
+    q = scale(2, quad_form([[1, 1], [1, 3]], 5))
+    assert q.gram == q.gram == mat([[2, 2], [2, 6]])
+    assert built == {"checked": 1, "gram": 1}
 
 
 def test_corpus_records_equal_a_computation_from_scratch(capsys):

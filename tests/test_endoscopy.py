@@ -8,7 +8,8 @@ import pytest
 
 from helpers import (count_eliminations, random_algebra, random_fixed_invertible,
                      reference_diagonalize, reference_is_very_regular,
-                     reference_quasisplit_space, reference_random_config)
+                     reference_quasisplit_space, reference_random_config,
+                     reference_rhs)
 from twistedgl.cli import _corpus_entries, _run_entry, form_doc
 from twistedgl.endoscopy import (ConstancyCell, EndoscopicDatum, constancy_cell,
                                  constancy_record, enumerate_elliptic_data,
@@ -83,8 +84,12 @@ QUASISPLIT_SWEEP = [(n_o, k, c, p) for p in (2, 3, 5, 7, 11, 13)
 def test_quasisplit_space_holds_the_diagonal_of_its_elimination():
     for args in QUASISPLIT_SWEEP:
         q, ref = quasisplit_space(*args), reference_quasisplit_space(*args)
-        # the same Gram and document as the direct sum of its blocks
+        # the same form, Gram and document as the checked sum of its blocks
+        assert q == ref and (q.rows, q.den) == (ref.rows, ref.den)
         assert (q.gram, q.label, form_doc(q)) == (ref.gram, ref.label, form_doc(ref))
+        # the rhs read off the held diagonal is the Weil index of the scaled form
+        n = args[0] // 2
+        assert ConstancyCell(q, n).rhs == reference_rhs(q, n)
         # and the diagonal of the kernel and of the Fraction reference
         rows, d = clear_denominators(q.gram)
         assert diagonal(q) == _eliminate_symmetric(rows, d, transform=False)[0]

@@ -1,5 +1,6 @@
 """Form invariants, the isotropy criterion, Witt theory, constructors."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
@@ -9,9 +10,15 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (count_eliminations, diag_isotropy_bruteforce,
-                     padic_congruence_witness, reference_diagonalize,
+                     padic_congruence_witness, random_algebra,
+                     random_antifixed_invertible, random_fixed_invertible,
+                     reference_diagonalize, reference_quasisplit_space,
                      reference_witt_class_exists)
-from twistedgl.linalg import det, identity, mat, mat_mul, transpose
+from twistedgl.endoscopy import quasisplit_space
+from twistedgl.etale import (trace_form_alternating, trace_form_bilinear,
+                             trace_form_quadratic)
+from twistedgl.linalg import (block_diag, clear_denominators, det, identity, mat,
+                              mat_mul, mat_scale, transpose)
 from twistedgl.localfield import as_prime, hilbert_qp, square_class, square_class_table
 from twistedgl.qform import (QuadForm, WittClass, _minus_one, alternating_form,
                              diag_form, diagonal,
@@ -526,3 +533,77 @@ def test_the_class_of_minus_one_is_taken_once_per_prime():
         prime = as_prime(p)
         assert _minus_one(prime) == square_class(-1, p)
         assert _minus_one(prime) is _minus_one(as_prime(p))
+
+
+def _rand_rational_gram(rng, dim, alternating):
+    """A random symmetric or alternating Gram with rational entries."""
+    g = [[F(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i if alternating else i + 1):
+            x = F(rng.randint(-9, 9), rng.randint(1, 6))
+            g[i][j], g[j][i] = (-x, x) if alternating else (x, x)
+    return g
+
+
+def _every_constructor(rng, p):
+    """(form, Gram) pairs, a form from each constructor on seeded inputs over
+    Q_p and its Gram computed on Fractions."""
+    plane = mat([[0, 1], [1, 0]])
+    pairs = [(hyperbolic(k, p), block_diag(*[plane] * k)) for k in range(4)]
+    for dim in (1, 2, 3, 5):
+        for alternating in (False, True):
+            if alternating and dim % 2:
+                continue
+            make = alternating_form if alternating else quad_form
+            while True:
+                g = _rand_rational_gram(rng, dim, alternating)
+                try:
+                    pairs.append((make(g, p), mat(g)))
+                    break
+                except ValueError:  # degenerate
+                    continue
+        entries = [F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
+                   for _ in range(dim)]
+        pairs.append((diag_form(entries, p),
+                      block_diag(*[mat([[a]]) for a in entries])))
+    for q, g in pairs[:]:
+        c = F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
+        pairs += [(scale(c, q), mat_scale(c, g)), (scale(1 / c, scale(c, q)), g)]
+    for _ in range(12):
+        (q1, g1), (q2, g2) = rng.sample(pairs, 2)
+        if q1.symmetry == q2.symmetry:
+            pairs.append((direct_sum(q1, q2), block_diag(g1, g2)))
+    classes = square_class_table(p)
+    for _ in range(6):
+        args = (2 * rng.randint(1, 5), rng.choice(classes), rng.choice(classes), p)
+        pairs.append((quasisplit_space(*args), reference_quasisplit_space(*args).gram))
+    algebra = random_algebra(p, rng)
+    for c, make in ((random_fixed_invertible(algebra, rng), trace_form_quadratic),
+                    (random_antifixed_invertible(algebra, rng), trace_form_alternating)):
+        pairs.append((make(algebra, c), trace_form_bilinear(algebra, c)))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_form_is_its_integer_rows_over_the_least_denominator(p):
+    rng = random.Random(100 + p)
+    pairs = _every_constructor(rng, p)
+    for q, g in pairs:
+        assert q.gram == g
+        rows, den = clear_denominators(g)
+        assert (q.rows, q.den) == (tuple(map(tuple, rows)), den)
+        assert all(type(x) is int for row in q.rows for x in row)
+        # no prime of den divides every entry: den is the least
+        assert den > 0 and math.gcd(den, *(x for row in q.rows for x in row)) == 1
+        # the checked form of its Gram is the same form
+        checked = QuadForm(g, p, None, q.symmetry)
+        assert checked == q and hash(checked) == hash(q)
+    # == and hash agree with equality of the Gram, the prime and the tag
+    for (a, _), (b, _) in combinations(pairs, 2):
+        same = (a.gram, a.p, a.symmetry) == (b.gram, b.p, b.symmetry)
+        assert (a == b) == same
+        assert not same or hash(a) == hash(b)
+    assert scale(2, diag_form([F(1, 2), F(3, 2)], p)) == diag_form([1, 3], p)
+    assert hash(scale(2, diag_form([F(1, 2), F(3, 2)], p))) == hash(diag_form([1, 3], p))
+    assert diag_form([1, 3], p) != diag_form([1, 3], 11)
+    assert hyperbolic(1, p) != alternating_form([[0, 1], [-1, 0]], p)
