@@ -20,6 +20,13 @@ an odd orthogonal ambient, tGL-even on the others), or that is not very
 regular, or a norm that is not very regular, is a usage error, exit 2.
 `gs section` refuses a gamma that is no isometry of q_V, exit 2.
 
+Importing this module loads no library module: each handler and helper
+imports what it runs when called, and a corpus run once per run, not once
+per record.  So `sqclass`, `hilbert` and `corpus generate` load localfield
+and linalg; `qform` adds qform, and `weil` qform and weil; `etale` loads
+etale and qform, and `class` also classes; `gs` loads gsnorm and qform, and
+`gs param` also classes and etale; `endo`, `corpus run` and `param` load
+endoscopy with gsnorm, qform and weil, and `param` also params.
 `hilbert --oracle` and `weil oracle` load the oracles module on demand, and
 nothing else imports it; `weil oracle` needs the `oracle` extra.  Both
 refuse work above oracles.MAX_TRIPLES or MAX_PERIOD before any search.
@@ -45,26 +52,17 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .classes import (ClassParameter, build_SO_even, build_SO_odd, build_Sp,
-                      build_tGL_even, build_tGL_odd, class_invariant,
-                      corresponds, is_elliptic)
-from .endoscopy import (ConstancyCell, constancy_cell, constancy_record,
-                        enumerate_elliptic_data, eta_so_value, eta_sp_value,
-                        gs_constancy_check, transfer_factor)
-from .etale import make_algebra, quadratic_tower, split_tower, trace_form_quadratic
-from .gsnorm import (AmbientSpace, GSConfiguration, gs_norm, gs_param_check,
-                     gs_section, make_ambient, random_config, rigidify,
-                     u_of_xy)
-from .linalg import (Mat, fr, is_isometry, mat, mat_add, mat_mul, mat_scale,
-                     transpose)
-from .localfield import (QP, LocalFieldDescriptor, as_prime, hilbert_qp,
-                         square_class, square_class_table)
-from .params import FormalConstituent, FormalParameter, classify, hypothesis_even_SO
-from .qform import (QuadForm, alternating_form, diag_form, equivalent,
-                    invariants, is_isotropic, quad_form, witt_decompose)
-from .weil import Mu8, epsilon_half, weil_index
+
+if TYPE_CHECKING:
+    from .classes import ClassParameter
+    from .gsnorm import AmbientSpace, GSConfiguration
+    from .linalg import Mat
+    from .localfield import LocalFieldDescriptor
+    from .params import FormalParameter
+    from .qform import QuadForm
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
@@ -78,11 +76,13 @@ class UsageError(Exception):
 
 
 def rat_str(x) -> str:
+    from .linalg import fr
     return str(fr(x))
 
 
 def rat_json(x):
     """An integral rational as a JSON integer, any other as a "num/den" string."""
+    from .linalg import fr
     x = fr(x)
     return x.numerator if x.denominator == 1 else str(x)
 
@@ -133,12 +133,15 @@ def parse_int(x) -> int:
 
 def parse_mat(rows) -> Mat:
     """A matrix literal: rows of rational literals, as in parse_rat."""
+    from .linalg import mat
     return mat([[parse_rat(v) for v in row] for row in rows])
 
 
 def parse_form(doc, p=None, alternating=False) -> QuadForm:
     """A symmetric form from 'diag' or 'gram', or with alternating set an
     alternating form from 'gram'."""
+    from .localfield import as_prime
+    from .qform import alternating_form, diag_form, quad_form
     if not isinstance(doc, dict):
         raise UsageError("form literal must be an object")
     prime = as_prime(doc.get("p", p))
@@ -160,6 +163,7 @@ def form_doc(q: QuadForm) -> dict:
 
 
 def parse_field(doc) -> LocalFieldDescriptor:
+    from .localfield import LocalFieldDescriptor, as_prime
     prime = as_prime(doc["p"])
     poly = [parse_rat(c) for c in doc.get("poly", [0, 1])]
     if len(poly) == 2:
@@ -177,6 +181,7 @@ def parse_field(doc) -> LocalFieldDescriptor:
 
 
 def parse_algebra(doc):
+    from .etale import make_algebra, quadratic_tower, split_tower
     if not isinstance(doc, list) or not doc:
         raise UsageError("algebra literal must be a nonempty list of towers")
     towers = []
@@ -209,6 +214,8 @@ def parse_element(algebra, doc):
 
 
 def parse_param(doc) -> ClassParameter:
+    from .classes import ClassParameter
+    from .localfield import square_class
     algebra = parse_algebra(doc["algebra"])
     p = algebra.p
     x = parse_element(algebra, doc["x"])
@@ -221,11 +228,13 @@ def parse_param(doc) -> ClassParameter:
 def parse_ambient(doc) -> AmbientSpace:
     """{"qV": form, "epsilon": 1 or -1}, epsilon 1 when absent; qV is read as
     an alternating form when epsilon is -1."""
+    from .gsnorm import make_ambient
     q_doc, epsilon = doc["qV"], parse_int(doc.get("epsilon", 1))
     return make_ambient(parse_form(q_doc, alternating=epsilon == -1), epsilon)
 
 
 def parse_config(doc) -> GSConfiguration:
+    from .gsnorm import GSConfiguration
     ambient = parse_ambient(doc["ambient"])
     return GSConfiguration(ambient, parse_mat(doc["X"]), parse_mat(doc["Y"]))
 
@@ -243,6 +252,8 @@ def config_doc(config: GSConfiguration, q_doc: dict | None = None) -> dict:
 
 
 def parse_formal(doc) -> FormalParameter:
+    from .localfield import as_prime, square_class
+    from .params import FormalConstituent, FormalParameter
     p = as_prime(doc["p"])
     cs = []
     for c in doc["constituents"]:
@@ -293,6 +304,7 @@ def digest(doc) -> str:
 
 
 def cmd_hilbert(args) -> int:
+    from .localfield import QP, hilbert_qp
     refuse_document(args, "hilbert")
     a, b = parse_rat(args.a), parse_rat(args.b)
     value = hilbert_qp(a, b, args.p)
@@ -314,6 +326,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_sqclass(args) -> int:
+    from .localfield import square_class
     refuse_document(args, "sqclass")
     cls = square_class(parse_rat(args.a), args.p)
     emit({"a": args.a, "p": args.p, "class": cls.representative}, args)
@@ -321,6 +334,7 @@ def cmd_sqclass(args) -> int:
 
 
 def cmd_qform(args) -> int:
+    from .qform import equivalent, invariants, is_isotropic, witt_decompose
     doc = read_input(args)
     if args.action == "equiv":
         q1, q2 = parse_form(doc["q1"]), parse_form(doc["q2"])
@@ -344,6 +358,7 @@ def cmd_qform(args) -> int:
 
 
 def cmd_weil(args) -> int:
+    from .weil import epsilon_half, weil_index
     if args.action == "index":
         q = parse_form(read_input(args), args.p)
         if args.p is not None and q.p != args.p:
@@ -374,6 +389,7 @@ def cmd_weil(args) -> int:
 
 
 def cmd_etale(args) -> int:
+    from .etale import trace_form_quadratic
     doc = read_input(args)
     if args.action == "build":
         algebra = parse_algebra(doc)
@@ -389,6 +405,8 @@ def cmd_etale(args) -> int:
 
 
 def cmd_class(args) -> int:
+    from .classes import (build_SO_even, build_SO_odd, build_Sp, build_tGL_even,
+                          build_tGL_odd, class_invariant, corresponds, is_elliptic)
     doc = read_input(args)
     if args.action == "corresponds":
         dparam = parse_param(doc["delta"])
@@ -422,6 +440,9 @@ def cmd_class(args) -> int:
 
 
 def cmd_gs(args) -> int:
+    from .gsnorm import (GSConfiguration, gs_norm, gs_param_check, gs_section,
+                         random_config, rigidify, u_of_xy)
+    from .linalg import is_isometry, mat_add, mat_mul, mat_scale, transpose
     if args.action == "random":
         config = random_config(parse_ambient(read_input(args)), args.seed)
         emit(config_doc(config), args)
@@ -465,6 +486,10 @@ def cmd_gs(args) -> int:
 
 
 def cmd_endo(args) -> int:
+    from .endoscopy import (ConstancyCell, enumerate_elliptic_data, eta_so_value,
+                            eta_sp_value, gs_constancy_check, transfer_factor)
+    from .localfield import as_prime, square_class
+    from .weil import Mu8
     p = 2 if args.p is None else args.p  # enumerate and eta --kind sp
     if args.action == "enumerate":
         refuse_document(args, "endo enumerate")
@@ -507,6 +532,7 @@ def cmd_endo(args) -> int:
 
 
 def cmd_param(args) -> int:
+    from .params import classify, hypothesis_even_SO
     doc = read_input(args)
     phi = parse_formal(doc)
     if args.action == "classify":
@@ -525,6 +551,7 @@ def cmd_param(args) -> int:
 def _corpus_entries(seed: int, primes, ns, count: int):
     """The deterministic corpus plan: per (p, n), count configurations cycling
     through every discriminant class (split included) and both twist cosets."""
+    from .localfield import square_class_table
     entries = []
     for p in primes:
         table = square_class_table(p)
@@ -547,25 +574,31 @@ def _corpus_entries(seed: int, primes, ns, count: int):
     return entries
 
 
-def _run_entry(entry, cells: dict) -> dict:
-    """The record of one entry.  cells maps the raw (p, n, K, c) of the run's
-    entries to their ConstancyCell and the form_doc of its space, which the
-    first entry of a cell builds, and the raw (p, n mod 2, K) to the run's
-    first cell over it, whose target and epsilon factor later cells adopt."""
-    key = (entry["p"], entry["n"], entry["K"], entry["c"])
-    if key not in cells:
-        cell = constancy_cell(*key)
-        kin = cells.setdefault((entry["p"], entry["n"] % 2, entry["K"]), cell)
-        cells[key] = cell.adopt(kin), form_doc(cell.space)
-    cell, q_doc = cells[key]
-    config = random_config(cell.ambient, entry["seed"])
-    result = constancy_record(cell, config)
-    record = dict(entry)
-    record["inputs_digest"] = digest(config_doc(config, q_doc))
-    record["lhs"] = str(result.lhs)
-    record["rhs"] = str(result.rhs)
-    record["pass"] = result.passed
-    return record
+def _run_entries(entries, cells: dict) -> list[dict]:
+    """The records of a run's entries, in order.  cells maps the raw (p, n, K,
+    c) of the entries to their ConstancyCell and the form_doc of its space,
+    which the first entry of a cell builds, and the raw (p, n mod 2, K) to the
+    run's first cell over it, whose target and epsilon factor later cells
+    adopt.  The library is imported once per run, not once per record."""
+    from .endoscopy import constancy_cell, constancy_record
+    from .gsnorm import random_config
+    records = []
+    for entry in entries:
+        key = (entry["p"], entry["n"], entry["K"], entry["c"])
+        if key not in cells:
+            cell = constancy_cell(*key)
+            kin = cells.setdefault((entry["p"], entry["n"] % 2, entry["K"]), cell)
+            cells[key] = cell.adopt(kin), form_doc(cell.space)
+        cell, q_doc = cells[key]
+        config = random_config(cell.ambient, entry["seed"])
+        result = constancy_record(cell, config)
+        record = dict(entry)
+        record["inputs_digest"] = digest(config_doc(config, q_doc))
+        record["lhs"] = str(result.lhs)
+        record["rhs"] = str(result.rhs)
+        record["pass"] = result.passed
+        records.append(record)
+    return records
 
 
 def _cell_summary(records) -> list[dict]:
@@ -594,6 +627,7 @@ ENTRY_KEYS = ("seed", "p", "n", "K", "c", "index")
 def _check_plan(primes, ns, count: int, names=("--p", "--n", "--count")) -> None:
     """Distinct primes, distinct ranks n >= 1 and a count >= 1, each named
     in a refusal by its flag or plan field."""
+    from .localfield import as_prime
     for name, values in zip(names, (primes, ns)):
         if len(set(values)) != len(values):
             raise UsageError(f"{name} lists a value twice: {values}")
@@ -660,8 +694,7 @@ def cmd_corpus(args) -> int:
               "entries": entries}, args)
         return EXIT_OK
     started = time.time()
-    cells = {}
-    records = [_run_entry(e, cells) for e in entries]
+    records = _run_entries(entries, {})
     records.sort(key=lambda r: (r["p"], r["n"], r["index"]))
     failures = sum(1 for r in records if not r["pass"])
     manifest = {

@@ -12,7 +12,9 @@ On a closed pair X gamma X^-1 = 1 - (Y + eps Y^T) Y^-1 = -eps Y^T Y^-1, so
 the norm gamma is similar to Z = -eps Y^-1 Y^T and is known from Y alone:
 _norm_very_regular(Y_n, eps) is the one very-regularity rule (random_config,
 endoscopy.gs_constancy_check), and gs_param_check reads the characteristic
-polynomial off twist_invariant(Y).  The rule is a squarefree characteristic
+polynomial off twist_invariant(Y); it alone reads classes and etale, and
+imports them when called, so the sampler, the norm and a corpus run load
+neither.  The rule is a squarefree characteristic
 polynomial and nothing more: Y^-1 Z^T Y = Z^-1, so the eigenvalues of Z pair
 as lambda <-> 1/lambda, and +-1 has even multiplicity when n is even
 (det Z = 1); when n is odd, the skew Y - Y^T is singular, and Y v = Y^T v
@@ -47,15 +49,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import TYPE_CHECKING
 
-from .classes import ClassParameter, twist_invariant
-from .etale import char_poly, tau
 from .linalg import (Mat, charpoly, clear_denominators, det, from_blocks,
                      identity, int_charpoly_mod, int_det, int_inverse, int_mul,
                      int_solve_mod, inverse, is_isometry, mat, mat_mul, mat_sub,
                      poly_mul, poly_squarefree, poly_squarefree_mod,
                      to_mat, transpose, zeros)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
+
+if TYPE_CHECKING:
+    from .classes import ClassParameter
 
 # the prime of the very-regularity certificate, the largest below 2^15: a
 # product of two residues stays below 2^30, one CPython digit
@@ -360,6 +364,8 @@ def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:
     norm's, times the trivial eigenvalue block (T - 1) in the odd orthogonal
     case.
     """
+    from .classes import twist_invariant
+    from .etale import char_poly, tau
     check_rigidifiable(config)
     amb = config.ambient
     odd = amb.epsilon == 1 and amb.n % 2 == 1

@@ -24,7 +24,8 @@ is divided exactly by the previous pivot, so every entry is a minor of the
 input and the integers grow only as fast as determinants do.  Two routines
 do it.  _eliminate here, by rows, gives the determinant, and in Gauss-Jordan
 form on [B | I] ends with pi I on the left, so B^-1 = right / pi (for each
-diagonal block of B, as int_inverse splits B into its blocks); the
+diagonal block of B larger than 2 x 2, as int_inverse splits B into its
+blocks and inverts the smaller ones by their adjugates); the
 determinant of the Sylvester matrix of f and f' decides poly_squarefree.
 qform._eliminate_symmetric, by congruence, diagonalizes a symmetric Gram
 given as integer rows over a denominator, like the int_* kernels here; it is
@@ -63,11 +64,6 @@ from typing import Iterable, Sequence
 
 Mat = tuple[tuple[Fraction, ...], ...]
 Poly = tuple[Fraction, ...]
-
-# int_inverse splits a block-diagonal matrix from this dimension on; below
-# it one Gauss-Jordan costs less than the split (timeit on quasisplit Grams:
-# 2 x 2 blocks break even at 6 x 6, and are 2x faster at 8 x 8)
-SPLIT_FROM = 7
 
 
 def fr(x) -> Fraction:
@@ -235,20 +231,36 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [row[n:] for row in work], pivot
 
 
-def int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(R, pi) with pi > 0 and B^-1 = R / pi, by fraction-free Gauss-Jordan;
-    raises on a singular B.  pi is |det B|, so R is unique.
+def _block_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(R, pi) of int_inverse for one block: a 1 x 1 or 2 x 2 block by its
+    adjugate, B^-1 = adj B / det B, so R = sign(det B) adj B; a larger one
+    by _gauss_jordan."""
+    if len(rows) == 1:
+        adj, d = [[1]], rows[0][0]
+    elif len(rows) == 2:
+        (a, b), (c, e) = rows
+        adj, d = [[e, -b], [-c, a]], a * e - b * c
+    else:
+        return _gauss_jordan(rows)
+    if d == 0:
+        raise ValueError("singular matrix")
+    return (adj, d) if d > 0 else ([[-x for x in row] for row in adj], -d)
 
-    A block-diagonal B (see _block_cuts) is inverted block by block: with
+
+def int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(R, pi) with pi > 0 and B^-1 = R / pi; raises on a singular B.  pi is
+    |det B|, so R is unique.
+
+    B is inverted block by block (see _block_cuts and _block_inverse): with
     B_i^-1 = R_i / pi_i, pi is the product of the pi_i and block i of R is
     (pi / pi_i) R_i.  The Gram of a quasisplit space, made of 2 x 2 blocks,
-    costs its blocks and not its dimension.  Below SPLIT_FROM, and when B
-    has one block, B is eliminated whole."""
-    cuts = _block_cuts(rows) if len(rows) >= SPLIT_FROM else [0, len(rows)]
+    is inverted in closed form, block by block.  A B of size 2 or less is
+    inverted whole by its adjugate, with no scan for blocks."""
+    cuts = _block_cuts(rows) if len(rows) > 2 else [0, len(rows)]
     if len(cuts) == 2:
-        return _gauss_jordan(rows)
+        return _block_inverse(rows)
     spans = list(zip(cuts, cuts[1:]))
-    parts = [_gauss_jordan([row[s:e] for row in rows[s:e]]) for s, e in spans]
+    parts = [_block_inverse([row[s:e] for row in rows[s:e]]) for s, e in spans]
     pi = math.prod(p for _, p in parts)
     n = len(rows)
     out = [[0] * n for _ in range(n)]
@@ -434,36 +446,43 @@ def gfp_trim(x: Sequence[int], p: int) -> list[int]:
     return x
 
 
-def gfp_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    r = gfp_trim(a, p)
-    b = gfp_trim(b, p)
+def _gfp_rem(r: list[int], b: Sequence[int], p: int) -> list[int]:
+    """r mod b for trimmed r and b, b nonzero: each step cancels the leading
+    coefficient of r, which is popped with any zeros below it, so r (reduced
+    in place) is never trimmed again."""
     inv = pow(b[-1], -1, p)
-    while len(r) >= len(b):
+    shift = len(r) - len(b)
+    while shift >= 0:
         lead = r[-1] * inv % p
+        for i, c in enumerate(b, shift):
+            r[i] = (r[i] - lead * c) % p
+        while r and r[-1] == 0:
+            r.pop()
         shift = len(r) - len(b)
-        for i, c in enumerate(b):
-            r[shift + i] = (r[shift + i] - lead * c) % p
-        r = gfp_trim(r, p)
-        if not r:
-            break
     return r
+
+
+def gfp_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    return _gfp_rem(gfp_trim(a, p), gfp_trim(b, p), p)
 
 
 def gfp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a, b = gfp_trim(a, p), gfp_trim(b, p)
     while b:
-        a, b = b, gfp_mod(a, b, p)
+        a, b = b, _gfp_rem(a, b, p)
     return a
 
 
 def gfp_powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
     """a^e modulo f over F_p, by repeated squaring."""
+    f = gfp_trim(f, p)
+
     def mulmod(x, y):
         out = [0] * (len(x) + len(y))
         for i, c in enumerate(x):
             for j, d in enumerate(y):
                 out[i + j] += c * d
-        return gfp_mod(out, f, p)
+        return _gfp_rem(gfp_trim(out, p), f, p)
 
     result, base = gfp_mod([1], f, p), gfp_mod(a, f, p)
     while e:

@@ -10,7 +10,7 @@ from helpers import (count_eliminations, random_algebra, random_fixed_invertible
                      reference_diagonalize, reference_is_very_regular,
                      reference_quasisplit_space, reference_random_config,
                      reference_rhs)
-from twistedgl.cli import _corpus_entries, _run_entry, form_doc
+from twistedgl.cli import _corpus_entries, _run_entries, form_doc
 from twistedgl.endoscopy import (ConstancyCell, EndoscopicDatum, constancy_cell,
                                  constancy_record, enumerate_elliptic_data,
                                  eta_so_value, eta_sp_value, gs_constancy_check,
@@ -334,8 +334,7 @@ def test_constancy_cell_keeps_the_sides_of_its_space():
 
 def test_corpus_cells_share_what_a_fresh_cell_computes():
     cells = {}
-    for entry in _corpus_entries(2, [2, 3, 5, 7], [1, 2, 3, 4], 4):
-        _run_entry(entry, cells)
+    _run_entries(_corpus_entries(2, [2, 3, 5, 7], [1, 2, 3, 4], 4), cells)
     run_cells = [v[0] for key, v in cells.items() if len(key) == 4]
     for cell in run_cells:
         fresh = ConstancyCell(cell.space, cell.n)

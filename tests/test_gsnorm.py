@@ -112,7 +112,7 @@ def test_a_corpus_record_builds_no_fraction_x_or_y(monkeypatch):
     # a corpus record reads only the rows of its configuration: sampling it,
     # checking the constancy identity and digesting its document build
     # neither the Mat X nor the Mat Y
-    sampled, sample = [], cli.random_config
+    sampled, sample = [], gsnorm.random_config
     built, to_mat_of = [], gsnorm.to_mat
 
     def recorded(ambient, seed):
@@ -123,15 +123,34 @@ def test_a_corpus_record_builds_no_fraction_x_or_y(monkeypatch):
         built.append((rows, den))
         return to_mat_of(rows, den)
 
-    monkeypatch.setattr(cli, "random_config", recorded)
+    monkeypatch.setattr(gsnorm, "random_config", recorded)
     monkeypatch.setattr(gsnorm, "to_mat", counted)
-    cells = {}
-    for e in _corpus_entries(0, (2, 3, 5, 7), (6,), 8):
-        assert cli._run_entry(e, cells)["pass"]
+    records = cli._run_entries(_corpus_entries(0, (2, 3, 5, 7), (6,), 8), {})
+    assert len(records) == 32 and all(r["pass"] for r in records)
     assert len(sampled) == 32
     for cfg in sampled:
         assert "X" not in vars(cfg) and "Y" not in vars(cfg)
         assert cfg.x_scaled not in built and cfg.y_scaled not in built
+
+
+def test_a_quasisplit_ambient_inverts_its_gram_without_elimination(monkeypatch):
+    # (n - 1)H + c N_K is made of 2 x 2 blocks, each inverted by its
+    # adjugate: Q^-1 of every cell of a run runs no elimination and is the
+    # inverse of the Gram
+    eliminated, eliminate = [], linalg._eliminate
+
+    def counted(rows, jordan):
+        eliminated.append(len(rows))
+        return eliminate(rows, jordan)
+
+    keys = {(e["p"], e["n"], e["K"], e["c"])
+            for e in _corpus_entries(0, (2, 3, 5, 7), (1, 2, 6), 8)}
+    for key in sorted(keys):
+        ambient = constancy_cell(*key).ambient
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        q_inv = ambient.q_inverse
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        assert eliminated == [] and q_inv == inverse(ambient.q_V.gram)
 
 
 def test_random_config_gives_up_after_the_retry_budget(monkeypatch):

@@ -1,12 +1,16 @@
-"""Runtime hygiene: the package and its CLI never load oracle-only code, and
-the runtime modules hold only what the CLI verbs and the benchmark reach."""
+"""Runtime hygiene: the package and its CLI never load oracle-only code, a
+verb loads only the modules it runs, and the runtime modules hold only what
+the CLI verbs and the benchmark reach."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -41,6 +45,11 @@ KEPT = {
     "linalg.charpoly_mod": "test aid: the F_ell characteristic polynomial of a "
                            "rational matrix",
     "qform.witt_equivalent": "test aid: Witt equivalence of two forms",
+    "__init__.__getattr__": "the PEP 562 hook that the interpreter calls, not "
+                            "a verb, to resolve the package's re-exported "
+                            "names on first access",
+    "__init__.__dir__": "the PEP 562 hook that lists the package's lazily "
+                        "re-exported names",
 }
 
 
@@ -141,13 +150,98 @@ def test_oracles_import_nothing_from_endoscopy():
                 if isinstance(n, ast.ImportFrom) and n.module == "endoscopy"]
 
 
+def _run_probe(probe: str, *args: str) -> str:
+    """The stdout of probe run in a fresh interpreter on the sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
 def test_runtime_imports_leave_numpy_and_the_oracles_out():
     probe = ("import json, sys, twistedgl, twistedgl.cli; "
              "print(json.dumps([m for m in ('numpy', 'twistedgl.oracles') "
              "if m in sys.modules]))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert json.loads(out) == []
+    assert json.loads(_run_probe(probe)) == []
+
+
+# the submodules that import twistedgl (argv None) or a verb loads, the
+# verb's own twistedgl.cli left out
+LOADS = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import twistedgl
+else:
+    from twistedgl.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+own = set() if argv is None else {"twistedgl.cli"}
+print(json.dumps(sorted(m.split(".", 1)[1] for m in set(sys.modules) - own
+                        if m.startswith("twistedgl."))))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    ([], []),  # import twistedgl.cli, and the usage error of no verb
+    (["sqclass", "12", "--p", "5"], ["linalg", "localfield"]),
+    (["hilbert", "3", "5", "--p", "7"], ["linalg", "localfield"]),
+    (["corpus", "generate", "--p", "5", "--n", "1,2", "--count", "4"],
+     ["linalg", "localfield"]),
+    (["qform", "invariants", "--json", '{"p": 5, "diag": [1, 2]}'],
+     ["linalg", "localfield", "qform"]),
+    (["weil", "index", "--json", '{"p": 5, "diag": [1, 2]}'],
+     ["linalg", "localfield", "qform", "weil"]),
+    (["corpus", "run", "--p", "2,3", "--n", "1,2", "--count", "2"],
+     ["endoscopy", "gsnorm", "linalg", "localfield", "qform", "weil"]),
+])
+def test_a_verb_loads_only_the_modules_it_runs(argv, loaded):
+    # import twistedgl loads no submodule, import twistedgl.cli none but
+    # itself, and a verb the modules of the code it runs: a corpus run reads
+    # neither classes, etale, params nor the oracles
+    assert json.loads(_run_probe(LOADS, json.dumps(argv))) == loaded
+
+
+# every name the package re-exports, by submodule
+REEXPORTS = {
+    "localfield": ["Prime", "LocalFieldDescriptor", "SquareClass", "FieldElement",
+                   "QP", "valuation", "square_class", "square_class_table",
+                   "hilbert_qp", "hilbert_tame"],
+    "qform": ["QuadForm", "FormInvariants", "WittClass", "quad_form", "diag_form",
+              "alternating_form", "diagonalize", "diagonal", "invariants",
+              "is_isotropic", "witt_decompose", "equivalent", "witt_equivalent",
+              "direct_sum", "scale", "hyperbolic", "norm_form", "represents"],
+    "weil": ["Mu8", "weil_rank1", "weil_index", "epsilon_half"],
+    "etale": ["FactorTower", "EtaleAlgebraWithInvolution", "AlgebraElement",
+              "make_algebra", "trace_form_bilinear", "trace_form_quadratic"],
+    "classes": ["ClassParameter", "ClassInvariant", "build_tGL_even", "build_tGL_odd",
+                "build_SO_even", "build_SO_odd", "build_Sp", "twist_invariant",
+                "corresponds", "is_elliptic"],
+    "gsnorm": ["AmbientSpace", "GSConfiguration", "make_ambient", "random_config",
+               "u_of_xy", "rigidify", "gs_norm", "gs_section", "gs_param_check"],
+    "endoscopy": ["EndoscopicDatum", "enumerate_elliptic_data", "quasisplit_space",
+                  "eta_sp_value", "eta_so_value", "transfer_factor",
+                  "transfer_factor_whittaker", "ConstancyCell", "constancy_cell",
+                  "ConstancyRecord", "constancy_record", "gs_constancy_check"],
+    "params": ["FormalConstituent", "FormalParameter", "is_elliptic_param",
+               "classify", "hypothesis_even_SO"],
+}
+
+
+def test_every_reexport_is_the_submodules_own_object():
+    import twistedgl
+    names = [name for names in REEXPORTS.values() for name in names]
+    assert sorted(twistedgl.__all__) == sorted(names + ["__version__"])
+    assert set(names) <= set(dir(twistedgl))
+    for module, exported in REEXPORTS.items():
+        sub = importlib.import_module(f"twistedgl.{module}")
+        for name in exported:
+            scope = {}
+            exec(f"from twistedgl import {name}", scope)
+            assert scope[name] is getattr(sub, name), name
+    with pytest.raises(ImportError):
+        exec("from twistedgl import no_such_name", {})
+    with pytest.raises(AttributeError):
+        twistedgl.no_such_name

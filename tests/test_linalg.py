@@ -6,7 +6,9 @@ integer rows over a common denominator that the int_ kernels take (where
 int_charpoly_mod must answer None when l divides the denominator).  The
 kernels over F_l are checked against the rational characteristic polynomial
 reduced mod l, against sympy's squarefree test over GF(l), and (int_solve_mod,
-which must answer None when l divides det A) against sympy's inv_mod.  The squarefree test over Q is
+which must answer None when l divides det A) against sympy's inv_mod, and
+the F_l polynomial remainder, gcd and power modulo f against sympy's
+polynomials over GF(l).  The squarefree test over Q is
 checked against sympy on products of rational linear and irreducible
 quadratic factors with multiplicities, and on characteristic polynomials of
 matrices with repeated eigenvalues.
@@ -19,6 +21,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from sympy.polys.galoistools import gf_pow_mod, gf_rem
 
 from twistedgl import linalg
 from twistedgl.linalg import (charpoly, charpoly_mod, det, int_charpoly_mod,
@@ -212,9 +215,8 @@ def random_block(rng, size, singular=False):
 
 
 def random_blocks(rng):
-    """Blocks of size 1-3, of total size at least linalg.SPLIT_FROM, the
-    dimension from which int_inverse splits."""
-    blocks, target = [], rng.randint(linalg.SPLIT_FROM, 14)
+    """Blocks of size 1-3 that add up to at least a seeded size of 7-14."""
+    blocks, target = [], rng.randint(7, 14)
     while sum(map(len, blocks)) < target:
         blocks.append(random_block(rng, rng.randint(1, 3)))
     return blocks
@@ -233,7 +235,8 @@ def block_diagonal(blocks):
 @pytest.mark.parametrize("seed", range(8))
 def test_int_inverse_inverts_a_block_diagonal_matrix_block_by_block(seed, monkeypatch):
     # blocks of size 1-3, determinants of both signs: the split inverse is
-    # the unsplit Gauss-Jordan's (R, pi), since pi = |det B| makes R unique
+    # the unsplit Gauss-Jordan's (R, pi), since pi = |det B| makes R unique;
+    # only the 3 x 3 blocks are eliminated, the smaller ones by adjugate
     rng = random.Random(20280 + seed)
     signs, eliminated, gauss_jordan = set(), [], linalg._gauss_jordan
 
@@ -252,7 +255,7 @@ def test_int_inverse_inverts_a_block_diagonal_matrix_block_by_block(seed, monkey
         del eliminated[:]
         r, pi = int_inverse(rows)
         monkeypatch.setattr(linalg, "_gauss_jordan", gauss_jordan)
-        assert eliminated == [e - s for s, e in zip(cuts, cuts[1:])]  # block by block
+        assert eliminated == [e - s for s, e in zip(cuts, cuts[1:]) if e - s > 2]
         assert (r, pi) == gauss_jordan(rows)
         d = int_det(rows)
         signs.add(d > 0)
@@ -282,6 +285,34 @@ def test_int_inverse_of_a_dense_matrix_is_not_split():
         rows[0][-1] = rows[-1][0] = rng.choice((-3, 3))  # index 0 reaches n - 1
         assert linalg._block_cuts(rows) == valid_cuts(rows) == [0, n]
         assert int_inverse(rows) == linalg._gauss_jordan(rows)
+
+
+def test_small_blocks_are_inverted_by_their_adjugate(monkeypatch):
+    # seeded blocks of size 1-3 and determinants of both signs: the block
+    # inverse is Gauss-Jordan's (R, pi), int_inverse's and sympy's inverse,
+    # and a 1 x 1 or 2 x 2 block is not eliminated
+    rng = random.Random(20293)
+    gauss_jordan, eliminated = linalg._gauss_jordan, []
+
+    def counted(rows):
+        eliminated.append(len(rows))
+        return gauss_jordan(rows)
+
+    seen = set()
+    for size in (1, 2, 3):
+        for _ in range(200):
+            b = random_block(rng, size)
+            monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+            del eliminated[:]
+            r, pi = linalg._block_inverse(b)
+            monkeypatch.setattr(linalg, "_gauss_jordan", gauss_jordan)
+            assert eliminated == ([] if size < 3 else [3])
+            assert int_inverse(b) == (r, pi) == gauss_jordan(b) and pi == abs(int_det(b))
+            assert sympy.Matrix(r) / pi == sympy.Matrix(b).inv()
+            seen.add((size, int_det(b) > 0))
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg._block_inverse(random_block(rng, size, singular=True))
+    assert len(seen) == 6  # both signs at every size
 
 
 def test_int_inverse_refuses_a_singular_block():
@@ -353,6 +384,49 @@ def test_poly_squarefree_mod_matches_sympy(ell):
         coeffs = [int(c) for c in reversed(sympy.Poly(f, t).all_coeffs())]
         expected = sympy.Poly(f, t, modulus=ell).is_sqf
         assert poly_squarefree_mod(coeffs, ell) == expected
+
+
+def gf_poly(coeffs, ell):
+    """The ascending residues as a sympy polynomial over GF(ell)."""
+    return sympy.Poly(coeffs[::-1] or [0], sympy.Symbol("T"),
+                      domain=sympy.GF(ell, symmetric=False))
+
+
+def gf_residues(poly):
+    """The ascending residues of a sympy polynomial over GF(ell), [] for 0."""
+    return [] if poly.is_zero else [int(c) for c in reversed(poly.all_coeffs())]
+
+
+def monic(f, ell):
+    return [c * pow(f[-1], -1, ell) % ell for c in f]
+
+
+@pytest.mark.parametrize("ell", (2, 3, 5, 7, ELL))
+def test_gfp_mod_gcd_and_powmod_match_sympy(ell):
+    # seeded operands of degree up to 12, unreduced and with top zeros,
+    # among them the zero polynomial and nonzero constants
+    rng = random.Random(20294 + ell)
+    operands = [[], [0, 0], [ell], [1], [ell - 1, 0, ell]]
+    for _ in range(120):
+        f = [rng.randint(-ell, 2 * ell) for _ in range(rng.randint(1, 13))]
+        if rng.random() < 0.3:
+            f += [0] * rng.randint(1, 2)
+        operands.append(f)
+    for _ in range(300):
+        a, b = rng.choice(operands), rng.choice(operands)
+        pa, pb = gf_poly([x % ell for x in a], ell), gf_poly([x % ell for x in b], ell)
+        g = linalg.gfp_gcd(a, b, ell)
+        if pa.is_zero and pb.is_zero:
+            assert g == []
+        else:
+            assert monic(g, ell) == gf_residues(pa.gcd(pb))
+        if not pb.is_zero:
+            assert linalg.gfp_mod(a, b, ell) == gf_residues(pa.rem(pb))
+            e = rng.randint(0, 40)
+            m = pb.rep.to_list()  # gf_pow_mod leaves a^0 = 1 unreduced
+            expected = gf_rem(gf_pow_mod(pa.rep.to_list(), e, m, ell, sympy.ZZ), m,
+                              ell, sympy.ZZ)
+            assert linalg.gfp_powmod(a, e, b, ell) == [int(c) for c in reversed(expected)]
 
 
 T = sympy.Symbol("T")
