@@ -11,11 +11,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "localfield": "Prime LocalFieldDescriptor SquareClass FieldElement QP valuation "
-                  "square_class square_class_table hilbert_qp hilbert_tame",
+                  "square_class square_class_table hilbert_qp",
     "qform": "QuadForm FormInvariants WittClass quad_form diag_form alternating_form "
              "diagonalize diagonal invariants is_isotropic witt_decompose equivalent "
-             "witt_equivalent direct_sum scale hyperbolic norm_form represents",
-    "weil": "Mu8 weil_rank1 weil_index epsilon_half",
+             "direct_sum scale hyperbolic norm_form represents",
+    "weil": "Mu8 weil_index epsilon_half",
     "etale": "FactorTower EtaleAlgebraWithInvolution AlgebraElement make_algebra "
              "trace_form_bilinear trace_form_quadratic",
     "classes": "ClassParameter ClassInvariant build_tGL_even build_tGL_odd build_SO_even "

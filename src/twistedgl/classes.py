@@ -83,8 +83,8 @@ class ClassParameter:
         return char_poly(x)
 
     def is_very_regular(self) -> bool:
-        """A squarefree fingerprint, as in etale.very_regular (x is known
-        invertible)."""
+        """A squarefree fingerprint: for the twisted kinds x/tau(x) is a
+        generator (x is known invertible)."""
         if self.kind in TWISTED:
             return poly_squarefree(self.fingerprint)
         return True  # checked at construction for the classical kinds

@@ -1,9 +1,11 @@
 """Command-line surface: exact queries, seeded corpus generation and batch checks.
 
 Documents are JSON with rationals as "num/den" strings and eighth roots of
-unity as "zeta8^k".  Exit codes: 0 pass, 1 check failure, 2 usage or I/O
-error, 3 oracle inconclusive.  An unreadable --in, an unwritable --out and a
-closed stdout (`| head -1`) are I/O errors: one line on stderr.
+unity as "zeta8^k"; a matrix, its rows, a "diag", a "poly" and an element's
+coefficient arrays are lists, and a string in their place is a usage error.
+Exit codes: 0 pass, 1 check failure, 2 usage or I/O error, 3 oracle
+inconclusive.  An unreadable --in, an unwritable --out and a closed stdout
+(`| head -1`) are I/O errors: one line on stderr.
 
 `endo eta` prints {"eta": value, "eta_class": class}: "eta" is the exact
 value of the regular-nilpotent construction ((-1)^(n-1) y for --kind so, 1
@@ -131,10 +133,20 @@ def parse_int(x) -> int:
     return int(x)
 
 
+def parse_list(doc, what: str) -> list:
+    """A JSON list.  Anything else is refused: a string would otherwise be
+    read one character at a time."""
+    if not isinstance(doc, list):
+        raise UsageError(f"{what} must be a list, not {type(doc).__name__}")
+    return doc
+
+
 def parse_mat(rows) -> Mat:
-    """A matrix literal: rows of rational literals, as in parse_rat."""
+    """A matrix literal: a list of rows, each a list of rational literals, as
+    in parse_rat."""
     from .linalg import mat
-    return mat([[parse_rat(v) for v in row] for row in rows])
+    return mat([[parse_rat(v) for v in parse_list(row, "matrix row")]
+                for row in parse_list(rows, "matrix literal")])
 
 
 def parse_form(doc, p=None, alternating=False) -> QuadForm:
@@ -147,7 +159,8 @@ def parse_form(doc, p=None, alternating=False) -> QuadForm:
     prime = as_prime(doc.get("p", p))
     label = doc.get("label")
     if "diag" in doc and not alternating:
-        return diag_form([parse_rat(x) for x in doc["diag"]], prime, label)
+        return diag_form([parse_rat(x) for x in parse_list(doc["diag"], "diag")],
+                         prime, label)
     if "gram" in doc:
         g = parse_mat(doc["gram"])
         return (alternating_form if alternating else quad_form)(g, prime, label)
@@ -165,7 +178,7 @@ def form_doc(q: QuadForm) -> dict:
 def parse_field(doc) -> LocalFieldDescriptor:
     from .localfield import LocalFieldDescriptor, as_prime
     prime = as_prime(doc["p"])
-    poly = [parse_rat(c) for c in doc.get("poly", [0, 1])]
+    poly = [parse_rat(c) for c in parse_list(doc.get("poly", [0, 1]), "poly")]
     if len(poly) == 2:
         return LocalFieldDescriptor(prime, tuple(poly), "degree-one")
     cert = doc.get("certificate")
@@ -206,7 +219,7 @@ def parse_element(algebra, doc):
     parts = []
     for f, coeffs in zip(algebra.factors, doc):
         d = f.base.degree
-        vals = [parse_rat(c) for c in coeffs]
+        vals = [parse_rat(c) for c in parse_list(coeffs, "coefficient array")]
         if len(vals) != 2 * d:
             raise UsageError(f"factor needs 2*{d} coefficients")
         parts.append((f.base.element(vals[:d]), f.base.element(vals[d:])))
@@ -405,8 +418,9 @@ def cmd_etale(args) -> int:
 
 
 def cmd_class(args) -> int:
-    from .classes import (build_SO_even, build_SO_odd, build_Sp, build_tGL_even,
-                          build_tGL_odd, class_invariant, corresponds, is_elliptic)
+    from .classes import (TWISTED, build_SO_even, build_SO_odd, build_Sp,
+                          build_tGL_even, build_tGL_odd, class_invariant,
+                          corresponds, is_elliptic)
     doc = read_input(args)
     if args.action == "corresponds":
         dparam = parse_param(doc["delta"])
@@ -415,21 +429,15 @@ def cmd_class(args) -> int:
         return EXIT_OK
     param = parse_param(doc)
     if args.action == "build":
-        if param.kind == "tGL-even":
-            emit({"delta": mat_doc(build_tGL_even(param))}, args)
-        elif param.kind == "tGL-odd":
-            emit({"delta": mat_doc(build_tGL_odd(param))}, args)
-        elif param.kind == "SO-even":
-            q, g = build_SO_even(param)
-            emit({"q": form_doc(q), "gamma": mat_doc(g)}, args)
-        elif param.kind == "SO-odd":
-            q, g = build_SO_odd(param)
-            emit({"q": form_doc(q), "gamma": mat_doc(g)}, args)
-        elif param.kind == "Sp":
-            q, g = build_Sp(param)
-            emit({"q": form_doc(q), "gamma": mat_doc(g)}, args)
-        else:
+        # the twisted kinds build a Gram delta, the others (q, gamma)
+        build = {"tGL-even": build_tGL_even, "tGL-odd": build_tGL_odd,
+                 "SO-even": build_SO_even, "SO-odd": build_SO_odd,
+                 "Sp": build_Sp}.get(param.kind)
+        if build is None:
             raise UsageError(f"build does not surface kind {param.kind}")
+        built = build(param)
+        emit({"delta": mat_doc(built)} if param.kind in TWISTED
+             else {"q": form_doc(built[0]), "gamma": mat_doc(built[1])}, args)
     elif args.action == "invariant":
         inv = class_invariant(param)
         emit({"char_poly": poly_doc(inv.char_poly), "kind": inv.kind,

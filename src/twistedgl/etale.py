@@ -117,24 +117,6 @@ class EtaleAlgebraWithInvolution:
     def zero(self) -> "AlgebraElement":
         return self.embed(0)
 
-    def fixed_element(self, base_values) -> "AlgebraElement":
-        """The tau-fixed element c (that is, (c, c) on a split factor) with
-        the given base-field component c per factor."""
-        if len(base_values) != len(self.factors):
-            raise ValueError("one base value per factor")
-        return AlgebraElement(self, tuple(
-            (c if isinstance(c, FieldElement) else f.base.embed(c), f.base.zero)
-            for f, c in zip(self.factors, base_values)))
-
-    def skew_element(self, base_values) -> "AlgebraElement":
-        """The tau-antifixed element c*s per factor: c*sqrt(d) on a field
-        step, (c, -c) on a split one."""
-        if len(base_values) != len(self.factors):
-            raise ValueError("one base value per factor")
-        return AlgebraElement(self, tuple(
-            (f.base.zero, c if isinstance(c, FieldElement) else f.base.embed(c))
-            for f, c in zip(self.factors, base_values)))
-
     def basis(self) -> tuple["AlgebraElement", ...]:
         """The frozen Q-basis, factor-major, base-power-minor: the unit
         vectors of the frozen coordinates."""
@@ -245,12 +227,6 @@ def tau(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.algebra, tuple((a, -b) for a, b in x.parts))
 
 
-def trace_to_qp(x: AlgebraElement) -> Fraction:
-    """Trace of multiplication by x on the whole algebra, over Q: 2 tr(a) for
-    each factor component a + b*s."""
-    return sum((2 * a.trace() for a, _ in x.parts), Fraction(0))
-
-
 def char_poly(x: AlgebraElement):
     """Characteristic polynomial of mult_matrix(x), monic over Q."""
     return charpoly(x.mult_matrix())
@@ -261,17 +237,6 @@ def is_generator(x: AlgebraElement) -> bool:
     return poly_squarefree(char_poly(x))
 
 
-def very_regular(x: AlgebraElement) -> bool:
-    """x invertible and r = x/tau(x) a generator: distinct eigenvalues.
-
-    None of them is 1 or -1: tau(r) = 1/r, so the embeddings, paired as
-    sigma and sigma o tau, pair the eigenvalues of r as lambda and 1/lambda,
-    and an eigenvalue +-1 would come twice."""
-    if not x.is_invertible():
-        raise ValueError("very-regularity needs an invertible element")
-    return is_generator(x * tau(x).inverse())
-
-
 # ---------------------------------------------------------------------------
 # trace forms
 
@@ -279,10 +244,11 @@ def very_regular(x: AlgebraElement) -> bool:
 def trace_form_bilinear(algebra: EtaleAlgebraWithInvolution, x: AlgebraElement) -> Mat:
     """Gram of (v, v') -> trace(tau(v) v' x) over the frozen basis.
 
-    Entry (i, j) is the trace of u v with u = tau(b_i) x and v = b_j, and
-    on each factor u v = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) s has trace
-    2 tr(a1 a2 + d b1 b2) (see trace_to_qp): only the a-part of the product
-    is formed, with d b1 taken once per row."""
+    Entry (i, j) is the trace over Q of u v with u = tau(b_i) x and v = b_j.
+    Mult by a + b s is [[a, d b], [b, a]] on the F-basis (1, s), of trace 2a
+    over F, and on each factor u v = (a1 a2 + d b1 b2) + (a1 b2 + b1 a2) s,
+    so the entry is the sum of 2 tr(a1 a2 + d b1 b2): only the a-part of the
+    product is formed, with d b1 taken once per row."""
     if not x.is_invertible():
         raise ValueError("trace form of a non-invertible twist")
     basis = algebra.basis()

@@ -359,8 +359,8 @@ def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:
     twist_invariant(Y), the characteristic polynomial of Y^-1 Y^T, decides
     both the very-regularity test (it must be squarefree) and the match.  The
     parameter's one characteristic polynomial, of mult by tau(x)/x, does the
-    same on its side: squarefree is very regular (etale.very_regular, as
-    char_poly(tau(r)) = char_poly(r) for r = x/tau(x)), and it must equal the
+    same on its side: squarefree is very regular (x/tau(x) is a generator,
+    as char_poly(tau(r)) = char_poly(r) for r = x/tau(x)), and it must equal the
     norm's, times the trivial eigenvalue block (T - 1) in the odd orthogonal
     case.
     """

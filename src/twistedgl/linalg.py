@@ -10,8 +10,8 @@ denominator: (rows, den) stands for rows / den.  clear_denominators takes a
 Mat there (den is the least common multiple of the entry denominators) and
 to_mat brings it back.  The kernels int_mul, int_det, int_inverse,
 int_charpoly_mod and int_solve_mod work on integer rows alone and never
-modify their arguments; mat_mul, det, inverse and charpoly_mod are their
-Mat wrappers, and is_isometry (g^T G g = G) is the one isometry test.  Code
+modify their arguments; mat_mul, det and inverse are their Mat wrappers,
+and is_isometry (g^T G g = G) is the one isometry test.  Code
 that chains several products (the Goldberg-Shahidi sampler and norm in
 gsnorm, the symmetrization of a twisted point in endoscopy) stays on integer
 rows throughout and builds Fractions only for the Mat it returns.  Two
@@ -341,12 +341,6 @@ def charpoly(a: Mat) -> Poly:
     return tuple(Fraction(coeffs[i], d ** (n - i)) for i in range(n + 1))
 
 
-def charpoly_mod(a: Mat, ell: int) -> list[int] | None:
-    """det(T - A) mod the prime ell as ascending residues, or None when ell
-    divides a denominator of A; see int_charpoly_mod."""
-    return int_charpoly_mod(*clear_denominators(a), ell)
-
-
 def int_charpoly_mod(rows: Sequence[Sequence[int]], den: int,
                      ell: int) -> list[int] | None:
     """det(T - rows/den) mod the prime ell as ascending residues, or None
@@ -529,11 +523,3 @@ def poly_squarefree(p: Poly) -> bool:
     rows = [[0] * i + f + [0] * (m - 2 - i) for i in range(m - 1)]
     rows += [[0] * i + df + [0] * (m - 1 - i) for i in range(m)]
     return _eliminate(rows, jordan=False)[1] != 0
-
-
-def poly_eval(p: Poly, x) -> Fraction:
-    x = fr(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc

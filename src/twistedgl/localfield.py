@@ -1,9 +1,10 @@
 """Exact p-adic scaffolding.
 
 Valuations, square classes, Legendre and Hilbert symbols over Q_p for every
-prime, tame Hilbert symbols over certified extensions with odd residue
+prime, and the tame data (valuation, residue character of the unit part)
+that decides squareness in a certified extension with odd residue
 characteristic.  The Hensel-certified solubility oracle that cross-checks the
-Hilbert symbols lives in `oracles`.
+Hilbert symbols and the tame data lives in `oracles`.
 
 Square classes are F_2 vectors.  Write a = p^v u with u a p-adic unit; then
 Q_p^x / Q_p^x2 is F_2^2 for odd p and F_2^3 for p = 2, with coordinates
@@ -30,10 +31,7 @@ B on the bits, and `hilbert_qp` on rationals is that form on their classes.
 A prime is an int: `Prime` subclasses int, and constructing one is the
 Miller-Rabin proof.  A field certified by a non-square discriminant is read
 through its normal model Q_p[s]/(s^2 - m), v(m) in {0, 1}, which is Eisenstein
-or unramified, so tame data has one algorithm per ramification type.  A
-quadratic field is unramified exactly when its discriminant has Hilbert
-symbol 1 with every unit: v(disc) even for odd p, disc in the class of 5 for
-p = 2.
+or unramified, so tame data has one algorithm per ramification type.
 
 All arithmetic is exact rational; no floats.
 """
@@ -45,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .linalg import (Mat, Poly, det, fr, gfp_gcd, gfp_powmod, gfp_trim,
+from .linalg import (Mat, Poly, fr, gfp_gcd, gfp_powmod, gfp_trim,
                      inverse as mat_inverse, poly_trim)
 
 # ---------------------------------------------------------------------------
@@ -354,28 +352,6 @@ class LocalFieldDescriptor:
         return len(self.defining_poly) - 1
 
     @cached_property
-    def ramification_e(self) -> int:
-        """A quadratic field is unramified exactly when its discriminant
-        pairs trivially with every unit class: the norms from the unramified
-        quadratic extension are the units times the even powers of p."""
-        if self.certificate == "eisenstein":
-            return self.degree
-        if self.certificate == "quadratic-nonsquare-disc":
-            poly = self.defining_poly
-            disc = square_class(poly[1] ** 2 - 4 * poly[0], self.p)
-            units = (u for u in square_class_table(self.p) if not u.bits & 1)
-            return 1 if all(disc.hilbert(u) == 1 for u in units) else 2
-        return 1
-
-    @cached_property
-    def residue_f(self) -> int:
-        return self.degree // self.ramification_e
-
-    @cached_property
-    def residue_q(self) -> int:
-        return self.p ** self.residue_f
-
-    @cached_property
     def trace_vector(self) -> tuple[Fraction, ...]:
         """tr(t^i) for i < degree: the power sums of the roots of the defining
         polynomial f, by Newton's identities
@@ -396,12 +372,6 @@ class LocalFieldDescriptor:
     @property
     def zero(self) -> "FieldElement":
         return self.embed(0)
-
-    @property
-    def gen(self) -> "FieldElement":
-        if self.degree == 1:
-            raise ValueError("Q_p has no generator element")
-        return self.element([0, 1] + [0] * (self.degree - 2))
 
     def embed(self, a) -> "FieldElement":
         return self.element([fr(a)] + [0] * (self.degree - 1))
@@ -490,9 +460,6 @@ class FieldElement:
             cols.append((self * basis_j).coeffs)
         return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
-    def norm(self) -> Fraction:
-        return det(self.mult_matrix())
-
     def trace(self) -> Fraction:
         """sum c_i tr(t^i), read off the field's trace vector."""
         return sum(c * t for c, t in zip(self.coeffs, self.field.trace_vector))
@@ -503,21 +470,12 @@ class FieldElement:
         inv = mat_inverse(self.mult_matrix())
         return FieldElement(self.field, tuple(row[0] for row in inv))
 
-    def valuation(self) -> int:
-        """Normalized valuation (uniformizer has valuation 1)."""
-        if self.is_zero():
-            raise ValueError("valuation of zero")
-        fld = self.field
-        if fld.degree == 1:
-            return valuation(self.coeffs[0], fld.p)
-        return valuation(self.norm(), fld.p) // fld.residue_f
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
 # ---------------------------------------------------------------------------
-# residue data and the tame Hilbert symbol
+# tame data and squareness in a certified field
 
 
 @lru_cache(maxsize=128)  # certify a field's model once, not per symbol
@@ -584,23 +542,6 @@ def tame_data(fld: LocalFieldDescriptor, x) -> tuple[int, int]:
     red = [_unit_mod(c, p) for c in fld.defining_poly]
     res = [_unit_mod(c / Fraction(p) ** w, p) for c in x.coeffs]  # all p-integral
     return w, _residue_char_fq(res, red, p)
-
-
-def hilbert_tame(fld: LocalFieldDescriptor, a, b) -> int:
-    """Tame Hilbert symbol over a certified extension with odd residue char.
-
-    (a,b) = (-1)^(v(a) v(b) (q-1)/2) * chi(ua)^v(b) * chi(ub)^v(a), chi the
-    quadratic residue character of the residue field and ua, ub unit parts.
-    Over Q_p itself, for every p, it is hilbert_qp.
-    """
-    if fld.degree == 1:
-        av = a.coeffs[0] if isinstance(a, FieldElement) else a
-        bv = b.coeffs[0] if isinstance(b, FieldElement) else b
-        return hilbert_qp(av, bv, fld.p)
-    wa, chia = tame_data(fld, a)
-    wb, chib = tame_data(fld, b)
-    e = wa * wb * ((fld.residue_q - 1) // 2) + wb * (chia == -1) + wa * (chib == -1)
-    return -1 if e % 2 else 1
 
 
 def is_square_in_field(fld: LocalFieldDescriptor, d) -> bool:

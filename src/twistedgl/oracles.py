@@ -265,9 +265,9 @@ def _oracle_ring(fld: LocalFieldDescriptor):
         return _ZpRing(p)
     if fld.degree == 2 and p != 2:
         model, _ = _quadratic_model(fld)
-        m = -model.defining_poly[0]
+        m, e = -model.defining_poly[0], 2 if model.certificate == "eisenstein" else 1
         # clear the square denominator of m (rebases s)
-        return _QuadRing(p, model.ramification_e, int(m * m.denominator ** 2))
+        return _QuadRing(p, e, int(m * m.denominator ** 2))
     raise ValueError("solubility oracle supports Q_p and odd-p quadratic fields")
 
 

@@ -349,11 +349,6 @@ def witt_kernel(rows: list[list[int]], d: int, p: Prime) -> WittClass:
     return _invariants(_eliminate_symmetric(rows, d, transform=False)[0], p).kernel
 
 
-def witt_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
-    _same_prime(q1, q2)
-    return witt_decompose(q1)[1] == witt_decompose(q2)[1]
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import fr
 from .localfield import SquareClass, as_prime, square_class
 from .qform import QuadForm, diagonal
 
@@ -69,13 +68,6 @@ def _rank1(c: SquareClass) -> Mu8:
     if bits & 1:
         return Mu8(1 + 2 * eps + 4 * (eps ^ omega))    # u mod 8
     return Mu8(1 + 6 * eps)                            # zeta8^(+-1) by u mod 4
-
-
-def weil_rank1(a, p) -> Mu8:
-    """Weil index of the rank-1 form <a> over Q_p, standard character."""
-    if fr(a) == 0:
-        raise ValueError("rank-1 form needs a nonzero coefficient")
-    return _rank1(square_class(a, p))
 
 
 def weil_index(q: QuadForm) -> Mu8:

@@ -14,16 +14,17 @@ from fractions import Fraction
 import sympy
 
 from twistedgl import gsnorm, linalg, qform
-from twistedgl.etale import (EtaleAlgebraWithInvolution, make_algebra,
-                             quadratic_tower, split_tower, tau, is_generator,
-                             very_regular)
+from twistedgl.etale import (AlgebraElement, EtaleAlgebraWithInvolution,
+                             make_algebra, quadratic_tower, split_tower, tau,
+                             is_generator)
 from twistedgl.linalg import (det, identity, inverse, mat, mat_add, mat_mul,
                               mat_scale, mat_sub, transpose)
-from twistedgl.localfield import (QP, SquareClass, _residue_char_fq, _unit_mod,
-                                  least_nonresidue, legendre, square_class,
-                                  square_class_table, valuation)
+from twistedgl.localfield import (QP, FieldElement, SquareClass, _residue_char_fq,
+                                  _unit_mod, hilbert_qp, least_nonresidue, legendre,
+                                  square_class, square_class_table, tame_data,
+                                  valuation)
 from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,
-                             quad_form, scale, witt_equivalent)
+                             quad_form, scale, witt_decompose)
 from twistedgl.weil import weil_index
 
 
@@ -281,17 +282,16 @@ def random_generator(algebra, rng: random.Random, require_very_regular=True):
         x = random_invertible_element(algebra, rng)
         if not is_generator(x):
             continue
-        if require_very_regular and not very_regular(x):
+        if require_very_regular and not is_generator(x * tau(x).inverse()):
             continue
         return x
     raise RuntimeError("could not sample a generator")
 
 
-def random_norm_one_generator(algebra, rng: random.Random, avoid=(1, -1)):
-    """y = z / tau(z): norm one; retries until it generates and avoids the
-    eigenvalues listed."""
-    from twistedgl.etale import char_poly
-    from twistedgl.linalg import poly_eval
+def random_norm_one_generator(algebra, rng: random.Random):
+    """y = z / tau(z): norm one; retries until it generates.  A generator has
+    no eigenvalue +-1: y tau(y) = 1 pairs its eigenvalues as lambda and
+    1/lambda, so +-1 would come twice."""
     for _ in range(500):
         z = random_invertible_element(algebra, rng)
         tz = tau(z)
@@ -299,9 +299,6 @@ def random_norm_one_generator(algebra, rng: random.Random, avoid=(1, -1)):
             continue
         y = z * tz.inverse()
         if not is_generator(y):
-            continue
-        cp = char_poly(y)
-        if any(poly_eval(cp, e) == 0 for e in avoid):
             continue
         return y
     raise RuntimeError("could not sample a norm-one generator")
@@ -313,7 +310,8 @@ def random_fixed_invertible(algebra, rng: random.Random):
         for f in algebra.factors:
             d = f.base.degree
             vals.append(f.base.element([Fraction(rng.randint(-5, 5)) for _ in range(d)]))
-        c = algebra.fixed_element(vals)
+        c = AlgebraElement(algebra, tuple((v, f.base.zero)
+                                          for f, v in zip(algebra.factors, vals)))
         if c.is_invertible():
             return c
     raise RuntimeError("could not sample a fixed invertible element")
@@ -325,7 +323,8 @@ def random_antifixed_invertible(algebra, rng: random.Random):
         for f in algebra.factors:
             d = f.base.degree
             vals.append(f.base.element([Fraction(rng.randint(-5, 5)) for _ in range(d)]))
-        c = algebra.skew_element(vals)
+        c = AlgebraElement(algebra, tuple((f.base.zero, v)
+                                          for f, v in zip(algebra.factors, vals)))
         if c.is_invertible():
             return c
     raise RuntimeError("could not sample an anti-fixed invertible element")
@@ -400,8 +399,9 @@ def reference_rhs(space, n):
 
 
 def reference_trace(x):
-    """The trace of the multiplication matrix of a field element: the
-    reference for FieldElement.trace."""
+    """The trace of the multiplication matrix of a field or algebra element:
+    the reference for FieldElement.trace and for the entries of
+    etale.trace_form_bilinear."""
     m = x.mult_matrix()
     return sum((m[i][i] for i in range(len(m))), Fraction(0))
 
@@ -503,12 +503,81 @@ def reference_eisenstein_tame_data(fld, x) -> tuple[int, int]:
     d = fld.degree
     w = min(d * valuation(c, p) + i for i, c in enumerate(x.coeffs) if c != 0)
     u = x
-    step = fld.gen.inverse() if w > 0 else fld.gen
+    step = field_gen(fld).inverse() if w > 0 else field_gen(fld)
     for _ in range(abs(w)):
         u = u * step
     c0 = u.coeffs[0]
     assert c0 != 0 and valuation(c0, p) == 0, "the unit part has a unit residue"
     return w, legendre(c0, p)
+
+
+# ---------------------------------------------------------------------------
+# residue data and the tame Hilbert symbol over certified extensions
+
+
+def ramification_e(fld) -> int:
+    """The ramification index of a certified field.  A quadratic field is
+    unramified exactly when its discriminant pairs trivially with every unit
+    class, the norms from the unramified quadratic extension being the units
+    times the even powers of p: the independent check of the certificate of
+    localfield._quadratic_model."""
+    if fld.certificate == "eisenstein":
+        return fld.degree
+    if fld.certificate == "quadratic-nonsquare-disc":
+        poly = fld.defining_poly
+        disc = square_class(poly[1] ** 2 - 4 * poly[0], fld.p)
+        units = (u for u in square_class_table(fld.p) if not u.bits & 1)
+        return 1 if all(disc.hilbert(u) == 1 for u in units) else 2
+    return 1
+
+
+def residue_f(fld) -> int:
+    return fld.degree // ramification_e(fld)
+
+
+def residue_q(fld) -> int:
+    return fld.p ** residue_f(fld)
+
+
+def field_gen(fld):
+    """The generator t of the power basis of a field of degree at least 2."""
+    return fld.element([0, 1] + [0] * (fld.degree - 2))
+
+
+def field_norm(x) -> Fraction:
+    return det(x.mult_matrix())
+
+
+def field_valuation(x) -> int:
+    """The normalized valuation of a nonzero field element (a uniformizer has
+    valuation 1): v_p of its norm is f times it."""
+    fld = x.field
+    if fld.degree == 1:
+        return valuation(x.coeffs[0], fld.p)
+    return valuation(field_norm(x), fld.p) // residue_f(fld)
+
+
+def hilbert_tame(fld, a, b) -> int:
+    """Tame Hilbert symbol over a certified extension with odd residue char,
+    on the tame data of localfield:
+    (a,b) = (-1)^(v(a) v(b) (q-1)/2) * chi(ua)^v(b) * chi(ub)^v(a), chi the
+    quadratic residue character of the residue field and ua, ub unit parts.
+    Over Q_p itself, for every p, it is hilbert_qp."""
+    if fld.degree == 1:
+        a, b = (x.coeffs[0] if isinstance(x, FieldElement) else x for x in (a, b))
+        return hilbert_qp(a, b, fld.p)
+    wa, chia = tame_data(fld, a)
+    wb, chib = tame_data(fld, b)
+    e = wa * wb * ((residue_q(fld) - 1) // 2) + wb * (chia == -1) + wa * (chib == -1)
+    return -1 if e % 2 else 1
+
+
+def poly_eval(p, x) -> Fraction:
+    """The polynomial of ascending coefficients p at x, by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def reference_weil_rank1(a, p: int) -> int:
@@ -612,7 +681,8 @@ def reference_transfer_factor(space, delta, n):
     Fraction sums: the reference for endoscopy.transfer_factor."""
     sym = mat_scale(Fraction(1, 2), mat_add(delta, transpose(delta)))
     target = scale((-1) ** n, norm_form(invariants(space).dpm, space.p))
-    return 1 if witt_equivalent(quad_form(sym, space.p), target) else -1
+    kernel = witt_decompose(quad_form(sym, space.p))[1]
+    return 1 if kernel == witt_decompose(target)[1] else -1
 
 
 def reference_witt_class_exists(aniso_dim, detc, hasse, p) -> bool:

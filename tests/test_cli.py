@@ -184,6 +184,41 @@ def test_class_verbs(capsys):
     assert code == 0 and doc["elliptic"] is False
 
 
+SPLIT5 = [{"base": {"p": 5}, "step": "split"}]
+SPLIT3 = [{"base": {"p": 3}, "step": "split"}]
+# y = (1 + s)/(1 - s) = -3 - 2s in Q_3(sqrt 2) has norm one
+QUAD3 = [{"base": {"p": 3}, "step": {"d": "2"}}]
+ROTATION = {"algebra": QUAD3, "x": [["-3", "-2"]], "c": [["1", "0"]]}
+
+
+@pytest.mark.parametrize("param, want", [
+    ({"kind": "tGL-even", "algebra": SPLIT5, "x": [["3", "7"]]},
+     {"delta": [["0", "7"], ["3", "0"]]}),
+    ({"kind": "tGL-odd", "algebra": SPLIT3, "x": [["2", "7"]], "xD": "1"},
+     {"delta": [["0", "7", "0"], ["2", "0", "0"], ["0", "0", "1"]]}),
+    ({"kind": "SO-even", **ROTATION},
+     {"q": {"p": 3, "gram": [["2", "0"], ["0", "-4"]]},
+      "gamma": [["-3", "-4"], ["-2", "-3"]]}),
+    ({"kind": "SO-odd", **ROTATION, "a": "1"},
+     {"q": {"p": 3, "gram": [["2", "0", "0"], ["0", "-4", "0"], ["0", "0", "1"]]},
+      "gamma": [["-3", "-4", "0"], ["-2", "-3", "0"], ["0", "0", "1"]]}),
+    ({"kind": "Sp", "algebra": SPLIT5, "x": [["2", "1/2"]], "c": [["1", "-1"]]},
+     {"q": {"p": 5, "gram": [["0", "-1"], ["1", "0"]]},
+      "gamma": [["2", "0"], ["0", "1/2"]]}),
+])
+def test_class_build_document_of_each_buildable_kind(capsys, param, want):
+    assert run(capsys, "class", "build", "--json", json.dumps(param)) == (0, want)
+
+
+@pytest.mark.parametrize("param", [
+    {"kind": "U", **ROTATION},
+    {"kind": "tGL-E", "algebra": SPLIT5, "x": [["3", "7"]]}])
+def test_class_build_refuses_the_unitary_kinds(capsys, param):
+    assert main(["class", "build", "--json", json.dumps(param)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"usage error: build does not surface kind {param['kind']}\n")
+
+
 def test_rational_output_literals():
     assert [rat_str(x) for x in (F(-6, 4), F(7), 3, "5/10")] == ["-3/2", "7", "3", "1/2"]
     assert [rat_json(x) for x in (F(-6, 4), F(7), -2)] == ["-3/2", 7, -2]
@@ -838,6 +873,29 @@ SEED_DOCS = {
     ("endo", "eta"): {"binary": FORM, "y": "1"},
     ("endo", "delta"): {"space": FORM, "delta": [["1", "2"], ["0", "3"]]},
 }
+# string-for-list literals, on the seed documents above
+SPLIT_C = {"algebra": [{"base": {"p": 3}, "step": "split"}], "c": [["1", "1"]]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("qform", "invariants"), {"p": 5, "gram": ["12", "21"]}),
+    (("qform", "invariants"), {"p": 5, "gram": "1"}),
+    (("qform", "invariants"), {"p": 5, "diag": "12"}),
+    (("gs", "norm"), {**CONFIG, "X": ["10", "01"]}),
+    (("gs", "norm"), {**CONFIG, "Y": "1"}),
+    (("gs", "section"), {**SEED_DOCS[("gs", "section")], "gamma": ["34", "43"]}),
+    (("endo", "delta", "--n", "1"), {"space": FORM, "delta": ["12", "03"]}),
+    (("etale", "traceform"), {**SPLIT_C, "c": ["11"]}),
+    (("class", "build"), {**PARAM, "x": ["37"]}),
+    (("etale", "build"), [{"base": {"p": 3, "poly": "01"}, "step": "split"}]),
+])
+def test_a_string_where_a_list_belongs_is_a_usage_error(capsys, argv, doc):
+    # each was once read one character at a time, and answered
+    assert main([*argv, "--json", json.dumps(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "must be a list, not str" in err
+
+
 # the keys the verbs read, for the replacement documents
 DOC_KEYS = ("p", "diag", "gram", "label", "q1", "q2", "qV", "epsilon",
             "ambient", "X", "Y", "gamma", "space", "delta", "binary", "y",

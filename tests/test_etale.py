@@ -5,13 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_algebra, random_fixed_invertible, random_invertible_element
+from helpers import (poly_eval, random_algebra, random_fixed_invertible,
+                     random_invertible_element, reference_trace)
 from twistedgl.etale import (char_poly, is_generator, make_algebra,
                              quadratic_tower, split_tower, tau,
-                             trace_form_bilinear, trace_form_quadratic,
-                             trace_to_qp, very_regular)
+                             trace_form_bilinear, trace_form_quadratic)
 from twistedgl.linalg import (block_diag, det, identity, inverse, mat_add, mat_mul,
-                              poly_eval, poly_squarefree, transpose)
+                              poly_squarefree, transpose)
 from twistedgl.localfield import (QP, LocalFieldDescriptor, Prime, is_square_in_field,
                                   least_nonresidue)
 from twistedgl.qform import witt_decompose
@@ -49,8 +49,8 @@ def test_involution_and_traces():
             x = random_invertible_element(alg, rng)
             assert tau(tau(x)) == x
             assert tau(x * tau(x)) == x * tau(x)
-            assert trace_to_qp(tau(x)) == trace_to_qp(x)
-            assert trace_to_qp(alg.one) == alg.dim_over_qp
+            assert reference_trace(tau(x)) == reference_trace(x)
+            assert reference_trace(alg.one) == alg.dim_over_qp
 
 
 def test_split_norm_and_char_poly():
@@ -107,13 +107,14 @@ def test_frozen_coordinates_over_qp_and_an_unramified_base():
                 assert alg.one.mult_matrix() == identity(alg.dim_over_qp)
                 basis = alg.basis()
                 assert trace_form_bilinear(alg, x) == tuple(
-                    tuple(trace_to_qp(tau(bi) * x * bj) for bj in basis) for bi in basis)
+                    tuple(reference_trace(tau(bi) * x * bj) for bj in basis)
+                    for bi in basis)
                 split = make_algebra([split_tower(base)])
                 u, v = rand(base), rand(base)
                 z = split.element([(u, v)])
                 assert z.mult_matrix() == block_diag(u.mult_matrix(), v.mult_matrix())
                 assert tau(z) == split.element([(v, u)])
-                assert trace_to_qp(z) == u.trace() + v.trace()
+                assert reference_trace(z) == u.trace() + v.trace()
 
 
 def _binom_poly(n):
@@ -150,18 +151,21 @@ def test_is_generator():
 
 
 def test_very_regular():
+    # x is very regular when r = x / tau(x) has distinct eigenvalues, none of
+    # them +-1; the rule, of ClassParameter and gs_param_check, tests only
+    # that r is a generator
     alg = split_q(5)
     f = alg.factors[0]
-    fixed = alg.fixed_element([f.base.embed(3)])
-    assert not very_regular(fixed)
+    fixed = alg.embed(3)
+    assert not is_generator(fixed * tau(fixed).inverse())
     x = alg.element([(f.base.embed(2), f.base.embed(5))])
-    assert very_regular(x)
+    assert is_generator(x * tau(x).inverse())
     # r = x / tau(x) = (1/2, 2, 1/2, 2): r - 1 and r + 1 are invertible, but
     # its eigenvalues repeat
     two = make_algebra([split_tower(QP(3)), split_tower(QP(3))])
     x = two.element([(g.base.embed(u), g.base.embed(v))
                      for g, (u, v) in zip(two.factors, ((1, 2), (3, 6)))])
-    assert not very_regular(x)
+    assert not is_generator(x * tau(x).inverse())
     rng = random.Random(4)
     for _ in range(30):
         a2 = random_algebra(3, rng)
@@ -170,7 +174,7 @@ def test_very_regular():
         want = det(mat_add(r.mult_matrix(), identity(a2.dim_over_qp))) != 0 and \
             det(mat_add(r.mult_matrix(), (-a2.one).mult_matrix())) != 0 and \
             poly_squarefree(char_poly(r))
-        assert very_regular(x) == want
+        assert is_generator(r) == want
 
 
 def test_trace_form_bilinear_transpose_and_symmetrization():
@@ -180,9 +184,10 @@ def test_trace_form_bilinear_transpose_and_symmetrization():
             alg = random_algebra(p, rng)
             x = random_invertible_element(alg, rng)
             g = trace_form_bilinear(alg, x)
-            # the definition, with every product formed in full
+            # the definition: the trace of the multiplication matrix of each
+            # product, formed in full
             basis = alg.basis()
-            assert g == tuple(tuple(trace_to_qp(tau(bi) * x * bj) for bj in basis)
+            assert g == tuple(tuple(reference_trace(tau(bi) * x * bj) for bj in basis)
                               for bi in basis)
             gt = trace_form_bilinear(alg, tau(x))
             assert gt == transpose(g)

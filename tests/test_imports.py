@@ -1,6 +1,8 @@
 """Runtime hygiene: the package and its CLI never load oracle-only code, a
 verb loads only the modules it runs, and the runtime modules hold only what
-the CLI verbs and the benchmark reach."""
+the CLI verbs and the benchmark reach, besides the package's PEP 562 hooks.
+What only the tests read (the tame Hilbert symbol over an extension and its
+residue data, say) lives in tests/helpers.py."""
 
 import ast
 import importlib
@@ -16,35 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "twistedgl"
 
-# Runtime definitions that no verb reaches, each kept for the reason given.
+# Runtime definitions that no verb reaches, each kept for the reason given:
+# only the package's PEP 562 hooks, which the interpreter calls.  Anything
+# else that only the tests or the oracles read belongs in tests/helpers.py.
 KEPT = {
-    "localfield.hilbert_tame": "the Hilbert symbol over the extension bases "
-                               "that etale build accepts, checked against the "
-                               "solubility oracle's quadratic ring",
-    "localfield.LocalFieldDescriptor.residue_q": "the residue field order of "
-                                                 "hilbert_tame",
-    "localfield.LocalFieldDescriptor.residue_f": "the residue degree of residue_q",
-    "localfield.LocalFieldDescriptor.ramification_e": "the ramification index of "
-                                                      "residue_f and of the "
-                                                      "solubility oracle's "
-                                                      "quadratic ring",
-    "localfield.FieldElement.valuation": "test aid: the normalized valuation, "
-                                         "v(p) = e, that checks ramification_e",
-    "localfield.FieldElement.norm": "the norm that FieldElement.valuation reads",
-    "weil.weil_rank1": "the rank-1 table that the Gauss-sum oracle tests",
-    "localfield.LocalFieldDescriptor.gen": "test aid: the generator t that "
-                                           "field elements are built from",
-    "etale.EtaleAlgebraWithInvolution.fixed_element": "test aid: tau-fixed twists",
-    "etale.EtaleAlgebraWithInvolution.skew_element": "test aid: tau-antifixed twists",
-    "etale.trace_to_qp": "test aid: the trace over Q_p whose a-part formula "
-                         "trace_form_bilinear applies entry by entry",
-    "etale.very_regular": "test aid: very-regularity of an element, which "
-                          "ClassParameter decides on its cached fingerprint",
-    "linalg.poly_eval": "test aid: the eigenvalue test that "
-                        "helpers.random_norm_one_generator reads",
-    "linalg.charpoly_mod": "test aid: the F_ell characteristic polynomial of a "
-                           "rational matrix",
-    "qform.witt_equivalent": "test aid: Witt equivalence of two forms",
     "__init__.__getattr__": "the PEP 562 hook that the interpreter calls, not "
                             "a verb, to resolve the package's re-exported "
                             "names on first access",
@@ -208,12 +185,12 @@ def test_a_verb_loads_only_the_modules_it_runs(argv, loaded):
 REEXPORTS = {
     "localfield": ["Prime", "LocalFieldDescriptor", "SquareClass", "FieldElement",
                    "QP", "valuation", "square_class", "square_class_table",
-                   "hilbert_qp", "hilbert_tame"],
+                   "hilbert_qp"],
     "qform": ["QuadForm", "FormInvariants", "WittClass", "quad_form", "diag_form",
               "alternating_form", "diagonalize", "diagonal", "invariants",
-              "is_isotropic", "witt_decompose", "equivalent", "witt_equivalent",
+              "is_isotropic", "witt_decompose", "equivalent",
               "direct_sum", "scale", "hyperbolic", "norm_form", "represents"],
-    "weil": ["Mu8", "weil_rank1", "weil_index", "epsilon_half"],
+    "weil": ["Mu8", "weil_index", "epsilon_half"],
     "etale": ["FactorTower", "EtaleAlgebraWithInvolution", "AlgebraElement",
               "make_algebra", "trace_form_bilinear", "trace_form_quadratic"],
     "classes": ["ClassParameter", "ClassInvariant", "build_tGL_even", "build_tGL_odd",

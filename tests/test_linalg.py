@@ -24,7 +24,7 @@ import sympy
 from sympy.polys.galoistools import gf_pow_mod, gf_rem
 
 from twistedgl import linalg
-from twistedgl.linalg import (charpoly, charpoly_mod, det, int_charpoly_mod,
+from twistedgl.linalg import (charpoly, clear_denominators, det, int_charpoly_mod,
                               int_det, int_inverse, int_mul, int_solve_mod,
                               inverse, mat, mat_mul, poly_squarefree,
                               poly_squarefree_mod)
@@ -116,7 +116,7 @@ def reduce_mod(poly, ell):
 @pytest.mark.parametrize("ell", PRIMES)
 @pytest.mark.parametrize("n, rational, a", cases(20263, random_matrix))
 def test_charpoly_mod_is_charpoly_reduced(n, rational, a, ell):
-    assert charpoly_mod(a, ell) == reduce_mod(charpoly(a), ell)
+    assert int_charpoly_mod(*clear_denominators(a), ell) == reduce_mod(charpoly(a), ell)
 
 
 def random_int_rows(rng, n, m=None):
@@ -188,7 +188,8 @@ def test_int_charpoly_mod_matches_sympy(n, rows, den, ell):
         return
     coeffs = scaled_to_sympy(rows, den).charpoly(sympy.Symbol("T")).all_coeffs()
     assert f == [int(c.p) * pow(int(c.q), -1, ell) % ell for c in reversed(coeffs)]
-    assert f == charpoly_mod(mat([[F(x, den) for x in row] for row in rows]), ell)
+    least = clear_denominators(mat([[F(x, den) for x in row] for row in rows]))
+    assert f == int_charpoly_mod(*least, ell)
 
 
 def valid_cuts(rows):
@@ -360,12 +361,13 @@ def test_int_solve_mod_matches_sympy(n, a, b, ell):
 
 
 def test_charpoly_mod_needs_ell_integral_entries():
-    assert charpoly_mod(mat([[1, F(1, 7)], [0, 2]]), 7) is None
-    assert charpoly_mod(mat([[F(3, ELL)]]), ELL) is None
-    assert charpoly_mod(mat([[F(ELL, 2)]]), ELL) == [0, 1]
-    assert charpoly_mod((), ELL) == [1]
+    # over the least common denominator of the entries
+    for a, ell, want in ((mat([[1, F(1, 7)], [0, 2]]), 7, None),
+                         (mat([[F(3, ELL)]]), ELL, None),
+                         (mat([[F(ELL, 2)]]), ELL, [0, 1]), ((), ELL, [1])):
+        assert int_charpoly_mod(*clear_denominators(a), ell) == want
     with pytest.raises(ValueError):
-        charpoly_mod(mat([[1, 2]]), ELL)
+        int_charpoly_mod(*clear_denominators(mat([[1, 2]])), ELL)
 
 
 @pytest.mark.parametrize("ell", PRIMES)

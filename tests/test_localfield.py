@@ -9,11 +9,13 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (reference_eisenstein_tame_data, reference_quadratic_tame_data,
-                     reference_trace)
+from helpers import (field_gen, field_norm, field_valuation, hilbert_tame,
+                     ramification_e, reference_eisenstein_tame_data,
+                     reference_quadratic_tame_data, reference_trace, residue_f,
+                     residue_q)
 from twistedgl.localfield import (CERTIFICATES, PSI_13, QP, LocalFieldDescriptor,
                                   Prime, _residue_char_fq,
-                                  as_prime, hilbert_qp, hilbert_tame,
+                                  as_prime, hilbert_qp,
                                   is_square_in_field, least_nonresidue,
                                   legendre, square_class, square_class_table,
                                   tame_data, valuation)
@@ -268,7 +270,7 @@ def test_unramified_certificate_reduces_fractions_mod_p():
     assert not certifies_unramified((F(3, 2), F(0), F(1)), 3)
     fld = LocalFieldDescriptor(Prime(3), (F(1, 2), F(1), F(1)),
                                "unramified-irreducible-mod-p")
-    assert fld.residue_q == 9
+    assert residue_q(fld) == 9
 
 
 def squares_in_fq(p, redpoly):
@@ -305,21 +307,21 @@ def test_residue_character_is_the_table_of_squares(p, redpoly):
 
 def test_ramification_data():
     eis = eisenstein_q3_sqrt3()
-    assert (eis.ramification_e, eis.residue_f, eis.residue_q) == (2, 1, 3)
+    assert (ramification_e(eis), residue_f(eis), residue_q(eis)) == (2, 1, 3)
     unr = unramified_q3()
-    assert (unr.ramification_e, unr.residue_f, unr.residue_q) == (1, 2, 9)
-    assert QP(7).residue_q == 7
+    assert (ramification_e(unr), residue_f(unr), residue_q(unr)) == (1, 2, 9)
+    assert residue_q(QP(7)) == 7
 
 
 def test_field_element_arithmetic():
     fld = eisenstein_q3_sqrt3()
-    t = fld.gen
+    t = field_gen(fld)
     assert (t * t).coeffs == (F(3), F(0))
-    assert t.valuation() == 1
-    assert fld.embed(3).valuation() == 2
+    assert field_valuation(t) == 1
+    assert field_valuation(fld.embed(3)) == 2
     x = fld.element([2, 5])
     assert (x * x.inverse()).coeffs == (F(1), F(0))
-    assert x.norm() == 4 - 3 * 25
+    assert field_norm(x) == 4 - 3 * 25
     assert x.trace() == 4
 
 
@@ -336,7 +338,7 @@ def test_field_element_arithmetic():
 ])
 def test_field_trace_reads_the_trace_vector(p, poly, cert, e):
     fld = LocalFieldDescriptor(p, tuple(F(c) for c in poly), cert)
-    assert fld.ramification_e == e
+    assert ramification_e(fld) == e
     rng = random.Random(p * 1000 + len(poly))
     for _ in range(20):
         x = fld.element([F(rng.randint(-40, 40), rng.randint(1, 9))
@@ -349,12 +351,12 @@ def test_field_trace_reads_the_trace_vector(p, poly, cert, e):
 
 def test_tame_symbol_examples():
     eis = eisenstein_q3_sqrt3()
-    t = eis.gen
+    t = field_gen(eis)
     # (t, -1): fixed by the residue symbol of -1 in F_3
     assert hilbert_tame(eis, t, eis.embed(-1)) == -1
     unr = unramified_q3()
     # unit pairs in the unramified quadratic: tame exponents vanish
-    s = unr.gen
+    s = field_gen(unr)
     assert hilbert_tame(unr, s, unr.embed(-1)) == 1
     assert hilbert_tame(unr, s * s + 1, unr.embed(2)) == 1
     # trivial first argument
@@ -365,11 +367,11 @@ def test_tame_symbol_against_oracle_on_extension():
     eis = eisenstein_q3_sqrt3()
     unr = unramified_q3()
     cases = [
-        (eis, eis.gen, eis.embed(-1)),
-        (eis, eis.gen, eis.embed(2)),
+        (eis, field_gen(eis), eis.embed(-1)),
+        (eis, field_gen(eis), eis.embed(2)),
         (eis, eis.element([1, 1]), eis.embed(-1)),
-        (eis, eis.gen, eis.gen),
-        (unr, unr.gen, unr.embed(3)),
+        (eis, field_gen(eis), field_gen(eis)),
+        (unr, field_gen(unr), unr.embed(3)),
         (unr, unr.embed(3), unr.element([1, 1])),
         (unr, unr.embed(3), unr.embed(3)),
     ]
@@ -401,9 +403,9 @@ def test_tame_symbol_symmetry_and_bimultiplicativity():
 def test_tame_rejects_wild_extensions():
     fld = LocalFieldDescriptor(Prime(2), (F(-2), F(0), F(1)), "eisenstein")
     with pytest.raises(ValueError):
-        hilbert_tame(fld, fld.gen, fld.one)
+        hilbert_tame(fld, field_gen(fld), fld.one)
     with pytest.raises(ValueError):
-        is_square_in_field(fld, fld.gen)
+        is_square_in_field(fld, field_gen(fld))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +500,7 @@ def test_quadratic_tame_symbol_against_oracle():
         p, u = fld.p, least_nonresidue(fld.p)
         c0, b = fld.defining_poly[:2]
         # s = (t + b/2)/p^k, s^2 of valuation 0 or 1: a uniformizer when ramified
-        s = (fld.gen + b / 2) * F(p) ** -(valuation(b * b / 4 - c0, p) // 2)
+        s = (field_gen(fld) + b / 2) * F(p) ** -(valuation(b * b / 4 - c0, p) // 2)
         pairs = [(s, fld.embed(u)), (fld.embed(p), fld.embed(u)),
                  (s, fld.embed(-1)), (s, s), (s + 1, fld.embed(p))]
         pairs += [(random_element(fld, p, rng), random_element(fld, p, rng))
@@ -511,7 +513,7 @@ def test_quadratic_tame_symbol_against_oracle():
             assert verdict != Solubility.INCONCLUSIVE
             assert (verdict == Solubility.SOLUBLE) == (hilbert_tame(fld, a, b) == 1), \
                 (str(fld), str(a), str(b))
-            seen.add((fld.ramification_e, verdict))
+            seen.add((ramification_e(fld), verdict))
     assert len(seen) == 4
 
 
@@ -522,10 +524,10 @@ def test_quadratic_tame_symbol_against_oracle():
 def test_quadratic_ramification_at_two(poly, e):
     fld = LocalFieldDescriptor(Prime(2), tuple(F(c) for c in poly),
                                "quadratic-nonsquare-disc")
-    assert (fld.ramification_e, fld.residue_f, fld.residue_q) == (e, 2 // e, 4 // e)
-    assert fld.embed(2).valuation() == e
+    assert (ramification_e(fld), residue_f(fld), residue_q(fld)) == (e, 2 // e, 4 // e)
+    assert field_valuation(fld.embed(2)) == e
     if e == 2 and poly[0] != -2:
-        assert (fld.gen + 1).valuation() == 1   # 1 + t is a uniformizer
+        assert field_valuation(field_gen(fld) + 1) == 1   # 1 + t is a uniformizer
     # the class-of-5 rule: Q_2(sqrt d) is unramified exactly when d is 5 mod squares
     disc = F(poly[1]) ** 2 - 4 * F(poly[0])
     assert (e == 1) == (square_class(disc, 2) == square_class(5, 2))
@@ -536,7 +538,7 @@ def test_quadratic_ramification_over_every_class_at_two():
     for d in square_class_table(2):
         if not d.is_trivial():
             fld = quadratic_field(2, 0, -d.representative)
-            assert fld.ramification_e == (1 if d == five else 2), d
+            assert ramification_e(fld) == (1 if d == five else 2), d
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
@@ -546,5 +548,5 @@ def test_quadratic_ramification_is_the_model_certificate(p):
         model, _ = _quadratic_model(fld)
         disc_v = valuation(fld.defining_poly[1] ** 2 - 4 * fld.defining_poly[0], p)
         e = 2 if model.certificate == "eisenstein" else 1
-        assert fld.ramification_e == model.ramification_e == e == (2 if disc_v % 2 else 1)
-        assert fld.embed(p).valuation() == e
+        assert ramification_e(fld) == ramification_e(model) == e == (2 if disc_v % 2 else 1)
+        assert field_valuation(fld.embed(p)) == e

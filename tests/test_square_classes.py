@@ -15,7 +15,7 @@ from helpers import reference_hilbert_qp, reference_weil_rank1
 from twistedgl.localfield import hilbert_qp, square_class, square_class_table
 from twistedgl.qform import (diag_form, direct_sum, equivalent, hyperbolic,
                              witt_decompose)
-from twistedgl.weil import Mu8, weil_rank1
+from twistedgl.weil import Mu8, weil_index
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
@@ -65,9 +65,9 @@ def test_bit_weil_rank1_is_the_oracle_table():
     for p in PRIMES:
         for cls in square_class_table(p):
             expected = Mu8(reference_weil_rank1(cls.representative, p))
-            assert weil_rank1(cls.representative, p) == expected, (p, cls)
+            assert weil_index(diag_form([cls.representative], p)) == expected, (p, cls)
             for a in other_representatives(cls, p, rng):
-                assert weil_rank1(a, p) == expected, (p, a)
+                assert weil_index(diag_form([a], p)) == expected, (p, a)
 
 
 def signature(p):
@@ -76,7 +76,7 @@ def signature(p):
     table = square_class_table(p)
     reps = [c.representative for c in table]
     gram = tuple(tuple(hilbert_qp(a, b, p) for b in reps) for a in reps)
-    weil = tuple(weil_rank1(a, p) for a in reps)
+    weil = tuple(weil_index(diag_form([a], p)) for a in reps)
     where = tuple(table.index(square_class(x, p)) for x in (-1, 2))
     return gram, weil, where
 
@@ -133,6 +133,6 @@ def test_hilbert_form_is_the_polarization_of_rank1_weil():
         for a in table:
             for b in table:
                 ra, rb = a.representative, b.representative
-                lhs = weil_rank1(ra, p) * weil_rank1(rb, p)
-                rhs = weil_rank1(1, p) * weil_rank1(ra * rb, p)
+                lhs = weil_index(diag_form([ra], p)) * weil_index(diag_form([rb], p))
+                rhs = weil_index(diag_form([1], p)) * weil_index(diag_form([ra * rb], p))
                 assert lhs == rhs * Mu8.from_sign(a.hilbert(b)), (p, a, b)

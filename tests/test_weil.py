@@ -10,7 +10,7 @@ from twistedgl.localfield import square_class, square_class_table, valuation
 from twistedgl.qform import (diag_form, direct_sum, hyperbolic, invariants,
                              norm_form, scale, witt_decompose)
 from twistedgl.oracles import MAX_PERIOD, OracleError, gauss_oracle
-from twistedgl.weil import Mu8, epsilon_half, weil_index, weil_rank1
+from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 
 def small_rep(cls, p):
@@ -34,7 +34,7 @@ def test_rank1_square_class_invariance():
         for _ in range(40):
             a = F(rng.randint(1, 50)) * rng.choice((1, -1))
             b = F(rng.randint(1, 12))
-            assert weil_rank1(a * b * b, p) == weil_rank1(a, p)
+            assert weil_index(diag_form([a * b * b], p)) == weil_index(diag_form([a], p))
 
 
 def test_rank1_table_matches_oracle_exhaustively():
@@ -44,7 +44,7 @@ def test_rank1_table_matches_oracle_exhaustively():
             rep, v = small_rep(cls, p)
             res = gauss_oracle(rep, p, v + 3)
             assert res.snap_distance < 1e-6
-            assert res.snapped == weil_rank1(cls.representative, p), (p, cls)
+            assert res.snapped == weil_index(diag_form([cls.representative], p)), (p, cls)
 
 
 def test_oracle_rejects_low_truncation():
@@ -80,7 +80,7 @@ def test_weil_index_examples():
         assert weil_index(q) == Mu8(0)
     # gamma(<1>) * gamma(<-1>) = 1
     for p in (2, 3, 5, 7):
-        assert weil_rank1(1, p) * weil_rank1(-1, p) == Mu8(0)
+        assert weil_index(diag_form([1], p)) * weil_index(diag_form([-1], p)) == Mu8(0)
 
 
 def test_weil_index_character_law():
@@ -160,7 +160,7 @@ def test_epsilon_half():
     assert epsilon_half(square_class(2, 3), 3) == Mu8(0)
     # ramified: <1, -3> picks up the odd-valuation entry
     assert epsilon_half(square_class(3, 3), 3) == \
-        weil_rank1(1, 3) * weil_rank1(-3, 3)
+        weil_index(diag_form([1], 3)) * weil_index(diag_form([-3], 3))
     for p in (2, 3, 5, 7):
         for cls in square_class_table(p):
             value = epsilon_half(cls, p)
