@@ -41,6 +41,12 @@ plan its entries came from, so a cut-down plan has fewer records than
 records, failures, rhs and the distinct lhs values seen.  An action that
 reads no document (hilbert, sqclass, weil epsilon and oracle, endo enumerate,
 endo eta --kind sp, corpus generate) refuses one with exit 2.
+
+A call to `main` builds the parser of the verb its first word names: all ten
+verbs are registered, so help and errors list them, but only that verb gets
+its arguments and handler.  Any other first word, or none, builds every
+verb's parser, which prints the same help and errors.  Nothing is cached
+between calls.
 """
 
 from __future__ import annotations
@@ -724,34 +730,25 @@ def _add_io(sub):
     sub.add_argument("--out", help="output document path")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="twistedgl",
-        description="exact geometric invariants of twisted general linear spaces")
-    sp = ap.add_subparsers(dest="verb", required=True)
-
-    s = sp.add_parser("hilbert", help="Hilbert symbol (a,b)_p")
+def _hilbert_args(s):
     s.add_argument("a")
     s.add_argument("b")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--oracle", action="store_true",
                    help="cross-check with the solubility oracle")
     s.add_argument("--depth", type=int, default=None)
-    _add_io(s)
-    s.set_defaults(func=cmd_hilbert)
 
-    s = sp.add_parser("sqclass", help="canonical square class")
+
+def _sqclass_args(s):
     s.add_argument("a")
     s.add_argument("--p", type=int, required=True)
-    _add_io(s)
-    s.set_defaults(func=cmd_sqclass)
 
-    s = sp.add_parser("qform", help="quadratic form queries")
-    s.add_argument("action", choices=["invariants", "equiv", "witt", "isotropic"])
-    _add_io(s)
-    s.set_defaults(func=cmd_qform)
 
-    s = sp.add_parser("weil", help="Weil index queries")
+def _action_args(*actions):
+    return lambda s: s.add_argument("action", choices=actions)
+
+
+def _weil_args(s):
     s.add_argument("action", choices=["index", "epsilon", "oracle"])
     s.add_argument("--p", type=int,
                    help="the prime of Q_p for epsilon and oracle; for index "
@@ -760,26 +757,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--d", help="discriminant class for epsilon")
     s.add_argument("--a", help="coefficient for the oracle")
     s.add_argument("--k", type=int, help="oracle truncation level")
-    _add_io(s)
-    s.set_defaults(func=cmd_weil)
 
-    s = sp.add_parser("etale", help="etale algebra operations")
-    s.add_argument("action", choices=["build", "traceform"])
-    _add_io(s)
-    s.set_defaults(func=cmd_etale)
 
-    s = sp.add_parser("class", help="class parameter operations")
-    s.add_argument("action", choices=["build", "invariant", "corresponds", "elliptic"])
-    _add_io(s)
-    s.set_defaults(func=cmd_class)
-
-    s = sp.add_parser("gs", help="norm-correspondence operations")
+def _gs_args(s):
     s.add_argument("action", choices=["random", "norm", "section", "verify", "param"])
     s.add_argument("--seed", type=int, default=0)
-    _add_io(s)
-    s.set_defaults(func=cmd_gs)
 
-    s = sp.add_parser("endo", help="endoscopic data and transfer factors")
+
+def _endo_args(s):
     s.add_argument("action", choices=["enumerate", "eta", "delta", "check"],
                    help='eta prints {"eta": value, "eta_class": canonical class '
                         'representative}; the value is a JSON integer when '
@@ -791,18 +776,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "prime, and a --p that differs from it is a usage "
                         "error; delta and check take the prime from their forms")
     s.add_argument("--kind", choices=["sp", "so"], default="sp")
-    _add_io(s)
-    s.set_defaults(func=cmd_endo)
 
-    s = sp.add_parser("param", help="formal parameter combinatorics")
-    s.add_argument("action", choices=["classify", "hypothesis"])
-    _add_io(s)
-    s.set_defaults(func=cmd_param)
 
-    s = sp.add_parser("corpus", help="seeded corpus generation and batch checks",
-                      description="run with --in or --json runs the entries of "
-                                  "a plan that generate emitted, in place of the "
-                                  "four flags")
+def _corpus_args(s):
+    s.description = ("run with --in or --json runs the entries of a plan that "
+                     "generate emitted, in place of the four flags")
     s.add_argument("action", choices=["generate", "run"])
     s.add_argument("--seed", type=int, help=f"default {CORPUS_FLAGS['seed']}")
     s.add_argument("--p", help="comma-separated primes, each at most once "
@@ -811,14 +789,50 @@ def build_parser() -> argparse.ArgumentParser:
                                f"(default {CORPUS_FLAGS['n']})")
     s.add_argument("--count", type=int,
                    help=f"records per (p, n) (default {CORPUS_FLAGS['count']})")
-    _add_io(s)
-    s.set_defaults(func=cmd_corpus)
 
+
+# verb -> (help, the function that adds its arguments, handler), in the
+# order -h lists them
+VERBS = {
+    "hilbert": ("Hilbert symbol (a,b)_p", _hilbert_args, cmd_hilbert),
+    "sqclass": ("canonical square class", _sqclass_args, cmd_sqclass),
+    "qform": ("quadratic form queries",
+              _action_args("invariants", "equiv", "witt", "isotropic"), cmd_qform),
+    "weil": ("Weil index queries", _weil_args, cmd_weil),
+    "etale": ("etale algebra operations", _action_args("build", "traceform"), cmd_etale),
+    "class": ("class parameter operations",
+              _action_args("build", "invariant", "corresponds", "elliptic"), cmd_class),
+    "gs": ("norm-correspondence operations", _gs_args, cmd_gs),
+    "endo": ("endoscopic data and transfer factors", _endo_args, cmd_endo),
+    "param": ("formal parameter combinatorics",
+              _action_args("classify", "hypothesis"), cmd_param),
+    "corpus": ("seeded corpus generation and batch checks", _corpus_args, cmd_corpus),
+}
+
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The parser of the verb named, or of every verb when none is.
+
+    All ten verbs are registered with their help, so -h and an unknown verb
+    list them alike; only the named verb's subparser gets its arguments,
+    description and handler, which is most of the cost of building.
+    """
+    ap = argparse.ArgumentParser(
+        prog="twistedgl",
+        description="exact geometric invariants of twisted general linear spaces")
+    sp = ap.add_subparsers(dest="verb", required=True)
+    for name, (help_, add_args, handler) in VERBS.items():
+        s = sp.add_parser(name, help=help_)
+        if verb in (None, name):
+            add_args(s)
+            _add_io(s)
+            s.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

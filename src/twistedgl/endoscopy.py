@@ -47,6 +47,7 @@ invertible, and that its norm is very regular, on Y_n alone (gsnorm).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -215,12 +216,14 @@ class ConstancyCell:
     @cached_property
     def rhs(self) -> Mu8:
         """The Weil index of 2 (-1)^n q, read off the diagonal a_i that q
-        holds: 2 (-1)^n q has the diagonal 2 (-1)^n a_i."""
+        holds: 2 (-1)^n q has the diagonal 2 (-1)^n a_i.  A quasisplit
+        diagonal repeats its values, so each distinct a is classed once and
+        its rank-1 index raised to its multiplicity."""
         p = self.space.p
         twist = square_class(2 * (-1) ** self.n, p)
         out = Mu8(0)
-        for a in diagonal(self.space):
-            out = out * _rank1(twist * square_class(a, p))
+        for a, m in Counter(diagonal(self.space)).items():
+            out = out * _rank1(twist * square_class(a, p)) ** m
         return out
 
     def _rows(self, delta: Mat) -> tuple[list[list[int]], int]:

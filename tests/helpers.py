@@ -20,7 +20,7 @@ from twistedgl.etale import (AlgebraElement, EtaleAlgebraWithInvolution,
 from twistedgl.linalg import (det, identity, inverse, mat, mat_add, mat_mul,
                               mat_scale, mat_sub, transpose)
 from twistedgl.localfield import (QP, FieldElement, SquareClass, _residue_char_fq,
-                                  _unit_mod, hilbert_qp, least_nonresidue, legendre,
+                                  _unit_mod, hilbert_qp, legendre,
                                   square_class, square_class_table, tame_data,
                                   valuation)
 from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,

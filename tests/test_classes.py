@@ -95,8 +95,8 @@ def test_build_so_odd():
     q, gamma = build_SO_odd(param)
     assert q.dim == 3 and gamma[2][2] == 1
     assert mat_mul(transpose(gamma), mat_mul(q.gram, gamma)) == q.gram
-    # -gamma has no eigenvalue +1 on the algebra block
-    cp = charpoly(tuple(tuple(-v for v in row) for row in gamma))
+    # -gamma has no eigenvalue +1: for a 3 x 3 gamma,
+    # charpoly(-gamma)(1) = -charpoly(gamma)(-1)
     assert poly_eval(charpoly(gamma), -1) != 0
 
 

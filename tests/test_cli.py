@@ -1,5 +1,6 @@
 """Command-line surface: verbs, literals, exit codes, determinism."""
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -19,12 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import count_eliminations, reference_transfer_factor
 from twistedgl import endoscopy, etale
-from twistedgl.cli import config_doc, digest, main, rat_json, rat_str
-from twistedgl.endoscopy import quasisplit_space, transfer_factor_whittaker
+from twistedgl.cli import build_parser, config_doc, digest, main, rat_json, rat_str
+from twistedgl.endoscopy import constancy_cell, quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
 from twistedgl.linalg import mat, mat_add, mat_scale, transpose
 from twistedgl.localfield import square_class
-from twistedgl.qform import QuadForm, diag_form, quad_form, scale
+from twistedgl.qform import QuadForm, diag_form, diagonal, quad_form, scale
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 def run(capsys, *argv):
@@ -603,7 +604,8 @@ def _cell_key(r):
 
 
 def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
-    # the rhs of a cell is its 2n rank-1 factors, taken once per cell
+    # the rhs of a cell is one rank-1 factor per distinct diagonal value (at
+    # most four on a quasisplit space), taken once per cell
     calls = {"quasisplit_space": 0, "_rank1": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(endoscopy, name)):
@@ -614,8 +616,10 @@ def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
                     "--count", "8", "--seed", "4")
     cells = {_cell_key(r) for r in doc["records"]}
     assert code == 0 and len(doc["records"]) == 32 and len(cells) < 32
-    assert calls == {"quasisplit_space": len(cells),
-                     "_rank1": sum(2 * n for _, n, _, _ in cells)}
+    monkeypatch.undo()
+    distinct = [len(set(diagonal(constancy_cell(*key).space))) for key in cells]
+    assert max(distinct) <= 4
+    assert calls == {"quasisplit_space": len(cells), "_rank1": sum(distinct)}
 
 
 def test_a_corpus_run_builds_no_fraction_gram(capsys, monkeypatch):
@@ -773,6 +777,50 @@ def test_usage_errors(capsys):
     assert code == 2
     code = main(["nonsense"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# the parser's help, usage and error texts
+
+VERBS = ("hilbert", "sqclass", "qform", "weil", "etale", "class", "gs", "endo",
+         "param", "corpus")
+# one argv per verb that its parser refuses
+BAD_ARGUMENTS = (("hilbert", "1", "2", "--p", "two"), ("sqclass", "5"),
+                 ("qform", "bogus"), ("weil", "index", "--k", "x"), ("etale",),
+                 ("class", "build", "--bogus"), ("gs", "random", "--seed", "1/2"),
+                 ("endo", "eta", "--kind", "su"), ("param", "classify", "extra"),
+                 ("corpus", "run", "--count", "x"))
+USAGE_ARGV = ((), ("-h",), ("bogus",), ("--",), ("--p", "5"), ("-h", "hilbert"),
+              *((verb, "--help") for verb in VERBS), *BAD_ARGUMENTS)
+# what main printed and returned for each argv of USAGE_ARGV at COLUMNS=80,
+# keyed by the argv joined with spaces; argparse's layout moves between
+# Python versions, so the file names the version it was written under
+USAGE_TEXTS = json.loads(Path(__file__).with_name("cli_usage.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != tuple(USAGE_TEXTS["python"]),
+                    reason="help texts pinned under another Python version")
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=" ".join)
+def test_help_usage_and_error_texts_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert {"code": code, "out": out, "err": err} == USAGE_TEXTS["cases"][" ".join(argv)]
+
+
+def test_a_verb_s_parser_fills_in_that_verb_alone():
+    def subparsers(ap):
+        (action,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    for verb in (None, "sqclass"):
+        choices = subparsers(build_parser(verb))
+        assert tuple(choices) == VERBS  # -h and a bad verb list all ten
+        for name, sub in choices.items():
+            options = [a.option_strings for a in sub._actions]
+            filled = verb in (None, name)
+            assert (options != [["-h", "--help"]]) == filled, (verb, name)
+            assert ("func" in sub._defaults) == filled, (verb, name)
 
 
 def test_output_file_round_trip(capsys, tmp_path):
@@ -954,6 +1002,25 @@ def test_cli_fuzz_exits_with_a_documented_code(verb, action, data, n, p):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == 2 if reads_none else code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+# tokens after the first; no corpus action, so no default-sized corpus runs
+TAIL_TOKENS = st.sampled_from(("5", "1/2", "--p", "3", "--n", "--seed", "invariants",
+                               "index", "epsilon", "enumerate", "build", "classify",
+                               "--json", "{}", "-h", "--", "--bogus"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(first=st.sampled_from(VERBS + ("bogus", "-h", "--", "--p")) | st.none(),
+       tail=st.lists(TAIL_TOKENS, max_size=5))
+def test_any_first_token_exits_with_a_documented_code(first, tail):
+    # main builds one verb's parser when argv[0] names it, every verb's otherwise
+    argv = ([] if first is None else [first]) + tail
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
 
 

@@ -25,9 +25,9 @@ from twistedgl.localfield import QP, hilbert_qp, square_class, square_class_tabl
 from twistedgl.oracles import (_rank_one_value, eta_so_reference, eta_sp_reference,
                                regular_nilpotent_so, regular_nilpotent_sp,
                                split_odd_space, theta_space)
-from twistedgl.qform import (_eliminate_symmetric, diag_form, diagonal, direct_sum,
-                             equivalent, hyperbolic, invariants, norm_form,
-                             quad_form, represents, scale, witt_decompose)
+from twistedgl.qform import (_eliminate_symmetric, diag_form, diagonal, equivalent,
+                             hyperbolic, invariants, norm_form, quad_form, scale,
+                             witt_decompose)
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 RNG = random.Random(11)

@@ -33,8 +33,7 @@ from twistedgl.linalg import (block_diag, charpoly, det, identity, int_det,
                               mat_scale, mat_sub, poly_squarefree_mod, to_mat,
                               transpose)
 from twistedgl.localfield import QP, square_class
-from twistedgl.qform import (alternating_form, diag_form, direct_sum,
-                             hyperbolic, quad_form)
+from twistedgl.qform import alternating_form, diag_form, hyperbolic, quad_form
 
 RNG = random.Random(7)
 

@@ -8,8 +8,8 @@ import pytest
 
 from twistedgl.localfield import square_class, square_class_table, valuation
 from twistedgl.qform import (diag_form, direct_sum, hyperbolic, invariants,
-                             norm_form, scale, witt_decompose)
-from twistedgl.oracles import MAX_PERIOD, OracleError, gauss_oracle
+                             norm_form, witt_decompose)
+from twistedgl.oracles import MAX_PERIOD, gauss_oracle
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 
