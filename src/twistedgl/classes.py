@@ -23,8 +23,8 @@ from functools import cached_property
 from .etale import (AlgebraElement, EtaleAlgebraWithInvolution, QUADRATIC,
                     char_poly, is_generator, tau, trace_form_alternating,
                     trace_form_bilinear, trace_form_quadratic)
-from .linalg import (Mat, Poly, block_diag, charpoly, det, identity, inverse,
-                     is_isometry, mat, mat_mul, poly_squarefree, transpose)
+from .linalg import (Mat, Poly, block_diag, charpoly, clear_denominators, det, identity,
+                     inverse, is_isometry, mat, mat_mul, poly_squarefree, transpose)
 from .localfield import SquareClass
 from .qform import QuadForm, diag_form, direct_sum
 
@@ -139,7 +139,7 @@ def build_SO_even(param: ClassParameter) -> tuple[QuadForm, Mat]:
         raise ValueError("expected an SO-even parameter")
     q_c = trace_form_quadratic(param.algebra, param.c)
     gamma = param.x.mult_matrix()
-    _check_isometry(gamma, q_c.gram)
+    _check_isometry(gamma, q_c)
     if det(gamma) != 1:
         raise RuntimeError("norm-one element must have determinant 1")
     return q_c, gamma
@@ -154,7 +154,7 @@ def build_SO_odd(param: ClassParameter) -> tuple[QuadForm, Mat]:
     q_c = trace_form_quadratic(param.algebra, param.c)
     q = direct_sum(q_c, diag_form([param.a.representative], param.algebra.p))
     gamma = block_diag(param.x.mult_matrix(), identity(1))
-    _check_isometry(gamma, q.gram)
+    _check_isometry(gamma, q)
     return q, gamma
 
 
@@ -164,12 +164,12 @@ def build_Sp(param: ClassParameter) -> tuple[QuadForm, Mat]:
         raise ValueError("expected an Sp parameter")
     q_c = trace_form_alternating(param.algebra, param.c)
     gamma = param.x.mult_matrix()
-    _check_isometry(gamma, q_c.gram)
+    _check_isometry(gamma, q_c)
     return q_c, gamma
 
 
-def _check_isometry(g: Mat, gram: Mat):
-    if not is_isometry(g, gram):
+def _check_isometry(g: Mat, q: QuadForm):
+    if not is_isometry(clear_denominators(g), q.rows):
         raise RuntimeError("built element fails its group identity")
 
 

@@ -52,7 +52,6 @@ between calls.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -315,6 +314,7 @@ def emit(doc, args) -> None:
 
 
 def digest(doc) -> str:
+    import hashlib
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -454,9 +454,10 @@ def cmd_class(args) -> int:
 
 
 def cmd_gs(args) -> int:
-    from .gsnorm import (GSConfiguration, gs_norm, gs_param_check, gs_section,
-                         random_config, rigidify, u_of_xy)
-    from .linalg import is_isometry, mat_add, mat_mul, mat_scale, transpose
+    from .gsnorm import (GSConfiguration, check_rigidifiable, gs_norm,
+                         gs_param_check, gs_section, phi_scaled, random_config,
+                         u_of_xy)
+    from .linalg import clear_denominators, int_mul, is_isometry, transpose
     if args.action == "random":
         config = random_config(parse_ambient(read_input(args)), args.seed)
         emit(config_doc(config), args)
@@ -464,8 +465,8 @@ def cmd_gs(args) -> int:
     doc = read_input(args)
     if args.action == "section":
         ambient = parse_ambient(doc["ambient"])
-        y = gs_section(ambient, parse_mat(doc["X"]), parse_mat(doc["gamma"]))
-        emit({"Y": mat_doc(y)}, args)
+        x, gamma = (clear_denominators(parse_mat(doc[k])) for k in ("X", "gamma"))
+        emit({"Y": rows_doc(*gs_section(ambient, x, gamma))}, args)
         return EXIT_OK
     if args.action == "param":
         ok = gs_param_check(parse_config(doc["config"]), parse_param(doc["param"]))
@@ -475,26 +476,29 @@ def cmd_gs(args) -> int:
     if args.action == "norm":
         if not config.closed:  # gamma would not be an isometry
             raise ValueError("closure condition violated")
-        emit({"gamma": mat_doc(gs_norm(config))}, args)
+        emit({"gamma": rows_doc(*gs_norm(config))}, args)
         return EXIT_OK
-    # verify: the invariant battery
-    checks = {}
-    checks["xy_condition"] = config.closed
+    # verify: the invariant battery, on integer rows
+    checks = {"xy_condition": config.closed}
     if checks["xy_condition"]:
-        u = u_of_xy(config)
-        checks["u_isometry"] = is_isometry(u, config.ambient.gram_q1)
-        delta, phi = rigidify(config)
-        eps = config.ambient.epsilon
-        lhs = mat_mul(transpose(phi),
-                      mat_mul(mat_scale(-eps, config.ambient.q_V.gram), phi))
-        rhs = mat_add(delta, mat_scale(eps, transpose(delta)))
-        checks["rigidify_isometry"] = lhs == rhs
+        amb = config.ambient
+        q, s = amb.q_V.rows, amb.q_V.den
+        checks["u_isometry"] = is_isometry(u_of_xy(config), amb.gram_q1_scaled[0])
+        # phi^T (-eps q) phi = delta + eps delta^T, for phi = P / e and
+        # delta = Y_n / d_Y, multiplied through by e^2 s d_Y
+        check_rigidifiable(config)
+        p_rows, e = phi_scaled(config)
+        (y, dy), eps = config.y_scaled, amb.epsilon
+        lhs = int_mul(transpose(p_rows), int_mul(q, p_rows))
+        checks["rigidify_isometry"] = all(
+            -eps * dy * v == e * e * s * (y[i][j] + eps * y[j][i])
+            for i, row in enumerate(lhs) for j, v in enumerate(row))
         gamma = gs_norm(config)
-        checks["norm_isometry"] = is_isometry(gamma, config.ambient.q_V.gram)
+        checks["norm_isometry"] = is_isometry(gamma, q)
         # gs_section refuses a gamma that is no isometry
         checks["section_round_trip"] = checks["norm_isometry"] and gs_norm(
-            GSConfiguration(config.ambient, config.X,
-                            gs_section(config.ambient, config.X, gamma))) == gamma
+            GSConfiguration.from_rows(amb, config.x_scaled,
+                                      gs_section(amb, config.x_scaled, gamma))) == gamma
     emit({"checks": checks, "all_pass": all(checks.values())}, args)
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 

@@ -33,12 +33,14 @@ after multiplying through by its denominator:
 * the closure condition Y + eps Y^T + X Q^-1 X^T = 0 is
   a d_X^2 (Y_n + eps Y_n^T) + d_Y X_n A X_n^T = 0.
 
-The Mats X and Y are views built when first read (u_of_xy, rigidify,
-gs_param_check), so a corpus record, which reads only rows, builds neither.
-Fractions are otherwise built only for the Q^-1, norm and phi returned, and
-in the exact path of the rule.  A sampled configuration comes with its
-invertibility and closure condition marked; every other configuration
-checks them on first use.
+u_of_xy, gs_norm and gs_section return integer rows over the least
+denominator, so equal matrices compare equal as pairs.  The Mats X, Y,
+gram_q1 and rigidify's pair are views built when first read, for the Mat
+builders of classes (gs_param_check) and the benchmark's Mat kernels; a
+corpus record, which reads only rows, builds none.  Fractions are otherwise
+built only in the exact path of the rule.  A sampled configuration comes
+with its invertibility and closure condition marked; every other
+configuration checks them on first use.
 """
 
 from __future__ import annotations
@@ -51,11 +53,10 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .linalg import (Mat, charpoly, clear_denominators, det, from_blocks,
-                     identity, int_charpoly_mod, int_det, int_inverse, int_mul,
-                     int_solve_mod, inverse, is_isometry, mat, mat_mul, mat_sub,
-                     poly_mul, poly_squarefree, poly_squarefree_mod,
-                     to_mat, transpose, zeros)
+from .linalg import (Mat, Scaled, charpoly, clear_denominators, int_charpoly_mod,
+                     int_det, int_inverse, int_mul, int_solve_mod, is_isometry,
+                     lowest_terms, mat, poly_mul, poly_squarefree,
+                     poly_squarefree_mod, to_mat, transpose)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
 
 if TYPE_CHECKING:
@@ -84,31 +85,29 @@ class AmbientSpace:
         return self.q_V.dim
 
     @cached_property
-    def q_inverse_scaled(self) -> tuple[list[list[int]], int]:
+    def q_inverse_scaled(self) -> Scaled:
         """Q^-1 as (A, a), integer rows A and a > 0 with Q^-1 = A / a,
         computed once per ambient."""
         r, pi = int_inverse(self.q_V.rows)
         d = self.q_V.den
         return [[d * x for x in row] for row in r], pi
 
-    @cached_property
-    def q_inverse(self) -> Mat:
-        """Q^-1, the inverse of the Gram of V, built once per ambient."""
-        return to_mat(*self.q_inverse_scaled)
+    @property
+    def gram_q1_scaled(self) -> Scaled:
+        """The block Gram [[0, 0, I], [0, Q, 0], [eps I, 0, 0]] of V1 as
+        integer rows over the denominator d of Q, so I is d I."""
+        n, d, eps = self.n, self.q_V.den, self.epsilon
+        zero = [0] * n
+        eye = [[d * (i == j) for j in range(n)] for i in range(n)]
+        # det = +-eps^n det Q, and QuadForm refuses det Q = 0: never degenerate
+        return ([zero + zero + row for row in eye]
+                + [zero + list(row) + zero for row in self.q_V.rows]
+                + [[eps * v for v in row] + zero + zero for row in eye]), d
 
     @cached_property
     def gram_q1(self) -> Mat:
-        """The block Gram [[0, 0, I], [0, Q, 0], [eps I, 0, 0]] of V1."""
-        n = self.n
-        z = zeros(n)
-        eps_eye = to_mat([[self.epsilon * (i == j) for j in range(n)]
-                          for i in range(n)])
-        # det = +-eps^n det Q, and QuadForm refuses det Q = 0: never degenerate
-        return from_blocks([
-            [z, z, identity(n)],
-            [z, self.q_V.gram, z],
-            [eps_eye, z, z],
-        ])
+        """gram_q1_scaled as a Mat, built on first read."""
+        return to_mat(*self.gram_q1_scaled)
 
 
 def make_ambient(q_V: QuadForm, epsilon: int) -> AmbientSpace:
@@ -134,21 +133,21 @@ class GSConfiguration:
     y_scaled = (Y_n, d_Y); the Mats X and Y are views built when first read."""
 
     ambient: AmbientSpace
-    x_scaled: tuple[list[list[int]], int]
-    y_scaled: tuple[list[list[int]], int]
+    x_scaled: Scaled
+    y_scaled: Scaled
 
     def __init__(self, ambient: AmbientSpace, X: Mat, Y: Mat):
         n = ambient.n
         vars(self).update(ambient=ambient,
-                          x_scaled=clear_denominators(_n_by_n(X, n, "X")),
-                          y_scaled=clear_denominators(_n_by_n(Y, n, "Y")))
+                          x_scaled=clear_denominators(_n_by_n(mat(X), n, "X")),
+                          y_scaled=clear_denominators(_n_by_n(mat(Y), n, "Y")))
 
     @classmethod
-    def _built_closed(cls, ambient, x_scaled, y_scaled) -> GSConfiguration:
-        """A pair closed by construction, with X and Y known invertible."""
+    def from_rows(cls, ambient, x_scaled, y_scaled) -> GSConfiguration:
+        """The configuration X = X_n / d_X, Y = Y_n / d_Y of n x n integer
+        rows, x_scaled = (X_n, d_X) and y_scaled = (Y_n, d_Y)."""
         config = cls.__new__(cls)
-        vars(config).update(ambient=ambient, x_scaled=x_scaled, y_scaled=y_scaled,
-                            invertible=True, closed=True)
+        vars(config).update(ambient=ambient, x_scaled=x_scaled, y_scaled=y_scaled)
         return config
 
     @cached_property
@@ -179,9 +178,10 @@ class GSConfiguration:
                    for i, row in enumerate(_xax(a_rows, x, eps)) for j, v in enumerate(row))
 
 
-def _n_by_n(m, n: int, name: str) -> Mat:
-    """m as a Mat, refused unless it is n x n (mat refuses ragged rows)."""
-    if len(m := mat(m)) != n or len(m[0]) != n:
+def _n_by_n(m, n: int, name: str):
+    """The rows m, refused unless there are n of them and the first has n
+    entries (mat and clear_denominators leave no ragged rows)."""
+    if len(m) != n or len(m[0]) != n:
         raise ValueError(f"{name} must be {n} x {n}")
     return m
 
@@ -252,7 +252,9 @@ def random_config(ambient: AmbientSpace, seed: int) -> GSConfiguration:
              for i, row in enumerate(xax)]
         if _norm_very_regular(y, eps):
             # det X was taken before R was drawn, which keeps the seeded stream
-            return GSConfiguration._built_closed(ambient, (x, 1), (y, 2 * a))
+            config = GSConfiguration.from_rows(ambient, (x, 1), (y, 2 * a))
+            vars(config).update(invertible=True, closed=True)
+            return config
     raise RuntimeError(f"retry budget exhausted for seed {seed}")
 
 
@@ -282,26 +284,27 @@ def _norm_very_regular(y: list[list[int]], eps: int) -> bool:
     return poly_squarefree(charpoly(to_mat(int_mul(yt, y_inv), pi)))
 
 
-def _phi_scaled(config: GSConfiguration) -> tuple[list[list[int]], int]:
+def phi_scaled(config: GSConfiguration) -> Scaled:
     """phi = Q^-1 X^T = A X_n^T / (a d_X)."""
     a_rows, a = config.ambient.q_inverse_scaled
     x, dx = config.x_scaled
     return int_mul(a_rows, transpose(x)), a * dx
 
 
-def u_of_xy(config: GSConfiguration) -> Mat:
-    """The unipotent isometry 1 + n(X, Y) in block form on (H-dual, V, H)."""
+def u_of_xy(config: GSConfiguration) -> Scaled:
+    """The unipotent isometry 1 + n(X, Y) = [[I, X, Y], [0, I, -phi],
+    [0, 0, I]] in block form on (H-dual, V, H), as integer rows over the
+    least denominator; c = a d_X d_Y is a common one."""
     if not config.closed:
         raise ValueError("closure condition violated")
-    n = config.ambient.n
-    phi, den = _phi_scaled(config)
-    xprime = to_mat([[-v for v in row] for row in phi], den)  # H -> V
-    z, eye = zeros(n), identity(n)
-    return from_blocks([
-        [eye, config.X, config.Y],
-        [z, eye, xprime],
-        [z, z, eye],
-    ])
+    (x, dx), (y, dy) = config.x_scaled, config.y_scaled
+    phi, e = phi_scaled(config)
+    c, zero = e * dy, [0] * len(x)
+    eye = [[c * (i == j) for j in range(len(x))] for i in range(len(x))]
+    top = [[c // dx * v for v in xr] + [e * v for v in yr] for xr, yr in zip(x, y)]
+    return lowest_terms([i + t for i, t in zip(eye, top)]
+                        + [zero + i + [-dy * v for v in pr] for i, pr in zip(eye, phi)]
+                        + [zero + zero + i for i in eye], c)
 
 
 def check_rigidifiable(config: GSConfiguration) -> None:
@@ -316,13 +319,13 @@ def rigidify(config: GSConfiguration) -> tuple[Mat, Mat]:
     """(delta, phi): the twisted point with Gram Y and the exact isometry
     phi = Q^-1 X^T, which carries (H, delta + eps delta^T) onto (V, -eps q)."""
     check_rigidifiable(config)
-    return config.Y, to_mat(*_phi_scaled(config))
+    return config.Y, to_mat(*phi_scaled(config))
 
 
-def gs_norm(config: GSConfiguration) -> Mat:
-    """The norm 1 + Q^-1 X^T Y^-1 X = (c I + d_Y A X_n^T R X_n) / c, with
-    Y_n^-1 = R / pi and c = a d_X^2 pi; an exact isometry of (V, q) for a
-    closed pair only, and the gs norm verb refuses any other."""
+def gs_norm(config: GSConfiguration) -> Scaled:
+    """The norm 1 + Q^-1 X^T Y^-1 X = (c I + d_Y A X_n^T R X_n) / c over the
+    least denominator, with Y_n^-1 = R / pi and c = a d_X^2 pi; an exact
+    isometry of (V, q) for a closed pair only, and gs norm refuses any other."""
     if not config.invertible:
         raise ValueError("norm needs invertible X and Y")
     a_rows, a = config.ambient.q_inverse_scaled
@@ -331,24 +334,30 @@ def gs_norm(config: GSConfiguration) -> Mat:
     r, pi = int_inverse(y)
     c = a * dx * dx * pi
     m = int_mul(a_rows, int_mul(transpose(x), int_mul(r, x)))
-    return to_mat([[dy * v + c * (i == j) for j, v in enumerate(row)]
-                   for i, row in enumerate(m)], c)
+    return lowest_terms([[dy * v + c * (i == j) for j, v in enumerate(row)]
+                         for i, row in enumerate(m)], c)
 
 
-def gs_section(ambient: AmbientSpace, x: Mat, gamma: Mat) -> Mat:
-    """Y = X (gamma - 1)^-1 Q^-1 X^T: the section of the norm at this X, for
-    an isometry gamma of q_V."""
+def gs_section(ambient: AmbientSpace, x: Scaled, gamma: Scaled) -> Scaled:
+    """Y = X (gamma - 1)^-1 Q^-1 X^T, the section of the norm at X = X_n / d_X
+    for an isometry gamma = G / g of q_V: with (G - g I)^-1 = R / pi, inverted
+    once, Y = g X_n R A X_n^T / (d_X^2 pi a), over the least denominator."""
     n = ambient.n
-    x, gamma = _n_by_n(x, n, "X"), _n_by_n(gamma, n, "gamma")
-    if det(x) == 0:
+    (xn, dx), (gn, g) = x, gamma
+    _n_by_n(xn, n, "X")
+    _n_by_n(gn, n, "gamma")
+    if int_det(xn) == 0:
         raise ValueError("section needs an invertible X")
-    if not is_isometry(gamma, ambient.q_V.gram):
+    if not is_isometry(gamma, ambient.q_V.rows):
         raise ValueError("gamma is not an isometry of q_V")
     try:
-        gm1_inv = inverse(mat_sub(gamma, identity(n)))
+        r, pi = int_inverse([[v - g * (i == j) for j, v in enumerate(row)]
+                             for i, row in enumerate(gn)])
     except ValueError:
         raise ValueError("gamma - 1 must be invertible") from None
-    return mat_mul(x, mat_mul(gm1_inv, mat_mul(ambient.q_inverse, transpose(x))))
+    a_rows, a = ambient.q_inverse_scaled
+    m = int_mul(xn, int_mul(r, int_mul(a_rows, transpose(xn))))
+    return lowest_terms([[g * v for v in row] for row in m], dx * dx * pi * a)
 
 
 def gs_param_check(config: GSConfiguration, x_param: ClassParameter) -> bool:

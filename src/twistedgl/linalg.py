@@ -1,23 +1,21 @@
-"""Exact rational matrices and polynomials.
+"""Exact rational matrices and polynomials; no float ever enters.
 
-The public matrix type Mat is an immutable tuple of tuples of Fraction;
-polynomials are tuples of Fraction coefficients in ascending degree order
-(coeffs[i] is the coefficient of T^i).  Everything here is exact; no floats
-ever enter.
+A rational matrix is held as integer rows plus one positive common
+denominator: (rows, den) stands for rows / den, and lowest_terms divides
+out the gcd, so equal matrices give equal pairs.  The kernels int_mul,
+int_det, int_inverse, int_charpoly_mod and int_solve_mod work on integer
+rows alone and never modify their arguments.  is_isometry is one integer
+identity: g = R / d preserves the Gram S / s when R^T S R = d^2 S, in which
+s cancels.  Quadratic forms (qform.QuadForm), Goldberg-Shahidi
+configurations and the gs battery (gsnorm) compute on rows throughout.
 
-Inside, a rational matrix is held as integer rows plus one positive common
-denominator: (rows, den) stands for rows / den.  clear_denominators takes a
-Mat there (den is the least common multiple of the entry denominators) and
-to_mat brings it back.  The kernels int_mul, int_det, int_inverse,
-int_charpoly_mod and int_solve_mod work on integer rows alone and never
-modify their arguments; mat_mul, det and inverse are their Mat wrappers,
-and is_isometry (g^T G g = G) is the one isometry test.  Code
-that chains several products (the Goldberg-Shahidi sampler and norm in
-gsnorm, the symmetrization of a twisted point in endoscopy) stays on integer
-rows throughout and builds Fractions only for the Mat it returns.  Two
-types hold integer rows and build their Mats as views when first read: a
-quadratic form (qform.QuadForm, its Gram as rows over the least den) and a
-Goldberg-Shahidi configuration (its X and Y).
+Mat, an immutable tuple of tuples of Fraction, is the boundary type of the
+classes and etale builders and of the benchmark's kernels.
+clear_denominators takes a Mat to rows over the least den and to_mat brings
+rows back; mat_mul, det, inverse and charpoly are the Mat wrappers of the
+kernels, and forms and configurations build their Mats (QuadForm.gram, X
+and Y) as views when first read.  Polynomials are tuples of Fraction
+coefficients in ascending degree order (coeffs[i] is the coefficient of T^i).
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each update
 is divided exactly by the previous pivot, so every entry is a minor of the
@@ -64,6 +62,7 @@ from typing import Iterable, Sequence
 
 Mat = tuple[tuple[Fraction, ...], ...]
 Poly = tuple[Fraction, ...]
+Scaled = tuple[list[list[int]], int]  # (rows, den), standing for rows / den
 
 
 def fr(x) -> Fraction:
@@ -87,11 +86,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zeros(n: int) -> Mat:
-    zero = Fraction(0)
-    return tuple((zero,) * n for _ in range(n))
-
-
 def dims(a: Mat) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
@@ -100,20 +94,7 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else a
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    c = fr(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def clear_denominators(a: Mat) -> tuple[list[list[int]], int]:
+def clear_denominators(a: Mat) -> Scaled:
     """A rational matrix as (integer rows, den): D*a as ints, and D."""
     d = 1
     for row in a:
@@ -125,6 +106,13 @@ def clear_denominators(a: Mat) -> tuple[list[list[int]], int]:
         return [[x.numerator for x in row] for row in a], 1
     rows = [[x.numerator * (d // x.denominator) for x in row] for row in a]
     return rows, d
+
+
+def lowest_terms(rows: Sequence[Sequence[int]], den: int) -> Scaled:
+    """(rows, den), den > 0, over its least denominator: both divided by the
+    gcd of den and every entry, so equal matrices give equal pairs."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], den // g
 
 
 def to_mat(rows: Sequence[Sequence[int]], den: int = 1) -> Mat:
@@ -152,9 +140,14 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return to_mat(int_mul(ia, ib), da * db)
 
 
-def is_isometry(g: Mat, gram: Mat) -> bool:
-    """g^T gram g == gram: g preserves the form with Gram matrix gram."""
-    return mat_mul(transpose(g), mat_mul(gram, g)) == gram
+def is_isometry(g: Scaled, gram: Sequence[Sequence[int]]) -> bool:
+    """Whether g = R / d preserves the form with Gram S / s, for g given as
+    (R, d) and gram as the integer rows S: R^T S R == d^2 S, in which s
+    cancels."""
+    r, d = g
+    d2 = d * d
+    return int_mul(transpose(r), int_mul(gram, r)) == [[d2 * x for x in row]
+                                                       for row in gram]
 
 
 def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int]:
@@ -219,7 +212,7 @@ def _block_cuts(rows: Sequence[Sequence[int]]) -> list[int]:
     return cuts + [n]
 
 
-def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> Scaled:
     """(R, pi) of int_inverse for one block, by elimination of [B | I]."""
     n = len(rows)
     work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
@@ -231,7 +224,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [row[n:] for row in work], pivot
 
 
-def _block_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+def _block_inverse(rows: Sequence[Sequence[int]]) -> Scaled:
     """(R, pi) of int_inverse for one block: a 1 x 1 or 2 x 2 block by its
     adjugate, B^-1 = adj B / det B, so R = sign(det B) adj B; a larger one
     by _gauss_jordan."""
@@ -247,7 +240,7 @@ def _block_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]
     return (adj, d) if d > 0 else ([[-x for x in row] for row in adj], -d)
 
 
-def int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+def int_inverse(rows: Sequence[Sequence[int]]) -> Scaled:
     """(R, pi) with pi > 0 and B^-1 = R / pi; raises on a singular B.  pi is
     |det B|, so R is unique.
 
@@ -300,16 +293,6 @@ def block_diag(*blocks: Mat) -> Mat:
                 out[off + i][off + j] = x
         off += len(b)
     return tuple(tuple(row) for row in out)
-
-
-def from_blocks(grid: Sequence[Sequence[Mat]]) -> Mat:
-    """Assemble a matrix from a 2d grid of compatible blocks."""
-    rows: list[tuple[Fraction, ...]] = []
-    for brow in grid:
-        height = len(brow[0])
-        for i in range(height):
-            rows.append(tuple(x for blk in brow for x in blk[i]))
-    return tuple(rows)
 
 
 def charpoly(a: Mat) -> Poly:

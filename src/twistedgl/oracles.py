@@ -22,8 +22,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Mat, det, fr, identity, mat_add, mat_mul, mat_scale,
-                     transpose, zeros)
+from .linalg import Mat, det, fr, identity, mat_mul, transpose
 from .localfield import (FieldElement, LocalFieldDescriptor, _quadratic_model,
                          _unit_mod, as_prime, unit_part, valuation)
 from .qform import QuadForm, quad_form
@@ -375,6 +374,10 @@ def _theta_pos(i: int, n: int) -> int:
     return i - 1 if i > 0 else n + (n + i)
 
 
+def _negative(m: Mat) -> Mat:
+    return tuple(tuple(-x for x in row) for row in m)
+
+
 def theta_space(n: int) -> ThetaSpace:
     if n < 1:
         raise ValueError("n must be positive")
@@ -383,7 +386,7 @@ def theta_space(n: int) -> ThetaSpace:
         g[_theta_pos(i, n)][_theta_pos(-i, n)] = Fraction((-1) ** i)
         g[_theta_pos(-i, n)][_theta_pos(i, n)] = Fraction((-1) ** (i + 1))
     gram = tuple(tuple(row) for row in g)
-    if transpose(gram) != mat_scale(-1, gram) or det(gram) == 0:
+    if transpose(gram) != _negative(gram) or det(gram) == 0:
         raise RuntimeError("theta base point must be a symplectic form")
     return ThetaSpace(n, gram)
 
@@ -408,7 +411,7 @@ def regular_nilpotent_sp(n: int) -> Mat:
         m[dst][src] = Fraction(1)
     nil = tuple(tuple(row) for row in m)
     theta = theta_space(n).theta_gram
-    if mat_add(mat_mul(transpose(nil), theta), mat_mul(theta, nil)) != zeros(dim):
+    if mat_mul(transpose(nil), theta) != _negative(mat_mul(theta, nil)):
         raise RuntimeError("nilpotent fails the symplectic Lie algebra identity")
     return nil
 
@@ -451,7 +454,7 @@ def regular_nilpotent_so(q_flat: QuadForm) -> Mat:
         # e_{-j} -> -e_{-(j-1)}: the chain descends back to e_{-1} -> 0
         mtx[m + j - 2][m + j - 1] = Fraction(-1)
     nil = tuple(tuple(row) for row in mtx)
-    if mat_add(mat_mul(transpose(nil), g), mat_mul(g, nil)) != zeros(dim):
+    if mat_mul(transpose(nil), g) != _negative(mat_mul(g, nil)):
         raise RuntimeError("nilpotent fails the orthogonal Lie algebra identity")
     return nil
 

@@ -17,8 +17,8 @@ from twistedgl import gsnorm, linalg, qform
 from twistedgl.etale import (AlgebraElement, EtaleAlgebraWithInvolution,
                              make_algebra, quadratic_tower, split_tower, tau,
                              is_generator)
-from twistedgl.linalg import (det, identity, inverse, mat, mat_add, mat_mul,
-                              mat_scale, mat_sub, transpose)
+from twistedgl.linalg import (clear_denominators, det, fr, identity, inverse, mat,
+                              mat_mul, to_mat, transpose)
 from twistedgl.localfield import (QP, FieldElement, SquareClass, _residue_char_fq,
                                   _unit_mod, hilbert_qp, legendre,
                                   square_class, square_class_table, tame_data,
@@ -26,6 +26,23 @@ from twistedgl.localfield import (QP, FieldElement, SquareClass, _residue_char_f
 from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,
                              quad_form, scale, witt_decompose)
 from twistedgl.weil import weil_index
+
+
+# ---------------------------------------------------------------------------
+# Fraction matrix sums, for the references below and the tests
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a):
+    c = fr(c)
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def _vp(n: int, p: int):
@@ -607,6 +624,29 @@ def reference_gs_norm(ambient, x, y):
                    mat_mul(qinv, mat_mul(transpose(x), mat_mul(inverse(y), x))))
 
 
+def gs_norm_mat(config):
+    """gsnorm.gs_norm as a Mat."""
+    return to_mat(*gsnorm.gs_norm(config))
+
+
+def gs_section_mat(ambient, x, gamma):
+    """gsnorm.gs_section on the Mats X and gamma, its Y as a Mat."""
+    return to_mat(*gsnorm.gs_section(ambient, clear_denominators(x),
+                                     clear_denominators(gamma)))
+
+
+def reference_u(ambient, x, y):
+    """[[I, X, Y], [0, I, -phi], [0, 0, I]] from Fractions, phi by
+    reference_phi: the reference for u_of_xy, and an isometry of V1 exactly
+    when (X, Y) meets the closure condition."""
+    n = ambient.n
+    eye, zero = identity(n), mat([[0] * n] * n)
+    grid = [[eye, x, y], [zero, eye, mat_scale(-1, reference_phi(ambient, x))],
+            [zero, zero, eye]]
+    return tuple(tuple(v for block in blocks for v in block[i])
+                 for blocks in grid for i in range(n))
+
+
 def reference_xy_condition(ambient, x, y):
     """Y + eps Y^T + X Q^-1 X^T = 0 by Fraction sums: the reference for
     GSConfiguration.closed."""
@@ -670,7 +710,7 @@ def reference_random_config(ambient, seed, require_very_regular=True):
         config = gsnorm.GSConfiguration(ambient, linalg.to_mat(x),
                                         linalg.to_mat(y, 2 * a))
         if require_very_regular and not reference_is_very_regular(
-                gsnorm.gs_norm(config)):
+                gs_norm_mat(config)):
             continue
         return config
     raise RuntimeError(f"retry budget exhausted for seed {seed}")

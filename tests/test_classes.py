@@ -3,17 +3,17 @@
 import random
 from fractions import Fraction as F
 
-from helpers import (hilbert90_x, poly_eval, random_algebra, random_fixed_invertible,
-                     random_generator, random_invertible_element,
-                     random_norm_one_generator)
+from helpers import (hilbert90_x, mat_add, poly_eval, random_algebra,
+                     random_fixed_invertible, random_generator,
+                     random_invertible_element, random_norm_one_generator)
 from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                build_Sp, build_tGL_even, build_tGL_odd,
                                class_invariant, corresponds, is_elliptic,
                                twist_invariant)
 from twistedgl.etale import (char_poly, is_generator, make_algebra, quadratic_tower,
                              split_tower, tau, trace_form_bilinear)
-from twistedgl.linalg import (block_diag, charpoly, det, identity, mat_add,
-                              mat_mul, poly_squarefree, transpose)
+from twistedgl.linalg import (block_diag, charpoly, det, identity, mat_mul,
+                              poly_squarefree, transpose)
 from twistedgl.localfield import QP, square_class
 from twistedgl.qform import diag_form
 

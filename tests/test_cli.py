@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,14 +19,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_eliminations, reference_transfer_factor
+from helpers import count_eliminations, mat_add, mat_scale, reference_transfer_factor
 from twistedgl import endoscopy, etale
 from twistedgl.cli import build_parser, config_doc, digest, main, rat_json, rat_str
 from twistedgl.endoscopy import constancy_cell, quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
-from twistedgl.linalg import mat, mat_add, mat_scale, transpose
+from twistedgl.linalg import det, inverse, mat, mat_mul, transpose
 from twistedgl.localfield import square_class
-from twistedgl.qform import QuadForm, diag_form, diagonal, quad_form, scale
+from twistedgl.qform import (QuadForm, alternating_form, diag_form, diagonal,
+                             quad_form, scale)
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 def run(capsys, *argv):
@@ -359,6 +361,129 @@ def test_gs_section_and_norm_refuse_what_they_cannot_answer(capsys):
     unclosed_param["config"]["Y"][0][0] = "1/2"
     code, doc = run(capsys, "gs", "param", "--json", json.dumps(unclosed_param))
     assert code == 2 and doc is None
+
+
+def _rational(rng, span):
+    """A seeded rational literal: an integer in [-span, span] over 1, 1, 2 or 3."""
+    return F(rng.randint(-span, span), rng.choice((1, 1, 2, 3)))
+
+
+def _invertible(rng, n, span=4):
+    while True:
+        m = mat([[_rational(rng, span) for _ in range(n)] for _ in range(n)])
+        if det(m) != 0:
+            return m
+
+
+def _gs_sweep(p, eps):
+    """(ambient document, X, Y, a second X) for closed pairs over Q_p with
+    this epsilon, two for each dimension in 2..6 (the even ones when
+    eps = -1): Q and X rational and seeded, Y = -1/2 X Q^-1 X^T + (R - eps R^T)
+    for a seeded integer R with det Y != 0, by Fraction products.  The odd
+    orthogonal dimensions, which gs random refuses, are included."""
+    rng = random.Random(1000 * p + eps)
+    for n in range(2, 7):
+        if eps == -1 and n % 2:
+            continue
+        for _ in range(2):
+            while True:
+                if eps == 1:
+                    diag = [_rational(rng, 5) or F(1) for _ in range(n)]
+                    q = diag_form(diag, p)
+                    q_doc = {"p": p, "diag": [str(d) for d in diag]}
+                else:
+                    g = [[F(0)] * n for _ in range(n)]
+                    for i in range(n):
+                        for j in range(i + 1, n):
+                            g[i][j] = _rational(rng, 3)
+                            g[j][i] = -g[i][j]
+                    if det(mat(g)) == 0:
+                        continue
+                    q = alternating_form(g, p)
+                    q_doc = {"p": p, "gram": [[str(v) for v in row] for row in g]}
+                try:
+                    make_ambient(q, eps)
+                except ValueError:  # the isotropic binary V
+                    continue
+                break
+            x = _invertible(rng, n)
+            half = mat_mul(x, mat_mul(inverse(q.gram), transpose(x)))
+            while True:
+                r = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                y = mat([[r[i][j] - eps * r[j][i] - half[i][j] / 2 for j in range(n)]
+                         for i in range(n)])
+                if det(y) != 0:
+                    break
+            yield {"qV": q_doc, "epsilon": eps}, x, y, _invertible(rng, n)
+
+
+def _literal(m):
+    return [[str(v) for v in row] for row in m]
+
+
+# SHA-256 of the exit codes and stdout of every gs norm, gs section and
+# gs verify call of _gs_sweep's documents, first 16 hex digits
+GS_DIGESTS = {
+    (2, 1): {"norm": "8bb03e98517f37db", "section": "05c57d7d0442d06b",
+            "verify": "b8ffc939428cad5a"},
+    (2, -1): {"norm": "dc237925a652bb0a", "section": "a2375469c0e7c3e3",
+             "verify": "341faf9a5d6436d0"},
+    (3, 1): {"norm": "b616a1a843950fe6", "section": "5b32ab0a693e8915",
+            "verify": "0c82cf2374cc349e"},
+    (3, -1): {"norm": "410894dc56ca01db", "section": "1036fc2b2138a7c0",
+             "verify": "341faf9a5d6436d0"},
+    (5, 1): {"norm": "9ba800961ce3e8be", "section": "4769731a94c1948a",
+            "verify": "b8ffc939428cad5a"},
+    (5, -1): {"norm": "d203ad7580b1945c", "section": "645e58fa37f99ad2",
+             "verify": "341faf9a5d6436d0"},
+    (7, 1): {"norm": "f19d7d207a45088f", "section": "e886a14f5d05c345",
+            "verify": "b8ffc939428cad5a"},
+    (7, -1): {"norm": "39c7979b50abd527", "section": "885aec5378a0f513",
+             "verify": "341faf9a5d6436d0"},
+}
+
+
+@pytest.mark.parametrize("p, eps", list(GS_DIGESTS))
+def test_gs_verbs_output_is_pinned(p, eps):
+    # per configuration: its norm gamma, the sections of gamma at X and at a
+    # second X, verify of the configuration, of the second section, and of
+    # the configuration with one entry of Y moved, whose all_pass is false;
+    # then norm and verify of a closed pair with X = 0
+    hashes = {verb: hashlib.sha256() for verb in ("norm", "section", "verify")}
+    rng = random.Random(p * eps)
+
+    def call(verb, doc):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["gs", verb, "--json", json.dumps(doc)])
+        hashes[verb].update(f"{code}\n{out.getvalue()}".encode())
+        return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+    for ambient, x, y, x2 in _gs_sweep(p, eps):
+        config = {"ambient": ambient, "X": _literal(x), "Y": _literal(y)}
+        code, norm = call("norm", config)
+        assert code == 0
+        code, section = [call("section", {"ambient": ambient, "X": _literal(xs),
+                                          "gamma": norm["gamma"]}) for xs in (x, x2)][1]
+        assert call("verify", config) == (0, {"checks": dict.fromkeys(
+            ("xy_condition", "u_isometry", "rigidify_isometry", "norm_isometry",
+             "section_round_trip"), True), "all_pass": True})
+        if code == 0:
+            call("verify", {"ambient": ambient, "X": _literal(x2), "Y": section["Y"]})
+        broken = copy.deepcopy(config)
+        broken["Y"][0][1] = str(F(broken["Y"][0][1]) + 1)
+        code, doc = call("verify", broken)
+        assert code == 1 and doc["all_pass"] is False
+        # X = 0 with Y = R - eps R^T is closed and not invertible: the norm
+        # is refused, and verify stops at rigidify
+        n = len(x)
+        r = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        skew = mat([[r[i][j] - eps * r[j][i] for j in range(n)] for i in range(n)])
+        if det(skew) != 0:
+            singular = {"ambient": ambient, "X": [["0"] * n] * n, "Y": _literal(skew)}
+            assert call("norm", singular) == (2, None)
+            assert call("verify", singular) == (2, None)
+    assert {verb: h.hexdigest()[:16] for verb, h in hashes.items()} == GS_DIGESTS[p, eps]
 
 
 def test_endo_delta_eliminates_q_delta_once(capsys, monkeypatch):

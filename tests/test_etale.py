@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (poly_eval, random_algebra, random_fixed_invertible,
+from helpers import (mat_add, poly_eval, random_algebra, random_fixed_invertible,
                      random_invertible_element, reference_trace)
 from twistedgl.etale import (char_poly, is_generator, make_algebra,
                              quadratic_tower, split_tower, tau,
                              trace_form_bilinear, trace_form_quadratic)
-from twistedgl.linalg import (block_diag, det, identity, inverse, mat_add, mat_mul,
+from twistedgl.linalg import (block_diag, det, identity, inverse, mat_mul,
                               poly_squarefree, transpose)
 from twistedgl.localfield import (QP, LocalFieldDescriptor, Prime, is_square_in_field,
                                   least_nonresidue)

@@ -10,14 +10,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (count_eliminations, hilbert90_x, random_algebra,
+from helpers import (count_eliminations, gs_norm_mat, gs_section_mat,
+                     hilbert90_x, mat_add, mat_scale, mat_sub, random_algebra,
                      random_antifixed_invertible, random_fixed_invertible,
                      random_generator,
                      random_norm_one_generator, reference_gs_norm,
                      reference_is_very_regular, reference_phi,
                      reference_fraction_random_config,
                      reference_random_config, reference_transfer_factor,
-                     reference_xy_condition)
+                     reference_u, reference_xy_condition)
 from twistedgl import cli, gsnorm, linalg
 from twistedgl.cli import _corpus_entries, config_doc, main
 from twistedgl.endoscopy import constancy_cell, transfer_factor
@@ -26,12 +27,11 @@ from twistedgl.classes import (ClassParameter, build_SO_even, build_SO_odd,
                                twist_invariant)
 from twistedgl.etale import is_generator, make_algebra, quadratic_tower, tau
 from twistedgl.gsnorm import (ELL, GSConfiguration, gs_norm, gs_param_check,
-                              gs_section, make_ambient, random_config, rigidify,
-                              u_of_xy)
-from twistedgl.linalg import (block_diag, charpoly, det, identity, int_det,
-                              int_inverse, int_mul, inverse, mat, mat_add, mat_mul,
-                              mat_scale, mat_sub, poly_squarefree_mod, to_mat,
-                              transpose)
+                              make_ambient, random_config, rigidify, u_of_xy)
+from twistedgl.linalg import (block_diag, charpoly, clear_denominators, det,
+                              identity, int_det, int_inverse, int_mul, inverse,
+                              is_isometry, mat, mat_mul, poly_squarefree_mod,
+                              to_mat, transpose)
 from twistedgl.localfield import QP, square_class
 from twistedgl.qform import alternating_form, diag_form, hyperbolic, quad_form
 
@@ -147,7 +147,7 @@ def test_a_quasisplit_ambient_inverts_its_gram_without_elimination(monkeypatch):
     for key in sorted(keys):
         ambient = constancy_cell(*key).ambient
         monkeypatch.setattr(linalg, "_eliminate", counted)
-        q_inv = ambient.q_inverse
+        q_inv = to_mat(*ambient.q_inverse_scaled)
         monkeypatch.setattr(linalg, "_eliminate", eliminate)
         assert eliminated == [] and q_inv == inverse(ambient.q_V.gram)
 
@@ -167,7 +167,7 @@ def test_random_config_refuses_a_very_regular_norm_on_odd_orthogonal():
             random_config(amb, 1)
         for seed in range(3):
             config = reference_random_config(amb, seed, require_very_regular=False)
-            assert not reference_is_very_regular(gs_norm(config))
+            assert not reference_is_very_regular(gs_norm_mat(config))
 
 
 def test_ambient_gram_determinant_is_that_of_q():
@@ -207,7 +207,8 @@ def test_u_isometry_and_nilpotency():
             amb = make_ambient(q, eps)
             for seed in range(4):
                 cfg = reference_random_config(amb, seed, require_very_regular=False)
-                u = u_of_xy(cfg)
+                u = to_mat(*u_of_xy(cfg))
+                assert u == reference_u(amb, cfg.X, cfg.Y)
                 g1 = amb.gram_q1
                 assert mat_mul(transpose(u), mat_mul(g1, u)) == g1
                 nil = mat_sub(u, identity(len(u)))
@@ -295,7 +296,7 @@ def test_the_rule_decides_very_regularity_of_the_norm(ell, monkeypatch):
         amb = random_ambient(rng, n, eps)
         for seed in range(6):
             cfg = reference_random_config(amb, seed, require_very_regular=False)
-            expected = reference_is_very_regular(gs_norm(cfg))
+            expected = reference_is_very_regular(gs_norm_mat(cfg))
             assert gsnorm._norm_very_regular(cfg.y_scaled[0], eps) == expected
             answers.append(expected)
     assert set(answers) == {True, False}
@@ -311,7 +312,9 @@ def test_u_isometry_fails_without_closure():
     with pytest.raises(ValueError):
         u_of_xy(bad)
     # and the raw matrix genuinely fails the isometry identity
-    from twistedgl.gsnorm import inverse as _inv  # noqa: F401  (import guard)
+    u, g1 = reference_u(amb, bad.X, bad.Y), amb.gram_q1
+    assert mat_mul(transpose(u), mat_mul(g1, u)) != g1
+    assert not is_isometry(clear_denominators(u), amb.gram_q1_scaled[0])
 
 
 def test_norm_and_rigidify_need_invertible_x_and_y():
@@ -351,7 +354,7 @@ def test_gs_norm_isometry_and_determinant():
         amb, gamma, y, x_alg, alg, c = even_fixture(p, RNG)
         for seed in range(6):
             cfg = random_config(amb, seed)
-            g = gs_norm(cfg)
+            g = gs_norm_mat(cfg)
             q = amb.q_V.gram
             assert mat_mul(transpose(g), mat_mul(q, g)) == q
             assert det(g) == 1  # even orthogonal norms land in SO
@@ -377,10 +380,10 @@ def test_gs_section_round_trip_parametrized():
         amb, gamma, y, x_alg, alg, c = even_fixture(p, RNG)
         for _ in range(5):
             x = rand_invertible(amb.n, RNG)
-            ysec = gs_section(amb, x, gamma)
+            ysec = gs_section_mat(amb, x, gamma)
             cfg = GSConfiguration(amb, x, ysec)
             assert cfg.closed
-            assert gs_norm(cfg) == gamma
+            assert gs_norm_mat(cfg) == gamma
 
 
 def test_gs_section_rejects_unipotent_eigenvalue():
@@ -388,19 +391,30 @@ def test_gs_section_rejects_unipotent_eigenvalue():
     amb = make_ambient(q, 1)
     x = identity(2)
     with pytest.raises(ValueError):
-        gs_section(amb, x, identity(2))
+        gs_section_mat(amb, x, identity(2))
 
 
 def test_gs_section_eliminates_gamma_minus_one_once(monkeypatch):
     rng = random.Random(9)
     amb, gamma = even_fixture(3, rng)[:2]
     x = rand_invertible(amb.n, rng)
+    amb.q_inverse_scaled  # the ambient's own inverse, taken once
     _, dets = count_eliminations(monkeypatch)
-    gs_section(amb, x, gamma)
+    inverted, int_inverse_of = [], gsnorm.int_inverse
+
+    def recorded(rows):
+        inverted.append(rows)
+        return int_inverse_of(rows)
+
+    monkeypatch.setattr(gsnorm, "int_inverse", recorded)
+    gs_section_mat(amb, x, gamma)
     # the inverse of gamma - 1 is its one elimination: det is not asked first
     assert mat_sub(gamma, identity(amb.n)) not in dets
+    g_rows, g = clear_denominators(gamma)
+    assert inverted == [[[v - g * (i == j) for j, v in enumerate(row)]
+                         for i, row in enumerate(g_rows)]]
     with pytest.raises(ValueError, match="gamma - 1 must be invertible"):
-        gs_section(make_ambient(diag_form([1, 2], 5), 1), identity(2), identity(2))
+        gs_section_mat(make_ambient(diag_form([1, 2], 5), 1), identity(2), identity(2))
 
 
 def test_twist_invariant_independent_of_x():
@@ -408,7 +422,7 @@ def test_twist_invariant_independent_of_x():
     fingerprints = set()
     for _ in range(10):
         x = rand_invertible(amb.n, RNG)
-        ysec = gs_section(amb, x, gamma)
+        ysec = gs_section_mat(amb, x, gamma)
         fingerprints.add(twist_invariant(ysec))
     assert len(fingerprints) == 1
 
@@ -417,7 +431,7 @@ def test_gs_param_check_even_orthogonal():
     for p in (2, 3, 5):
         amb, gamma, y, x_alg, alg, c = even_fixture(p, RNG)
         x = rand_invertible(amb.n, RNG)
-        ysec = gs_section(amb, x, gamma)
+        ysec = gs_section_mat(amb, x, gamma)
         cfg = GSConfiguration(amb, x, ysec)
         param = ClassParameter("tGL-even", alg, x_alg)
         assert gs_param_check(cfg, param)
@@ -448,9 +462,9 @@ def symplectic_case(rng):
         break
     amb = make_ambient(q_c, -1)
     x = rand_invertible(amb.n, rng)
-    ysec = gs_section(amb, x, gamma)
+    ysec = gs_section_mat(amb, x, gamma)
     cfg = GSConfiguration(amb, x, ysec)
-    assert gs_norm(cfg) == gamma
+    assert gs_norm_mat(cfg) == gamma
     return cfg, ClassParameter("tGL-even", alg, x_alg)
 
 
@@ -476,9 +490,9 @@ def odd_orthogonal_case(rng):
         break
     amb = make_ambient(q, 1)
     x = rand_invertible(amb.n, rng)
-    ysec = gs_section(amb, x, gamma)
+    ysec = gs_section_mat(amb, x, gamma)
     cfg = GSConfiguration(amb, x, ysec)
-    assert gs_norm(cfg) == gamma
+    assert gs_norm_mat(cfg) == gamma
     return cfg, ClassParameter("tGL-odd", alg, x_alg, x_D=square_class(1, p))
 
 
@@ -518,7 +532,7 @@ def gs_param_verb(cfg, param):
 def test_gs_param_verb_even_orthogonal(p):
     amb, gamma, y, x_alg, alg, c = even_fixture(p, random.Random(7100 + p))
     x = rand_invertible(amb.n, random.Random(7200 + p))
-    cfg = GSConfiguration(amb, x, gs_section(amb, x, gamma))
+    cfg = GSConfiguration(amb, x, gs_section_mat(amb, x, gamma))
     assert gs_param_verb(cfg, ClassParameter("tGL-even", alg, x_alg)) == (0, {"param_match": True})
 
 
@@ -591,7 +605,7 @@ def rational_config(rng, amb):
              for _ in range(n)])
     s = mat_sub(r, mat_scale(eps, transpose(r)))
     y = [list(row) for row in mat_add(
-        mat_scale(F(-1, 2), mat_mul(x, mat_mul(amb.q_inverse, transpose(x)))), s)]
+        mat_scale(F(-1, 2), mat_mul(x, mat_mul(inverse(amb.q_V.gram), transpose(x)))), s)]
     if rng.random() < 0.3:
         y[rng.randrange(n)][rng.randrange(n)] += F(1, 7)
     return GSConfiguration(amb, x, mat(y))
@@ -616,7 +630,7 @@ def check_against_reference(amb, cfg):
     invertible = det(x) != 0 and det(y) != 0
     assert cfg.invertible == invertible
     if invertible:
-        assert gs_norm(cfg) == reference_gs_norm(amb, x, y)
+        assert gs_norm_mat(cfg) == reference_gs_norm(amb, x, y)
     if closed and invertible:
         assert rigidify(cfg) == (y, reference_phi(amb, x))
     else:
@@ -695,7 +709,7 @@ def test_random_config_equals_the_norm_certificate_sampler(p, eps, n, monkeypatc
         cfg = random_config(amb, seed)
         assert (cfg.X, cfg.Y) == (ref.X, ref.Y)
         assert to_mat(*cfg.x_scaled) == cfg.X and to_mat(*cfg.y_scaled) == cfg.Y
-        norm_poly = charpoly(gs_norm(cfg))
+        norm_poly = charpoly(gs_norm_mat(cfg))
         y, _ = cfg.y_scaled
         y_inv, pi = int_inverse(y)
         yt = [[-eps * v for v in col] for col in zip(*y)]
@@ -738,7 +752,7 @@ def test_an_accepted_draw_eliminates_x_once_and_y_only_on_fallback(monkeypatch):
             # the residues fail to accept when ell divides det Y_n or the
             # norm's characteristic polynomial mod ell does not certify
             fallback = int_det(y) % ell == 0 or not certifies(
-                reduce_mod(charpoly(gs_norm(cfg)), ell), ell)
+                reduce_mod(charpoly(gs_norm_mat(cfg)), ell), ell)
             fallbacks[ell] += fallback
             # a draw eliminates its X over Z (n columns); its Y only on
             # the fallback, as the inverse [Y | I], and after it at most

@@ -24,10 +24,11 @@ import sympy
 from sympy.polys.galoistools import gf_pow_mod, gf_rem
 
 from twistedgl import linalg
-from twistedgl.linalg import (charpoly, clear_denominators, det, int_charpoly_mod,
-                              int_det, int_inverse, int_mul, int_solve_mod,
-                              inverse, mat, mat_mul, poly_squarefree,
-                              poly_squarefree_mod)
+from twistedgl.linalg import (charpoly, clear_denominators, det, identity,
+                              int_charpoly_mod, int_det, int_inverse, int_mul,
+                              int_solve_mod, inverse, is_isometry, lowest_terms,
+                              mat, mat_mul, poly_squarefree, poly_squarefree_mod,
+                              transpose)
 from twistedgl.gsnorm import ELL
 
 SIZES = range(1, 13)
@@ -161,6 +162,67 @@ def test_int_mul_matches_sympy():
         fa, fb = mat(a), mat([[F(x, 3) for x in row] for row in b])
         assert mat_mul(fa, fb) == tuple(tuple(F(int(x), 3) for x in row)
                                         for row in expected.tolist())
+
+
+@pytest.mark.parametrize("n, rational, a", cases(20271, random_matrix))
+def test_lowest_terms_is_the_least_denominator(n, rational, a):
+    rows, den = clear_denominators(a)
+    for k in (1, 6, 35):
+        scaled = [[k * x for x in row] for row in rows]
+        assert lowest_terms(scaled, k * den) == (rows, den)
+    zero = [[0] * n for _ in range(n)]
+    assert lowest_terms(zero, 12) == (zero, 1)
+
+
+def isometry_group_element(rng, gram, alternating):
+    """A product of three reflections x -> x - 2 B(x, v) / B(v, v) v of the
+    symmetric gram, or of three transvections x -> x + c B(v, x) v of the
+    alternating one, for random rational v (and c): an isometry of gram."""
+    n = len(gram)
+    g = identity(n)
+    for _ in range(3):
+        while True:
+            v = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+            vs = [sum(v[i] * gram[i][j] for i in range(n)) for j in range(n)]
+            q = sum(a * b for a, b in zip(vs, v))
+            if alternating or q != 0:
+                break
+        c = F(rng.randint(1, 4), rng.choice((1, 3))) if alternating else -2 / q
+        g = mat_mul(g, mat([[int(i == j) + c * v[i] * vs[j] for j in range(n)]
+                            for i in range(n)]))
+    return g
+
+
+@pytest.mark.parametrize("alternating", (False, True))
+def test_is_isometry_is_the_fraction_identity(alternating):
+    # R^T S R == d^2 S on integer rows against g^T G g == G by Fractions,
+    # for g = R / d over its least denominator and over a multiple of it,
+    # and G = S / s over any denominator: isometries built from reflections
+    # or transvections pass, and the same with one entry moved fail
+    rng = random.Random(20272 + alternating)
+    for n in (2, 3, 4, 6) if alternating else (1, 2, 3, 5):
+        if alternating and n % 2:
+            continue
+        for _ in range(4):
+            while True:
+                g = [[F(0)] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + alternating, n):
+                        v = F(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                        g[i][j], g[j][i] = v, -v if alternating else v
+                if det(mat(g)) != 0:
+                    break
+            gram = mat(g)
+            s_rows, _ = clear_denominators(gram)
+            iso = isometry_group_element(rng, gram, alternating)
+            moved = [list(row) for row in iso]
+            moved[rng.randrange(n)][rng.randrange(n)] += F(1, 2)
+            for m, expected in ((iso, True), (mat(moved), False)):
+                assert (mat_mul(transpose(m), mat_mul(gram, m)) == gram) is expected
+                r, d = clear_denominators(m)
+                assert is_isometry((r, d), s_rows) is expected
+                assert is_isometry(([[3 * x for x in row] for row in r], 3 * d),
+                                   s_rows) is expected
 
 
 @pytest.mark.parametrize("n, rows, den", int_cases(20268))

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import (count_eliminations, diag_isotropy_bruteforce,
+from helpers import (count_eliminations, diag_isotropy_bruteforce, mat_scale,
                      padic_congruence_witness, random_algebra,
                      random_antifixed_invertible, random_fixed_invertible,
                      reference_diagonalize, reference_quasisplit_space,
@@ -18,7 +18,7 @@ from twistedgl.endoscopy import quasisplit_space
 from twistedgl.etale import (trace_form_alternating, trace_form_bilinear,
                              trace_form_quadratic)
 from twistedgl.linalg import (block_diag, clear_denominators, det, identity, mat,
-                              mat_mul, mat_scale, transpose)
+                              mat_mul, transpose)
 from twistedgl.localfield import as_prime, hilbert_qp, square_class, square_class_table
 from twistedgl.qform import (QuadForm, WittClass, _minus_one, alternating_form,
                              diag_form, diagonal,

@@ -62,7 +62,6 @@ def test_oracle_bounds_its_period():
 
 def test_oracle_product_rule_binary():
     """Oracle for <a, b> as a double sum factors into the rank-1 oracles."""
-    import numpy as np
     p = 3
     for a, b in ((F(1, 9), F(2, 9)), (F(1, 3), F(2, 9))):
         k = 3
