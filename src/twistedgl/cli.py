@@ -259,7 +259,7 @@ def parse_config(doc) -> GSConfiguration:
 
 def config_doc(config: GSConfiguration, q_doc: dict | None = None) -> dict:
     """The configuration document; q_doc, when given, is form_doc of its q_V,
-    which a corpus run renders once per cell."""
+    rendered once by a caller with many configurations on one ambient."""
     amb = config.ambient
     return {
         "ambient": {"qV": form_doc(amb.q_V) if q_doc is None else q_doc,
@@ -573,31 +573,39 @@ def _corpus_entries(seed: int, primes, ns, count: int):
     entries = []
     for p in primes:
         table = square_class_table(p)
+        # the twists of each K: 1, and for a field K the first class of the
+        # table that is not a norm from K
+        twists = {kclass: [1] if kclass.is_trivial() else
+                  [1, next(x for x in table if kclass.hilbert(x) == -1).representative]
+                  for kclass in table}
         for n in ns:
             # the split K at 2n = 2 would make V the isotropic binary space,
             # which names no endoscopic group and is excluded
             kclasses = [k for k in table if n > 1 or not k.is_trivial()]
             for i in range(count):
                 kclass = kclasses[i % len(kclasses)]
-                k = kclass.representative
-                c_choices = [1]
-                if not kclass.is_trivial():
-                    nonnorm = next(x for x in table if kclass.hilbert(x) == -1)
-                    c_choices = [1, nonnorm.representative]
-                c = c_choices[(i // len(kclasses)) % len(c_choices)]
+                c_choices = twists[kclass]
                 entries.append({
                     "seed": ((seed * 1000003 + p) * 1000003 + n) * 1000003 + i,
-                    "p": p, "n": n, "K": k, "c": c, "index": i,
+                    "p": p, "n": n, "K": kclass.representative,
+                    "c": c_choices[(i // len(kclasses)) % len(c_choices)], "index": i,
                 })
     return entries
 
 
 def _run_entries(entries, cells: dict) -> list[dict]:
     """The records of a run's entries, in order.  cells maps the raw (p, n, K,
-    c) of the entries to their ConstancyCell and the form_doc of its space,
-    which the first entry of a cell builds, and the raw (p, n mod 2, K) to the
-    run's first cell over it, whose target and epsilon factor later cells
-    adopt.  The library is imported once per run, not once per record."""
+    c) of the entries to their ConstancyCell and the digest tail of its
+    configurations, which the first entry of a cell builds, and the raw
+    (p, n mod 2, K) to the run's first cell over it, whose target and epsilon
+    factor later cells adopt.  The library is imported once per run, not once
+    per record.
+
+    A record's inputs_digest is digest(config_doc(config)), hashed from text
+    built here: json.dumps with sorted keys writes "X", "Y", then "ambient",
+    and the ambient is the cell's, so its text, the tail, is rendered once
+    per cell and each record renders only its X and Y rows."""
+    from hashlib import sha256
     from .endoscopy import constancy_cell, constancy_record
     from .gsnorm import random_config
     records = []
@@ -606,12 +614,16 @@ def _run_entries(entries, cells: dict) -> list[dict]:
         if key not in cells:
             cell = constancy_cell(*key)
             kin = cells.setdefault((entry["p"], entry["n"] % 2, entry["K"]), cell)
-            cells[key] = cell.adopt(kin), form_doc(cell.space)
-        cell, q_doc = cells[key]
+            ambient = {"qV": form_doc(cell.space), "epsilon": cell.ambient.epsilon}
+            cells[key] = (cell.adopt(kin),
+                          ', "ambient": ' + json.dumps(ambient, sort_keys=True) + "}")
+        cell, tail = cells[key]
         config = random_config(cell.ambient, entry["seed"])
         result = constancy_record(cell, config)
+        text = ('{"X": ' + json.dumps(rows_doc(*config.x_scaled)) + ', "Y": '
+                + json.dumps(rows_doc(*config.y_scaled)) + tail)
         record = dict(entry)
-        record["inputs_digest"] = digest(config_doc(config, q_doc))
+        record["inputs_digest"] = sha256(text.encode()).hexdigest()[:16]
         record["lhs"] = str(result.lhs)
         record["rhs"] = str(result.rhs)
         record["pass"] = result.passed

@@ -10,12 +10,14 @@ even orthogonal spaces: +1 exactly when the symmetrized twisted point
 the discriminant algebra, and -1 otherwise.  Its Whittaker normalization
 divides by the epsilon factor, an exact eighth root of unity.  The flagship
 cross-check compares this against the Weil index of 2 (-1)^n q computed from
-the rank-1 tables.  The two sides share qform.diagonal, localfield.square_class
-and weil._rank1 (the lhs through invariants and epsilon_half, the rhs directly
-on q's diagonal), and each shared piece has an independent test: diagonal against
-a reference congruence P^T Q P = diag (test_qform), the rank-1 table against
-the Gauss-sum oracle (test_weil), and square classes through the Hilbert
-symbol against Hilbert reciprocity (test_localfield).
+the rank-1 tables.  The two sides share qform's symmetric elimination, the
+square classes of localfield and weil._rank1 (the lhs through the classes of
+q_delta's pivots and epsilon_half, the rhs directly on q's diagonal), and
+each shared piece has an independent test: the elimination against a
+reference congruence P^T Q P = diag (test_qform), the pivot classes against
+the square classes of that reference's diagonal (test_mutants), the rank-1
+table against the Gauss-sum oracle (test_weil), and square classes through
+the Hilbert symbol against Hilbert reciprocity (test_localfield).
 
 Two lemmas explain why the identity can be checked cell by cell.  Write
 q = q_V = (n-1) H + c N_K for the quasisplit space of the record (H the
@@ -39,7 +41,8 @@ hyperbolic plane, N_K the norm form of the discriminant algebra K).
 ConstancyCell holds what is constant on one space q: the target, the epsilon
 factor, the ambient with Q^-1 and the rhs.  constancy_record takes a cell and
 computes per record only the checks of rigidify and the Witt class of
-q_delta from the integer rows y_scaled, never the Mat Y; transfer_factor and
+q_delta from the integer rows y_scaled, never the Mat Y, and builds no
+Fraction (qform.witt_kernel); transfer_factor and
 transfer_factor_whittaker are the same comparison on a cell of their own.
 gs_constancy_check also checks that an outside configuration is closed and
 invertible, and that its norm is very regular, on Y_n alone (gsnorm).
@@ -56,9 +59,9 @@ from .gsnorm import (AmbientSpace, GSConfiguration, _norm_very_regular,
                      check_rigidifiable, make_ambient)
 from .linalg import Mat, clear_denominators, mat
 from .localfield import SquareClass, as_prime, square_class, square_class_table
-from .qform import (SYMMETRIC, QuadForm, WittClass, block_rows, diagonal,
-                    hyperbolic, invariants, norm_form, represents, scale,
-                    witt_decompose, witt_kernel)
+from .qform import (SYMMETRIC, QuadForm, WittClass, _invariants, _minus_one,
+                    block_rows, diagonal, hyperbolic, invariants, norm_form,
+                    represents, scale, witt_decompose, witt_kernel)
 from .weil import Mu8, _rank1, epsilon_half
 
 
@@ -173,9 +176,11 @@ class ConstancyCell:
     (-1)^n N_K, K the discriminant algebra of q; epsilon(1/2, chi_K, psi)^-1;
     the ambient V1 of q with its Q^-1; and the rhs, the Weil index of
     2 (-1)^n q, which is the product of gamma(<2 (-1)^n a_i>) over the
-    diagonal a_i that q holds, so no scaled form is built.  What is left per
-    twisted point is the elimination of q_delta and its Witt comparison with
-    the target (_plain_factor).
+    diagonal a_i that q holds, so no scaled form is built.  The target is
+    read off the square classes of the diagonal <(-1)^n, (-1)^(n+1) d> of
+    (-1)^n N_K, so no norm form is built either.  What is left per twisted
+    point is the elimination of q_delta and its Witt comparison with the
+    target (_plain_factor).
 
     The target depends only on (p, n mod 2, K) and the epsilon factor only on
     (p, K), so a corpus run shares them: each new cell takes them from the
@@ -195,9 +200,13 @@ class ConstancyCell:
 
     @cached_property
     def target(self) -> WittClass:
-        """The Witt class of (-1)^n N_K."""
-        kclass = invariants(self.space).dpm
-        return witt_decompose(scale((-1) ** self.n, norm_form(kclass, self.space.p)))[1]
+        """The Witt class of (-1)^n N_K, from the classes of its diagonal:
+        N_K = <1, -d> for d the discriminant of K, and the hyperbolic plane
+        <1, -1> for the split K, so (-1)^n N_K = <(-1)^n, (-1)^(n+1) d>."""
+        p = self.space.p
+        m1 = _minus_one(p).bits
+        sign = m1 if self.n % 2 else 0
+        return _invariants([sign, sign ^ m1 ^ invariants(self.space).dpm.bits], p).kernel
 
     @cached_property
     def epsilon_inverse(self) -> Mu8:

@@ -26,8 +26,9 @@ diagonal block of B larger than 2 x 2, as int_inverse splits B into its
 blocks and inverts the smaller ones by their adjugates); the
 determinant of the Sylvester matrix of f and f' decides poly_squarefree.
 qform._eliminate_symmetric, by congruence, diagonalizes a symmetric Gram
-given as integer rows over a denominator, like the int_* kernels here; it is
-the non-degeneracy check of a symmetric form and reads the form's rows.
+given as integer rows, like the int_* kernels here, and returns its integer
+pivots; it is the non-degeneracy check of a symmetric form and reads the
+form's rows.
 
 A property that survives reduction modulo a prime can be certified there.
 int_charpoly_mod reduces rows / den modulo a prime l (each entry becomes

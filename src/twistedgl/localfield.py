@@ -197,14 +197,7 @@ class SquareClass:
         """The Hilbert symbol (self, other)_p, the bilinear form on the bits."""
         if self.p != other.p:
             raise ValueError("square classes over different primes")
-        a, b = self.bits, other.bits
-        if self.p == 2:
-            # eps(u) eps(w) + v(a) omega(w) + v(b) omega(u)
-            e = (a >> 1 & b >> 1) ^ (a & b >> 2) ^ (b & a >> 2)
-        else:
-            # v(a) v(b) (p - 1)/2 + v(a) [w] + v(b) [u]
-            e = (a & b & self.p >> 1) ^ (a & b >> 1) ^ (b & a >> 1)
-        return -1 if e & 1 else 1
+        return -1 if _hilbert_bit(self.bits, other.bits, self.p) else 1
 
     def is_trivial(self) -> bool:
         return self.bits == 0
@@ -222,20 +215,40 @@ class SquareClass:
         return str(self.representative)
 
 
+def _hilbert_bit(a: int, b: int, p: int) -> int:
+    """(a, b)_p = (-1)^e for the square classes with bits a and b: e, the
+    bilinear form on the bits."""
+    if p == 2:
+        # eps(u) eps(w) + v(a) omega(w) + v(b) omega(u)
+        e = (a >> 1 & b >> 1) ^ (a & b >> 2) ^ (b & a >> 2)
+    else:
+        # v(a) v(b) (p - 1)/2 + v(a) [w] + v(b) [u]
+        e = (a & b & p >> 1) ^ (a & b >> 1) ^ (b & a >> 1)
+    return e & 1
+
+
 def square_class(a, p) -> SquareClass:
-    """The square class of a nonzero rational: one split of p off its
-    numerator and denominator, then one residue test on the unit."""
+    """The square class of a nonzero rational.  An int is its own numerator
+    over 1, and no Fraction is built for it."""
     p = as_prime(p)
-    a = fr(a)
-    if a == 0:
+    if isinstance(a, int):
+        num, den = a, 1
+    else:
+        a = fr(a)
+        num, den = a.numerator, a.denominator
+    if num == 0:
         raise ValueError("square class of zero")
-    v, u = _split(a.numerator, a.denominator, p)
+    return SquareClass(p, _class_bits(num, den, p))
+
+
+def _class_bits(num: int, den: int, p: int) -> int:
+    """The bits of the square class of num / den, both nonzero integers: one
+    split of p off them, then one residue test on the unit."""
+    v, u = _split(num, den, p)
     if p == 2:
         r = u % 8
-        bits = (r >> 1 & 1) << 1 | ((r * r - 1) >> 3 & 1) << 2
-    else:
-        bits = (pow(u % p, (p - 1) // 2, p) != 1) << 1
-    return SquareClass(p, bits | v & 1)
+        return (r >> 1 & 1) << 1 | ((r * r - 1) >> 3 & 1) << 2 | v & 1
+    return (pow(u % p, (p - 1) // 2, p) != 1) << 1 | v & 1
 
 
 def is_square_qp(a, p) -> bool:

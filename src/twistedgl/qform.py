@@ -16,6 +16,12 @@ endoscopy.quasisplit_space build rows directly, and the elimination, Q^-1
 and the form's document read rows, so a form built by them never builds a
 Fraction Gram unless a caller reads gram.
 
+The one symmetric elimination, _eliminate_symmetric, runs Bareiss's update
+on the upper triangle of integer rows and returns its integer pivots.
+_diagonal builds the Fraction diagonal from them for the verbs, and
+_pivot_classes its square classes on the F_2 bits, from which _invariants
+computes the invariants; so witt_kernel builds no Fraction.
+
 A symmetric form holds its diagonal from the moment it is built, and that
 diagonal is the one the symmetric Bareiss elimination of its Gram gives, so
 diagonal(q) == diagonalize(q)[0] for every form.  The checked constructor
@@ -28,7 +34,7 @@ two blocks, the one with a nonzero Gram diagonal first) give the
 elimination's diagonal in closed form and are never eliminated.  An
 alternating Gram is checked by the determinant of its rows and holds no
 diagonal.  A form known only by integer rows (a twisted point's q_delta) is
-eliminated once by witt_kernel.
+eliminated once by witt_kernel, which builds no form and no Fraction.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .linalg import Mat, clear_denominators, fr, int_det, mat, to_mat
-from .localfield import Prime, SquareClass, as_prime, square_class
+from .localfield import (Prime, SquareClass, _class_bits, _hilbert_bit, as_prime,
+                         square_class)
 
 SYMMETRIC = "symmetric"
 ALTERNATING = "alternating"
@@ -69,7 +76,7 @@ class QuadForm:
             if rows != cols:
                 raise ValueError("Gram matrix is not symmetric")
             # the elimination raises on a degenerate Gram
-            diag = _eliminate_symmetric(rows, den, transform=False)[0]
+            diag = _diagonal(_eliminate_symmetric(rows, transform=False)[0], den)
         elif symmetry == ALTERNATING:
             if cols != tuple(tuple(-x for x in row) for row in rows):
                 raise ValueError("Gram matrix is not alternating")
@@ -106,7 +113,8 @@ class QuadForm:
     @cached_property
     def invariants(self) -> "FormInvariants":
         """The invariants of this form, computed on first use; see invariants()."""
-        return _invariants(diagonal(self), self.p)
+        return _invariants([_class_bits(a.numerator, a.denominator, self.p)
+                            for a in diagonal(self)], self.p)
 
     def __str__(self) -> str:
         name = self.label or f"{self.symmetry} form"
@@ -152,24 +160,36 @@ def _same_prime(q1: QuadForm, q2: QuadForm):
 # diagonalization
 
 
-def _eliminate_symmetric(rows: list[list[int]], d: int, transform: bool):
-    """Symmetric Bareiss elimination of the Gram G = rows / d on integers.
+def _eliminate_symmetric(rows: list[list[int]], transform: bool):
+    """Symmetric Bareiss elimination of the integer Gram B = rows, on its
+    upper triangle.
 
-    Works on a copy of B = rows = d*G, d > 0 any denominator of G.  Pivot
-    rule: first nonzero diagonal entry of the trailing block, moved up by a
-    swap; if its diagonal vanishes entirely, symmetrize on the first nonzero
-    off-diagonal pair (col_i += col_j, row_i += row_j) and move that index
-    up.  Step k then updates the trailing block by the exact division
-    (pivot*b_rc - b_rk*b_kc) // previous pivot, so the k-th pivot is the
-    leading principal (k+1)-minor of B after the moves and
-    a_k = pivot_k / (pivot_(k-1) * d), whatever d is.  With transform, the
-    same column operations run on an integer matrix E, whose column k ends
-    as pivot_(k-1) times column k of the congruence P with P^T G P = diag(a).
-    Returns (diag, P), P None without transform.
+    Works on a copy of B.  Pivot rule: first nonzero diagonal entry of the
+    trailing block, moved up by a swap; if its diagonal vanishes entirely,
+    symmetrize on the first nonzero off-diagonal pair (col_i += col_j,
+    row_i += row_j) and move that index up.  Step k then updates the
+    trailing block by the exact division (pivot*b_rc - b_rk*b_kc) // previous
+    pivot.  That update is symmetric in r and c, so only the entries c >= r
+    are computed, with the row multiplier b_rk read as b_kr from the pivot
+    row; the lower triangle is mirrored from the upper one only before a
+    pivot move, which reads whole rows and columns.
+
+    Returns (pivots, P).  pivots = [P_0 = 1, P_1, ..., P_n], P_k the leading
+    principal k-minor of B after the moves, so for any d > 0 the Gram
+    rows / d has the diagonal a_k = P_(k+1) / (P_k * d).  With transform,
+    the same column operations run on an integer matrix E, whose column k
+    ends as P_k times column k of the congruence P with
+    P^T (rows / d) P = diag(a); P is None without it.
     """
     b = [list(row) for row in rows]
     n = len(b)
     e = [[int(i == j) for j in range(n)] for i in range(n)] if transform else []
+
+    def mirror(k):
+        for r in range(k, n):
+            row = b[r]
+            for c in range(r + 1, n):
+                b[c][r] = row[c]
 
     def swap(i, j):
         b[i], b[j] = b[j], b[i]
@@ -188,6 +208,7 @@ def _eliminate_symmetric(rows: list[list[int]], d: int, transform: bool):
     pivots = [1]
     for k in range(n):
         if b[k][k] == 0:
+            mirror(k)
             piv = next((j for j in range(k, n) if b[j][j] != 0), None)
             if piv is not None:
                 swap(k, piv)
@@ -202,16 +223,25 @@ def _eliminate_symmetric(rows: list[list[int]], d: int, transform: bool):
                     swap(k, i)
         top, prev = b[k], pivots[-1]
         pivot = top[k]
-        for row in b[k + 1:] + e:
+        for r in range(k + 1, n):
+            row, f = b[r], top[r]
+            for c in range(r, n):
+                row[c] = (pivot * row[c] - f * top[c]) // prev
+        for row in e:
             f = row[k]
             for c in range(k + 1, n):
                 row[c] = (pivot * row[c] - f * top[c]) // prev
         pivots.append(pivot)
-    diag = tuple(Fraction(pivots[k + 1], pivots[k] * d) for k in range(n))
     if not transform:
-        return diag, None
-    return diag, tuple(tuple(Fraction(x, den) for x, den in zip(row, pivots))
-                       for row in e)
+        return pivots, None
+    return pivots, tuple(tuple(Fraction(x, den) for x, den in zip(row, pivots))
+                         for row in e)
+
+
+def _diagonal(pivots: list[int], d: int) -> tuple[Fraction, ...]:
+    """The diagonal a_k = P_(k+1) / (P_k * d) of the Gram rows / d whose
+    elimination gave these pivots."""
+    return tuple(Fraction(pivots[k + 1], pivots[k] * d) for k in range(len(pivots) - 1))
 
 
 def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
@@ -222,7 +252,8 @@ def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
     pair before pivoting.
     """
     _require_symmetric(q, "diagonalization")
-    return _eliminate_symmetric(q.rows, q.den, transform=True)
+    pivots, pmat = _eliminate_symmetric(q.rows, transform=True)
+    return _diagonal(pivots, q.den), pmat
 
 
 def diagonal(q: QuadForm) -> tuple[Fraction, ...]:
@@ -299,26 +330,27 @@ def invariants(q: QuadForm) -> FormInvariants:
     return q.invariants
 
 
-def _invariants(diag: tuple[Fraction, ...], p: Prime) -> FormInvariants:
-    """The invariants of the form with this diagonal over Q_p."""
-    classes = [square_class(a, p) for a in diag]
-    n = len(classes)
+def _invariants(bits: list[int], p: Prime) -> FormInvariants:
+    """The invariants over Q_p of the form <a_1, ..., a_n>, given the square
+    classes of its diagonal entries a_i by their F_2 bits."""
+    n = len(bits)
     # Hasse c = prod_j (a_1...a_(j-1), a_j) by bimultiplicativity: n symbols
     # instead of n(n-1)/2, each a bilinear form on bits
-    prefix, hasse = SquareClass(p, 0), 1
-    for c in classes:
-        hasse *= prefix.hilbert(c)
-        prefix = prefix * c
-    m1 = _minus_one(p)
-    dpm = m1 * prefix if n * (n - 1) // 2 % 2 else prefix
+    prefix = e = 0
+    for b in bits:
+        e ^= _hilbert_bit(prefix, b, p)
+        prefix ^= b
+    hasse = -1 if e else 1
+    m1, det = _minus_one(p), SquareClass(p, prefix)
+    dpm = m1 * det if n * (n - 1) // 2 % 2 else det
     # Witt reduction: split q = q' + H while the criterion finds q isotropic;
     # det q' = -det q, and the Hasse invariant picks up (-1, det q')
-    dim, dc, h = n, prefix, hasse
+    dim, dc, h = n, det, hasse
     while _isotropic_triple(dim, dc, h):
         dc = m1 * dc
         h *= m1.hilbert(dc)
         dim -= 2
-    return FormInvariants(n, prefix, dpm, hasse, (n - dim) // 2,
+    return FormInvariants(n, det, dpm, hasse, (n - dim) // 2,
                           WittClass(dim, dc, h, p))
 
 
@@ -345,8 +377,20 @@ def equivalent(q1: QuadForm, q2: QuadForm) -> bool:
 
 def witt_kernel(rows: list[list[int]], d: int, p: Prime) -> WittClass:
     """The anisotropic kernel of the symmetric (unchecked) Gram rows / d, in
-    one elimination on its integer rows; raises on a degenerate Gram."""
-    return _invariants(_eliminate_symmetric(rows, d, transform=False)[0], p).kernel
+    one elimination on its integer rows and no Fraction; raises on a
+    degenerate Gram."""
+    pivots = _eliminate_symmetric(rows, transform=False)[0]
+    return _invariants(_pivot_classes(pivots, d, p), p).kernel
+
+
+def _pivot_classes(pivots: list[int], d: int, p: Prime) -> list[int]:
+    """The square classes, as bits, of the diagonal a_k = P_(k+1) / (P_k * d)
+    of the Gram rows / d whose elimination gave these pivots.  1/x lies in
+    the class of x, so class(a_k) = class(P_(k+1)) + class(P_k) + class(d)
+    on the F_2 bits: one integer split per pivot, and one for d."""
+    dbits = _class_bits(d, 1, p)
+    bits = [_class_bits(x, 1, p) for x in pivots]
+    return [bits[k + 1] ^ bits[k] ^ dbits for k in range(len(pivots) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +422,7 @@ def direct_sum(q1: QuadForm, q2: QuadForm) -> QuadForm:
     # q2 into a zero pivot of q1, so the diagonal is a fresh elimination, not
     # the two diagonals side by side
     diag = (None if q1.symmetry == ALTERNATING
-            else _eliminate_symmetric(rows, den, transform=False)[0])
+            else _diagonal(_eliminate_symmetric(rows, transform=False)[0], den))
     return QuadForm._built(rows, den, q1.p, None, q1.symmetry, diag)
 
 

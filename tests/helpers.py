@@ -359,7 +359,8 @@ def reference_diagonalize(gram):
 
     Pivot rule: first nonzero diagonal entry of the trailing block; if its
     diagonal vanishes entirely, symmetrize on the first nonzero off-diagonal
-    pair before pivoting.
+    pair before pivoting.  A degenerate Gram, whose trailing block vanishes
+    at some step, raises the kernel's ValueError.
     """
     n = len(gram)
     g = [[Fraction(x) for x in row] for row in gram]
@@ -386,8 +387,11 @@ def reference_diagonalize(gram):
             if piv is not None:
                 swap_col(k, piv)
             else:
-                i, j = next((i, j) for i in range(k, n)
-                            for j in range(i + 1, n) if g[i][j] != 0)
+                pair = next(((i, j) for i in range(k, n)
+                             for j in range(i + 1, n) if g[i][j] != 0), None)
+                if pair is None:
+                    raise ValueError("degenerate Gram matrix")
+                i, j = pair
                 add_col(i, j, Fraction(1))
                 if i != k:
                     swap_col(k, i)
@@ -396,6 +400,44 @@ def reference_diagonalize(gram):
             if g[k][r] != 0:
                 add_col(r, k, -g[k][r] / pivot)
     return tuple(g[i][i] for i in range(n)), tuple(tuple(row) for row in pmat)
+
+
+def random_symmetric_rows(rng: random.Random, dim: int) -> list[list[int]]:
+    """Symmetric integer rows with entries in [-3, 3], each diagonal entry
+    zero with probability at least 3/4: on such Grams the symmetric
+    elimination meets both of its pivot moves, and some are degenerate."""
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = rng.choice((0, 0, 0, rng.randint(-3, 3)))
+        for j in range(i + 1, dim):
+            rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+    return rows
+
+
+def check_pivot_classes():
+    """qform.witt_kernel of seeded Grams rows / d against the Witt class of
+    the diagonal form on reference_diagonalize's diagonal, at p in
+    {2, 3, 5, 7}.  The sweep has d divisible by p and pivots divisible by p:
+    the pivots P_k = d^k a_1 ... a_k are read off the reference diagonal."""
+    rng = random.Random(31)
+    seen = {"p | d": 0, "p | pivot": 0}
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            dim = rng.randint(1, 6)
+            d = rng.choice((1, 3, p, 2 * p, 5 * p * p))
+            rows = random_symmetric_rows(rng, dim)
+            try:
+                diag = reference_diagonalize(to_mat(rows, d))[0]
+            except ValueError:
+                continue
+            pivot = Fraction(1)
+            for a in diag:
+                pivot *= a * d
+                seen["p | pivot"] += pivot.numerator % p == 0
+            seen["p | d"] += d % p == 0
+            expected = witt_decompose(qform.diag_form(diag, p))[1]
+            assert qform.witt_kernel(rows, d, p) == expected, (p, rows, d)
+    assert min(seen.values()) >= 20, seen
 
 
 def reference_quasisplit_space(n_o, kclass, c, p):
@@ -740,17 +782,26 @@ def reference_witt_class_exists(aniso_dim, detc, hasse, p) -> bool:
     return ok is not None and ok()
 
 
+def symmetrized_rows(m):
+    """B + B^T for the integer rows B of m over its least denominator: the
+    rows the kernel eliminates for q_m = 1/2 (m + m^T)."""
+    rows, _ = linalg.clear_denominators(m)
+    return tuple(tuple(x + y for x, y in zip(row, col))
+                 for row, col in zip(rows, zip(*rows)))
+
+
 def count_eliminations(monkeypatch):
     """Record the input of the symmetric kernel qform._eliminate_symmetric,
-    the integer rows over a denominator d read as the Gram rows / d, and the
-    matrices linalg.det is called on, under every name a twistedgl module
-    binds det to.  Returns the two lists, which fill as the calls happen."""
+    its integer Gram rows as a tuple of tuples (a form's rows, or
+    symmetrized_rows of a twisted point), and the matrices linalg.det is
+    called on, under every name a twistedgl module binds det to.  Returns
+    the two lists, which fill as the calls happen."""
     grams, dets = [], []
     eliminate, det_ = qform._eliminate_symmetric, linalg.det
 
-    def counted_eliminate(rows, d, transform):
-        grams.append(linalg.to_mat(rows, d))
-        return eliminate(rows, d, transform)
+    def counted_eliminate(rows, transform):
+        grams.append(tuple(map(tuple, rows)))
+        return eliminate(rows, transform)
 
     def counted_det(a):
         dets.append(a)

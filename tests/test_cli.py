@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_eliminations, mat_add, mat_scale, reference_transfer_factor
+from helpers import count_eliminations, reference_transfer_factor, symmetrized_rows
 from twistedgl import endoscopy, etale
-from twistedgl.cli import build_parser, config_doc, digest, main, rat_json, rat_str
+from twistedgl.cli import (_corpus_entries, _run_entries, build_parser, config_doc,
+                           digest, main, rat_json, rat_str)
 from twistedgl.endoscopy import constancy_cell, quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
 from twistedgl.linalg import det, inverse, mat, mat_mul, transpose
@@ -262,8 +263,8 @@ def test_corpus_run_eliminates_once_per_record(capsys, monkeypatch):
                                      square_class(cell["c"], p), p)
             # the space is built with its diagonal, and the rhs reads the Weil
             # index of 2 (-1)^n q off q's scaled diagonal
-            assert grams.count(space.gram) == 0
-            assert grams.count(scale(2 * (-1) ** n, space).gram) == 0
+            assert grams.count(space.rows) == 0
+            assert grams.count(scale(2 * (-1) ** n, space).rows) == 0
         # per record its q_delta and nothing per cell: the target (-1)^n N_K
         # is built with its diagonal too
         assert len(grams) == sum(cell["records"] for cell in doc["cells"])
@@ -494,7 +495,7 @@ def test_endo_delta_eliminates_q_delta_once(capsys, monkeypatch):
                     json.dumps({"space": space, "delta": delta}))
     assert code == 0 and doc == {"delta": -1, "delta_lambda": "zeta8^4"}
     d = mat(delta)
-    assert grams.count(mat_scale(F(1, 2), mat_add(d, transpose(d)))) == 1
+    assert grams.count(symmetrized_rows(d)) == 1
 
 
 def test_endo_verbs(capsys):
@@ -791,6 +792,21 @@ def test_corpus_records_equal_a_computation_from_scratch(capsys):
         plain = Mu8.from_sign(reference_transfer_factor(q_v, delta, n))
         assert lhs == epsilon_half(square_class(r["K"], p), p).inverse() * plain
         assert (r["lhs"], r["rhs"]) == (str(lhs), str(weil_index(scale(2 * (-1) ** n, q_v))))
+
+
+def test_a_record_digest_is_the_digest_of_its_configuration_document():
+    # the digest text a run builds from each record's rows and its cell's
+    # tail, on every cell of the plan (split K included at n > 1)
+    cells = {}
+    records = _run_entries(_corpus_entries(4, (2, 3, 5, 7), (1, 2, 3, 6), 16), cells)
+    keys = {(r["p"], r["n"], r["K"], r["c"]) for r in records}
+    # every (p, n, K, c) cell: 6 at n = 1 and 7 at n > 1 for odd p, 14 and 15 at p = 2
+    assert len(keys) == 3 * (6 + 3 * 7) + 14 + 3 * 15
+    assert any(r["n"] == 6 and r["K"] == 1 for r in records)
+    for r in records:
+        cell = cells[r["p"], r["n"], r["K"], r["c"]][0]
+        config = random_config(cell.ambient, r["seed"])
+        assert r["inputs_digest"] == digest(config_doc(config))
 
 
 def test_corpus_cell_summary_recounts_the_records(capsys):

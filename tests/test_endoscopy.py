@@ -10,7 +10,7 @@ from helpers import (count_eliminations, gs_norm_mat, mat_add, mat_scale,
                      random_algebra, random_fixed_invertible,
                      reference_diagonalize, reference_is_very_regular,
                      reference_quasisplit_space, reference_random_config,
-                     reference_rhs)
+                     reference_rhs, symmetrized_rows)
 from twistedgl.cli import _corpus_entries, _run_entries, form_doc
 from twistedgl.endoscopy import (ConstancyCell, EndoscopicDatum, constancy_cell,
                                  constancy_record, enumerate_elliptic_data,
@@ -25,9 +25,9 @@ from twistedgl.localfield import QP, hilbert_qp, square_class, square_class_tabl
 from twistedgl.oracles import (_rank_one_value, eta_so_reference, eta_sp_reference,
                                regular_nilpotent_so, regular_nilpotent_sp,
                                split_odd_space, theta_space)
-from twistedgl.qform import (_eliminate_symmetric, diag_form, diagonal, equivalent,
-                             hyperbolic, invariants, norm_form, quad_form, scale,
-                             witt_decompose)
+from twistedgl.qform import (_diagonal, _eliminate_symmetric, diag_form, diagonal,
+                             equivalent, hyperbolic, invariants, norm_form, quad_form,
+                             scale, witt_decompose)
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 RNG = random.Random(11)
@@ -91,7 +91,7 @@ def test_quasisplit_space_holds_the_diagonal_of_its_elimination():
         assert ConstancyCell(q, n).rhs == reference_rhs(q, n)
         # and the diagonal of the kernel and of the Fraction reference
         rows, d = clear_denominators(q.gram)
-        assert diagonal(q) == _eliminate_symmetric(rows, d, transform=False)[0]
+        assert diagonal(q) == _diagonal(_eliminate_symmetric(rows, transform=False)[0], d)
         assert diagonal(q) == reference_diagonalize(q.gram)[0]
 
 
@@ -250,8 +250,8 @@ def test_transfer_factor_eliminates_q_delta_once(monkeypatch):
         invariants(amb.q_V)
         grams, dets = count_eliminations(monkeypatch)
         value = transfer_factor(amb.q_V, delta, n)
-        sym = mat_scale(F(1, 2), mat_add(delta, transpose(delta)))
-        assert value in (1, -1) and grams.count(sym) == 1 and dets == []
+        assert value in (1, -1) and grams.count(symmetrized_rows(delta)) == 1
+        assert dets == []
         monkeypatch.undo()
 
 
@@ -343,6 +343,35 @@ def test_corpus_cells_share_what_a_fresh_cell_computes():
     firsts = [cell for key, cell in cells.items() if len(key) == 3]
     assert len(firsts) < len(run_cells)
     assert len({id(cell.target) for cell in run_cells}) == len(firsts)
+
+
+def test_the_target_from_classes_is_the_witt_class_of_the_norm_form():
+    for p in (2, 3, 5, 7):
+        for n in (1, 2):
+            for k in square_class_table(p):
+                cell = ConstancyCell(quasisplit_space(2 * n, k, square_class(1, p), p), n)
+                assert cell.target == witt_decompose(scale((-1) ** n, norm_form(k, p)))[1]
+
+
+def test_a_record_builds_no_fraction(monkeypatch):
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            cell = constancy_cell(p, n, square_class_table(p)[1].representative, 1)
+            # the cell's target, epsilon factor and rhs are computed once
+            constancy_record(cell, random_config(cell.ambient, 0))
+            configs = [random_config(cell.ambient, seed) for seed in (1, 2, 3)]
+            monkeypatch.setattr(F, "__new__", counted)
+            for config in configs:
+                constancy_record(cell, config)
+            monkeypatch.undo()
+    assert built == []
 
 
 def test_constancy_record_refuses_a_configuration_on_another_space():

@@ -12,16 +12,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import (count_eliminations, diag_isotropy_bruteforce, mat_scale,
                      padic_congruence_witness, random_algebra,
                      random_antifixed_invertible, random_fixed_invertible,
-                     reference_diagonalize, reference_quasisplit_space,
-                     reference_witt_class_exists)
+                     random_symmetric_rows, reference_diagonalize,
+                     reference_quasisplit_space, reference_witt_class_exists)
 from twistedgl.endoscopy import quasisplit_space
 from twistedgl.etale import (trace_form_alternating, trace_form_bilinear,
                              trace_form_quadratic)
 from twistedgl.linalg import (block_diag, clear_denominators, det, identity, mat,
-                              mat_mul, transpose)
+                              mat_mul, to_mat, transpose)
 from twistedgl.localfield import as_prime, hilbert_qp, square_class, square_class_table
-from twistedgl.qform import (QuadForm, WittClass, _minus_one, alternating_form,
-                             diag_form, diagonal,
+from twistedgl.qform import (QuadForm, WittClass, _diagonal, _eliminate_symmetric,
+                             _minus_one, alternating_form, diag_form, diagonal,
                              diagonalize, direct_sum, equivalent, hyperbolic,
                              invariants, is_isotropic, norm_form, quad_form,
                              represents, scale, witt_decompose)
@@ -314,6 +314,37 @@ def test_diagonalize_is_the_reference_congruence(gram, p):
     assert diagonal(q) == d
 
 
+def test_the_upper_triangle_kernel_is_the_reference_congruence():
+    # seeded Grams rows / d, most with a zero diagonal entry, so that the
+    # kernel mirrors its trailing block before both pivot moves
+    rng = random.Random(27)
+    moves = {"swap": 0, "symmetrize": 0}
+    degenerate = 0
+    for _ in range(400):
+        dim, d = rng.randint(1, 8), rng.choice((1, 2, 3, 6, 12, 35))
+        rows = random_symmetric_rows(rng, dim)
+        gram = to_mat(rows, d)
+        if rows[0][0] == 0:
+            moves["swap" if any(rows[i][i] for i in range(dim)) else "symmetrize"] += 1
+        try:
+            ref = reference_diagonalize(gram)
+        except ValueError as exc:
+            degenerate += 1
+            assert det(gram) == 0
+            for refused in (lambda: _eliminate_symmetric(rows, transform=True),
+                            lambda: quad_form(gram, 5)):
+                with pytest.raises(ValueError, match=str(exc)):
+                    refused()
+            continue
+        pivots, pm = _eliminate_symmetric(rows, transform=True)
+        assert (_diagonal(pivots, d), pm) == ref
+        assert diagonalize(quad_form(gram, 5)) == ref
+        target = tuple(tuple(ref[0][i] if i == j else F(0) for j in range(dim))
+                       for i in range(dim))
+        assert mat_mul(transpose(pm), mat_mul(gram, pm)) == target
+    assert min(moves.values()) >= 40 and degenerate >= 20, (moves, degenerate)
+
+
 @st.composite
 def diagonals(draw):
     p = draw(PRIMES)
@@ -414,14 +445,14 @@ def test_a_symmetric_form_is_eliminated_once(monkeypatch):
             gram = rand_form(rng, p, dim).gram
             del grams[:]
             q = quad_form(gram, p)
-            assert grams == [q.gram]  # the constructor's check
+            assert grams == [q.rows]  # the constructor's check
             invariants(q)
             diagonal(q)
             weil_index(q)
             witt_decompose(q)
             is_isotropic(q)
             equivalent(q, q)
-            assert grams == [q.gram]
+            assert grams == [q.rows]
     assert dets == []
 
 
@@ -431,12 +462,12 @@ def test_forms_built_from_blocks_are_eliminated_once_only_by_direct_sum(monkeypa
     closed = [q, scale(F(2, 3), q), hyperbolic(2, 3)]
     assert grams == [] and dets == []
     s = direct_sum(q, q)
-    assert grams == [s.gram]  # one elimination, when it is built
+    assert grams == [s.rows]  # one elimination, when it is built
     for f in closed + [s]:
         assert "_diagonal" in vars(f)
         invariants(f)
         witt_decompose(f)
-    assert grams == [s.gram] and dets == []
+    assert grams == [s.rows] and dets == []
     assert diagonal(q) == (1, 3, -2)
 
 
