@@ -26,7 +26,7 @@ from twistedgl.cli import (_corpus_entries, _run_entries, build_parser, config_d
 from twistedgl.endoscopy import constancy_cell, quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
 from twistedgl.linalg import det, inverse, mat, mat_mul, transpose
-from twistedgl.localfield import square_class
+from twistedgl.localfield import square_class, square_class_table
 from twistedgl.qform import (QuadForm, alternating_form, diag_form, diagonal,
                              quad_form, scale)
 from twistedgl.weil import Mu8, epsilon_half, weil_index
@@ -485,6 +485,113 @@ def test_gs_verbs_output_is_pinned(p, eps):
             assert call("norm", singular) == (2, None)
             assert call("verify", singular) == (2, None)
     assert {verb: h.hexdigest()[:16] for verb, h in hashes.items()} == GS_DIGESTS[p, eps]
+
+
+def _form_rational(rng, p):
+    """A seeded rational whose numerator and denominator may carry p."""
+    return F(rng.randint(-4, 4) * rng.choice((1, 1, p, p * p)),
+             rng.choice((1, 1, 2, 3, p)))
+
+
+def _form_sweep(p):
+    """(dimension, form document) over Q_p, eight for each dimension in 1..6:
+    four seeded symmetric gram literals (one with an all-zero diagonal, the
+    others with zero diagonal entries where the draw gives them; degenerate
+    ones included) and four diag literals (a zero entry now and then)."""
+    rng = random.Random(2800 + p)
+    for n in range(1, 7):
+        for k in range(4):
+            g = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if i != j or k:
+                        g[i][j] = g[j][i] = _form_rational(rng, p)
+            yield n, {"p": p, "gram": _literal(g)}
+            diag = [_form_rational(rng, p) or F(rng.choice((1, 0, 0, 0))) for _ in range(n)]
+            yield n, {"p": p, "diag": [str(a) for a in diag]}
+
+
+def _so_odd_sweep(p):
+    """SO-odd class parameters over Q_p: one or two quadratic or split towers
+    on Q_p, y = z / tau(z) for a seeded z, a seeded tau-fixed c and a."""
+    rng = random.Random(2900 + p)
+    nonsquares = [c.representative for c in square_class_table(p)[1:]]
+    for _ in range(6):
+        algebra, x, c = [], [], []
+        for _ in range(rng.choice((1, 1, 2))):
+            a, b = (rng.randint(-5, 5) or 1 for _ in range(2))
+            c0 = str(_form_rational(rng, p) or 1)
+            if rng.random() < 0.7:
+                d = rng.choice(nonsquares)
+                algebra.append({"base": {"p": p}, "step": {"d": str(d)}})
+                norm = a * a - d * b * b
+                x.append([str(F(a * a + d * b * b, norm)), str(F(2 * a * b, norm))])
+                c.append([c0, "0"])
+            else:
+                algebra.append({"base": {"p": p}, "step": "split"})
+                x.append([str(F(a, b)), str(F(b, a))])
+                c.append([c0, c0])
+        yield {"kind": "SO-odd", "algebra": algebra, "x": x, "c": c,
+               "a": str(_form_rational(rng, p) or 1)}
+
+
+# SHA-256 of the exit codes and stdout of the qform, weil index, endo eta
+# --kind so and class build calls of test_form_verbs_output_is_pinned, first
+# 16 hex digits
+FORM_DIGESTS = {
+    2: {"qform": "0527b7ee40e123bb", "weil": "51c04250dbfd5ef7",
+        "endo": "f49d81ea3212635f", "class": "e1c4b32c505d476d"},
+    3: {"qform": "0690fc91ec3182a7", "weil": "5af9bc6892025a46",
+        "endo": "f1a77fdbe9d7dc66", "class": "be2b31ee9edda93c"},
+    5: {"qform": "c82d4f6ba0659f18", "weil": "22fd396b6caae447",
+        "endo": "a46bdffd2c90f9e0", "class": "e660c39fbd759046"},
+    7: {"qform": "eab6a8f95e35d704", "weil": "cd9494090a9a70b8",
+        "endo": "8a40ebc9867262ef", "class": "93f799b09064fbf7"},
+    11: {"qform": "470618c3b4a04fe3", "weil": "99ed4af565e46425",
+         "endo": "94da4ecf828868a4", "class": "8714f868a93e95c7"},
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_form_verbs_output_is_pinned(p):
+    # per form document: qform invariants, witt and isotropic and weil index;
+    # qform equiv of each document with the next one of its dimension and
+    # with a congruent Gram P^T G P; endo eta --kind so of each binary form
+    # at a value it represents and at a seeded one; class build of SO-odd
+    # parameters, whose q is a direct sum
+    hashes = {verb: hashlib.sha256() for verb in ("qform", "weil", "endo", "class")}
+    rng = random.Random(3000 + p)
+
+    def call(group, *argv, doc):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([group, *argv, "--json", json.dumps(doc)])
+        hashes[group].update(f"{code}\n{out.getvalue()}".encode())
+        return code
+
+    previous = {}
+    for n, doc in _form_sweep(p):
+        for action in ("invariants", "witt", "isotropic"):
+            call("qform", action, doc=doc)
+        call("weil", "index", doc=doc)
+        if n in previous:
+            call("qform", "equiv", doc={"q1": previous[n], "q2": doc})
+        previous[n] = doc
+        g = (mat([[F(a) if i == j else F(0) for j, _ in enumerate(doc["diag"])]
+                  for i, a in enumerate(doc["diag"])])
+             if "diag" in doc else mat([[F(v) for v in row] for row in doc["gram"]]))
+        pm = _invertible(rng, n, 3)
+        moved = {"p": p, "gram": _literal(mat_mul(transpose(pm), mat_mul(g, pm)))}
+        call("qform", "equiv", doc={"q1": doc, "q2": moved})
+        if n == 2:
+            v = [rng.randint(-3, 3) for _ in range(2)]
+            value = sum(v[i] * g[i][j] * v[j] for i in range(2) for j in range(2))
+            for y in (value or 1, _form_rational(rng, p) or 1):
+                call("endo", "eta", "--kind", "so", "--n", str(rng.randint(1, 3)),
+                     doc={"binary": doc, "y": str(y)})
+    for param in _so_odd_sweep(p):
+        call("class", "build", doc=param)
+    assert {verb: h.hexdigest()[:16] for verb, h in hashes.items()} == FORM_DIGESTS[p]
 
 
 def test_endo_delta_eliminates_q_delta_once(capsys, monkeypatch):
