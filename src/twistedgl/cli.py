@@ -257,13 +257,11 @@ def parse_config(doc) -> GSConfiguration:
     return GSConfiguration(ambient, parse_mat(doc["X"]), parse_mat(doc["Y"]))
 
 
-def config_doc(config: GSConfiguration, q_doc: dict | None = None) -> dict:
-    """The configuration document; q_doc, when given, is form_doc of its q_V,
-    rendered once by a caller with many configurations on one ambient."""
+def config_doc(config: GSConfiguration) -> dict:
+    """The configuration document."""
     amb = config.ambient
     return {
-        "ambient": {"qV": form_doc(amb.q_V) if q_doc is None else q_doc,
-                    "epsilon": amb.epsilon},
+        "ambient": {"qV": form_doc(amb.q_V), "epsilon": amb.epsilon},
         "X": rows_doc(*config.x_scaled),
         "Y": rows_doc(*config.y_scaled),
     }
@@ -596,9 +594,9 @@ def _corpus_entries(seed: int, primes, ns, count: int):
 def _run_entries(entries, cells: dict) -> list[dict]:
     """The records of a run's entries, in order.  cells maps the raw (p, n, K,
     c) of the entries to their ConstancyCell and the digest tail of its
-    configurations, which the first entry of a cell builds, and the raw
-    (p, n mod 2, K) to the run's first cell over it, whose target and epsilon
-    factor later cells adopt.  The library is imported once per run, not once
+    configurations, which the first entry of a cell builds; a cell computes
+    its target, epsilon factor and rhs from square classes and shares
+    nothing with another.  The library is imported once per run, not once
     per record.
 
     A record's inputs_digest is digest(config_doc(config)), hashed from text
@@ -613,10 +611,8 @@ def _run_entries(entries, cells: dict) -> list[dict]:
         key = (entry["p"], entry["n"], entry["K"], entry["c"])
         if key not in cells:
             cell = constancy_cell(*key)
-            kin = cells.setdefault((entry["p"], entry["n"] % 2, entry["K"]), cell)
             ambient = {"qV": form_doc(cell.space), "epsilon": cell.ambient.epsilon}
-            cells[key] = (cell.adopt(kin),
-                          ', "ambient": ' + json.dumps(ambient, sort_keys=True) + "}")
+            cells[key] = (cell, ', "ambient": ' + json.dumps(ambient, sort_keys=True) + "}")
         cell, tail = cells[key]
         config = random_config(cell.ambient, entry["seed"])
         result = constancy_record(cell, config)

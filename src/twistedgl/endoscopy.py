@@ -11,13 +11,14 @@ the discriminant algebra, and -1 otherwise.  Its Whittaker normalization
 divides by the epsilon factor, an exact eighth root of unity.  The flagship
 cross-check compares this against the Weil index of 2 (-1)^n q computed from
 the rank-1 tables.  The two sides share qform's symmetric elimination, the
-square classes of localfield and weil._rank1 (the lhs through the classes of
-q_delta's pivots and epsilon_half, the rhs directly on q's diagonal), and
-each shared piece has an independent test: the elimination against a
-reference congruence P^T Q P = diag (test_qform), the pivot classes against
-the square classes of that reference's diagonal (test_mutants), the rank-1
-table against the Gauss-sum oracle (test_weil), and square classes through
-the Hilbert symbol against Hilbert reciprocity (test_localfield).
+square classes of localfield and the rank-1 product weil._weil (the lhs
+through the classes of q_delta's pivots and epsilon_half, the rhs on the
+classes q holds), and each shared piece has an independent test: the
+elimination against a reference congruence P^T Q P = diag (test_qform), the
+pivot classes against the square classes of that reference's diagonal
+(test_mutants), the rank-1 table against the Gauss-sum oracle (test_weil),
+and square classes through the Hilbert symbol against Hilbert reciprocity
+(test_localfield).
 
 Two lemmas explain why the identity can be checked cell by cell.  Write
 q = q_V = (n-1) H + c N_K for the quasisplit space of the record (H the
@@ -39,7 +40,8 @@ hyperbolic plane, N_K the norm form of the discriminant algebra K).
   would be the isotropic binary space.)
 
 ConstancyCell holds what is constant on one space q: the target, the epsilon
-factor, the ambient with Q^-1 and the rhs.  constancy_record takes a cell and
+factor, the ambient with Q^-1 and the rhs, all read off square classes, so a
+cell is cheap and cells share nothing.  constancy_record takes a cell and
 computes per record only the checks of rigidify and the Witt class of
 q_delta from the integer rows y_scaled, never the Mat Y, and builds no
 Fraction (qform.witt_kernel); transfer_factor and
@@ -50,7 +52,6 @@ invertible, and that its norm is very regular, on Y_n alone (gsnorm).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -58,11 +59,12 @@ from functools import cached_property
 from .gsnorm import (AmbientSpace, GSConfiguration, _norm_very_regular,
                      check_rigidifiable, make_ambient)
 from .linalg import Mat, clear_denominators, mat
-from .localfield import SquareClass, as_prime, square_class, square_class_table
-from .qform import (SYMMETRIC, QuadForm, WittClass, _invariants, _minus_one,
-                    block_rows, diagonal, hyperbolic, invariants, norm_form,
-                    represents, scale, witt_decompose, witt_kernel)
-from .weil import Mu8, _rank1, epsilon_half
+from .localfield import (SquareClass, _class_bits, as_prime, square_class,
+                         square_class_table)
+from .qform import (QuadForm, WittClass, _invariants, _minus_one, direct_sum,
+                    hyperbolic, invariants, norm_form, represents, scale,
+                    witt_decompose, witt_kernel)
+from .weil import Mu8, _weil, epsilon_half
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,9 @@ def enumerate_elliptic_data(n: int, p) -> tuple[EndoscopicDatum, ...]:
 
 
 def quasisplit_space(n_o: int, kclass, c, p) -> QuadForm:
-    """(n_O - 2) hyperbolic planes plus c times the norm form of K."""
+    """(n_O - 2) hyperbolic planes plus c times the norm form of K, the
+    planes' block first; it holds the planes' classes, then c N_K's, and is
+    never eliminated."""
     prime = as_prime(p)
     if n_o < 2 or n_o % 2:
         raise ValueError("need an even n_O >= 2")
@@ -117,13 +121,7 @@ def quasisplit_space(n_o: int, kclass, c, p) -> QuadForm:
     tail = scale(c, norm_form(kclass, prime))
     if n_o == 2:
         return tail
-    planes = hyperbolic((n_o - 2) // 2, prime)
-    # the elimination of the sum pivots first on the tail's diagonal <c, -cd>
-    # when K is a field, since the planes' Gram diagonal is zero, and then
-    # on each plane; for the split K it meets the planes first
-    first, last = (tail, planes) if tail.rows[0][0] else (planes, tail)
-    return QuadForm._built(*block_rows(planes, tail), prime, None, SYMMETRIC,
-                           diagonal(first) + diagonal(last))
+    return direct_sum(hyperbolic((n_o - 2) // 2, prime), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +173,12 @@ class ConstancyCell:
     cell keeps, each computed on first use: the Witt class of the target
     (-1)^n N_K, K the discriminant algebra of q; epsilon(1/2, chi_K, psi)^-1;
     the ambient V1 of q with its Q^-1; and the rhs, the Weil index of
-    2 (-1)^n q, which is the product of gamma(<2 (-1)^n a_i>) over the
-    diagonal a_i that q holds, so no scaled form is built.  The target is
-    read off the square classes of the diagonal <(-1)^n, (-1)^(n+1) d> of
-    (-1)^n N_K, so no norm form is built either.  What is left per twisted
-    point is the elimination of q_delta and its Witt comparison with the
-    target (_plain_factor).
-
-    The target depends only on (p, n mod 2, K) and the epsilon factor only on
-    (p, K), so a corpus run shares them: each new cell takes them from the
-    run's first cell over the same (p, n mod 2, K) through adopt.  The rhs is
-    never shared; each cell computes it from its own space.
+    2 (-1)^n q.  Each is read off square classes: the target off the classes
+    of the diagonal <(-1)^n, (-1)^(n+1) d> of (-1)^n N_K, the epsilon factor
+    off the class of d, and the rhs off the classes q holds with the class
+    of 2 (-1)^n added to each, so no norm form and no scaled form is built.
+    What is left per twisted point is the elimination of q_delta and its
+    Witt comparison with the target (_plain_factor).
     """
 
     space: QuadForm
@@ -204,19 +197,13 @@ class ConstancyCell:
         N_K = <1, -d> for d the discriminant of K, and the hyperbolic plane
         <1, -1> for the split K, so (-1)^n N_K = <(-1)^n, (-1)^(n+1) d>."""
         p = self.space.p
-        m1 = _minus_one(p).bits
+        m1 = _minus_one(p)
         sign = m1 if self.n % 2 else 0
-        return _invariants([sign, sign ^ m1 ^ invariants(self.space).dpm.bits], p).kernel
+        return _invariants((sign, sign ^ m1 ^ invariants(self.space).dpm.bits), p).kernel
 
     @cached_property
     def epsilon_inverse(self) -> Mu8:
         return epsilon_half(invariants(self.space).dpm, self.space.p).inverse()
-
-    def adopt(self, kin: ConstancyCell) -> ConstancyCell:
-        """This cell, holding the target and epsilon factor of kin, a cell over
-        the same (p, n mod 2, K), as if it had computed them itself."""
-        vars(self).update(target=kin.target, epsilon_inverse=kin.epsilon_inverse)
-        return self
 
     @cached_property
     def ambient(self) -> AmbientSpace:
@@ -224,16 +211,10 @@ class ConstancyCell:
 
     @cached_property
     def rhs(self) -> Mu8:
-        """The Weil index of 2 (-1)^n q, read off the diagonal a_i that q
-        holds: 2 (-1)^n q has the diagonal 2 (-1)^n a_i.  A quasisplit
-        diagonal repeats its values, so each distinct a is classed once and
-        its rank-1 index raised to its multiplicity."""
+        """The Weil index of 2 (-1)^n q, read off the classes q holds: if q
+        has the diagonal a_i, 2 (-1)^n q has the diagonal 2 (-1)^n a_i."""
         p = self.space.p
-        twist = square_class(2 * (-1) ** self.n, p)
-        out = Mu8(0)
-        for a, m in Counter(diagonal(self.space)).items():
-            out = out * _rank1(twist * square_class(a, p)) ** m
-        return out
+        return _weil(self.space.classes, p, _class_bits(2 * (-1) ** self.n, 1, p))
 
     def _rows(self, delta: Mat) -> tuple[list[list[int]], int]:
         """delta, checked square of the space's dimension, as rows / den."""
@@ -312,7 +293,7 @@ class ConstancyRecord:
 def constancy_record(cell: ConstancyCell, config: GSConfiguration) -> ConstancyRecord:
     """The flagship identity at a configuration on the cell's space: the
     Whittaker factor at its twisted point against the Weil index of 2 (-1)^n q.
-    The sides share diagonal, square_class and the rank-1 table, each tested on
+    The sides share the square classes and the rank-1 table, each tested on
     its own (see the module docstring)."""
     if config.ambient.q_V != cell.space:
         raise ValueError("the configuration lies on another space than the cell")

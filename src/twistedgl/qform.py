@@ -11,30 +11,29 @@ least common denominator of G's entries, the pair that
 linalg.clear_denominators gives, so equal Grams are equal pairs, and == and
 hash compare them.  The Mat gram is a view, built from the rows when it is
 first read; the checked constructor keeps the Mat it was given as that view.
-diag_form, hyperbolic, scale, direct_sum (through block_rows) and
-endoscopy.quasisplit_space build rows directly, and the elimination, Q^-1
-and the form's document read rows, so a form built by them never builds a
-Fraction Gram unless a caller reads gram.
+diag_form, hyperbolic, scale and direct_sum (through block_rows) build rows
+directly, and the elimination, Q^-1 and the form's document read rows, so a
+form built by them never builds a Fraction Gram unless a caller reads gram.
 
 The one symmetric elimination, _eliminate_symmetric, runs Bareiss's update
 on the upper triangle of integer rows and returns its integer pivots.
-_diagonal builds the Fraction diagonal from them for the verbs, and
-_pivot_classes its square classes on the F_2 bits, from which _invariants
-computes the invariants; so witt_kernel builds no Fraction.
+_diagonal builds the Fraction diagonal from them for diagonalize, and
+_pivot_classes the square classes of that diagonal on their F_2 bits.
 
-A symmetric form holds its diagonal from the moment it is built, and that
-diagonal is the one the symmetric Bareiss elimination of its Gram gives, so
-diagonal(q) == diagonalize(q)[0] for every form.  The checked constructor
-runs that elimination once on its rows, as its non-degeneracy check, and so
-does direct_sum: whole-Gram pivoting may move a row of one block into a zero
-pivot of the other, so a sum's diagonal is not its blocks' side by side.
-diag_form (its entries), hyperbolic (<2, -1/2> a plane), scale (c times
-the source's diagonal) and endoscopy.quasisplit_space (the diagonals of its
-two blocks, the one with a nonzero Gram diagonal first) give the
-elimination's diagonal in closed form and are never eliminated.  An
-alternating Gram is checked by the determinant of its rows and holds no
-diagonal.  A form known only by integer rows (a twisted point's q_delta) is
-eliminated once by witt_kernel, which builds no form and no Fraction.
+A symmetric form holds classes: the bits of the square classes of the
+diagonal of some diagonalization, one per entry, in no promised order and
+not part of == or hash.  The det class and the Hasse invariant, and so the
+Witt data, depend only on the isometry class (Serre, A Course in
+Arithmetic, ch. IV), and the Weil index is a character of the Witt group
+(Weil, Acta Math. 111, 1964): each is read off these bits, and any
+diagonalization gives the same values.  The checked constructor takes the
+pivot classes of its one elimination, which is its non-degeneracy check;
+diag_form classes its entries, hyperbolic holds <1, -1> a plane, scale adds
+class(c) to each class and direct_sum concatenates its summands' classes,
+so none of them eliminates.  An alternating Gram is checked by the
+determinant of its rows and holds no classes.  A form known only by integer
+rows (a twisted point's q_delta) is eliminated once by witt_kernel, which
+builds no form and no Fraction.
 """
 
 from __future__ import annotations
@@ -55,13 +54,16 @@ ALTERNATING = "alternating"
 @dataclass(frozen=True, init=False)
 class QuadForm:
     """A non-degenerate form over Q_p with Gram matrix rows / den, den the
-    least common denominator of its entries."""
+    least common denominator of its entries.  A symmetric form holds the
+    square classes of a diagonalization as classes, bits one per entry; an
+    alternating one holds None."""
 
     rows: tuple[tuple[int, ...], ...]
     den: int
     p: Prime
     label: str | None = field(default=None, compare=False)  # a name, not part of the form
     symmetry: str = SYMMETRIC
+    classes: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, gram, p, label: str | None = None, symmetry: str = SYMMETRIC):
         p = as_prime(p)
@@ -76,29 +78,29 @@ class QuadForm:
             if rows != cols:
                 raise ValueError("Gram matrix is not symmetric")
             # the elimination raises on a degenerate Gram
-            diag = _diagonal(_eliminate_symmetric(rows, transform=False)[0], den)
+            classes = _pivot_classes(_eliminate_symmetric(rows, transform=False)[0], den, p)
         elif symmetry == ALTERNATING:
             if cols != tuple(tuple(-x for x in row) for row in rows):
                 raise ValueError("Gram matrix is not alternating")
             if n and int_det(rows) == 0:
                 raise ValueError("degenerate Gram matrix")
-            diag = None
+            classes = None
         else:
             raise ValueError(f"unknown symmetry tag {symmetry!r}")
         # the Mat it was given is kept as the view gram
         vars(self).update(rows=rows, den=den, p=p, label=label, symmetry=symmetry,
-                          gram=g, _diagonal=diag)
+                          gram=g, classes=classes)
 
     @classmethod
     def _built(cls, rows: tuple[tuple[int, ...], ...], den: int, p: Prime,
                label: str | None, symmetry: str,
-               diag: tuple[Fraction, ...] | None) -> QuadForm:
+               classes: tuple[int, ...] | None) -> QuadForm:
         """A form known square, non-degenerate and of this symmetry, with rows
-        over the least den, built without the checks; diag is its
-        elimination's (None if alternating)."""
+        over the least den, built without the checks; classes are those of a
+        diagonalization (None if alternating)."""
         q = cls.__new__(cls)
         vars(q).update(rows=rows, den=den, p=p, label=label, symmetry=symmetry,
-                       _diagonal=diag)
+                       classes=classes)
         return q
 
     @cached_property
@@ -113,8 +115,7 @@ class QuadForm:
     @cached_property
     def invariants(self) -> "FormInvariants":
         """The invariants of this form, computed on first use; see invariants()."""
-        return _invariants([_class_bits(a.numerator, a.denominator, self.p)
-                            for a in diagonal(self)], self.p)
+        return _invariants(self.classes, self.p)
 
     def __str__(self) -> str:
         name = self.label or f"{self.symmetry} form"
@@ -129,11 +130,12 @@ def diag_form(entries, p, label: str | None = None) -> QuadForm:
     entries = [fr(a) for a in entries]
     if any(a == 0 for a in entries):
         raise ValueError("diagonal entries must be nonzero")
+    p = as_prime(p)
     den = math.lcm(*(a.denominator for a in entries))
     rows = _monomial_rows([(i, a.numerator * (den // a.denominator))
                            for i, a in enumerate(entries)])
-    # a diagonal Gram pivots on its entries in order
-    return QuadForm._built(rows, den, as_prime(p), label, SYMMETRIC, tuple(entries))
+    classes = tuple(_class_bits(a.numerator, a.denominator, p) for a in entries)
+    return QuadForm._built(rows, den, p, label, SYMMETRIC, classes)
 
 
 def _monomial_rows(entries) -> tuple[tuple[int, ...], ...]:
@@ -256,12 +258,6 @@ def diagonalize(q: QuadForm) -> tuple[tuple[Fraction, ...], Mat]:
     return _diagonal(pivots, q.den), pmat
 
 
-def diagonal(q: QuadForm) -> tuple[Fraction, ...]:
-    """The diagonal entries of diagonalize(q), held by q since it was built."""
-    _require_symmetric(q, "diagonalization")
-    return q._diagonal
-
-
 # ---------------------------------------------------------------------------
 # invariants and the isotropy criterion
 
@@ -278,7 +274,7 @@ class WittClass:
     def __post_init__(self):
         object.__setattr__(self, "p", as_prime(self.p))
         d, dc, h = self.aniso_dim, self.det, self.hasse
-        if not (0 <= d <= 4 and not _isotropic_triple(d, dc, h)
+        if not (0 <= d <= 4 and not _isotropic_triple(d, dc.bits, h < 0, self.p)
                 and (d > 1 or h == 1) and (d > 0 or dc.is_trivial())):
             raise ValueError("triple is not realized by an anisotropic form")
 
@@ -302,22 +298,23 @@ class FormInvariants:
 
 
 @lru_cache(maxsize=128)  # a constant of p: taken once per prime, not per form
-def _minus_one(p: Prime) -> SquareClass:
-    """The square class of -1 over Q_p."""
-    return square_class(-1, p)
+def _minus_one(p: Prime) -> int:
+    """The bits of the square class of -1 over Q_p."""
+    return _class_bits(-1, 1, p)
 
 
-def _isotropic_triple(dim: int, detc: SquareClass, hasse: int) -> bool:
-    """The isotropy criterion on (dim, det class, Hasse) (Serre, ch. IV)."""
+def _isotropic_triple(dim: int, det: int, hasse: int, p: Prime) -> bool:
+    """The isotropy criterion on (dim, det class, Hasse) (Serre, ch. IV), the
+    det class by its bits and the Hasse invariant as the bit e of (-1)^e."""
     if dim <= 1:
         return False
-    m1 = _minus_one(detc.p)
+    m1 = _minus_one(p)
     if dim == 2:
-        return detc == m1
+        return det == m1
     if dim == 3:
-        return hasse == m1.hilbert(m1 * detc)
+        return hasse == _hilbert_bit(m1, m1 ^ det, p)
     if dim == 4:
-        return (not detc.is_trivial()) or hasse == m1.hilbert(m1)
+        return det != 0 or hasse == _hilbert_bit(m1, m1, p)
     return True
 
 
@@ -330,28 +327,27 @@ def invariants(q: QuadForm) -> FormInvariants:
     return q.invariants
 
 
-def _invariants(bits: list[int], p: Prime) -> FormInvariants:
+def _invariants(bits: tuple[int, ...], p: Prime) -> FormInvariants:
     """The invariants over Q_p of the form <a_1, ..., a_n>, given the square
     classes of its diagonal entries a_i by their F_2 bits."""
     n = len(bits)
     # Hasse c = prod_j (a_1...a_(j-1), a_j) by bimultiplicativity: n symbols
     # instead of n(n-1)/2, each a bilinear form on bits
-    prefix = e = 0
+    det = e = 0
     for b in bits:
-        e ^= _hilbert_bit(prefix, b, p)
-        prefix ^= b
-    hasse = -1 if e else 1
-    m1, det = _minus_one(p), SquareClass(p, prefix)
-    dpm = m1 * det if n * (n - 1) // 2 % 2 else det
+        e ^= _hilbert_bit(det, b, p)
+        det ^= b
+    m1 = _minus_one(p)
+    dpm = m1 ^ det if n * (n - 1) // 2 % 2 else det
     # Witt reduction: split q = q' + H while the criterion finds q isotropic;
     # det q' = -det q, and the Hasse invariant picks up (-1, det q')
-    dim, dc, h = n, det, hasse
-    while _isotropic_triple(dim, dc, h):
-        dc = m1 * dc
-        h *= m1.hilbert(dc)
+    dim, dc, h = n, det, e
+    while _isotropic_triple(dim, dc, h, p):
+        dc ^= m1
+        h ^= _hilbert_bit(m1, dc, p)
         dim -= 2
-    return FormInvariants(n, det, dpm, hasse, (n - dim) // 2,
-                          WittClass(dim, dc, h, p))
+    return FormInvariants(n, SquareClass(p, det), SquareClass(p, dpm), 1 - 2 * e,
+                          (n - dim) // 2, WittClass(dim, SquareClass(p, dc), 1 - 2 * h, p))
 
 
 def is_isotropic(q: QuadForm) -> bool:
@@ -383,14 +379,14 @@ def witt_kernel(rows: list[list[int]], d: int, p: Prime) -> WittClass:
     return _invariants(_pivot_classes(pivots, d, p), p).kernel
 
 
-def _pivot_classes(pivots: list[int], d: int, p: Prime) -> list[int]:
+def _pivot_classes(pivots: list[int], d: int, p: Prime) -> tuple[int, ...]:
     """The square classes, as bits, of the diagonal a_k = P_(k+1) / (P_k * d)
     of the Gram rows / d whose elimination gave these pivots.  1/x lies in
     the class of x, so class(a_k) = class(P_(k+1)) + class(P_k) + class(d)
     on the F_2 bits: one integer split per pivot, and one for d."""
     dbits = _class_bits(d, 1, p)
     bits = [_class_bits(x, 1, p) for x in pivots]
-    return [bits[k + 1] ^ bits[k] ^ dbits for k in range(len(pivots) - 1)]
+    return tuple(bits[k + 1] ^ bits[k] ^ dbits for k in range(len(pivots) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +410,14 @@ def block_rows(*forms: QuadForm) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def direct_sum(q1: QuadForm, q2: QuadForm) -> QuadForm:
+    """The orthogonal sum q1 + q2, q1's block first.  det = det q1 det q2 is
+    nonzero, and the two diagonalizations side by side diagonalize the sum,
+    so it holds q1's classes, then q2's, and is not eliminated."""
     _same_prime(q1, q2)
     if q1.symmetry != q2.symmetry:
         raise ValueError("direct sum of forms with different symmetry tags")
-    rows, den = block_rows(q1, q2)
-    # det = det q1 det q2 is nonzero; whole-Gram pivoting may move a row of
-    # q2 into a zero pivot of q1, so the diagonal is a fresh elimination, not
-    # the two diagonals side by side
-    diag = (None if q1.symmetry == ALTERNATING
-            else _diagonal(_eliminate_symmetric(rows, transform=False)[0], den))
-    return QuadForm._built(rows, den, q1.p, None, q1.symmetry, diag)
+    classes = None if q1.symmetry == ALTERNATING else q1.classes + q2.classes
+    return QuadForm._built(*block_rows(q1, q2), q1.p, None, q1.symmetry, classes)
 
 
 def scale(c, q: QuadForm) -> QuadForm:
@@ -437,20 +431,21 @@ def scale(c, q: QuadForm) -> QuadForm:
     g, h = math.gcd(num, q.den), math.gcd(cden, *(x for row in q.rows for x in row))
     f = num // g
     rows = tuple(tuple(x // h * f for x in row) for row in q.rows)
-    # det(cQ) = c^n det Q is nonzero, and cQ keeps the symmetry of Q; cG
-    # pivots as G does, so its elimination gives c times G's diagonal
-    diag = None if q.symmetry == ALTERNATING else tuple(c * a for a in q._diagonal)
-    return QuadForm._built(rows, cden // h * (q.den // g), q.p, None, q.symmetry, diag)
+    # det(cQ) = c^n det Q is nonzero, and cQ keeps the symmetry of Q; c times
+    # a diagonalization of Q diagonalizes cQ, so class(c) adds to each class
+    cbits = _class_bits(num, cden, q.p)
+    classes = None if q.symmetry == ALTERNATING else tuple(b ^ cbits for b in q.classes)
+    return QuadForm._built(rows, cden // h * (q.den // g), q.p, None, q.symmetry, classes)
 
 
 def hyperbolic(k: int, p) -> QuadForm:
-    """Orthogonal sum of k hyperbolic planes."""
+    """Orthogonal sum of k hyperbolic planes, each isometric to <1, -1>, so
+    holding the classes (1, -1) a plane."""
     if k < 0:
         raise ValueError("negative number of planes")
+    p = as_prime(p)
     rows = _monomial_rows([(i ^ 1, 1) for i in range(2 * k)])
-    # each plane is symmetrized to [[2, 1], [1, 0]], which gives 2, then -1/2
-    diag = (Fraction(2), Fraction(-1, 2)) * k
-    return QuadForm._built(rows, 1, as_prime(p), f"{k}Hy", SYMMETRIC, diag)
+    return QuadForm._built(rows, 1, p, f"{k}Hy", SYMMETRIC, (0, _minus_one(p)) * k)
 
 
 def norm_form(dclass, p) -> QuadForm:

@@ -13,9 +13,11 @@ gamma(<1>) gamma(<ab>) (a, b)_p, so the Hilbert form is its polarization.
 These values were generated and pinned from the truncated-Gauss-sum oracle
 in `oracles`; the test suite re-derives them from that oracle at p in
 {2,3,5,7,11} and checks the Hasse-ratio linkage that guards the p = 2
-normalization.  gamma is a character of the Witt group, so `weil_index`
-multiplies rank-1 values over a diagonalization, and `epsilon_half` of the
-algebra of discriminant d is gamma(<1>) gamma(<-d>), the norm form <1, -d>.
+normalization.  gamma is a character of the Witt group, so one product of
+rank-1 values over the classes of a diagonalization, `_weil`, serves every
+Weil index: `weil_index` on the classes a form holds, the rhs of
+endoscopy.ConstancyCell on those classes times a twist, and `epsilon_half`
+of the algebra of discriminant d on the classes of its norm form <1, -d>.
 Evaluation here is exact and imports no oracle code.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .localfield import SquareClass, as_prime, square_class
-from .qform import QuadForm, diagonal
+from .qform import QuadForm, _minus_one, _require_symmetric
 
 
 @dataclass(frozen=True)
@@ -57,25 +59,30 @@ class Mu8:
         return f"zeta8^{self.exponent}"
 
 
-def _rank1(c: SquareClass) -> Mu8:
-    """gamma(<a>) from the bits of the class of a: v(a) mod 2 in bit 0, the
-    unit bit(s) above it (see localfield.SquareClass)."""
-    p, bits = c.p, c.bits
+def _rank1(bits: int, p: int) -> int:
+    """The exponent k of gamma(<a>) = zeta8^k from the bits of the class of
+    a: v(a) mod 2 in bit 0, the unit bit(s) above it (see
+    localfield.SquareClass)."""
     if p != 2:
         # v even: 1; v odd: (u/p) for p = 1 mod 4, i (u/p) for p = 3 mod 4
-        return Mu8((bits & 1) * ((p & 2) + 4 * (bits >> 1)))
+        return (bits & 1) * ((p & 2) + 4 * (bits >> 1))
     eps, omega = bits >> 1 & 1, bits >> 2
     if bits & 1:
-        return Mu8(1 + 2 * eps + 4 * (eps ^ omega))    # u mod 8
-    return Mu8(1 + 6 * eps)                            # zeta8^(+-1) by u mod 4
+        return 1 + 2 * eps + 4 * (eps ^ omega)    # u mod 8
+    return 1 + 6 * eps                            # zeta8^(+-1) by u mod 4
+
+
+def _weil(classes, p: int, twist: int = 0) -> Mu8:
+    """The Weil index of <t a_1, ..., t a_n>, given the bits of the classes
+    of the a_i and of t: the product of its rank-1 indices."""
+    return Mu8(sum(_rank1(b ^ twist, p) for b in classes))
 
 
 def weil_index(q: QuadForm) -> Mu8:
-    """Product of rank-1 indices over a diagonalization; a Witt-group character."""
-    out = Mu8(0)
-    for a in diagonal(q):
-        out = out * _rank1(square_class(a, q.p))
-    return out
+    """The Weil index of q, the product of rank-1 indices over the classes q
+    holds: a character of the Witt group, so any diagonalization gives it."""
+    _require_symmetric(q, "the Weil index")
+    return _weil(q.classes, q.p)
 
 
 def epsilon_half(dclass, p) -> Mu8:
@@ -87,5 +94,6 @@ def epsilon_half(dclass, p) -> Mu8:
     """
     prime = as_prime(p)
     d = dclass if isinstance(dclass, SquareClass) else square_class(dclass, prime)
-    one = SquareClass(prime, 0)
-    return _rank1(one) * _rank1(square_class(-1, prime) * d)
+    if d.p != prime:
+        raise ValueError("square classes over different primes")
+    return _weil((0, _minus_one(prime) ^ d.bits), prime)

@@ -25,7 +25,7 @@ from twistedgl.localfield import (QP, FieldElement, SquareClass, _residue_char_f
                                   valuation)
 from twistedgl.qform import (QuadForm, diagonalize, invariants, norm_form,
                              quad_form, scale, witt_decompose)
-from twistedgl.weil import weil_index
+from twistedgl.weil import Mu8, weil_index
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +440,78 @@ def check_pivot_classes():
     assert min(seen.values()) >= 20, seen
 
 
+def reference_form_data(gram, p):
+    """(det class, Hasse invariant, Weil index) of the form with this Gram,
+    on reference_diagonalize's diagonal a_i: the Hasse invariant as the
+    product over i < j of reference_hilbert_qp(a_i, a_j), taken by
+    bimultiplicativity as the product over j of reference_hilbert_qp(a_1 ...
+    a_(j-1), a_j), and the Weil index as zeta8 to the sum of
+    reference_weil_rank1(a_i).  These are the Fraction algorithms that the
+    class bits replaced."""
+    diag = reference_diagonalize(gram)[0]
+    det, hasse = Fraction(1), 1
+    for a in diag:
+        hasse *= reference_hilbert_qp(det, a, p)
+        det *= a
+    return square_class(det, p), hasse, Mu8(sum(reference_weil_rank1(a, p) for a in diag))
+
+
+def form_data(q):
+    """(det class, Hasse invariant, Weil index) of q by the library, from
+    the classes q holds: what reference_form_data computes."""
+    inv = invariants(q)
+    return inv.det, inv.hasse, weil_index(q)
+
+
+def check_scale_classes():
+    """qform.scale of seeded checked forms by seeded rationals c against
+    reference_form_data of the scaled Gram, at p in {2, 3, 5, 7}.  The sweep
+    has odd dimensions and c = p, -1 and c of both signs, which move the det
+    class of an odd-dimensional form."""
+    rng = random.Random(28)
+    odd = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(12):
+            rows = random_symmetric_rows(rng, rng.randint(1, 4))
+            try:
+                q = quad_form(to_mat(rows, rng.choice((1, 2, p))), p)
+            except ValueError:
+                continue
+            odd += q.dim % 2
+            for c in (p, -1, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                      rng.randint(1, 9))):
+                cq = qform.scale(c, q)
+                assert form_data(cq) == reference_form_data(cq.gram, p), (p, rows, c)
+    assert odd >= 10, odd
+
+
+def check_hyperbolic_classes():
+    """qform.hyperbolic(k, p), alone and summed with <3, p>, against
+    reference_form_data of its Gram, at p in {2, 3, 5, 7} and k in 1..3."""
+    for p in (2, 3, 5, 7):
+        for k in (1, 2, 3):
+            h = qform.hyperbolic(k, p)
+            for f in (h, qform.direct_sum(h, qform.diag_form([3, p], p))):
+                assert form_data(f) == reference_form_data(f.gram, p), (p, k)
+
+
+def check_weil_rank1():
+    """weil_index of <a> against reference_weil_rank1(a), for a the canonical
+    representative r of each square class of Q_p, r / p^2 and r (p + 2)^2,
+    at p in {2, 3, 5, 7, 11}."""
+    for p in (2, 3, 5, 7, 11):
+        for cls in square_class_table(p):
+            r = cls.representative
+            for a in (r, Fraction(r, p * p), r * (p + 2) ** 2):
+                expected = Mu8(reference_weil_rank1(a, p))
+                assert weil_index(qform.diag_form([a], p)) == expected, (p, a)
+
+
 def reference_quasisplit_space(n_o, kclass, c, p):
     """(n_O - 2) H + c N_K as the checked form of the Fraction Gram of its
-    blocks, whose diagonal is a whole-Gram elimination: the reference for
-    endoscopy.quasisplit_space, which must return the same Gram, label and
-    diagonal in closed form."""
+    blocks, whose classes are those of a whole-Gram elimination: the
+    reference for endoscopy.quasisplit_space, which must return the same
+    Gram and label, and the same invariants and Weil index, without one."""
     c = c.representative if isinstance(c, SquareClass) else c
     tail = mat_scale(c, norm_form(kclass, p).gram)
     planes = [mat([[0, 1], [1, 0]])] * ((n_o - 2) // 2)
@@ -453,7 +520,7 @@ def reference_quasisplit_space(n_o, kclass, c, p):
 
 def reference_rhs(space, n):
     """The Weil index of the scaled form 2 (-1)^n q: the reference for
-    endoscopy.ConstancyCell.rhs, which reads it off q's own diagonal."""
+    endoscopy.ConstancyCell.rhs, which reads it off the classes q holds."""
     return weil_index(scale(2 * (-1) ** n, space))
 
 

@@ -23,12 +23,11 @@ from helpers import count_eliminations, reference_transfer_factor, symmetrized_r
 from twistedgl import endoscopy, etale
 from twistedgl.cli import (_corpus_entries, _run_entries, build_parser, config_doc,
                            digest, main, rat_json, rat_str)
-from twistedgl.endoscopy import constancy_cell, quasisplit_space, transfer_factor_whittaker
+from twistedgl.endoscopy import quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
 from twistedgl.linalg import det, inverse, mat, mat_mul, transpose
 from twistedgl.localfield import square_class, square_class_table
-from twistedgl.qform import (QuadForm, alternating_form, diag_form, diagonal,
-                             quad_form, scale)
+from twistedgl.qform import QuadForm, alternating_form, diag_form, quad_form, scale
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 def run(capsys, *argv):
@@ -837,9 +836,9 @@ def _cell_key(r):
 
 
 def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
-    # the rhs of a cell is one rank-1 factor per distinct diagonal value (at
-    # most four on a quasisplit space), taken once per cell
-    calls = {"quasisplit_space": 0, "_rank1": 0}
+    # the rhs of a cell is one rank-1 product over the classes its space
+    # holds, taken once per cell
+    calls = {"quasisplit_space": 0, "_weil": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(endoscopy, name)):
             calls[_name] += 1
@@ -849,10 +848,7 @@ def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
                     "--count", "8", "--seed", "4")
     cells = {_cell_key(r) for r in doc["records"]}
     assert code == 0 and len(doc["records"]) == 32 and len(cells) < 32
-    monkeypatch.undo()
-    distinct = [len(set(diagonal(constancy_cell(*key).space))) for key in cells]
-    assert max(distinct) <= 4
-    assert calls == {"quasisplit_space": len(cells), "_rank1": sum(distinct)}
+    assert calls == {"quasisplit_space": len(cells), "_weil": len(cells)}
 
 
 def test_a_corpus_run_builds_no_fraction_gram(capsys, monkeypatch):

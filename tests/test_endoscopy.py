@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (count_eliminations, gs_norm_mat, mat_add, mat_scale,
-                     random_algebra, random_fixed_invertible,
-                     reference_diagonalize, reference_is_very_regular,
+from helpers import (count_eliminations, form_data, gs_norm_mat, mat_add,
+                     mat_scale, random_algebra, random_fixed_invertible,
+                     reference_form_data, reference_is_very_regular,
                      reference_quasisplit_space, reference_random_config,
                      reference_rhs, symmetrized_rows)
 from twistedgl.cli import _corpus_entries, _run_entries, form_doc
@@ -25,9 +25,8 @@ from twistedgl.localfield import QP, hilbert_qp, square_class, square_class_tabl
 from twistedgl.oracles import (_rank_one_value, eta_so_reference, eta_sp_reference,
                                regular_nilpotent_so, regular_nilpotent_sp,
                                split_odd_space, theta_space)
-from twistedgl.qform import (_diagonal, _eliminate_symmetric, diag_form, diagonal,
-                             equivalent, hyperbolic, invariants, norm_form, quad_form,
-                             scale, witt_decompose)
+from twistedgl.qform import (diag_form, equivalent, hyperbolic, invariants, norm_form,
+                             quad_form, scale, witt_decompose)
 from twistedgl.weil import Mu8, epsilon_half, weil_index
 
 RNG = random.Random(11)
@@ -80,19 +79,19 @@ QUASISPLIT_SWEEP = [(n_o, k, c, p) for p in (2, 3, 5, 7, 11, 13)
                     for n_o in range(4, 17, 2)]
 
 
-def test_quasisplit_space_holds_the_diagonal_of_its_elimination():
+def test_quasisplit_space_is_the_checked_sum_of_its_blocks():
     for args in QUASISPLIT_SWEEP:
         q, ref = quasisplit_space(*args), reference_quasisplit_space(*args)
         # the same form, Gram and document as the checked sum of its blocks
         assert q == ref and (q.rows, q.den) == (ref.rows, ref.den)
         assert (q.gram, q.label, form_doc(q)) == (ref.gram, ref.label, form_doc(ref))
-        # the rhs read off the held diagonal is the Weil index of the scaled form
+        # the rhs read off the held classes is the Weil index of the scaled form
         n = args[0] // 2
         assert ConstancyCell(q, n).rhs == reference_rhs(q, n)
-        # and the diagonal of the kernel and of the Fraction reference
-        rows, d = clear_denominators(q.gram)
-        assert diagonal(q) == _diagonal(_eliminate_symmetric(rows, transform=False)[0], d)
-        assert diagonal(q) == reference_diagonalize(q.gram)[0]
+        # and the invariants and Weil index of the checked sum's elimination
+        # and of the Fraction reference
+        assert (invariants(q), weil_index(q)) == (invariants(ref), weil_index(ref))
+        assert form_data(q) == reference_form_data(q.gram, args[3])
 
 
 def test_quasisplit_space_eliminates_nothing(monkeypatch):
@@ -333,16 +332,11 @@ def test_constancy_cell_keeps_the_sides_of_its_space():
 def test_corpus_cells_share_what_a_fresh_cell_computes():
     cells = {}
     _run_entries(_corpus_entries(2, [2, 3, 5, 7], [1, 2, 3, 4], 4), cells)
-    run_cells = [v[0] for key, v in cells.items() if len(key) == 4]
-    for cell in run_cells:
+    for cell, _ in cells.values():
         fresh = ConstancyCell(cell.space, cell.n)
         assert cell.target == fresh.target
         assert cell.epsilon_inverse == fresh.epsilon_inverse
         assert cell.rhs == fresh.rhs
-    # one target per (p, n mod 2, K), held by every cell over it
-    firsts = [cell for key, cell in cells.items() if len(key) == 3]
-    assert len(firsts) < len(run_cells)
-    assert len({id(cell.target) for cell in run_cells}) == len(firsts)
 
 
 def test_the_target_from_classes_is_the_witt_class_of_the_norm_form():

@@ -197,7 +197,7 @@ REEXPORTS = {
                    "QP", "valuation", "square_class", "square_class_table",
                    "hilbert_qp"],
     "qform": ["QuadForm", "FormInvariants", "WittClass", "quad_form", "diag_form",
-              "alternating_form", "diagonalize", "diagonal", "invariants",
+              "alternating_form", "diagonalize", "invariants",
               "is_isotropic", "witt_decompose", "equivalent",
               "direct_sum", "scale", "hyperbolic", "norm_form", "represents"],
     "weil": ["Mu8", "weil_index", "epsilon_half"],

@@ -9,11 +9,12 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import (count_eliminations, diag_isotropy_bruteforce, mat_scale,
-                     padic_congruence_witness, random_algebra,
+from helpers import (count_eliminations, diag_isotropy_bruteforce, form_data,
+                     mat_scale, padic_congruence_witness, random_algebra,
                      random_antifixed_invertible, random_fixed_invertible,
                      random_symmetric_rows, reference_diagonalize,
-                     reference_quasisplit_space, reference_witt_class_exists)
+                     reference_form_data, reference_quasisplit_space,
+                     reference_witt_class_exists)
 from twistedgl.endoscopy import quasisplit_space
 from twistedgl.etale import (trace_form_alternating, trace_form_bilinear,
                              trace_form_quadratic)
@@ -21,7 +22,7 @@ from twistedgl.linalg import (block_diag, clear_denominators, det, identity, mat
                               mat_mul, to_mat, transpose)
 from twistedgl.localfield import as_prime, hilbert_qp, square_class, square_class_table
 from twistedgl.qform import (QuadForm, WittClass, _diagonal, _eliminate_symmetric,
-                             _minus_one, alternating_form, diag_form, diagonal,
+                             _minus_one, alternating_form, diag_form,
                              diagonalize, direct_sum, equivalent, hyperbolic,
                              invariants, is_isotropic, norm_form, quad_form,
                              represents, scale, witt_decompose)
@@ -311,7 +312,8 @@ def test_diagonalize_is_the_reference_congruence(gram, p):
     target = tuple(tuple(d[i] if i == j else F(0) for j in range(q.dim))
                    for i in range(q.dim))
     assert mat_mul(transpose(pm), mat_mul(q.gram, pm)) == target
-    assert diagonal(q) == d
+    # the checked constructor holds the classes of this diagonal, in order
+    assert q.classes == tuple(square_class(a, p).bits for a in d)
 
 
 def test_the_upper_triangle_kernel_is_the_reference_congruence():
@@ -447,7 +449,6 @@ def test_a_symmetric_form_is_eliminated_once(monkeypatch):
             q = quad_form(gram, p)
             assert grams == [q.rows]  # the constructor's check
             invariants(q)
-            diagonal(q)
             weil_index(q)
             witt_decompose(q)
             is_isotropic(q)
@@ -456,19 +457,19 @@ def test_a_symmetric_form_is_eliminated_once(monkeypatch):
     assert dets == []
 
 
-def test_forms_built_from_blocks_are_eliminated_once_only_by_direct_sum(monkeypatch):
+def test_forms_built_from_blocks_are_never_eliminated(monkeypatch):
     grams, dets = count_eliminations(monkeypatch)
     q = diag_form([1, 3, -2], 3)
-    closed = [q, scale(F(2, 3), q), hyperbolic(2, 3)]
-    assert grams == [] and dets == []
-    s = direct_sum(q, q)
-    assert grams == [s.rows]  # one elimination, when it is built
-    for f in closed + [s]:
-        assert "_diagonal" in vars(f)
+    s = direct_sum(q, hyperbolic(1, 3))
+    for f in (q, scale(F(2, 3), q), hyperbolic(2, 3), s, direct_sum(s, s)):
         invariants(f)
+        weil_index(f)
         witt_decompose(f)
-    assert grams == [s.rows] and dets == []
-    assert diagonal(q) == (1, 3, -2)
+    assert grams == [] and dets == []
+    # a diagonal form holds the classes of its entries, and a sum its
+    # summands' classes side by side
+    assert q.classes == tuple(square_class(a, 3).bits for a in (1, 3, -2))
+    assert s.classes == q.classes + (0, square_class(-1, 3).bits)
 
 
 def test_scale_carries_the_diagonal_of_a_fresh_elimination():
@@ -483,13 +484,12 @@ def test_scale_carries_the_diagonal_of_a_fresh_elimination():
                 for c in (-1, 2, F(-3, 4), F(rng.randint(-20, -1), rng.randint(2, 9)),
                           F(rng.randint(1, 20), rng.randint(2, 9))):
                     cq = scale(c, q)
-                    assert "_diagonal" in vars(cq)
-                    assert diagonal(cq) == diagonalize(quad_form(cq.gram, p))[0]
-                    assert diagonal(cq) == reference_diagonalize(cq.gram)[0]
+                    assert form_data(cq) == reference_form_data(cq.gram, p)
                     assert invariants(cq) == invariants(quad_form(cq.gram, p))
-    # a scaling of a diagonal form carries the scaled entries
+                    assert weil_index(cq) == weil_index(quad_form(cq.gram, p))
+    # a scaling of a diagonal form holds the classes of the scaled entries
     cq = scale(3, diag_form([1, 2], 5))
-    assert "_diagonal" in vars(cq) and diagonal(cq) == (3, 6)
+    assert cq.classes == (square_class(3, 5).bits, square_class(6, 5).bits)
 
 
 def _random_composition(rng, p, depth):
@@ -513,9 +513,9 @@ def test_every_composition_holds_the_diagonal_of_a_fresh_elimination():
     for p in (2, 3, 5, 7):
         for _ in range(250):
             f = _random_composition(rng, p, rng.randint(0, 3))
-            assert "_diagonal" in vars(f)
-            assert diagonal(f) == diagonalize(quad_form(f.gram, p))[0]
-            assert diagonal(f) == reference_diagonalize(f.gram)[0]
+            assert form_data(f) == reference_form_data(f.gram, p)
+            fresh = quad_form(f.gram, p)
+            assert (invariants(f), weil_index(f)) == (invariants(fresh), weil_index(fresh))
 
 
 def test_witt_class_existence_is_the_reference_table():
@@ -561,8 +561,10 @@ def test_diag_form_shares_one_zero():
 def test_the_class_of_minus_one_is_taken_once_per_prime():
     for p in (2, 3, 5, 7, 11, 13, 17, 10007):
         prime = as_prime(p)
-        assert _minus_one(prime) == square_class(-1, p)
-        assert _minus_one(prime) is _minus_one(as_prime(p))
+        assert _minus_one(prime) == square_class(-1, p).bits
+        hits = _minus_one.cache_info().hits
+        assert _minus_one(as_prime(p)) == _minus_one(prime)
+        assert _minus_one.cache_info().hits == hits + 2
 
 
 def _rand_rational_gram(rng, dim, alternating):
