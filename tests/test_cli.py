@@ -493,7 +493,7 @@ def _form_rational(rng, p):
 
 
 def _form_sweep(p):
-    """(dimension, form document) over Q_p, eight for each dimension in 1..6:
+    """(Gram, form document) over Q_p, eight for each dimension in 1..6:
     four seeded symmetric gram literals (one with an all-zero diagonal, the
     others with zero diagonal entries where the draw gives them; degenerate
     ones included) and four diag literals (a zero entry now and then)."""
@@ -505,9 +505,10 @@ def _form_sweep(p):
                 for j in range(i, n):
                     if i != j or k:
                         g[i][j] = g[j][i] = _form_rational(rng, p)
-            yield n, {"p": p, "gram": _literal(g)}
+            yield mat(g), {"p": p, "gram": _literal(g)}
             diag = [_form_rational(rng, p) or F(rng.choice((1, 0, 0, 0))) for _ in range(n)]
-            yield n, {"p": p, "diag": [str(a) for a in diag]}
+            g = [[diag[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+            yield mat(g), {"p": p, "diag": [str(a) for a in diag]}
 
 
 def _so_odd_sweep(p):
@@ -566,19 +567,16 @@ def test_form_verbs_output_is_pinned(p):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main([group, *argv, "--json", json.dumps(doc)])
         hashes[group].update(f"{code}\n{out.getvalue()}".encode())
-        return code
 
     previous = {}
-    for n, doc in _form_sweep(p):
+    for g, doc in _form_sweep(p):
+        n = len(g)
         for action in ("invariants", "witt", "isotropic"):
             call("qform", action, doc=doc)
         call("weil", "index", doc=doc)
         if n in previous:
             call("qform", "equiv", doc={"q1": previous[n], "q2": doc})
         previous[n] = doc
-        g = (mat([[F(a) if i == j else F(0) for j, _ in enumerate(doc["diag"])]
-                  for i, a in enumerate(doc["diag"])])
-             if "diag" in doc else mat([[F(v) for v in row] for row in doc["gram"]]))
         pm = _invertible(rng, n, 3)
         moved = {"p": p, "gram": _literal(mat_mul(transpose(pm), mat_mul(g, pm)))}
         call("qform", "equiv", doc={"q1": doc, "q2": moved})
