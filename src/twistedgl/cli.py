@@ -98,15 +98,30 @@ def mat_doc(m) -> list[list[str]]:
     return [[rat_str(x) for x in row] for row in m]
 
 
-def rows_doc(rows, den: int) -> list[list[str]]:
-    """mat_doc of the integer rows / den (den > 0), without Fractions."""
+def _entry_str(den: int):
+    """The function writing the integer x as rat_str(x / den) (den > 0),
+    without a Fraction."""
     if den == 1:
-        return [[str(x) for x in row] for row in rows]
+        return str
 
     def entry(x):
         g = math.gcd(x, den)
         return str(x // g) if g == den else f"{x // g}/{den // g}"
-    return [[entry(x) for x in row] for row in rows]
+    return entry
+
+
+def rows_doc(rows, den: int) -> list[list[str]]:
+    """mat_doc of the integer rows / den (den > 0), without Fractions."""
+    entry = _entry_str(den)
+    return [list(map(entry, row)) for row in rows]
+
+
+def rows_json(rows, den: int) -> str:
+    """json.dumps(rows_doc(rows, den)) for nonempty rows, none of them empty,
+    written directly: each entry is a string of digits, "-" and "/", which
+    JSON quotes as it is."""
+    entry = _entry_str(den)
+    return '[["' + '"], ["'.join(['", "'.join(map(entry, row)) for row in rows]) + '"]]'
 
 
 def poly_doc(p) -> list[str]:
@@ -602,7 +617,7 @@ def _run_entries(entries, cells: dict) -> list[dict]:
     A record's inputs_digest is digest(config_doc(config)), hashed from text
     built here: json.dumps with sorted keys writes "X", "Y", then "ambient",
     and the ambient is the cell's, so its text, the tail, is rendered once
-    per cell and each record renders only its X and Y rows."""
+    per cell and each record renders only its X and Y rows (rows_json)."""
     from hashlib import sha256
     from .endoscopy import constancy_cell, constancy_record
     from .gsnorm import random_config
@@ -616,8 +631,8 @@ def _run_entries(entries, cells: dict) -> list[dict]:
         cell, tail = cells[key]
         config = random_config(cell.ambient, entry["seed"])
         result = constancy_record(cell, config)
-        text = ('{"X": ' + json.dumps(rows_doc(*config.x_scaled)) + ', "Y": '
-                + json.dumps(rows_doc(*config.y_scaled)) + tail)
+        text = ('{"X": ' + rows_json(*config.x_scaled) + ', "Y": '
+                + rows_json(*config.y_scaled) + tail)
         record = dict(entry)
         record["inputs_digest"] = sha256(text.encode()).hexdigest()[:16]
         record["lhs"] = str(result.lhs)

@@ -11,11 +11,13 @@ the discriminant algebra, and -1 otherwise.  Its Whittaker normalization
 divides by the epsilon factor, an exact eighth root of unity.  The flagship
 cross-check compares this against the Weil index of 2 (-1)^n q computed from
 the rank-1 tables.  The two sides share qform's symmetric elimination, the
-square classes of localfield and the rank-1 product weil._weil (the lhs
-through the classes of q_delta's pivots and epsilon_half, the rhs on the
-classes q holds), and each shared piece has an independent test: the
-elimination against a reference congruence P^T Q P = diag (test_qform), the
-pivot classes against the square classes of that reference's diagonal
+square classes of localfield, the Witt reduction on bits qform._witt_bits
+and the rank-1 product weil._weil (the lhs through the classes of q_delta's
+pivots and the epsilon factor on the classes of N_K, the rhs on the classes
+q holds), and each shared piece has an independent test: the elimination
+against a reference congruence P^T Q P = diag (test_qform), the pivot
+classes against the square classes of that reference's diagonal and the
+reduction against the det and Hasse invariant of that diagonal
 (test_mutants), the rank-1 table against the Gauss-sum oracle (test_weil),
 and square classes through the Hilbert symbol against Hilbert reciprocity
 (test_localfield).
@@ -43,8 +45,9 @@ ConstancyCell holds what is constant on one space q: the target, the epsilon
 factor, the ambient with Q^-1 and the rhs, all read off square classes, so a
 cell is cheap and cells share nothing.  constancy_record takes a cell and
 computes per record only the checks of rigidify and the Witt class of
-q_delta from the integer rows y_scaled, never the Mat Y, and builds no
-Fraction (qform.witt_kernel); transfer_factor and
+q_delta as bits from the integer rows y_scaled, never the Mat Y, and builds
+no Fraction and no object but its ConstancyRecord (qform.witt_kernel);
+transfer_factor and
 transfer_factor_whittaker are the same comparison on a cell of their own.
 gs_constancy_check also checks that an outside configuration is closed and
 invertible, and that its norm is very regular, on Y_n alone (gsnorm).
@@ -61,10 +64,9 @@ from .gsnorm import (AmbientSpace, GSConfiguration, _norm_very_regular,
 from .linalg import Mat, clear_denominators, mat
 from .localfield import (SquareClass, _class_bits, as_prime, square_class,
                          square_class_table)
-from .qform import (QuadForm, WittClass, _invariants, _minus_one, direct_sum,
-                    hyperbolic, invariants, norm_form, represents, scale,
-                    witt_decompose, witt_kernel)
-from .weil import Mu8, _weil, epsilon_half
+from .qform import (QuadForm, _minus_one, _witt_bits, direct_sum, hyperbolic,
+                    norm_form, represents, scale, witt_decompose, witt_kernel)
+from .weil import Mu8, _weil
 
 
 @dataclass(frozen=True)
@@ -173,12 +175,14 @@ class ConstancyCell:
     cell keeps, each computed on first use: the Witt class of the target
     (-1)^n N_K, K the discriminant algebra of q; epsilon(1/2, chi_K, psi)^-1;
     the ambient V1 of q with its Q^-1; and the rhs, the Weil index of
-    2 (-1)^n q.  Each is read off square classes: the target off the classes
-    of the diagonal <(-1)^n, (-1)^(n+1) d> of (-1)^n N_K, the epsilon factor
-    off the class of d, and the rhs off the classes q holds with the class
-    of 2 (-1)^n added to each, so no norm form and no scaled form is built.
-    What is left per twisted point is the elimination of q_delta and its
-    Witt comparison with the target (_plain_factor).
+    2 (-1)^n q.  Each is read off the bits of square classes: the target off
+    the classes of the diagonal <(-1)^n, (-1)^(n+1) d> of (-1)^n N_K, the
+    epsilon factor off those of <1, -d>, and the rhs off the classes q holds
+    with the class of 2 (-1)^n added to each, so no norm form, no scaled
+    form and no invariant object is built.  What is left per twisted point
+    is the elimination of q_delta and the comparison of its kernel's bits
+    with the target's (_plain_factor), which picks one of the cell's two
+    lhs values.
     """
 
     space: QuadForm
@@ -192,18 +196,30 @@ class ConstancyCell:
             raise ValueError(f"the space has dimension {dim}, not 2n = {2 * self.n}")
 
     @cached_property
-    def target(self) -> WittClass:
-        """The Witt class of (-1)^n N_K, from the classes of its diagonal:
-        N_K = <1, -d> for d the discriminant of K, and the hyperbolic plane
-        <1, -1> for the split K, so (-1)^n N_K = <(-1)^n, (-1)^(n+1) d>."""
+    def _norm_classes(self) -> tuple[int, int]:
+        """The bits of the classes of the diagonal <1, -d> of N_K, d the
+        discriminant of the space and of K; the split K gives the hyperbolic
+        plane <1, -1>."""
         p = self.space.p
-        m1 = _minus_one(p)
-        sign = m1 if self.n % 2 else 0
-        return _invariants((sign, sign ^ m1 ^ invariants(self.space).dpm.bits), p).kernel
+        return 0, _minus_one(p) ^ _witt_bits(self.space.classes, p)[1]
+
+    @cached_property
+    def target(self) -> tuple[int, int, int]:
+        """The Witt class of (-1)^n N_K = <(-1)^n, (-1)^(n+1) d> as the bits
+        (aniso_dim, det, hasse) of its anisotropic kernel (qform._witt_bits)."""
+        p = self.space.p
+        sign = _minus_one(p) if self.n % 2 else 0
+        return _witt_bits(tuple(b ^ sign for b in self._norm_classes), p)[3]
 
     @cached_property
     def epsilon_inverse(self) -> Mu8:
-        return epsilon_half(invariants(self.space).dpm, self.space.p).inverse()
+        """epsilon(1/2, chi_K, psi)^-1, the Weil index of N_K inverted."""
+        return _weil(self._norm_classes, self.space.p).inverse()
+
+    @cached_property
+    def _lhs_by_sign(self) -> dict[int, Mu8]:
+        """The lhs at a twisted point whose plain factor is +1 or -1."""
+        return {s: self.epsilon_inverse * Mu8.from_sign(s) for s in (1, -1)}
 
     @cached_property
     def ambient(self) -> AmbientSpace:
@@ -242,7 +258,7 @@ class ConstancyCell:
 
     def _lhs(self, rows: list[list[int]], den: int) -> Mu8:
         """lhs at delta = rows / den."""
-        return self.epsilon_inverse * Mu8.from_sign(self._plain_factor(rows, den))
+        return self._lhs_by_sign[self._plain_factor(rows, den)]
 
 
 def constancy_cell(p, n: int, k, c) -> ConstancyCell:

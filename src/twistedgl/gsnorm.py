@@ -37,8 +37,8 @@ u_of_xy, gs_norm and gs_section return integer rows over the least
 denominator, so equal matrices compare equal as pairs.  The Mats X, Y,
 gram_q1 and rigidify's pair are views built when first read, for the Mat
 builders of classes (gs_param_check) and the benchmark's Mat kernels; a
-corpus record, which reads only rows, builds none.  Fractions are otherwise
-built only in the exact path of the rule.  A sampled configuration comes
+corpus record, which reads only rows, builds none, and the rule decides on
+integers also where residues do not decide.  A sampled configuration comes
 with its invertibility and closure condition marked; every other
 configuration checks them on first use.
 """
@@ -53,10 +53,10 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .linalg import (Mat, Scaled, charpoly, clear_denominators, int_charpoly_mod,
-                     int_det, int_inverse, int_mul, int_solve_mod, is_isometry,
-                     lowest_terms, mat, poly_mul, poly_squarefree,
-                     poly_squarefree_mod, to_mat, transpose)
+from .linalg import (Mat, Scaled, clear_denominators, int_charpoly, int_charpoly_mod,
+                     int_det, int_inverse, int_mul, int_poly_squarefree,
+                     int_solve_mod, is_isometry, lowest_terms, mat, poly_mul,
+                     poly_squarefree, poly_squarefree_mod, to_mat, transpose)
 from .qform import ALTERNATING, SYMMETRIC, QuadForm, is_isotropic
 
 if TYPE_CHECKING:
@@ -267,9 +267,14 @@ def _norm_very_regular(y: list[list[int]], eps: int) -> bool:
 
     Residues may only accept: Gauss-Jordan on [Y_n | -eps Y_n^T] over F_ELL
     gives Z and proves det Y_n != 0, and f mod ELL squarefree proves f
-    squarefree (see linalg).  Anything else is decided exactly, by
-    int_inverse(Y_n) and the rational characteristic polynomial of
-    -eps Y_n^T Y_n^-1, so the answer does not depend on ELL.
+    squarefree (see linalg).  Anything else is decided exactly, on
+    integers, so the answer does not depend on ELL: with Y_n^-1 = R / pi
+    from int_inverse(Y_n), Z is similar to -eps Y_n^T R / pi, taken over its
+    least denominator, and f times the least integer that clears its
+    denominators (int_charpoly) goes to int_poly_squarefree.  Least
+    integers matter: with M / c that matrix, the Sylvester determinant of
+    det(S - M) = c^n f(S / c), whose low coefficients carry powers of c,
+    took about 40 times as long on a 12 x 12 draw (2-core Xeon).
     """
     if len(y) % 2:
         return False
@@ -281,7 +286,7 @@ def _norm_very_regular(y: list[list[int]], eps: int) -> bool:
         y_inv, pi = int_inverse(y)
     except ValueError:  # det Y_n = 0
         return False
-    return poly_squarefree(charpoly(to_mat(int_mul(yt, y_inv), pi)))
+    return int_poly_squarefree(int_charpoly(*lowest_terms(int_mul(yt, y_inv), pi)))
 
 
 def phi_scaled(config: GSConfiguration) -> Scaled:

@@ -3,19 +3,21 @@
 A rational matrix is held as integer rows plus one positive common
 denominator: (rows, den) stands for rows / den, and lowest_terms divides
 out the gcd, so equal matrices give equal pairs.  The kernels int_mul,
-int_det, int_inverse, int_charpoly_mod and int_solve_mod work on integer
-rows alone and never modify their arguments.  is_isometry is one integer
-identity: g = R / d preserves the Gram S / s when R^T S R = d^2 S, in which
-s cancels.  Quadratic forms (qform.QuadForm), Goldberg-Shahidi
-configurations and the gs battery (gsnorm) compute on rows throughout.
+int_det, int_inverse, int_charpoly, int_charpoly_mod, int_solve_mod and
+int_poly_squarefree work on integer rows (or coefficients) alone and never
+modify their arguments.  is_isometry is one integer identity: g = R / d
+preserves the Gram S / s when R^T S R = d^2 S, in which s cancels.
+Quadratic forms (qform.QuadForm), Goldberg-Shahidi configurations and the
+gs battery (gsnorm) compute on rows throughout.
 
 Mat, an immutable tuple of tuples of Fraction, is the boundary type of the
 classes and etale builders and of the benchmark's kernels.
 clear_denominators takes a Mat to rows over the least den and to_mat brings
 rows back; mat_mul, det, inverse and charpoly are the Mat wrappers of the
-kernels, and forms and configurations build their Mats (QuadForm.gram, X
-and Y) as views when first read.  Polynomials are tuples of Fraction
-coefficients in ascending degree order (coeffs[i] is the coefficient of T^i).
+kernels, poly_squarefree the Poly wrapper of int_poly_squarefree, and forms
+and configurations build their Mats (QuadForm.gram, X and Y) as views when
+first read.  Polynomials are tuples of Fraction coefficients in ascending
+degree order (coeffs[i] is the coefficient of T^i).
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each update
 is divided exactly by the previous pivot, so every entry is a minor of the
@@ -24,7 +26,7 @@ do it.  _eliminate here, by rows, gives the determinant, and in Gauss-Jordan
 form on [B | I] ends with pi I on the left, so B^-1 = right / pi (for each
 diagonal block of B larger than 2 x 2, as int_inverse splits B into its
 blocks and inverts the smaller ones by their adjugates); the
-determinant of the Sylvester matrix of f and f' decides poly_squarefree.
+determinant of the Sylvester matrix of f and f' decides int_poly_squarefree.
 qform._eliminate_symmetric, by congruence, diagonalizes a symmetric Gram
 given as integer rows, like the int_* kernels here, and returns its integer
 pivots; it is the non-degeneracy check of a symmetric form and reads the
@@ -42,8 +44,8 @@ Q, monic and l-integral by Gauss's lemma, stays a repeated factor of f mod l.
 So a squarefree f mod l proves f squarefree over Q.  The converse fails: a
 squarefree f may acquire a repeated root mod l, and l may divide the
 denominator.  Those answers decide nothing, and the caller, gsnorm's
-very-regularity rule, decides over Q instead, the one place outside the Mat
-boundary where Fractions are built.
+very-regularity rule, decides over Q instead, by int_charpoly and
+int_poly_squarefree on integers.
 int_solve_mod gives A^-1 B mod l by Gauss-Jordan over F_l, and its success
 proves det A != 0, so a matrix known only through such a solve can be
 certified without an exact inverse.  The
@@ -296,18 +298,16 @@ def block_diag(*blocks: Mat) -> Mat:
     return tuple(tuple(row) for row in out)
 
 
-def charpoly(a: Mat) -> Poly:
-    """Monic characteristic polynomial det(T - A), ascending coefficients.
+def int_charpoly(rows: Sequence[Sequence[int]], den: int = 1) -> list[int]:
+    """L det(T - B / den) for the square integer rows B and den > 0, L > 0
+    the least integer that makes every coefficient integral; ascending, so
+    the last coefficient is L.
 
-    Faddeev-LeVerrier over cleared integers (the recursion stays integral),
-    with the substitution T -> T/D undone on the coefficients.
-    """
-    n, m = dims(a)
-    if n != m:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    if n == 0:
-        return (Fraction(1),)
-    rows, d = clear_denominators(a)
+    Faddeev-LeVerrier on B: M_1 = I, c_(n-k) = -tr(B M_k) / k and
+    M_(k+1) = B M_k + c_(n-k) I.  The coefficients c_i of an integer
+    matrix's characteristic polynomial are integers, so each division is
+    exact, and det(T - B / den) has the coefficients c_i / den^(n-i)."""
+    n = len(rows)
     coeffs = [0] * n + [1]
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -321,8 +321,22 @@ def charpoly(a: Mat) -> Poly:
         for i in range(n):
             am[i][i] += ck
         mk = am
-    # char of D*A evaluated at D*T, normalized monic: divide coeff i by D^(n-i)
-    return tuple(Fraction(coeffs[i], d ** (n - i)) for i in range(n + 1))
+    if den == 1:
+        return coeffs
+    powers = [den ** (n - i) for i in range(n + 1)]
+    lcm = math.lcm(*(q // math.gcd(c, q) for c, q in zip(coeffs, powers)))
+    return [c * lcm // q for c, q in zip(coeffs, powers)]
+
+
+def charpoly(a: Mat) -> Poly:
+    """Monic characteristic polynomial det(T - A), ascending coefficients:
+    int_charpoly of A's integer rows over their denominator, divided by its
+    last coefficient."""
+    n, m = dims(a)
+    if n != m:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    coeffs = int_charpoly(*clear_denominators(a))
+    return tuple(Fraction(c, coeffs[-1]) for c in coeffs)
 
 
 def int_charpoly_mod(rows: Sequence[Sequence[int]], den: int,
@@ -490,16 +504,16 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return poly_trim(tuple(out))
 
 
-def poly_squarefree(p: Poly) -> bool:
-    """No repeated root over Q: Res(f, f') != 0, the Sylvester determinant.
+def int_poly_squarefree(f: Sequence[int]) -> bool:
+    """No repeated root over Q of the integer polynomial f, ascending with a
+    nonzero leading coefficient: Res(f, f') != 0, the Sylvester determinant.
 
     Res(f, f') = +-lc(f) disc(f), which vanishes exactly when f has a
-    repeated root in characteristic 0 (Cohen, Sect. 3.3).  f is scaled to
-    integer coefficients by its common denominator, which scales f' alike,
-    and the (2m - 1)-square Sylvester matrix of the degree-m pair goes to
-    the Bareiss kernel.  Constants and linear polynomials are squarefree.
+    repeated root in characteristic 0 (Cohen, Sect. 3.3); the (2m - 1)-square
+    Sylvester matrix of the degree-m pair goes to the Bareiss kernel.
+    Constants and linear polynomials are squarefree.
     """
-    (f,), _ = clear_denominators((poly_trim(p),))
+    f = list(f)
     m = len(f) - 1
     if m <= 1:
         return True
@@ -507,3 +521,10 @@ def poly_squarefree(p: Poly) -> bool:
     rows = [[0] * i + f + [0] * (m - 2 - i) for i in range(m - 1)]
     rows += [[0] * i + df + [0] * (m - 1 - i) for i in range(m)]
     return _eliminate(rows, jordan=False)[1] != 0
+
+
+def poly_squarefree(p: Poly) -> bool:
+    """No repeated root over Q: int_poly_squarefree of p scaled to integer
+    coefficients by their common denominator, which scales p' alike."""
+    (f,), _ = clear_denominators((poly_trim(p),))
+    return int_poly_squarefree(f)

@@ -34,6 +34,14 @@ so none of them eliminates.  An alternating Gram is checked by the
 determinant of its rows and holds no classes.  A form known only by integer
 rows (a twisted point's q_delta) is eliminated once by witt_kernel, which
 builds no form and no Fraction.
+
+The one Witt reduction, _witt_bits, works on bits alone: it returns the det
+and discriminant classes and the Hasse invariant of a form, and the triple
+(dim, det class, Hasse) of its anisotropic kernel, each class by its bits
+and each Hasse invariant (-1)^e by the bit e.  The objects FormInvariants,
+WittClass and SquareClass are built from these bits by _invariants, only for
+the public results (invariants, witt_decompose, equivalent and the CLI
+documents); witt_kernel and is_isotropic read the bits and build none.
 """
 
 from __future__ import annotations
@@ -274,6 +282,8 @@ class WittClass:
     def __post_init__(self):
         object.__setattr__(self, "p", as_prime(self.p))
         d, dc, h = self.aniso_dim, self.det, self.hasse
+        if h not in (1, -1):
+            raise ValueError(f"a Hasse invariant is +1 or -1, not {h!r}")
         if not (0 <= d <= 4 and not _isotropic_triple(d, dc.bits, h < 0, self.p)
                 and (d > 1 or h == 1) and (d > 0 or dc.is_trivial())):
             raise ValueError("triple is not realized by an anisotropic form")
@@ -327,9 +337,11 @@ def invariants(q: QuadForm) -> FormInvariants:
     return q.invariants
 
 
-def _invariants(bits: tuple[int, ...], p: Prime) -> FormInvariants:
+def _witt_bits(bits: tuple[int, ...], p: Prime) -> tuple[int, int, int, tuple[int, int, int]]:
     """The invariants over Q_p of the form <a_1, ..., a_n>, given the square
-    classes of its diagonal entries a_i by their F_2 bits."""
+    classes of its diagonal entries a_i by their F_2 bits, as bits: (det,
+    dpm, hasse, kernel), kernel = (aniso_dim, det, hasse) of the anisotropic
+    kernel, each class by its bits and each Hasse invariant (-1)^e by e."""
     n = len(bits)
     # Hasse c = prod_j (a_1...a_(j-1), a_j) by bimultiplicativity: n symbols
     # instead of n(n-1)/2, each a bilinear form on bits
@@ -346,12 +358,22 @@ def _invariants(bits: tuple[int, ...], p: Prime) -> FormInvariants:
         dc ^= m1
         h ^= _hilbert_bit(m1, dc, p)
         dim -= 2
+    return det, dpm, e, (dim, dc, h)
+
+
+def _invariants(bits: tuple[int, ...], p: Prime) -> FormInvariants:
+    """_witt_bits as the objects of a public result."""
+    det, dpm, e, (dim, dc, h) = _witt_bits(bits, p)
+    n = len(bits)
     return FormInvariants(n, SquareClass(p, det), SquareClass(p, dpm), 1 - 2 * e,
                           (n - dim) // 2, WittClass(dim, SquareClass(p, dc), 1 - 2 * h, p))
 
 
 def is_isotropic(q: QuadForm) -> bool:
-    return invariants(q).witt_index > 0
+    """Whether q has a nonzero isotropic vector: its anisotropic kernel is
+    smaller than q."""
+    _require_symmetric(q, "invariants")
+    return _witt_bits(q.classes, q.p)[3][0] < q.dim
 
 
 def witt_decompose(q: QuadForm) -> tuple[int, WittClass]:
@@ -371,12 +393,13 @@ def equivalent(q1: QuadForm, q2: QuadForm) -> bool:
     return i1.det == i2.det and i1.hasse == i2.hasse
 
 
-def witt_kernel(rows: list[list[int]], d: int, p: Prime) -> WittClass:
-    """The anisotropic kernel of the symmetric (unchecked) Gram rows / d, in
-    one elimination on its integer rows and no Fraction; raises on a
+def witt_kernel(rows: list[list[int]], d: int, p: Prime) -> tuple[int, int, int]:
+    """The anisotropic kernel of the symmetric (unchecked) Gram rows / d as
+    the bits (aniso_dim, det, hasse) of _witt_bits, in one elimination on its
+    integer rows, with no Fraction and no class object; raises on a
     degenerate Gram."""
     pivots = _eliminate_symmetric(rows, transform=False)[0]
-    return _invariants(_pivot_classes(pivots, d, p), p).kernel
+    return _witt_bits(_pivot_classes(pivots, d, p), p)[3]
 
 
 def _pivot_classes(pivots: list[int], d: int, p: Prime) -> tuple[int, ...]:

@@ -414,6 +414,13 @@ def random_symmetric_rows(rng: random.Random, dim: int) -> list[list[int]]:
     return rows
 
 
+def witt_bits(kernel) -> tuple[int, int, int]:
+    """The bits (aniso_dim, det, hasse) of a qform.WittClass, as
+    qform.witt_kernel and endoscopy.ConstancyCell.target give them: the det
+    class by its bits and the Hasse invariant (-1)^e by e."""
+    return kernel.aniso_dim, kernel.det.bits, int(kernel.hasse == -1)
+
+
 def check_pivot_classes():
     """qform.witt_kernel of seeded Grams rows / d against the Witt class of
     the diagonal form on reference_diagonalize's diagonal, at p in
@@ -435,7 +442,7 @@ def check_pivot_classes():
                 pivot *= a * d
                 seen["p | pivot"] += pivot.numerator % p == 0
             seen["p | d"] += d % p == 0
-            expected = witt_decompose(qform.diag_form(diag, p))[1]
+            expected = witt_bits(witt_decompose(qform.diag_form(diag, p))[1])
             assert qform.witt_kernel(rows, d, p) == expected, (p, rows, d)
     assert min(seen.values()) >= 20, seen
 
@@ -449,11 +456,18 @@ def reference_form_data(gram, p):
     reference_weil_rank1(a_i).  These are the Fraction algorithms that the
     class bits replaced."""
     diag = reference_diagonalize(gram)[0]
+    det, hasse = reference_det_hasse(diag, p)
+    return square_class(det, p), hasse, Mu8(sum(reference_weil_rank1(a, p) for a in diag))
+
+
+def reference_det_hasse(diag, p):
+    """(det, Hasse invariant) of <a_1, ..., a_n>: the product of the a_i and
+    the product over j of reference_hilbert_qp(a_1 ... a_(j-1), a_j)."""
     det, hasse = Fraction(1), 1
     for a in diag:
         hasse *= reference_hilbert_qp(det, a, p)
         det *= a
-    return square_class(det, p), hasse, Mu8(sum(reference_weil_rank1(a, p) for a in diag))
+    return det, hasse
 
 
 def form_data(q):
@@ -461,6 +475,40 @@ def form_data(q):
     the classes q holds: what reference_form_data computes."""
     inv = invariants(q)
     return inv.det, inv.hasse, weil_index(q)
+
+
+def check_witt_reduction():
+    """qform.witt_kernel of seeded Grams rows / d, kernel (k, det, hasse) as
+    bits, against reference_form_data of the Gram, at p in {2, 3, 5, 7}.
+    The form is the kernel q' plus m = (n - k) / 2 planes P = m <1, -1>, so
+    its det class is that of (-1)^m det q', and its Hasse invariant is
+    c(q') c(P) (det q', (-1)^m), with c(P) and the symbol taken by
+    reference_det_hasse and reference_hilbert_qp; the kernel must be
+    anisotropic by reference_witt_class_exists.  The sweep has kernels of
+    dimension 0 to 3 and forms of Witt index 1 and 2."""
+    rng = random.Random(29)
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            dim = rng.randint(1, 7)
+            d = rng.choice((1, 2, p))
+            rows = random_symmetric_rows(rng, dim)
+            try:
+                det, hasse, _ = reference_form_data(to_mat(rows, d), p)
+            except ValueError:
+                continue
+            k, dbits, hbit = qform.witt_kernel(rows, d, p)
+            m = (dim - k) // 2
+            kdet = SquareClass(p, dbits)
+            assert reference_witt_class_exists(k, kdet, 1 - 2 * hbit, p), (p, rows, d)
+            sign = (-1) ** m
+            planes = reference_det_hasse((1, -1) * m, p)[1]
+            implied = (1 - 2 * hbit) * planes * reference_hilbert_qp(kdet.representative,
+                                                                     sign, p)
+            assert (square_class(sign * kdet.representative, p), implied) == (det, hasse), \
+                (p, rows, d)
+            seen |= {("dim", k), ("index", m)}
+    assert seen >= {("dim", k) for k in range(4)} | {("index", 1), ("index", 2)}, seen
 
 
 def check_scale_classes():

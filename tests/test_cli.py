@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import count_eliminations, reference_transfer_factor, symmetrized_rows
-from twistedgl import endoscopy, etale
+from twistedgl import endoscopy, etale, gsnorm, localfield, qform, weil
 from twistedgl.cli import (_corpus_entries, _run_entries, build_parser, config_doc,
-                           digest, main, rat_json, rat_str)
+                           digest, main, rat_json, rat_str, rows_doc, rows_json)
 from twistedgl.endoscopy import quasisplit_space, transfer_factor_whittaker
 from twistedgl.gsnorm import make_ambient, random_config, rigidify
 from twistedgl.linalg import det, inverse, mat, mat_mul, transpose
@@ -835,7 +835,8 @@ def _cell_key(r):
 
 def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
     # the rhs of a cell is one rank-1 product over the classes its space
-    # holds, taken once per cell
+    # holds, and its epsilon factor one over the classes of N_K, each taken
+    # once per cell
     calls = {"quasisplit_space": 0, "_weil": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(endoscopy, name)):
@@ -846,7 +847,7 @@ def test_corpus_run_builds_each_cell_once(capsys, monkeypatch):
                     "--count", "8", "--seed", "4")
     cells = {_cell_key(r) for r in doc["records"]}
     assert code == 0 and len(doc["records"]) == 32 and len(cells) < 32
-    assert calls == {"quasisplit_space": len(cells), "_weil": len(cells)}
+    assert calls == {"quasisplit_space": len(cells), "_weil": 2 * len(cells)}
 
 
 def test_a_corpus_run_builds_no_fraction_gram(capsys, monkeypatch):
@@ -908,6 +909,65 @@ def test_a_record_digest_is_the_digest_of_its_configuration_document():
         cell = cells[r["p"], r["n"], r["K"], r["c"]][0]
         config = random_config(cell.ambient, r["seed"])
         assert r["inputs_digest"] == digest(config_doc(config))
+
+
+def test_rows_json_is_the_json_of_rows_doc():
+    # seeded integer rows with zero and negative entries and entries that
+    # den divides, over den 1, a prime and a composite
+    rng = random.Random(29)
+    seen = {"zero": 0, "negative": 0, "den | x": 0}
+    for dim in range(1, 13):
+        for den in (1, 7, 2 * 3 * 5 * 4, 1009):
+            rows = [[rng.choice((0, den, -den * rng.randint(1, 9),
+                                 rng.randint(-10 ** 6, 10 ** 6))) for _ in range(dim)]
+                    for _ in range(dim)]
+            entries = [x for row in rows for x in row]
+            seen["zero"] += 0 in entries
+            seen["negative"] += any(x < 0 for x in entries)
+            seen["den | x"] += any(x and x % den == 0 for x in entries) and den > 1
+            assert rows_json(rows, den) == json.dumps(rows_doc(rows, den)), (rows, den)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_run_builds_no_invariant_object_and_a_record_no_class(monkeypatch):
+    # a whole run builds no FormInvariants and no WittClass; after its cell's
+    # first record, a record builds no SquareClass, Mu8 or Fraction, its
+    # sampling included, also where the sampler rejects a draw by the norm
+    # rule, which the plan's records after the first of their cells do
+    built = dict.fromkeys(("FormInvariants", "WittClass", "SquareClass", "Mu8",
+                           "Fraction"), 0)
+    for cls in (qform.FormInvariants, qform.WittClass, localfield.SquareClass, weil.Mu8):
+        def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    new, rule, rejected = F.__new__, gsnorm._norm_very_regular, []
+
+    def counted_new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_rule(y, eps):
+        rejected.append(not rule(y, eps))
+        return not rejected[-1]
+
+    monkeypatch.setattr(gsnorm, "_norm_very_regular", counted_rule)
+    cells, whole_run, later_rejections = {}, dict.fromkeys(built, 0), 0
+    for entry in _corpus_entries(1, (2, 3, 5, 7), (1, 2), 24):
+        first = (entry["p"], entry["n"], entry["K"], entry["c"]) not in cells
+        for name in built:
+            built[name] = 0
+        del rejected[:]
+        monkeypatch.setattr(F, "__new__", counted_new)
+        _run_entries([entry], cells)
+        monkeypatch.setattr(F, "__new__", new)
+        if not first:
+            assert (built["SquareClass"], built["Mu8"], built["Fraction"]) == (0, 0, 0), entry
+            later_rejections += sum(rejected)
+        for name in built:
+            whole_run[name] += built[name]
+    assert whole_run["FormInvariants"] == whole_run["WittClass"] == 0
+    assert later_rejections > 0 and whole_run["SquareClass"] > 0
 
 
 def test_corpus_cell_summary_recounts_the_records(capsys):

@@ -687,22 +687,23 @@ def certifies(f, ell):
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_random_config_equals_the_norm_certificate_sampler(p, eps, n, monkeypatch):
     # the sampler decides a draw on Z = -eps Y_n^-1 Y_n^T mod ELL, similar to
-    # the norm, and falls back to the exact -eps Y_n^T Y_n^-1 over Q; the
-    # reference builds the norm and decides on it
+    # the norm, and falls back to the exact -eps Y_n^T R / pi, similar to Z
+    # for Y_n^-1 = R / pi, by its integer rows over the least denominator;
+    # the reference builds the norm and decides on it
     amb = random_ambient(random.Random(9100 + 10 * n + eps + p), n, eps, p)
     solved, decided = [], []
-    solve, charpoly_of = gsnorm.int_solve_mod, gsnorm.charpoly
+    solve, charpoly_of = gsnorm.int_solve_mod, gsnorm.int_charpoly
 
     def recorded_solve(a, b, ell):
         solved.append(solve(a, b, ell))
         return solved[-1]
 
-    def recorded(m):
-        decided.append(m)
-        return charpoly_of(m)
+    def recorded(m, den):
+        decided.append((m, den))
+        return charpoly_of(m, den)
 
     monkeypatch.setattr(gsnorm, "int_solve_mod", recorded_solve)
-    monkeypatch.setattr(gsnorm, "charpoly", recorded)
+    monkeypatch.setattr(gsnorm, "int_charpoly", recorded)
     for seed in range(20):
         ref = reference_random_config(amb, seed)
         del solved[:], decided[:]  # the reference's rational fallbacks
@@ -727,7 +728,7 @@ def test_random_config_equals_the_norm_certificate_sampler(p, eps, n, monkeypatc
             assert z is None
         # the exact rows over their denominator decide the accepted draw
         # just when its residues could not accept it
-        exact = bool(decided) and decided[-1] == to_mat(int_mul(yt, y_inv), pi)
+        exact = bool(decided) and decided[-1] == linalg.lowest_terms(int_mul(yt, y_inv), pi)
         assert exact == (not accepted_on_residues)
 
 

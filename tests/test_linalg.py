@@ -254,6 +254,16 @@ def test_int_charpoly_mod_matches_sympy(n, rows, den, ell):
     assert f == int_charpoly_mod(*least, ell)
 
 
+@pytest.mark.parametrize("n, rows, den", int_cases(20270))
+def test_int_charpoly_is_the_least_integral_multiple_of_the_charpoly(n, rows, den):
+    coeffs = scaled_to_sympy(rows, den).charpoly(sympy.Symbol("T")).all_coeffs()
+    f = [to_fraction(c) for c in reversed(coeffs)]
+    least = math.lcm(*(c.denominator for c in f))
+    before = [list(row) for row in rows]
+    assert linalg.int_charpoly(rows, den) == [c * least for c in f]
+    assert rows == before
+
+
 def valid_cuts(rows):
     """Every k with rows[i][j] == rows[j][i] == 0 for all i < k <= j, and 0
     and n: by definition the finest split into contiguous diagonal blocks."""

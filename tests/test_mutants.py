@@ -6,7 +6,10 @@ The check must pass on the library and raise AssertionError once the
 mutant replaces the function.
 """
 
+import __future__
 import importlib
+import inspect
+import textwrap
 
 import pytest
 
@@ -17,6 +20,18 @@ def _holding(form, classes):
     """form, made to hold these classes instead of its own."""
     vars(form)["classes"] = classes
     return form
+
+
+def _edited(f, old, new=""):
+    """f compiled again from its own source with old, which must occur
+    exactly once, replaced by new."""
+    source = textwrap.dedent(inspect.getsource(f))
+    assert source.count(old) == 1, old
+    code = compile(source.replace(old, new), inspect.getsourcefile(f), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope = {}
+    exec(code, f.__globals__, scope)
+    return scope[f.__name__]
 
 
 MUTANTS = [
@@ -36,6 +51,10 @@ MUTANTS = [
                  lambda f: lambda bits, p: f(bits, p) + 2 * (p == 2 and bits & 1),
                  helpers.check_weil_rank1,
                  id="rank-1 exponent at p = 2 and odd valuation moved"),
+    pytest.param("twistedgl.qform._witt_bits",
+                 lambda f: _edited(f, "        h ^= _hilbert_bit(m1, dc, p)\n"),
+                 helpers.check_witt_reduction,
+                 id="Witt reduction without the Hasse update"),
 ]
 
 

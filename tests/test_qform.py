@@ -536,6 +536,15 @@ def test_witt_class_existence_is_the_reference_table():
         assert realized == (32 if p == 2 else 16)
 
 
+def test_witt_class_refuses_a_hasse_invariant_other_than_plus_or_minus_one():
+    for p in (2, 3, 5, 7):
+        for detc in square_class_table(p):
+            for d in range(5):
+                for hasse in (0, 2, 5, -3):
+                    with pytest.raises(ValueError, match="Hasse"):
+                        WittClass(d, detc, hasse, p)
+
+
 def test_invariants_keep_the_anisotropic_kernel():
     rng = random.Random(4)
     for p in (2, 3, 5):
